@@ -36,7 +36,7 @@ from . import harness
 from . import losses as Lmod
 from . import model as M
 from . import optimizer as O
-from .errors import ConfigError, MissingArtifactError, MTUError
+from .errors import ConfigError, MissingArtifactError, MTUError, PreconditionError
 
 _REQUIRED = object()
 
@@ -434,6 +434,12 @@ def cmd_unlearn(args):
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError("method names must be unique")
+    n_forget = len(d_f.sequences)
+    for i, m in enumerate(methods):
+        if m.rounds > n_forget:
+            raise ConfigError(f"field 'rounds' in section 'methods[{i}]' is "
+                              f"{m.rounds}, above the {n_forget} forget "
+                              f"sequences (each round needs at least one)")
 
     target_path = _resolve(target_rel, out)
     theta_target = artifacts.load_params(target_path)
@@ -441,6 +447,9 @@ def cmd_unlearn(args):
         raise ConfigError(
             f"target parameter count {theta_target.shape} does not match "
             f"the model ({M.param_count(spec)} parameters)")
+    if not np.all(np.isfinite(theta_target)):
+        raise PreconditionError(f"target parameters in {target_path} are "
+                                f"not all finite")
 
     res = harness.unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
                                      prompt_len=plen, completion_len=clen,

@@ -108,16 +108,37 @@ def natural_gradient(spec, theta, forget_batch, pretrain_batch, loss, lam_prime,
 
 
 def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
-    """Block-diagonal solve of (H(theta) + lam' I) x = g for the bigram
-    model: one small SPD solve per visited table row, a plain 1/lam'
-    scaling elsewhere.  Matches the dense solve to solver precision."""
+    """Solve (H(theta) + lam' I) x = g for the bigram model in closed form.
+
+    The block of visited row r is c S(h_r) + lam' I = D - c p p^T with
+    c = count/N and D = Diag(c p + lam'): a diagonal minus a rank-one
+    term.  Sherman-Morrison solves every visited row at once,
+
+        x = D^-1 g + c (D^-1 p) (p^T D^-1 g) / (1 - c p^T D^-1 p),
+
+    and rows never visited scale by 1/lam'.  The denominator is
+    lam' sum_i p_i / (c p_i + lam') > 0 in exact arithmetic; a value that
+    is not positive raises.  assemble_gnh plus linalg.solve_spd is the
+    dense oracle this matches.
+    """
+    if not lam_prime > 0:
+        raise ValueError("lam_prime must be positive")
     V = spec.vocab_size
-    blocks = bigram_gnh_blocks(spec, theta, pretrain_batch)
+    table = np.asarray(theta, dtype=float).reshape(V, V)
+    counts = np.bincount(pretrain_batch.contexts[:, -1], minlength=V)
+    rows = np.flatnonzero(counts)
+    c = (counts[rows] / len(pretrain_batch))[:, None]
+    P = M.softmax_rows(table[rows])
     G = np.asarray(g, dtype=float).reshape(V, V)
     X = G / lam_prime
-    eye = np.eye(V)
-    for r, block in blocks.items():
-        X[r] = linalg.solve_spd(block + lam_prime * eye, G[r])
+    D = c * P + lam_prime
+    Dg = G[rows] / D
+    Dp = P / D
+    den = lam_prime * Dp.sum(axis=1, keepdims=True)
+    if not np.all(den > 0):
+        raise ValueError("damped bigram block is not positive definite "
+                         f"(Sherman-Morrison denominator {float(den.min()):.3e})")
+    X[rows] = Dg + (c * (P * Dg).sum(axis=1, keepdims=True) / den) * Dp
     return X.ravel()
 
 

@@ -9,8 +9,8 @@ unused), with exact gradients w.r.t. the first argument:
            at the CURRENT model's logits; the gradient differentiates
            through S as well (exact gradient of the written expression).
   bregman  L(theta) - L(theta_ref) - (theta - theta_ref)^T grad L(theta_ref)
-           for a convex L; the batch form wraps the bigram nll loss,
-           which is convex in the logit table.
+           with L the batch nll loss of the bigram model, which is
+           convex in the logit table.
 
 The damped variant adds (lam/2) ||theta - theta_ref||^2, whose gradient
 contributes lam (theta - theta_ref).
@@ -51,19 +51,27 @@ def _check_batch(batch):
         raise ValueError("empty batch")
 
 
-def kl_div(spec, theta, theta_ref, batch):
-    """Batch mean KL between current-model and reference-model softmaxes."""
+def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
+    """Batch-mean kl or qkl value and gradient from one forward pass at
+    each point; a part not asked for is None."""
     _check_batch(batch)
-    H = M.batch_logits(spec, theta, batch.contexts)
-    Href = M.batch_logits(spec, theta_ref, batch.contexts)
-    return float(losses.it_value_rows(H, Href).mean())
-
-
-def _kl_grad(spec, theta, theta_ref, batch):
     H, aux = M._forward(spec, theta, batch.contexts)
     Href = M.batch_logits(spec, theta_ref, batch.contexts)
-    G = losses.it_grad_rows(H, Href)
-    return M.grad_from_logit_grads(spec, theta, batch.contexts, G / len(batch), aux=aux)
+    if tag == "kl":
+        vals, G = losses.it_rows(H, Href) if grad else (losses.it_value_rows(H, Href), None)
+    else:
+        vals = _qkl_rows(H, Href) if value else None
+        G = _qkl_grad_rows(H, Href) if grad else None
+    v = float(vals.mean()) if value else None
+    g = None
+    if grad:
+        g = M.grad_from_logit_grads(spec, theta, batch.contexts, G / len(batch), aux=aux)
+    return v, g
+
+
+def kl_div(spec, theta, theta_ref, batch):
+    """Batch mean KL between current-model and reference-model softmaxes."""
+    return _logit_terms("kl", spec, theta, theta_ref, batch, True, False)[0]
 
 
 def _qkl_rows(H, Href):
@@ -77,10 +85,7 @@ def _qkl_rows(H, Href):
 
 def qkl_div(spec, theta, theta_ref, batch):
     """Batch mean of the quadratic form with S at the current model."""
-    _check_batch(batch)
-    H = M.batch_logits(spec, theta, batch.contexts)
-    Href = M.batch_logits(spec, theta_ref, batch.contexts)
-    return float(_qkl_rows(H, Href).mean())
+    return _logit_terms("qkl", spec, theta, theta_ref, batch, True, False)[0]
 
 
 def _qkl_grad_rows(H, Href):
@@ -98,79 +103,67 @@ def _qkl_grad_rows(H, Href):
     return P * (2.0 * D - 2.0 * m1 + D * D - m2 - 2.0 * m1 * D + 2.0 * m1 * m1)
 
 
-def _qkl_grad(spec, theta, theta_ref, batch):
-    H, aux = M._forward(spec, theta, batch.contexts)
-    Href = M.batch_logits(spec, theta_ref, batch.contexts)
-    G = _qkl_grad_rows(H, Href)
-    return M.grad_from_logit_grads(spec, theta, batch.contexts, G / len(batch), aux=aux)
-
-
-def bregman_div(loss_value, loss_grad, theta, theta_ref):
-    """Bregman divergence of a convex loss given by value/gradient callables:
-
-    D(theta, theta_ref) = L(theta) - L(theta_ref)
-                          - (theta - theta_ref)^T grad L(theta_ref).
-    """
-    theta = np.asarray(theta, dtype=float)
-    theta_ref = np.asarray(theta_ref, dtype=float)
-    g_ref = np.asarray(loss_grad(theta_ref), dtype=float)
-    return float(loss_value(theta) - loss_value(theta_ref) - (theta - theta_ref) @ g_ref)
-
-
 _NLL = losses.LossKind("nll")
 
 
-def _check_bregman_model(spec):
+def _bregman_terms(spec, theta, theta_ref, batch, value, grad):
+    """Bregman value and gradient of the batch nll loss from one forward
+    pass at each point; a part not asked for is None.  The gradient is
+    grad L(theta) - grad L(theta_ref)."""
+    _check_batch(batch)
     if spec.kind != M.BIGRAM:
         raise ValueError("bregman divergence requires the bigram-softmax model "
                          "(the wrapped nll loss must be convex in theta)")
+    theta = np.asarray(theta, dtype=float)
+    theta_ref = np.asarray(theta_ref, dtype=float)
+    v, g = losses._loss_terms(_NLL, spec, theta, batch, None, value, grad)
+    v_ref, g_ref = losses._loss_terms(_NLL, spec, theta_ref, batch, None, value, True)
+    return (float(v - v_ref - (theta - theta_ref) @ g_ref) if value else None,
+            g - g_ref if grad else None)
 
 
 def bregman_nll_div(spec, theta, theta_ref, batch):
     """Bregman divergence of the batch nll loss on the bigram model."""
-    _check_batch(batch)
-    _check_bregman_model(spec)
-    return bregman_div(
-        lambda th: losses.batch_loss(_NLL, spec, th, batch),
-        lambda th: losses.batch_grad(_NLL, spec, th, batch),
-        theta, theta_ref,
-    )
+    return _bregman_terms(spec, theta, theta_ref, batch, True, False)[0]
 
 
-def _bregman_grad(spec, theta, theta_ref, batch):
-    _check_bregman_model(spec)
-    return (losses.batch_grad(_NLL, spec, theta, batch)
-            - losses.batch_grad(_NLL, spec, theta_ref, batch))
+def _divergence_terms(kind, spec, theta, theta_ref, batch, value, grad):
+    if kind.tag == "bregman":
+        return _bregman_terms(spec, theta, theta_ref, batch, value, grad)
+    return _logit_terms(kind.tag, spec, theta, theta_ref, batch, value, grad)
 
 
 def divergence_value(kind, spec, theta, theta_ref, batch):
     """Raw divergence value D(theta, theta_ref) for the selected kind."""
-    if kind.tag == "kl":
-        return kl_div(spec, theta, theta_ref, batch)
-    if kind.tag == "qkl":
-        return qkl_div(spec, theta, theta_ref, batch)
-    return bregman_nll_div(spec, theta, theta_ref, batch)
+    return _divergence_terms(kind, spec, theta, theta_ref, batch, True, False)[0]
+
+
+def _damped_terms(kind, spec, theta, theta_ref, batch, value, grad):
+    """Damped divergence value and gradient; a part not asked for is None."""
+    v, g = _divergence_terms(kind, spec, theta, theta_ref, batch, value, grad)
+    diff = np.asarray(theta, dtype=float) - np.asarray(theta_ref, dtype=float)
+    if value:
+        v = v + 0.5 * kind.lam * float(diff @ diff)
+    if grad and kind.lam:
+        g = g + kind.lam * diff
+    return v, g
 
 
 def damped_value(kind, spec, theta, theta_ref, batch):
     """D(theta, theta_ref) + (lam/2) ||theta - theta_ref||^2."""
-    diff = np.asarray(theta, dtype=float) - np.asarray(theta_ref, dtype=float)
-    return divergence_value(kind, spec, theta, theta_ref, batch) + 0.5 * kind.lam * float(diff @ diff)
+    return _damped_terms(kind, spec, theta, theta_ref, batch, True, False)[0]
 
 
 def damped_grad(kind, spec, theta, theta_ref, batch):
     """Exact gradient of the damped divergence w.r.t. theta:
     grad D(theta, theta_ref) + lam (theta - theta_ref)."""
-    _check_batch(batch)
-    if kind.tag == "kl":
-        g = _kl_grad(spec, theta, theta_ref, batch)
-    elif kind.tag == "qkl":
-        g = _qkl_grad(spec, theta, theta_ref, batch)
-    else:
-        g = _bregman_grad(spec, theta, theta_ref, batch)
-    if kind.lam:
-        g = g + kind.lam * (np.asarray(theta, dtype=float) - np.asarray(theta_ref, dtype=float))
-    return g
+    return _damped_terms(kind, spec, theta, theta_ref, batch, False, True)[1]
+
+
+def damped_value_and_grad(kind, spec, theta, theta_ref, batch):
+    """(damped_value, damped_grad) from one forward pass at each point;
+    bitwise equal to the two separate calls."""
+    return _damped_terms(kind, spec, theta, theta_ref, batch, True, True)
 
 
 def curvature_quadratic_form(spec, theta_ref, batch, d):

@@ -97,11 +97,15 @@ def _patterned_sequences(corpus, rng):
         # Pair-disjoint rejection sampling with unique start tokens: no
         # two sequences share any (token, next-token) transition
         # (including the wraparound one) or a start token.
+        # Counting bounds: there are V start tokens and, for p >= 2,
+        # V (V - 1) transitions between distinct tokens; an infeasible
+        # corpus fails here instead of exhausting the rejection budget.
+        infeasible = n > V or (p >= 2 and n * p > V * (V - 1))
         patterns, used_pairs, used_starts = [], set(), set()
         budget = 10000 * n
         while len(patterns) < n:
             budget -= 1
-            if budget < 0:
+            if infeasible or budget < 0:
                 raise ValueError("could not draw a pair-disjoint corpus; "
                                  "reduce n_sequences or period, or grow "
                                  "vocab_size")
@@ -335,8 +339,7 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
                 raise ValueError(f"horizon t_gamma={t_gamma} gives T=0 at "
                                  f"alpha={a}")
             cfg = O.config_with(cfg, T=T)
-            mt = O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
-                          cfg, full_batch=True)
+            mt = O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg)
             ng = O.ngd_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg)
             dev = O.trajectory_deviation(mt, ng)
             devs.append(dev)
@@ -692,7 +695,7 @@ def _run_method(method, spec, theta, d_f, d_pt, stop_rule):
             return stop_rule.triggered(Lmod.batch_loss(_NLL, spec, th, ds))
 
     if method.optimizer == "mt":
-        traj = O.mt_run(spec, theta, d_f, d_pt, method.config, full_batch=True)
+        traj = O.mt_run(spec, theta, d_f, d_pt, method.config)
     elif method.optimizer == "mt-batched":
         traj = O.mt_run_batched(spec, theta, d_f, d_pt, method.config,
                                 callback=callback)

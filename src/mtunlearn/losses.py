@@ -21,7 +21,7 @@ logsumexp(h)), which never underflows to zero error where it matters.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from . import model as M
 
@@ -78,6 +78,22 @@ def _rows(h):
     return h.reshape(1, -1) if h.ndim == 1 else h
 
 
+def _logsumexp_rows(A):
+    """Row-wise log sum_j exp(A_ij), exact in the saturated regime.
+
+    The same arithmetic as scipy.special.logsumexp: the k maximal entries
+    are kept out of the shifted sum s, and the result is
+    log1p(s / k) + log(k) + max, so a row dominated by one entry keeps
+    the precision of its small terms.
+    """
+    m = A.max(axis=1, keepdims=True)
+    top = A == m
+    k = top.sum(axis=1)
+    E = np.exp(A - m)
+    E[top] = 0.0
+    return np.log1p(E.sum(axis=1) / k) + np.log(k) + m[:, 0]
+
+
 def _log_complement_rows(H, y):
     """log(1 - p_y) per row, exact in log space.
 
@@ -85,13 +101,9 @@ def _log_complement_rows(H, y):
     which equals log(sum_{j != y} p_j) without forming 1 - p_y.
     """
     H = _rows(H)
-    n, V = H.shape
-    lse_full = logsumexp(H, axis=1)
-    mask = np.ones((n, V), dtype=bool)
-    mask[np.arange(n), y] = False
-    Hm = np.where(mask, H, -np.inf)
-    lse_wo = logsumexp(Hm, axis=1)
-    return lse_wo - lse_full
+    Hm = H.copy()
+    Hm[np.arange(len(H)), y] = -np.inf
+    return _logsumexp_rows(Hm) - _logsumexp_rows(H)
 
 
 def ll_value_rows(H, y):
@@ -108,9 +120,12 @@ def ll_grad_rows(H, y):
     log space, so it stays exact when p_y saturates toward 1.
     """
     H = _rows(H)
-    P = M.softmax_rows(H)
-    G = -P
-    G[np.arange(len(H)), y] = np.exp(_log_complement_rows(H, y))
+    return _ll_grad(H, y, _log_complement_rows(H, y))
+
+
+def _ll_grad(H, y, log1mp):
+    G = -M.softmax_rows(H)
+    G[np.arange(len(H)), y] = np.exp(log1mp)
     return G
 
 
@@ -131,7 +146,7 @@ def nlul_grad_rows(H, y, clamp_eps=1e-12):
     log1mp_c = np.maximum(log1mp, np.log(clamp_eps))
     logp = ll_value_rows(H, y)
     w = np.exp(logp - log1mp_c)
-    return w[:, None] * ll_grad_rows(H, y)
+    return w[:, None] * _ll_grad(H, y, log1mp)
 
 
 def it_value_rows(H, teacher_H):
@@ -148,10 +163,16 @@ def it_grad_rows(H, teacher_H):
     d/dh KL(p || q) = p * (r - <p, r>) with r = log p - log q; the
     centering term is the softmax covariance acting on r.
     """
+    return it_rows(H, teacher_H)[1]
+
+
+def it_rows(H, teacher_H):
+    """(it_value_rows, it_grad_rows) from one softmax and log-ratio."""
     H, T = _rows(H), _rows(teacher_H)
     P = M.softmax_rows(H)
     R = M.log_softmax_rows(H) - M.log_softmax_rows(T)
-    return P * (R - (P * R).sum(axis=1, keepdims=True))
+    v = (P * R).sum(axis=1)
+    return v, P * (R - v[:, None])
 
 
 def nll_value_rows(H, y):
@@ -223,18 +244,72 @@ def npo_grad(spec, s, theta, base_theta, beta):
     return 2.0 * w * M.grad_sequence_logprob(spec, theta, s)
 
 
-def _teacher_batch(kind, spec, contexts):
-    return kind.teacher.batch(contexts, spec.vocab_size)
+def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
+    """Batch-mean npo value and gradient from one forward pass over the
+    batch's pairs at theta and one at the base model.
+
+    Per sequence the gradient is 2 w(s) times the summed e_y - p rows of
+    its pairs (see npo_grad); the rows are scaled before one backprop.
+    """
+    ds, starts = M.sequence_pairs(spec, batch)
+    if base_theta is None:
+        raise ValueError("npo requires base_theta")
+    lb = M.sequence_logprob(spec, base_theta, ds)
+    H, aux = M._forward(spec, theta, ds.contexts)
+    lt = M.segment_logprob(H, ds, starts)
+    v = g = None
+    if value:
+        v = float(np.mean((2.0 / kind.beta) * np.logaddexp(0.0, kind.beta * (lt - lb))))
+    if grad:
+        w = expit(kind.beta * (lt - lb))
+        G = -M.softmax_rows(H)
+        G[np.arange(len(ds)), ds.nexts] += 1.0
+        per_pair = np.repeat(2.0 * w / len(w), np.diff(np.append(starts, len(ds))))
+        g = M.grad_from_logit_grads(spec, theta, ds.contexts, G * per_pair[:, None],
+                                    aux=aux)
+    return v, g
 
 
-def _sequences_of(batch):
-    if isinstance(batch, M.TokenDataset):
-        seqs = batch.sequences
+def _value_rows(kind, H, y, T):
+    if kind.tag == "nll":
+        return nll_value_rows(H, y)
+    if kind.tag == "ll":
+        return ll_value_rows(H, y)
+    if kind.tag == "nlul":
+        return nlul_value_rows(H, y, kind.clamp_eps)
+    return it_value_rows(H, T)
+
+
+def _grad_rows(kind, H, y, T):
+    if kind.tag == "nll":
+        return nll_grad_rows(H, y)
+    if kind.tag == "ll":
+        return ll_grad_rows(H, y)
+    if kind.tag == "nlul":
+        return nlul_grad_rows(H, y, kind.clamp_eps)
+    return it_grad_rows(H, T)
+
+
+def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
+    """(batch-mean loss, its gradient) from one forward pass at theta;
+    a part not asked for is None."""
+    if kind.tag == "npo":
+        return _npo_terms(kind, spec, theta, batch, base_theta, value, grad)
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    H, aux = M._forward(spec, theta, batch.contexts)
+    y = batch.nexts
+    T = kind.teacher.batch(batch.contexts, spec.vocab_size) if kind.tag == "it" else None
+    if kind.tag == "it" and grad:
+        vals, G = it_rows(H, T)
     else:
-        seqs = list(batch)
-    if not seqs:
-        raise ValueError("npo needs a batch carrying whole sequences")
-    return seqs
+        vals = _value_rows(kind, H, y, T) if value else None
+        G = _grad_rows(kind, H, y, T) if grad else None
+    v = float(vals.mean()) if value else None
+    g = None
+    if grad:
+        g = M.grad_from_logit_grads(spec, theta, batch.contexts, G / len(batch), aux=aux)
+    return v, g
 
 
 def batch_loss(kind, spec, theta, batch, base_theta=None):
@@ -245,50 +320,15 @@ def batch_loss(kind, spec, theta, batch, base_theta=None):
     fixed base model parameters.  All other losses average per
     (context, next) pair.
     """
-    if kind.tag == "npo":
-        seqs = _sequences_of(batch)
-        if base_theta is None:
-            raise ValueError("npo requires base_theta")
-        return float(np.mean([npo_value(spec, s, theta, base_theta, kind.beta) for s in seqs]))
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    H = M.batch_logits(spec, theta, batch.contexts)
-    y = batch.nexts
-    if kind.tag == "nll":
-        vals = nll_value_rows(H, y)
-    elif kind.tag == "ll":
-        vals = ll_value_rows(H, y)
-    elif kind.tag == "nlul":
-        vals = nlul_value_rows(H, y, kind.clamp_eps)
-    elif kind.tag == "it":
-        vals = it_value_rows(H, _teacher_batch(kind, spec, batch.contexts))
-    else:
-        raise ValueError(f"unknown loss tag: {kind.tag!r}")
-    return float(vals.mean())
+    return _loss_terms(kind, spec, theta, batch, base_theta, True, False)[0]
 
 
 def batch_grad(kind, spec, theta, batch, base_theta=None):
     """Exact gradient of batch_loss w.r.t. theta."""
-    if kind.tag == "npo":
-        seqs = _sequences_of(batch)
-        if base_theta is None:
-            raise ValueError("npo requires base_theta")
-        g = np.zeros(M.param_count(spec))
-        for s in seqs:
-            g += npo_grad(spec, s, theta, base_theta, kind.beta)
-        return g / len(seqs)
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    H, aux = M._forward(spec, theta, batch.contexts)
-    y = batch.nexts
-    if kind.tag == "nll":
-        G = nll_grad_rows(H, y)
-    elif kind.tag == "ll":
-        G = ll_grad_rows(H, y)
-    elif kind.tag == "nlul":
-        G = nlul_grad_rows(H, y, kind.clamp_eps)
-    elif kind.tag == "it":
-        G = it_grad_rows(H, _teacher_batch(kind, spec, batch.contexts))
-    else:
-        raise ValueError(f"unknown loss tag: {kind.tag!r}")
-    return M.grad_from_logit_grads(spec, theta, batch.contexts, G / len(batch), aux=aux)
+    return _loss_terms(kind, spec, theta, batch, base_theta, False, True)[1]
+
+
+def batch_value_and_grad(kind, spec, theta, batch, base_theta=None):
+    """(batch_loss, batch_grad) from one shared forward pass; bitwise equal
+    to the two separate calls."""
+    return _loss_terms(kind, spec, theta, batch, base_theta, True, True)

@@ -177,11 +177,11 @@ def _forward(spec, theta, contexts):
     """
     contexts = np.asarray(contexts, dtype=int)
     V = spec.vocab_size
-    if np.any(contexts >= V) or np.any(contexts < PAD):
+    if contexts.size and (contexts.max() >= V or contexts.min() < PAD):
         raise ValueError(f"token id out of vocabulary (V={V})")
     if spec.kind == BIGRAM:
         rows = contexts[:, -1]
-        if np.any(rows < 0):
+        if rows.size and rows.min() < 0:
             raise ValueError("bigram model requires a non-empty context")
         table = theta.reshape(V, V)
         return table[rows], rows
@@ -299,8 +299,43 @@ def softmax_rows(H):
     return E / E.sum(axis=1, keepdims=True)
 
 
+def sequence_pairs(spec, sequences):
+    """(context, next) pairs of whole sequences for this model, plus the
+    start index of each sequence's pairs.
+
+    sequences is a TokenDataset expanded from whole sequences at the
+    model's context_len (used as is) or a list of token sequences
+    (expanded once here).
+    """
+    ds = sequences
+    if not (isinstance(ds, TokenDataset) and ds.sequences
+            and ds.contexts.shape[1] == spec.context_len
+            and len(ds) == sum(len(s) - 1 for s in ds.sequences)):
+        seqs = ds.sequences if isinstance(ds, TokenDataset) else list(ds)
+        if not seqs:
+            raise ValueError("need a batch carrying whole sequences")
+        ds = dataset_from_sequences(seqs, spec.context_len)
+    lens = [len(s) - 1 for s in ds.sequences]
+    return ds, np.cumsum([0] + lens[:-1])
+
+
+def segment_logprob(H, ds, starts):
+    """Per-sequence sums of log softmax(H)_next over the pairs of
+    `sequence_pairs` (logits H of all pairs, in order)."""
+    L = log_softmax_rows(H)
+    return np.add.reduceat(L[np.arange(len(ds.nexts)), ds.nexts], starts)
+
+
 def sequence_logprob(spec, theta, s):
-    """Sum over positions t >= 1 of log softmax(h(s_{<t}))_{s_t}."""
+    """Sum over positions t >= 1 of log softmax(h(s_{<t}))_{s_t}.
+
+    s is one token sequence (returns a float) or a TokenDataset expanded
+    from whole sequences (returns one sum per sequence, from one forward
+    pass over all their pairs).
+    """
+    if isinstance(s, TokenDataset):
+        ds, starts = sequence_pairs(spec, s)
+        return segment_logprob(batch_logits(spec, theta, ds.contexts), ds, starts)
     s = np.asarray(s, dtype=int)
     if len(s) < 2:
         raise ValueError("sequence must have length >= 2")

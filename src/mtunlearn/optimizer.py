@@ -162,7 +162,7 @@ def _effective_divergence(cfg):
 
 
 def _check_finite(theta, t):
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise TrainingError(f"non-finite parameters at step {t}")
 
 
@@ -170,15 +170,27 @@ def _loss_value(cfg, spec, theta, fb, base_theta):
     return Lmod.batch_loss(cfg.loss, spec, theta, fb, base_theta=base_theta)
 
 
-def _loss_grad(cfg, spec, theta, fb, base_theta):
-    return Lmod.batch_grad(cfg.loss, spec, theta, fb, base_theta=base_theta)
-
-
 def _objective_grad(cfg, spec, theta, teacher, fb, pb, base_theta):
     g = Dmod.damped_grad(_effective_divergence(cfg), spec, theta, teacher, pb)
     if cfg.alpha != 0.0:
-        g = g + cfg.alpha * _loss_grad(cfg, spec, theta, fb, base_theta)
+        g = g + cfg.alpha * Lmod.batch_grad(cfg.loss, spec, theta, fb,
+                                            base_theta=base_theta)
     return g
+
+
+def _objective_terms(cfg, spec, theta, teacher, fb, pb, base_theta):
+    """(loss value, damped divergence value, objective gradient) at one
+    point, one forward pass per argument; the gradient is bitwise
+    _objective_grad's."""
+    div, g = Dmod.damped_value_and_grad(_effective_divergence(cfg), spec, theta,
+                                        teacher, pb)
+    if cfg.alpha != 0.0:
+        loss, g_loss = Lmod.batch_value_and_grad(cfg.loss, spec, theta, fb,
+                                                 base_theta=base_theta)
+        g = g + cfg.alpha * g_loss
+    else:
+        loss = _loss_value(cfg, spec, theta, fb, base_theta)
+    return loss, div, g
 
 
 def _clip_scale(cfg, grad_norm):
@@ -191,22 +203,25 @@ def _clip_scale(cfg, grad_norm):
 
 class _BatchSampler:
     """Seeded with-replacement sampler; one forget draw then one pretrain
-    draw per step so runs are reproducible from the seed alone."""
+    draw per step so runs are reproducible from the seed alone.  An npo
+    forget batch holds whole sequences, expanded into pairs once per draw."""
 
-    def __init__(self, cfg, d_f, d_pt, npo):
+    def __init__(self, spec, cfg, d_f, d_pt):
         self.rng = np.random.default_rng(cfg.seed)
+        self.spec = spec
         self.cfg = cfg
         self.d_f = d_f
         self.d_pt = d_pt
-        self.npo = npo
-        if npo and not d_f.sequences:
+        self.npo = cfg.loss.tag == "npo"
+        if self.npo and not d_f.sequences:
             raise ValueError("npo runs need forget data carrying whole sequences")
 
     def draw(self):
         if self.npo:
             n = len(self.d_f.sequences)
             fi = self.rng.integers(0, n, self.cfg.batch_forget)
-            fb = [self.d_f.sequences[i] for i in fi]
+            fb = M.dataset_from_sequences([self.d_f.sequences[i] for i in fi],
+                                          self.spec.context_len)
         else:
             fi = self.rng.integers(0, len(self.d_f), self.cfg.batch_forget)
             fb = self.d_f.subset(fi)
@@ -222,37 +237,32 @@ def _init_trajectory(cfg, spec, theta0, d_f, d_pt, base_theta, store_params):
     return traj
 
 
-def mt_run(spec, theta0, d_f, d_pt, cfg, full_batch=True):
-    """Mean-teacher run in the plain (heavy-ball) form.
+def mt_run(spec, theta0, d_f, d_pt, cfg):
+    """Full-batch mean-teacher run in the plain (heavy-ball) form: every
+    step uses the entire forget and pretrain sets (the deterministic mode
+    the trajectory-approximation check needs).
 
-    full_batch=True uses the entire forget and pretrain sets each step
-    (the deterministic mode the trajectory-approximation check needs);
-    full_batch=False samples per-step batches with the config seed but
-    keeps this same update rule (no velocity buffer, no clipping).
+    The values recorded after step t and the gradient of step t + 1 are
+    taken at the same point on the same data, so one value-and-gradient
+    evaluation serves both.
     """
     theta0 = np.asarray(theta0, dtype=float)
     store = M.param_count(spec) <= PARAM_STORE_LIMIT
     base_theta = theta0.copy()
-    sampler = None if full_batch else _BatchSampler(cfg, d_f, d_pt, cfg.loss.tag == "npo")
-    traj = _init_trajectory(cfg, spec, theta0, d_f, d_pt, base_theta, store)
+    traj = Trajectory()
     theta = theta0.copy()
     theta_prev = theta0.copy()
     teacher = theta0.copy()
+    loss, div, g = _objective_terms(cfg, spec, theta, teacher, d_f, d_pt, base_theta)
+    traj.append(0, 0.0, loss, div, 1.0, theta, teacher, store)
     for t in range(1, cfg.T + 1):
-        if full_batch:
-            fb, pb = d_f, d_pt
-        else:
-            fi, fb, pi, pb = sampler.draw()
-            traj.batch_log.append((fi, pi))
-        g = _objective_grad(cfg, spec, theta, teacher, fb, pb, base_theta)
         theta_new = theta - cfg.eta * g + cfg.mu * (theta - theta_prev)
         _check_finite(theta_new, t)
         teacher = (1.0 - cfg.eta * cfg.kappa) * teacher + cfg.eta * cfg.kappa * theta_new
         theta_prev, theta = theta, theta_new
-        traj.append(t, float(np.linalg.norm(g)),
-                    _loss_value(cfg, spec, theta, fb, base_theta),
-                    Dmod.damped_value(_effective_divergence(cfg), spec, theta, teacher, pb),
-                    1.0, theta, teacher, store)
+        grad_norm = float(np.linalg.norm(g))
+        loss, div, g = _objective_terms(cfg, spec, theta, teacher, d_f, d_pt, base_theta)
+        traj.append(t, grad_norm, loss, div, 1.0, theta, teacher, store)
     return traj
 
 
@@ -267,7 +277,7 @@ def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
     theta0 = np.asarray(theta0, dtype=float)
     store = M.param_count(spec) <= PARAM_STORE_LIMIT
     base_theta = theta0.copy()
-    sampler = _BatchSampler(cfg, d_f, d_pt, cfg.loss.tag == "npo")
+    sampler = _BatchSampler(spec, cfg, d_f, d_pt)
     traj = _init_trajectory(cfg, spec, theta0, d_f, d_pt, base_theta, store)
     theta = theta0.copy()
     teacher = theta0.copy()
@@ -304,22 +314,23 @@ def ngd_run(spec, theta0, d_f, d_pt, cfg):
     base_theta = theta0.copy()
     derived = DerivedNGDParams.from_config(cfg)
     traj = Trajectory()
-    traj.append(0, 0.0, _loss_value(cfg, spec, theta0, d_f, base_theta),
-                float("nan"), 1.0, theta0, None, store)
     theta = theta0.copy()
-    theta_prev = theta0.copy()
+    loss, g = Lmod.batch_value_and_grad(cfg.loss, spec, theta, d_f, base_theta=base_theta)
+    traj.append(0, 0.0, loss, float("nan"), 1.0, theta, None, store)
+    g_prev = g
     for t in range(1, cfg.T + 1):
-        grad_at = theta_prev if cfg.ngd_grad_lag else theta
-        g = _loss_grad(cfg, spec, grad_at, d_f, base_theta)
+        # The lagged reference steps with the gradient one iterate back.
+        step_g = g_prev if cfg.ngd_grad_lag else g
         if spec.kind == M.BIGRAM:
-            step = curvature.bigram_damped_solve(spec, theta, d_pt, derived.lam_bar, g)
+            step = curvature.bigram_damped_solve(spec, theta, d_pt, derived.lam_bar, step_g)
         else:
             asm = curvature.assemble_gnh(spec, theta, d_pt)
-            step = linalg.solve_spd(asm.H + derived.lam_bar * np.eye(len(theta)), g)
-        theta_prev, theta = theta, theta - derived.gamma * step
+            step = linalg.solve_spd(asm.H + derived.lam_bar * np.eye(len(theta)), step_g)
+        theta = theta - derived.gamma * step
         _check_finite(theta, t)
-        traj.append(t, float(np.linalg.norm(g)),
-                    _loss_value(cfg, spec, theta, d_f, base_theta),
+        g_prev = g
+        loss, g = Lmod.batch_value_and_grad(cfg.loss, spec, theta, d_f, base_theta=base_theta)
+        traj.append(t, float(np.linalg.norm(step_g)), loss,
                     float("nan"), 1.0, theta, None, store)
     return traj
 
@@ -363,7 +374,7 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
     store = M.param_count(spec) <= PARAM_STORE_LIMIT
     base_theta = theta0.copy()
     anchor = theta0.copy()
-    sampler = _BatchSampler(cfg, d_f, d_pt, cfg.loss.tag == "npo")
+    sampler = _BatchSampler(spec, cfg, d_f, d_pt)
     traj = _init_trajectory(cfg, spec, theta0, d_f, d_pt, base_theta, store)
     theta = theta0.copy()
     vel = np.zeros_like(theta0)

@@ -137,6 +137,18 @@ class TestConfigErrors:
         path = write_cfg(tmp_path, cfg)
         assert main(["unlearn", path, "--out", str(tmp_path)]) == 2
 
+    def test_rounds_above_forget_sequence_count(self, tmp_path, trained_dir,
+                                                capsys):
+        # The target corpus has 2 forget sequences; 3 rounds leave one empty.
+        cfg = unlearn_cfg([{"name": "skip", "optimizer": "noop"},
+                           dict(mt_method("split", T=5), rounds=3)])
+        cfg["target"] = os.path.join(trained_dir, "target.npy")
+        path = write_cfg(tmp_path, cfg)
+        assert main(["unlearn", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'rounds'" in err and "methods[1]" in err
+        assert "Traceback" not in err
+
 
 class TestFailureExitCodes:
     def test_undertrained_target_exits_3(self, tmp_path, capsys):
@@ -147,6 +159,16 @@ class TestFailureExitCodes:
     def test_missing_target_exits_4(self, tmp_path):
         path = write_cfg(tmp_path, unlearn_cfg())
         assert main(["unlearn", path, "--out", str(tmp_path)]) == 4
+
+    def test_non_finite_target_exits_5(self, tmp_path, trained_dir, capsys):
+        theta = A.load_params(os.path.join(trained_dir, "target.npy"))
+        theta[3] = np.nan
+        A.save_params(str(tmp_path / "target.npy"), theta)
+        path = write_cfg(tmp_path, unlearn_cfg())
+        assert main(["unlearn", path, "--out", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert str(tmp_path / "target.npy") in err and "finite" in err
+        assert not os.path.exists(tmp_path / "results.json")
 
     def test_report_on_empty_directory_exits_4(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 4

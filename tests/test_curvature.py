@@ -1,8 +1,11 @@
 """Curvature assembly, damped solves, and the momentum iteration bound."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from conftest import relative_error
 from mtunlearn import curvature, linalg
 from mtunlearn import losses as L
 from mtunlearn import model as M
@@ -141,6 +144,83 @@ class TestSolves:
         asm = curvature.assemble_gnh(spec, theta, batch)
         x_dense = linalg.solve_spd(asm.H + 0.3 * np.eye(25), g)
         np.testing.assert_allclose(x_block, x_dense, rtol=1e-9, atol=1e-12)
+
+
+def exact_bigram_solve(spec, theta, batch, lam, g):
+    """Rational-arithmetic solve of c S(p) + lam I per visited row, with
+    the float softmax p renormalized exactly to sum 1 (the matrix the
+    closed form describes)."""
+    V = spec.vocab_size
+    P = M.softmax_rows(np.asarray(theta).reshape(V, V))
+    rows, counts = np.unique(batch.contexts[:, -1], return_counts=True)
+    lam_q = Fraction(lam)
+    x = [Fraction(v) / lam_q for v in g]
+    for r, cnt in zip(rows, counts):
+        p = [Fraction(v) for v in P[r]]
+        total = sum(p)
+        p = [v / total for v in p]
+        c = Fraction(int(cnt), len(batch))
+        A = [[c * ((p[i] if i == j else 0) - p[i] * p[j])
+              + (lam_q if i == j else 0) for j in range(V)]
+             + [Fraction(g[r * V + i])] for i in range(V)]
+        for k in range(V):
+            for i in range(k + 1, V):
+                f = A[i][k] / A[k][k]
+                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+        sol = [Fraction(0)] * V
+        for i in reversed(range(V)):
+            rest = sum(A[i][j] * sol[j] for j in range(i + 1, V))
+            sol[i] = (A[i][V] - rest) / A[i][i]
+        x[r * V:(r + 1) * V] = sol
+    return np.array([float(v) for v in x])
+
+
+class TestClosedFormBigramSolve:
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e3])
+    @pytest.mark.parametrize("scale", [1.0, 1e3], ids=["random", "saturated"])
+    def test_matches_dense_oracle(self, lam, scale):
+        """Sherman-Morrison against assemble_gnh + solve_spd at 1e-12.
+
+        One case is different: at lam' = 1e-6 a random table's blocks
+        have condition number ~1e5 (the all-ones direction has eigenvalue
+        lam' exactly), so the dense Cholesky answer is itself only good
+        to ~cond * eps.  There the closed form is pinned to an exact
+        rational solve instead, and the dense one to its own accuracy."""
+        rng = np.random.default_rng(int(lam * 10) + int(scale))
+        spec = bigram_spec(5)
+        for _ in range(5):
+            theta = rng.standard_normal(25) * scale
+            batch = random_batch(rng, spec, n=9)
+            g = rng.standard_normal(25)
+            x = curvature.bigram_damped_solve(spec, theta, batch, lam, g)
+            A = curvature.assemble_gnh(spec, theta, batch).H + lam * np.eye(25)
+            x_dense = linalg.solve_spd(A, g)
+            if lam == 1e-6 and scale == 1.0:
+                x_exact = exact_bigram_solve(spec, theta, batch, lam, g)
+                assert relative_error(x, x_exact) <= 1e-12
+                assert relative_error(x_dense, x_exact) <= \
+                    1e-15 * np.linalg.cond(A)
+            else:
+                assert relative_error(x, x_dense) <= 1e-12
+
+    def test_unvisited_rows_scale_by_damping(self):
+        spec = bigram_spec(4)
+        batch = M.TokenDataset(np.array([[1], [1], [3]]), np.array([0, 2, 1]))
+        g = np.arange(16.0)
+        x = curvature.bigram_damped_solve(spec, np.zeros(16), batch, 0.5, g)
+        np.testing.assert_array_equal(x.reshape(4, 4)[[0, 2]],
+                                      g.reshape(4, 4)[[0, 2]] / 0.5)
+
+    def test_rejects_nonpositive_damping_and_non_finite_tables(self):
+        spec = bigram_spec(4)
+        batch = M.TokenDataset(np.array([[1], [2]]), np.array([0, 2]))
+        with pytest.raises(ValueError, match="positive"):
+            curvature.bigram_damped_solve(spec, np.zeros(16), batch, 0.0,
+                                          np.ones(16))
+        theta = np.zeros(16)
+        theta[5] = np.nan
+        with pytest.raises(ValueError, match="positive definite"):
+            curvature.bigram_damped_solve(spec, theta, batch, 1.0, np.ones(16))
 
 
 class TestMomentumIteration:

@@ -125,6 +125,23 @@ class TestGradients:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
+class TestFusedValueAndGrad:
+    @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_bitwise_equal_to_separate_calls(self, tag, lam):
+        rng = np.random.default_rng(64)
+        kind = D.DivergenceKind(tag, lam)
+        specs = (bigram_spec(),) if tag == "bregman" else (bigram_spec(), mlp_spec())
+        for spec in specs:
+            theta = rng.standard_normal(M.param_count(spec))
+            ref = rng.standard_normal(M.param_count(spec))
+            batch = random_batch(rng, spec)
+            value, grad = D.damped_value_and_grad(kind, spec, theta, ref, batch)
+            assert value == D.damped_value(kind, spec, theta, ref, batch)
+            np.testing.assert_array_equal(
+                grad, D.damped_grad(kind, spec, theta, ref, batch))
+
+
 class TestLocalQuadratic:
     def test_residual_decays_third_order(self):
         """|D(ref + t d, ref) - s (t^2 / 2) d^T H d| must shrink like t^3,

@@ -84,6 +84,12 @@ class TestCorpusSpec:
         with pytest.raises(ValueError, match="could not draw"):
             Hn.generate_corpus(Hn.CorpusSpec(4, 40, 8, period=2, seed=5))
 
+    def test_patterned_transition_count_failure_is_loud(self):
+        """4 start tokens suffice for 4 sequences, but 4 x 4 transitions
+        exceed the 4 x 3 that V = 4 has."""
+        with pytest.raises(ValueError, match="could not draw"):
+            Hn.generate_corpus(Hn.CorpusSpec(4, 4, 8, period=4, seed=5))
+
     def test_random_generator_distinct_and_seed_deterministic(self):
         corpus = Hn.CorpusSpec(6, 8, 10, generator="random", seed=6)
         f1, p1 = Hn.generate_corpus(corpus)

@@ -11,7 +11,7 @@ Loss conventions (all minimized):
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from conftest import central_difference_gradient, relative_error
 from mtunlearn import losses as L
@@ -198,6 +198,90 @@ class TestBatchInterface:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="tag"):
             L.LossKind("elbo")
+
+
+class TestLogsumexp:
+    def test_matches_scipy_on_inf_and_saturated_rows(self):
+        """The numpy form keeps scipy's arithmetic (maximal entries out of
+        the sum, log1p), including ties, -inf entries and x1e3 logits."""
+        rng = np.random.default_rng(54)
+        for scale in (1.0, 1e3):
+            H, y = random_rows(rng, n=40, V=7, scale=scale)
+            H[:5] = np.round(H[:5])            # ties at the row maximum
+            H[5] = 0.0
+            Hm = H.copy()
+            Hm[np.arange(len(H)), y] = -np.inf
+            Hm[6, :3] = -np.inf
+            for A in (H, Hm):
+                np.testing.assert_allclose(L._logsumexp_rows(A),
+                                           logsumexp(A, axis=1),
+                                           rtol=1e-15, atol=0)
+
+    def test_nlul_gradient_y_entry_is_p_y(self):
+        """Where the clamp is inactive, w * (1 - p_y) = p_y at the y entry,
+        down to p_y far below 1e-300 on x1e3 logits."""
+        rng = np.random.default_rng(55)
+        for scale in (2.0, 1e3):
+            H, y = random_rows(rng, n=60, V=6, scale=scale)
+            P = M.softmax_rows(H)
+            p_y = P[np.arange(len(y)), y]
+            live = (p_y < 0.5) & (p_y > 0)
+            G = L.nlul_grad_rows(H, y)
+            np.testing.assert_allclose(G[np.arange(len(y)), y][live],
+                                       p_y[live], rtol=1e-13, atol=0)
+
+
+def loss_kinds(spec, rng):
+    teacher = L.TeacherLogits(spec, rng.standard_normal(M.param_count(spec)))
+    return [L.LossKind("nll"), L.LossKind("ll"), L.LossKind("nlul"),
+            L.LossKind("it"), L.LossKind("it", teacher=teacher),
+            L.LossKind("npo", beta=0.4)]
+
+
+class TestFusedValueAndGrad:
+    @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
+    def test_bitwise_equal_to_separate_calls(self, make_spec):
+        rng = np.random.default_rng(56)
+        spec = make_spec()
+        theta = rng.standard_normal(M.param_count(spec))
+        base = rng.standard_normal(M.param_count(spec))
+        pairs = random_batch(rng, spec)
+        seqs = M.dataset_from_sequences([[0, 1, 2, 3], [4, 2], [3, 3, 1]],
+                                        spec.context_len)
+        for kind in loss_kinds(spec, rng):
+            batch = seqs if kind.tag == "npo" else pairs
+            value, grad = L.batch_value_and_grad(kind, spec, theta, batch,
+                                                 base_theta=base)
+            assert value == L.batch_loss(kind, spec, theta, batch,
+                                         base_theta=base)
+            np.testing.assert_array_equal(
+                grad, L.batch_grad(kind, spec, theta, batch, base_theta=base))
+
+
+class TestBatchedNpo:
+    SEQS = [[0, 1, 2, 3, 4, 0], [3, 2], [1, 4, 1], [3, 2]]
+
+    @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
+    def test_matches_mean_of_per_sequence_terms(self, make_spec):
+        """Sequences of unequal length (one repeated), given as pairs or as
+        a plain list, against the per-sequence npo_value / npo_grad."""
+        rng = np.random.default_rng(57)
+        spec = make_spec()
+        beta = 0.6
+        kind = L.LossKind("npo", beta=beta)
+        for _ in range(5):
+            theta = rng.standard_normal(M.param_count(spec))
+            base = rng.standard_normal(M.param_count(spec))
+            value = np.mean([L.npo_value(spec, s, theta, base, beta)
+                             for s in self.SEQS])
+            grad = np.mean([L.npo_grad(spec, s, theta, base, beta)
+                            for s in self.SEQS], axis=0)
+            for batch in (M.dataset_from_sequences(self.SEQS, spec.context_len),
+                          self.SEQS):
+                v, g = L.batch_value_and_grad(kind, spec, theta, batch,
+                                              base_theta=base)
+                assert v == pytest.approx(value, rel=1e-12)
+                assert relative_error(g, grad) <= 1e-12
 
 
 class TestTeacher:

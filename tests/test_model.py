@@ -100,6 +100,19 @@ class TestForward:
         np.testing.assert_allclose(H, mlp_logits_oracle(spec, theta, batch.contexts),
                                    rtol=1e-12, atol=1e-14)
 
+    def test_token_checks_keep_their_messages(self):
+        spec = bigram_spec()
+        theta = np.zeros(25)
+        for bad in ([[5]], [[-2]], [[0], [7]]):
+            with pytest.raises(ValueError, match="out of vocabulary"):
+                M.batch_logits(spec, theta, np.array(bad))
+        with pytest.raises(ValueError, match="non-empty context"):
+            M.batch_logits(spec, theta, np.array([[1], [M.PAD]]))
+        mlp = mlp_spec()
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            M.batch_logits(mlp, np.zeros(M.param_count(mlp)),
+                           np.array([[M.PAD, 6]]))
+
     def test_pad_token_contributes_nothing(self):
         """A -1 context slot must act exactly like a zeroed one-hot block."""
         rng = np.random.default_rng(12)
@@ -180,6 +193,28 @@ class TestSequences:
         fd = central_difference_gradient(
             lambda th: M.sequence_logprob(spec, th, s), theta)
         assert relative_error(g, fd) < 1e-7
+
+    @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
+    def test_dataset_gives_one_sum_per_sequence(self, make_spec):
+        rng = np.random.default_rng(32)
+        spec = make_spec()
+        theta = rng.standard_normal(M.param_count(spec))
+        seqs = [[0, 1, 2, 3, 4], [3, 2], [1, 4, 1], [3, 2]]
+        ds = M.dataset_from_sequences(seqs, spec.context_len)
+        sums = M.sequence_logprob(spec, theta, ds)
+        each = [M.sequence_logprob(spec, theta, s) for s in seqs]
+        np.testing.assert_allclose(sums, each, rtol=1e-13, atol=0)
+        pairs, starts = M.sequence_pairs(spec, seqs)
+        np.testing.assert_array_equal(starts, [0, 4, 5, 7])
+        np.testing.assert_array_equal(pairs.contexts, ds.contexts)
+
+    def test_pair_subset_is_reexpanded_or_rejected(self):
+        spec = bigram_spec()
+        ds = M.dataset_from_sequences([[0, 1, 2], [3, 4]], 2)
+        pairs, _ = M.sequence_pairs(spec, ds)
+        assert pairs.contexts.shape[1] == spec.context_len
+        with pytest.raises(ValueError, match="whole sequence"):
+            M.sequence_pairs(spec, ds.subset(np.array([0, 1])))
 
 
 class TestDatasets:

@@ -85,6 +85,33 @@ class TestFullBatchRun:
         np.testing.assert_array_equal(traj.final_theta, theta)
         assert traj.ts == [0, 1, 2] and len(traj) == 3
 
+    @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
+    def test_fused_run_replays_separate_calls_bitwise(self, tag):
+        """Iterates and recorded values equal a replay that evaluates the
+        gradient, the loss value and the divergence value separately."""
+        rng = np.random.default_rng(96)
+        spec = M.ModelSpec(M.BIGRAM, 6)
+        d_f, d_pt = make_data(rng)
+        theta0 = M.init_params(spec, 4)
+        cfg = base_config(T=5, loss=L.LossKind("nlul"),
+                          divergence=Dv.DivergenceKind(tag))
+        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg)
+
+        kind = Dv.DivergenceKind(tag, cfg.lam)
+        theta_prev, theta, teacher = theta0, theta0, theta0
+        for t in range(1, 6):
+            g = Dv.damped_grad(kind, spec, theta, teacher, d_pt) \
+                + cfg.alpha * L.batch_grad(cfg.loss, spec, theta, d_f)
+            theta_new = theta - cfg.eta * g + cfg.mu * (theta - theta_prev)
+            teacher = (1.0 - cfg.eta * cfg.kappa) * teacher \
+                + cfg.eta * cfg.kappa * theta_new
+            theta_prev, theta = theta, theta_new
+            np.testing.assert_array_equal(traj.thetas[t], theta)
+            assert traj.grad_norms[t] == float(np.linalg.norm(g))
+            assert traj.loss_values[t] == L.batch_loss(cfg.loss, spec, theta, d_f)
+            assert traj.divergence_values[t] == Dv.damped_value(
+                kind, spec, theta, teacher, d_pt)
+
     def test_teacher_equals_exponential_average_of_iterates(self):
         """theta'_t = eta kappa sum_i (1-eta kappa)^i theta_{t-i}
         + (1-eta kappa)^t theta_0."""
@@ -137,20 +164,6 @@ class TestFullBatchRun:
         # the last ulp, so it is fixed only to machine precision.
         np.testing.assert_allclose(traj.final_teacher, theta0, rtol=0,
                                    atol=1e-15)
-
-    def test_sampled_mode_is_seed_deterministic(self):
-        rng = np.random.default_rng(94)
-        spec = M.ModelSpec(M.BIGRAM, 6)
-        d_f, d_pt = make_data(rng)
-        theta0 = M.init_params(spec, 7)
-        cfg = base_config(T=5, batch_forget=3, batch_pretrain=3, seed=21)
-        a = O.mt_run(spec, theta0, d_f, d_pt, cfg, full_batch=False)
-        b = O.mt_run(spec, theta0, d_f, d_pt, cfg, full_batch=False)
-        np.testing.assert_array_equal(a.final_theta, b.final_theta)
-        assert len(a.batch_log) == 5
-        c = O.mt_run(spec, theta0, d_f, d_pt, O.config_with(cfg, seed=22),
-                     full_batch=False)
-        assert not np.array_equal(a.final_theta, c.final_theta)
 
     def test_divergent_step_size_fails_loudly(self):
         rng = np.random.default_rng(95)
@@ -301,6 +314,28 @@ class TestReferenceRun:
                         base_config(T=3, ngd_grad_lag=True))
         np.testing.assert_array_equal(lead.thetas[1], lag.thetas[1])
         assert not np.array_equal(lead.thetas[2], lag.thetas[2])
+
+
+    @pytest.mark.parametrize("lag", [False, True])
+    def test_replays_recomputed_gradients_bitwise(self, lag):
+        """The run reuses each gradient (the lagged one a step later); a
+        replay recomputing it at theta_t, or theta_{t-1} with the lag,
+        gives the same iterates and records."""
+        rng = np.random.default_rng(100)
+        spec = M.ModelSpec(M.BIGRAM, 6)
+        d_f, d_pt = make_data(rng)
+        theta0 = M.init_params(spec, 13)
+        cfg = base_config(T=4, ngd_grad_lag=lag)
+        traj = O.ngd_run(spec, theta0, d_f, d_pt, cfg)
+        d = O.DerivedNGDParams.from_config(cfg)
+        theta_prev, theta = theta0, theta0
+        for t in range(1, 5):
+            g = L.batch_grad(cfg.loss, spec, theta_prev if lag else theta, d_f)
+            step = curvature.bigram_damped_solve(spec, theta, d_pt, d.lam_bar, g)
+            theta_prev, theta = theta, theta - d.gamma * step
+            np.testing.assert_array_equal(traj.thetas[t], theta)
+            assert traj.grad_norms[t] == float(np.linalg.norm(g))
+            assert traj.loss_values[t] == L.batch_loss(cfg.loss, spec, theta, d_f)
 
 
 class TestBaselines:
