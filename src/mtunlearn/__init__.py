@@ -6,8 +6,8 @@ The package provides:
 - model: bigram softmax and one-hidden-layer MLP token models
 - losses: unlearning losses (nll, ll, nlul, it, npo) with exact gradients
 - divergence: proximity terms (kl, qkl, bregman) and their damped forms
-- curvature: Gauss-Newton Hessian assembly, natural-gradient solves, and
-  the damped momentum iteration with its error bound
+- curvature: Gauss-Newton Hessian assembly, the closed-form bigram damped
+  solve, and the damped momentum iteration with its error bound
 - optimizer: the mean-teacher proximal update (full-batch and batched),
   its damped natural-gradient reference, and baselines
 - harness: verification testbeds (trajectory approximation, momentum
@@ -24,10 +24,8 @@ from .curvature import (
     assemble_gnh,
     bigram_damped_solve,
     bigram_gnh_blocks,
-    estimate_regularity_constant,
     ihvp_error_bound,
     ihvp_momentum,
-    natural_gradient,
 )
 from .divergence import (
     CURVATURE_SCALE,
@@ -71,7 +69,7 @@ from .harness import (
     verify_lemma,
     verify_theorem1,
 )
-from .linalg import matvec, min_eigenvalue_bound, solve_spd
+from .linalg import min_eigenvalue_bound, solve_spd
 from .losses import (
     LOSS_TAGS,
     LossKind,
@@ -91,7 +89,6 @@ from .model import (
     ModelSpec,
     TokenDataset,
     dataset_from_sequences,
-    grad_loss,
     greedy_continuation,
     init_params,
     load_jsonl_dataset,
@@ -123,10 +120,8 @@ __all__ = [
     "assemble_gnh",
     "bigram_damped_solve",
     "bigram_gnh_blocks",
-    "estimate_regularity_constant",
     "ihvp_error_bound",
     "ihvp_momentum",
-    "natural_gradient",
     "CURVATURE_SCALE",
     "DIVERGENCE_TAGS",
     "DivergenceKind",
@@ -163,7 +158,6 @@ __all__ = [
     "verify_divergence_quadratic",
     "verify_lemma",
     "verify_theorem1",
-    "matvec",
     "min_eigenvalue_bound",
     "solve_spd",
     "LOSS_TAGS",
@@ -182,7 +176,6 @@ __all__ = [
     "ModelSpec",
     "TokenDataset",
     "dataset_from_sequences",
-    "grad_loss",
     "greedy_continuation",
     "init_params",
     "load_jsonl_dataset",

@@ -219,7 +219,7 @@ def _parse_divergence(d):
         float(lam)
 
 
-def _parse_adam(d):
+def _parse_adam(d, sec):
     lr = _take(d, "lr", "adam", _NUM, default=0.0)
     betas = _take(d, "betas", "adam", list, default=[0.9, 0.95])
     eps = _take(d, "eps", "adam", _NUM, default=1e-8)
@@ -229,9 +229,9 @@ def _parse_adam(d):
     if len(betas) != 2 or not all(isinstance(b, _NUM) for b in betas):
         raise ConfigError("field 'betas' in section 'adam' must be a list "
                           "of two numbers")
-    return O.AdamParams(lr=float(lr), betas=(float(betas[0]), float(betas[1])),
-                        eps=float(eps), weight_decay=float(wd),
-                        warmup=bool(warmup))
+    return _cfgval(lambda: O.AdamParams(
+        lr=float(lr), betas=(float(betas[0]), float(betas[1])), eps=float(eps),
+        weight_decay=float(wd), warmup=bool(warmup)), f"adam settings of {sec}")
 
 
 def _parse_method(mj, i, spec, out_dir, seed_override):
@@ -273,7 +273,7 @@ def _parse_method(mj, i, spec, out_dir, seed_override):
         kw["seed"] = seed_override
     cfg = _cfgval(lambda: O.MTConfig(lam=lam, loss=loss, divergence=div, **kw),
                   f"mt settings of '{name}'")
-    adam = _parse_adam(dict(adam_d)) if adam_d is not None else None
+    adam = _parse_adam(dict(adam_d), sec) if adam_d is not None else None
     return _cfgval(lambda: harness.MethodSpec(name, optim, cfg, rounds=rounds,
                                               adam=adam), sec)
 
@@ -386,6 +386,12 @@ def cmd_train_target(args):
     _done(cfg, "config")
     if epochs < 1:
         raise ConfigError("field 'epochs' in section 'train' must be >= 1")
+    if not 0 <= require <= 1:
+        raise ConfigError("field 'require_exact_match' in section 'train' "
+                          "must lie in [0, 1]")
+    # The memorization gate decodes every sequence, the report the forget ones.
+    decoded = d_f.sequences + d_pt.sequences if require > 0 else d_f.sequences
+    _cfgval(lambda: harness.report_lengths(decoded, plen, clen), "section 'report'")
     override = _resolve_seed(args)
     if override is not None:
         seed = override
@@ -440,6 +446,8 @@ def cmd_unlearn(args):
             raise ConfigError(f"field 'rounds' in section 'methods[{i}]' is "
                               f"{m.rounds}, above the {n_forget} forget "
                               f"sequences (each round needs at least one)")
+    _cfgval(lambda: harness.report_lengths(d_f.sequences, plen, clen),
+            "section 'report'")
 
     target_path = _resolve(target_rel, out)
     theta_target = artifacts.load_params(target_path)

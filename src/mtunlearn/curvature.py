@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from . import losses as Lmod
 from . import model as M
 
 MAX_DENSE_DIM = 4096
@@ -89,22 +88,6 @@ def bigram_gnh_blocks(spec, theta, batch):
     for r, c, p in zip(rows, counts, P):
         out[int(r)] = (c / len(batch)) * (np.diag(p) - np.outer(p, p))
     return out
-
-
-def natural_gradient(spec, theta, forget_batch, pretrain_batch, loss, lam_prime,
-                     base_theta=None):
-    """Damped natural gradient (H(theta) + lam' I)^{-1} grad L(theta).
-
-    The curvature matrix is assembled on the pretrain batch, the loss
-    gradient on the forget batch.  lam' must be positive, which makes the
-    damped system positive definite.
-    """
-    if not lam_prime > 0:
-        raise ValueError("lam_prime must be positive")
-    g = Lmod.batch_grad(loss, spec, theta, forget_batch, base_theta=base_theta)
-    asm = assemble_gnh(spec, theta, pretrain_batch)
-    A = asm.H + lam_prime * np.eye(asm.H.shape[0])
-    return linalg.solve_spd(A, g)
 
 
 def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
@@ -224,71 +207,3 @@ def ihvp_error_bound(cfg, u0_dist, eps_norms):
         bounds.append(rate ** t * u0_dist + coef * running_max)
     return bounds
 
-
-def estimate_regularity_constant(spec, theta_samples, lam_set, forget_batch,
-                                 pretrain_batch, loss, divergence_kind=None,
-                                 base_theta=None, detail=False):
-    """Empirical estimate of the smallest constant bounding four regularity
-    quantities over the sample set (reported, never asserted):
-
-      1. ||H_lam'(theta)||                       (operator norm)
-      2. ||H_lam'(theta)^{-1} g(theta) - H_lam'(theta')^{-1} g(theta)||
-         / ||theta - theta'||                    (solve-map Lipschitz ratio)
-      3. ||grad D(theta, theta') - s H(theta)(theta - theta')||
-         / ||theta - theta'||^2                  (quadratic remainder)
-      4. ||H_lam'(theta)^{-1} g(theta)||         (natural-gradient norm)
-
-    with g = the loss gradient on the forget batch, H assembled on the
-    pretrain batch, and s the divergence's second-order coefficient.
-    Returns the max over all samples, ordered pairs, and lam' values; with
-    detail=True returns a dict of per-quantity maxima instead.
-    """
-    from . import divergence as Dmod
-
-    if divergence_kind is None:
-        divergence_kind = Dmod.DivergenceKind("kl")
-    scale = Dmod.CURVATURE_SCALE[divergence_kind.tag]
-    thetas = [np.asarray(th, dtype=float) for th in theta_samples]
-    if not thetas:
-        raise ValueError("need at least one sample point")
-    asms = [assemble_gnh(spec, th, pretrain_batch) for th in thetas]
-    grads = [Lmod.batch_grad(loss, spec, th, forget_batch, base_theta=base_theta)
-             for th in thetas]
-    opnorms = [float(np.linalg.eigvalsh(a.H)[-1]) for a in asms]
-    eye = np.eye(asms[0].H.shape[0])
-
-    q_opnorm = q_lipschitz = q_remainder = q_ngnorm = 0.0
-    for lam_p in lam_set:
-        if not lam_p > 0:
-            raise ValueError("lam' values must be positive")
-        nats = [linalg.solve_spd(a.H + lam_p * eye, g) for a, g in zip(asms, grads)]
-        for i in range(len(thetas)):
-            q_opnorm = max(q_opnorm, lam_p + opnorms[i])
-            q_ngnorm = max(q_ngnorm, float(np.linalg.norm(nats[i])))
-            for j in range(len(thetas)):
-                if i == j:
-                    continue
-                diff = thetas[i] - thetas[j]
-                dist = float(np.linalg.norm(diff))
-                if dist == 0.0:
-                    continue
-                cross = linalg.solve_spd(asms[j].H + lam_p * eye, grads[i])
-                q_lipschitz = max(q_lipschitz,
-                                  float(np.linalg.norm(nats[i] - cross)) / dist)
-    for i in range(len(thetas)):
-        for j in range(len(thetas)):
-            if i == j:
-                continue
-            diff = thetas[i] - thetas[j]
-            dist = float(np.linalg.norm(diff))
-            if dist == 0.0:
-                continue
-            grad_d = Dmod.damped_grad(Dmod.DivergenceKind(divergence_kind.tag, 0.0),
-                                      spec, thetas[i], thetas[j], pretrain_batch)
-            remainder = grad_d - scale * (asms[i].H @ diff)
-            q_remainder = max(q_remainder, float(np.linalg.norm(remainder)) / dist ** 2)
-
-    if detail:
-        return {"opnorm": q_opnorm, "lipschitz": q_lipschitz,
-                "remainder": q_remainder, "ng_norm": q_ngnorm}
-    return max(q_opnorm, q_lipschitz, q_remainder, q_ngnorm)

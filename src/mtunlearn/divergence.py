@@ -42,8 +42,8 @@ class DivergenceKind:
     def __post_init__(self):
         if self.tag not in DIVERGENCE_TAGS:
             raise ValueError(f"unknown divergence tag: {self.tag!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
 
 
 def _check_batch(batch):

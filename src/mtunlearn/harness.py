@@ -199,13 +199,24 @@ def _resolve_datasets(spec, corpus):
     return d_f, d_pt
 
 
-def _default_lens(seq_len, prompt_len, completion_len):
+def report_lengths(sequences, prompt_len=None, completion_len=None):
+    """(prompt_len, completion_len) for decoding the given sequences; each
+    defaults to an even split of the shortest one.  Raises ValueError
+    unless both are >= 1 and together fit in the shortest sequence."""
+    if not sequences:
+        raise ValueError("forget dataset must carry whole sequences")
+    seq_len = min(len(s) for s in sequences)
     if prompt_len is None:
         prompt_len = seq_len // 2
     if completion_len is None:
         completion_len = seq_len - prompt_len
     if prompt_len < 1 or completion_len < 1:
-        raise ValueError("prompt_len and completion_len must be positive")
+        raise ValueError(f"prompt_len ({prompt_len}) and completion_len "
+                         f"({completion_len}) must be positive")
+    if prompt_len + completion_len > seq_len:
+        raise ValueError(f"prompt_len + completion_len ({prompt_len} + "
+                         f"{completion_len}) exceeds the shortest sequence "
+                         f"({seq_len} tokens)")
     return prompt_len, completion_len
 
 
@@ -218,13 +229,8 @@ def memorization_report(spec, theta, corpus, prompt_len=None, completion_len=Non
     prompt/completion lengths default to an even split of the sequence
     length."""
     d_f, d_pt = _resolve_datasets(spec, corpus)
-    if not d_f.sequences:
-        raise ValueError("forget dataset must carry whole sequences")
-    seq_len = min(len(s) for s in d_f.sequences)
-    prompt_len, completion_len = _default_lens(seq_len, prompt_len, completion_len)
-    if prompt_len + completion_len > seq_len:
-        raise ValueError("prompt_len + completion_len exceeds the shortest "
-                         "forget sequence")
+    prompt_len, completion_len = report_lengths(d_f.sequences, prompt_len,
+                                                completion_len)
     hits, lcs_sum = 0, 0.0
     for s in d_f.sequences:
         s = [int(t) for t in s]
@@ -654,6 +660,8 @@ class StopRule:
             raise ValueError(f"unknown comparison: {self.comparison!r}")
         if self.check_every < 1:
             raise ValueError("check_every must be positive")
+        if not np.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
 
     def triggered(self, value):
         return value >= self.threshold if self.comparison == "geq" \
@@ -681,6 +689,9 @@ class MethodSpec:
             raise ValueError(f"method {self.name!r} needs a config")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
+        if self.adam is not None and self.optimizer != "adamw":
+            raise ValueError(f"an adam section applies to optimizer 'adamw' "
+                             f"only, not {self.optimizer!r}")
 
 
 def _run_method(method, spec, theta, d_f, d_pt, stop_rule):
@@ -695,7 +706,8 @@ def _run_method(method, spec, theta, d_f, d_pt, stop_rule):
             return stop_rule.triggered(Lmod.batch_loss(_NLL, spec, th, ds))
 
     if method.optimizer == "mt":
-        traj = O.mt_run(spec, theta, d_f, d_pt, method.config)
+        traj = O.mt_run(spec, theta, d_f, d_pt, method.config,
+                        callback=callback)
     elif method.optimizer == "mt-batched":
         traj = O.mt_run_batched(spec, theta, d_f, d_pt, method.config,
                                 callback=callback)

@@ -1,4 +1,4 @@
-"""Dense real vector/matrix kernel: products, symmetric solves, eigen bounds.
+"""Dense real matrix kernel: symmetry checks, symmetric solves, eigen bounds.
 
 All operations are pure functions on numpy arrays.  Vectors are 1-d float
 arrays, matrices are 2-d row-major float arrays.  Every public operation
@@ -35,18 +35,6 @@ def check_symmetric(A, atol=SYMMETRY_ATOL):
         worst = float(np.max(np.abs(A - A.T) / scale))
         raise ValueError(f"matrix is not symmetric: max scaled asymmetry {worst:.3e}")
     return A
-
-
-def matvec(A, x):
-    """Exact dense product A x.
-
-    Raises on dimension mismatch.
-    """
-    A = _as_matrix(A)
-    x = _as_vector(x)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x has length {len(x)}")
-    return A @ x
 
 
 def solve_spd(A, b):

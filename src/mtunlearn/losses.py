@@ -208,11 +208,6 @@ def it_value(h, teacher_h):
     return float(it_value_rows(h, teacher_h)[0])
 
 
-def it_grad(h, teacher_h):
-    """Gradient of it_value in logit space for a single logit vector."""
-    return it_grad_rows(h, teacher_h)[0]
-
-
 def npo_value(spec, s, theta, base_theta, beta):
     """Sequence-level value (2/beta) * softplus(beta * (L_theta - L_base))
     with L = sequence log-probability; equals

@@ -229,13 +229,6 @@ def grad_from_logit_grads(spec, theta, contexts, G, aux=None):
     return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
 
 
-def grad_loss(spec, theta, batch, loss):
-    """Exact gradient of the batch-mean per-token loss w.r.t. theta."""
-    from . import losses
-
-    return losses.batch_grad(loss, spec, theta, batch)
-
-
 def logit_jacobian(spec, theta, x):
     """Exact Jacobian d h(x; theta) / d theta, shape (dim(theta), V).
 

@@ -70,20 +70,20 @@ class MTConfig:
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
         if not self.eta * self.kappa < 1.0:
             raise ValueError("eta * kappa must be below 1 (teacher update "
                              "must contract)")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError("mu must lie in [0, 1)")
         if self.T < 0:
             raise ValueError("T must be nonnegative")
-        if self.clip < 0:
+        if not self.clip >= 0:
             raise ValueError("clip must be nonnegative (0 disables)")
         if self.clip_formula not in ("main", "alg2"):
             raise ValueError(f"unknown clip_formula: {self.clip_formula!r}")
@@ -166,30 +166,34 @@ def _check_finite(theta, t):
         raise TrainingError(f"non-finite parameters at step {t}")
 
 
-def _loss_value(cfg, spec, theta, fb, base_theta):
-    return Lmod.batch_loss(cfg.loss, spec, theta, fb, base_theta=base_theta)
-
-
-def _objective_grad(cfg, spec, theta, teacher, fb, pb, base_theta):
-    g = Dmod.damped_grad(_effective_divergence(cfg), spec, theta, teacher, pb)
-    if cfg.alpha != 0.0:
-        g = g + cfg.alpha * Lmod.batch_grad(cfg.loss, spec, theta, fb,
-                                            base_theta=base_theta)
-    return g
-
-
-def _objective_terms(cfg, spec, theta, teacher, fb, pb, base_theta):
-    """(loss value, damped divergence value, objective gradient) at one
-    point, one forward pass per argument; the gradient is bitwise
-    _objective_grad's."""
-    div, g = Dmod.damped_value_and_grad(_effective_divergence(cfg), spec, theta,
-                                        teacher, pb)
-    if cfg.alpha != 0.0:
-        loss, g_loss = Lmod.batch_value_and_grad(cfg.loss, spec, theta, fb,
-                                                 base_theta=base_theta)
-        g = g + cfg.alpha * g_loss
+def _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta, value, grad):
+    """(loss value, damped divergence value, objective gradient) at theta;
+    a part not asked for is None, and value-and-gradient takes one
+    forward pass per argument.  The objective is alpha L(theta) +
+    D_lam(theta, teacher); without a teacher it is L alone and the
+    divergence is NaN."""
+    loss = div = g = None
+    weight = 1.0
+    if teacher is None:
+        div = float("nan")
     else:
-        loss = _loss_value(cfg, spec, theta, fb, base_theta)
+        weight = cfg.alpha
+        kind = _effective_divergence(cfg)
+        if value and grad:
+            div, g = Dmod.damped_value_and_grad(kind, spec, theta, teacher, pb)
+        elif grad:
+            g = Dmod.damped_grad(kind, spec, theta, teacher, pb)
+        else:
+            div = Dmod.damped_value(kind, spec, theta, teacher, pb)
+    if grad and weight != 0.0:
+        if value:
+            loss, g_loss = Lmod.batch_value_and_grad(cfg.loss, spec, theta, fb,
+                                                     base_theta=base_theta)
+        else:
+            g_loss = Lmod.batch_grad(cfg.loss, spec, theta, fb, base_theta=base_theta)
+        g = g_loss if g is None else g + weight * g_loss
+    if value and loss is None:
+        loss = Lmod.batch_loss(cfg.loss, spec, theta, fb, base_theta=base_theta)
     return loss, div, g
 
 
@@ -229,112 +233,6 @@ class _BatchSampler:
         return fi, fb, pi, self.d_pt.subset(pi)
 
 
-def _init_trajectory(cfg, spec, theta0, d_f, d_pt, base_theta, store_params):
-    traj = Trajectory()
-    div0 = Dmod.damped_value(_effective_divergence(cfg), spec, theta0, theta0, d_pt)
-    loss0 = _loss_value(cfg, spec, theta0, d_f, base_theta)
-    traj.append(0, 0.0, loss0, div0, 1.0, theta0, theta0, store_params)
-    return traj
-
-
-def mt_run(spec, theta0, d_f, d_pt, cfg):
-    """Full-batch mean-teacher run in the plain (heavy-ball) form: every
-    step uses the entire forget and pretrain sets (the deterministic mode
-    the trajectory-approximation check needs).
-
-    The values recorded after step t and the gradient of step t + 1 are
-    taken at the same point on the same data, so one value-and-gradient
-    evaluation serves both.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    store = M.param_count(spec) <= PARAM_STORE_LIMIT
-    base_theta = theta0.copy()
-    traj = Trajectory()
-    theta = theta0.copy()
-    theta_prev = theta0.copy()
-    teacher = theta0.copy()
-    loss, div, g = _objective_terms(cfg, spec, theta, teacher, d_f, d_pt, base_theta)
-    traj.append(0, 0.0, loss, div, 1.0, theta, teacher, store)
-    for t in range(1, cfg.T + 1):
-        theta_new = theta - cfg.eta * g + cfg.mu * (theta - theta_prev)
-        _check_finite(theta_new, t)
-        teacher = (1.0 - cfg.eta * cfg.kappa) * teacher + cfg.eta * cfg.kappa * theta_new
-        theta_prev, theta = theta, theta_new
-        grad_norm = float(np.linalg.norm(g))
-        loss, div, g = _objective_terms(cfg, spec, theta, teacher, d_f, d_pt, base_theta)
-        traj.append(t, grad_norm, loss, div, 1.0, theta, teacher, store)
-    return traj
-
-
-def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
-    """Batched mean-teacher run with norm clipping and a momentum buffer.
-
-    Per step the clip scale l reduces both the gradient contribution and
-    the teacher rate (kappa <- l kappa for that step only); batch index
-    draws are logged in the trajectory.  callback(t, theta), if given, is
-    invoked after each recorded step; a truthy return stops the run early.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    store = M.param_count(spec) <= PARAM_STORE_LIMIT
-    base_theta = theta0.copy()
-    sampler = _BatchSampler(spec, cfg, d_f, d_pt)
-    traj = _init_trajectory(cfg, spec, theta0, d_f, d_pt, base_theta, store)
-    theta = theta0.copy()
-    teacher = theta0.copy()
-    vel = np.zeros_like(theta0)
-    for t in range(1, cfg.T + 1):
-        fi, fb, pi, pb = sampler.draw()
-        traj.batch_log.append((fi, pi))
-        g = _objective_grad(cfg, spec, theta, teacher, fb, pb, base_theta)
-        gn = float(np.linalg.norm(g))
-        l = _clip_scale(cfg, gn)
-        vel = cfg.mu * vel + l * g
-        theta = theta - cfg.eta * vel
-        _check_finite(theta, t)
-        lek = l * cfg.eta * cfg.kappa
-        teacher = (1.0 - lek) * teacher + lek * theta
-        traj.append(t, gn, _loss_value(cfg, spec, theta, fb, base_theta),
-                    Dmod.damped_value(_effective_divergence(cfg), spec, theta, teacher, pb),
-                    l, theta, teacher, store)
-        if callback is not None and callback(t, theta):
-            break
-    return traj
-
-
-def ngd_run(spec, theta0, d_f, d_pt, cfg):
-    """Damped natural-gradient reference trajectory (full batch).
-
-    Uses the derived constants gamma and lam_bar; the bigram model runs
-    on the block-diagonal solver, other models on the dense assembly.
-    The teacher column holds the iterate itself (the reference has no
-    separate teacher); the divergence column is NaN.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    store = M.param_count(spec) <= PARAM_STORE_LIMIT
-    base_theta = theta0.copy()
-    derived = DerivedNGDParams.from_config(cfg)
-    traj = Trajectory()
-    theta = theta0.copy()
-    loss, g = Lmod.batch_value_and_grad(cfg.loss, spec, theta, d_f, base_theta=base_theta)
-    traj.append(0, 0.0, loss, float("nan"), 1.0, theta, None, store)
-    g_prev = g
-    for t in range(1, cfg.T + 1):
-        # The lagged reference steps with the gradient one iterate back.
-        step_g = g_prev if cfg.ngd_grad_lag else g
-        if spec.kind == M.BIGRAM:
-            step = curvature.bigram_damped_solve(spec, theta, d_pt, derived.lam_bar, step_g)
-        else:
-            asm = curvature.assemble_gnh(spec, theta, d_pt)
-            step = linalg.solve_spd(asm.H + derived.lam_bar * np.eye(len(theta)), step_g)
-        theta = theta - derived.gamma * step
-        _check_finite(theta, t)
-        g_prev = g
-        loss, g = Lmod.batch_value_and_grad(cfg.loss, spec, theta, d_f, base_theta=base_theta)
-        traj.append(t, float(np.linalg.norm(step_g)), loss,
-                    float("nan"), 1.0, theta, None, store)
-    return traj
-
-
 @dataclass
 class AdamParams:
     """Adam-style baseline settings; lr defaults to the config eta."""
@@ -344,6 +242,16 @@ class AdamParams:
     eps: float = 1e-8
     weight_decay: float = 0.0
     warmup: bool = True
+
+    def __post_init__(self):
+        if not self.lr >= 0:
+            raise ValueError("lr must be nonnegative (0 uses the config eta)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValueError("betas must be two numbers in [0, 1)")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be nonnegative")
 
 
 def _warmup_lr(base_lr, t, warmup):
@@ -357,6 +265,170 @@ def _warmup_lr(base_lr, t, warmup):
     return base_lr
 
 
+# Update rules: rule(t, theta, g), with g the objective gradient at theta,
+# returns (new theta, teacher rate r, gradient norm to record, clip scale)
+# and keeps its own state; the loop then moves the teacher to
+# (1 - r) teacher + r theta.  `batched` picks the loop's recording policy,
+# and a rule without a teacher optimizes the loss alone.
+
+
+class _HeavyBall:
+    """Full-batch mean teacher: theta - eta g + mu (theta - theta_prev),
+    teacher rate eta kappa."""
+
+    batched, has_teacher = False, True
+
+    def __init__(self, cfg):
+        self.cfg, self.prev = cfg, None
+
+    def __call__(self, t, theta, g):
+        c = self.cfg
+        prev = theta if self.prev is None else self.prev
+        self.prev = theta
+        return (theta - c.eta * g + c.mu * (theta - prev), c.eta * c.kappa,
+                float(np.linalg.norm(g)), 1.0)
+
+
+class _ClippedVelocity:
+    """v <- mu v + l g, theta - eta v, teacher rate l eta kappa with the
+    clip scale l.  kappa = 0 freezes the teacher at theta_0, which is the
+    momentum-SGD baseline."""
+
+    batched, has_teacher = True, True
+
+    def __init__(self, cfg, kappa):
+        self.cfg, self.kappa, self.vel = cfg, kappa, 0.0
+
+    def __call__(self, t, theta, g):
+        c = self.cfg
+        gn = float(np.linalg.norm(g))
+        l = _clip_scale(c, gn)
+        self.vel = c.mu * self.vel + l * g
+        return theta - c.eta * self.vel, l * c.eta * self.kappa, gn, l
+
+
+class _AdamW:
+    """Decoupled-weight-decay Adam with bias correction and the staged
+    warmup schedule; the teacher stays at theta_0."""
+
+    batched, has_teacher = True, True
+
+    def __init__(self, cfg, ap):
+        self.ap, self.lr = ap, ap.lr if ap.lr > 0 else cfg.eta
+        self.m = self.v2 = 0.0
+
+    def __call__(self, t, theta, g):
+        ap = self.ap
+        b1, b2 = ap.betas
+        lr_t = _warmup_lr(self.lr, t, ap.warmup)
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v2 = b2 * self.v2 + (1.0 - b2) * g * g
+        m_hat = self.m / (1.0 - b1 ** t)
+        v_hat = self.v2 / (1.0 - b2 ** t)
+        theta_new = theta - lr_t * (m_hat / (np.sqrt(v_hat) + ap.eps)
+                                    + ap.weight_decay * theta)
+        return theta_new, 0.0, float(np.linalg.norm(g)), 1.0
+
+
+class _DampedNGD:
+    """theta - gamma (H(theta) + lam_bar I)^{-1} g, with H on the pretrain
+    data: the bigram model on the closed-form block solve, other models on
+    the dense assembly.  With ngd_grad_lag the step uses the gradient one
+    iterate back."""
+
+    batched, has_teacher = False, False
+
+    def __init__(self, spec, d_pt, cfg):
+        self.spec, self.d_pt, self.lag = spec, d_pt, cfg.ngd_grad_lag
+        self.derived = DerivedNGDParams.from_config(cfg)
+        self.g_prev = None
+
+    def __call__(self, t, theta, g):
+        step_g = g if self.g_prev is None else self.g_prev
+        if self.lag:
+            self.g_prev = g
+        lam_bar = self.derived.lam_bar
+        if self.spec.kind == M.BIGRAM:
+            step = curvature.bigram_damped_solve(self.spec, theta, self.d_pt, lam_bar, step_g)
+        else:
+            asm = curvature.assemble_gnh(self.spec, theta, self.d_pt)
+            step = linalg.solve_spd(asm.H + lam_bar * np.eye(len(theta)), step_g)
+        return (theta - self.derived.gamma * step, 0.0,
+                float(np.linalg.norm(step_g)), 1.0)
+
+
+def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
+    """The optimizer loop every run shares.
+
+    Full batch: the values recorded after step t and the gradient of step
+    t + 1 are taken at the same point on the same data, so one
+    value-and-gradient evaluation serves both.  Batched: each step draws a
+    batch, takes the gradient on it, and records the values on the same
+    batch after the update; row 0 holds values on the full datasets.
+    callback(t, theta), if given, is invoked after each recorded step; a
+    truthy return stops the run early.
+    """
+    theta = np.asarray(theta0, dtype=float).copy()
+    store = M.param_count(spec) <= PARAM_STORE_LIMIT
+    base_theta = theta.copy()
+    teacher = theta.copy() if rule.has_teacher else None
+    batched = rule.batched
+    sampler = _BatchSampler(spec, cfg, d_f, d_pt) if batched else None
+    fb, pb = d_f, d_pt
+    traj = Trajectory()
+    loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
+                             True, not batched)
+    traj.append(0, 0.0, loss, div, 1.0, theta, teacher, store)
+    for t in range(1, cfg.T + 1):
+        if batched:
+            fi, fb, pi, pb = sampler.draw()
+            traj.batch_log.append((fi, pi))
+            g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
+                          False, True)[2]
+        theta, rate, grad_norm, l = rule(t, theta, g)
+        _check_finite(theta, t)
+        if rate:
+            teacher = (1.0 - rate) * teacher + rate * theta
+        loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
+                                 True, not batched)
+        traj.append(t, grad_norm, loss, div, l, theta, teacher, store)
+        if callback is not None and callback(t, theta):
+            break
+    return traj
+
+
+def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None):
+    """Full-batch mean-teacher run in the plain (heavy-ball) form: every
+    step uses the entire forget and pretrain sets (the deterministic mode
+    the trajectory-approximation check needs).  callback stops the run
+    early as in mt_run_batched.
+    """
+    return _run(spec, theta0, d_f, d_pt, cfg, _HeavyBall(cfg), callback)
+
+
+def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
+    """Batched mean-teacher run with norm clipping and a momentum buffer.
+
+    Per step the clip scale l reduces both the gradient contribution and
+    the teacher rate (kappa <- l kappa for that step only); batch index
+    draws are logged in the trajectory.  callback(t, theta), if given, is
+    invoked after each recorded step; a truthy return stops the run early.
+    """
+    return _run(spec, theta0, d_f, d_pt, cfg, _ClippedVelocity(cfg, cfg.kappa),
+                callback)
+
+
+def ngd_run(spec, theta0, d_f, d_pt, cfg):
+    """Damped natural-gradient reference trajectory (full batch).
+
+    Uses the derived constants gamma and lam_bar; the bigram model runs
+    on the block-diagonal solver, other models on the dense assembly.
+    The reference has no teacher (no teacher vectors are stored); the
+    divergence column is NaN.
+    """
+    return _run(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg), None)
+
+
 def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
                  callback=None):
     """First-order baselines on the same objective, anchored to theta_0.
@@ -368,46 +440,13 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
     Both sample batches exactly like the batched mean-teacher run, and
     callback(t, theta) can stop either early just as in that run.
     """
-    if kind not in ("momentum-sgd", "adamw"):
+    if kind == "momentum-sgd":
+        rule = _ClippedVelocity(cfg, 0.0)
+    elif kind == "adamw":
+        rule = _AdamW(cfg, adam_params or AdamParams())
+    else:
         raise ValueError(f"unknown baseline kind: {kind!r}")
-    theta0 = np.asarray(theta0, dtype=float)
-    store = M.param_count(spec) <= PARAM_STORE_LIMIT
-    base_theta = theta0.copy()
-    anchor = theta0.copy()
-    sampler = _BatchSampler(spec, cfg, d_f, d_pt)
-    traj = _init_trajectory(cfg, spec, theta0, d_f, d_pt, base_theta, store)
-    theta = theta0.copy()
-    vel = np.zeros_like(theta0)
-    m = np.zeros_like(theta0)
-    v2 = np.zeros_like(theta0)
-    ap = adam_params or AdamParams()
-    lr = ap.lr if ap.lr > 0 else cfg.eta
-    b1, b2 = ap.betas
-    for t in range(1, cfg.T + 1):
-        fi, fb, pi, pb = sampler.draw()
-        traj.batch_log.append((fi, pi))
-        g = _objective_grad(cfg, spec, theta, anchor, fb, pb, base_theta)
-        gn = float(np.linalg.norm(g))
-        if kind == "momentum-sgd":
-            l = _clip_scale(cfg, gn)
-            vel = cfg.mu * vel + l * g
-            theta = theta - cfg.eta * vel
-        else:
-            l = 1.0
-            lr_t = _warmup_lr(lr, t, ap.warmup)
-            m = b1 * m + (1.0 - b1) * g
-            v2 = b2 * v2 + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v2 / (1.0 - b2 ** t)
-            theta = theta - lr_t * (m_hat / (np.sqrt(v_hat) + ap.eps)
-                                    + ap.weight_decay * theta)
-        _check_finite(theta, t)
-        traj.append(t, gn, _loss_value(cfg, spec, theta, fb, base_theta),
-                    Dmod.damped_value(_effective_divergence(cfg), spec, theta, anchor, pb),
-                    l, theta, anchor, store)
-        if callback is not None and callback(t, theta):
-            break
-    return traj
+    return _run(spec, theta0, d_f, d_pt, cfg, rule, callback)
 
 
 def config_with(cfg, **kw):

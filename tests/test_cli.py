@@ -150,6 +150,71 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
 
+def adamw_method(**adam):
+    return dict(mt_method("adamw"), optimizer="adamw", adam=adam)
+
+
+NAN = float("nan")
+
+# (command, top-level config fields replaced, exit code, text in the message)
+SCHEMA_CASES = [
+    pytest.param("train-target", {"report": {"prompt_len": -1}}, 2,
+                 "prompt_len", id="train-negative-prompt"),
+    pytest.param("train-target", {"report": {"prompt_len": 100}}, 2,
+                 "prompt_len (100)", id="train-prompt-above-sequence"),
+    pytest.param("train-target", {"train": dict(target_cfg()["train"],
+                                                require_exact_match=NAN)}, 2,
+                 "require_exact_match", id="train-nan-gate"),
+    pytest.param("unlearn", {"report": {"prompt_len": -1}}, 2,
+                 "prompt_len", id="unlearn-negative-prompt"),
+    pytest.param("unlearn", {"report": {"completion_len": 0}}, 2,
+                 "completion_len", id="unlearn-zero-completion"),
+    pytest.param("unlearn", {"report": {"prompt_len": 8, "completion_len": 8}},
+                 2, "exceeds", id="unlearn-lengths-above-sequence"),
+    pytest.param("unlearn", {"methods": [dict(
+        mt_method(), divergence={"divergence": "kl", "lambda": NAN})]}, 2,
+                 "lam", id="nan-lambda"),
+    pytest.param("unlearn", {"methods": [dict(
+        mt_method(), divergence={"divergence": "kl", "lambda": float("inf")})]},
+                 2, "lam", id="infinite-lambda"),
+    pytest.param("unlearn", {"methods": [mt_method(clip=NAN)]}, 2, "clip",
+                 id="nan-clip"),
+    pytest.param("unlearn", {"stop_rule": {"threshold": NAN}}, 2, "threshold",
+                 id="nan-stop-threshold"),
+    pytest.param("unlearn", {"methods": [adamw_method(lr=-0.01)]}, 2, "lr",
+                 id="adam-negative-lr"),
+    pytest.param("unlearn", {"methods": [adamw_method(eps=0.0)]}, 2, "eps",
+                 id="adam-zero-eps"),
+    pytest.param("unlearn", {"methods": [adamw_method(betas=[0.9, 1.0])]}, 2,
+                 "betas", id="adam-beta-one"),
+    pytest.param("unlearn", {"methods": [adamw_method(weight_decay=-0.1)]}, 2,
+                 "weight_decay", id="adam-negative-decay"),
+    pytest.param("unlearn", {"methods": [dict(mt_method(), adam={"lr": 0.01})]},
+                 2, "methods[0]", id="adam-on-mt-batched"),
+    pytest.param("unlearn", {"methods": [adamw_method(lr=0.01)]}, 0, "",
+                 id="valid-adamw"),
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command,fields,code,text", SCHEMA_CASES)
+    def test_documented_exit_code_without_traceback(
+            self, tmp_path, trained_dir, capsys, command, fields, code, text):
+        if command == "train-target":
+            cfg = target_cfg()
+        else:
+            cfg = unlearn_cfg()
+            cfg["target"] = os.path.join(trained_dir, "target.npy")
+        cfg.update(fields)
+        path = write_cfg(tmp_path, cfg)
+        assert main([command, path, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert text in err
+        # A rejected config fails before any training or artifact.
+        assert os.path.exists(tmp_path / "results.json") == (code == 0)
+
+
 class TestFailureExitCodes:
     def test_undertrained_target_exits_3(self, tmp_path, capsys):
         path = write_cfg(tmp_path, target_cfg(epochs=2))

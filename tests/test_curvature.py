@@ -7,7 +7,6 @@ import pytest
 
 from conftest import relative_error
 from mtunlearn import curvature, linalg
-from mtunlearn import losses as L
 from mtunlearn import model as M
 
 
@@ -113,27 +112,6 @@ class TestAssembly:
 
 
 class TestSolves:
-    def test_natural_gradient_solves_damped_system(self):
-        rng = np.random.default_rng(74)
-        for spec in (bigram_spec(), mlp_spec()):
-            theta = rng.standard_normal(M.param_count(spec)) * 0.5
-            fb = random_batch(rng, spec, n=8)
-            pb = random_batch(rng, spec, n=8)
-            ng = curvature.natural_gradient(spec, theta, fb, pb,
-                                            L.LossKind("it"), 0.5)
-            asm = curvature.assemble_gnh(spec, theta, pb)
-            g = L.batch_grad(L.LossKind("it"), spec, theta, fb)
-            resid = (asm.H + 0.5 * np.eye(len(theta))) @ ng - g
-            assert np.linalg.norm(resid) < 1e-10
-
-    def test_natural_gradient_requires_positive_damping(self):
-        spec = bigram_spec()
-        rng = np.random.default_rng(75)
-        batch = random_batch(rng, spec)
-        with pytest.raises(ValueError, match="positive"):
-            curvature.natural_gradient(spec, np.zeros(16), batch, batch,
-                                       L.LossKind("nll"), 0.0)
-
     def test_bigram_block_solve_matches_dense(self):
         rng = np.random.default_rng(76)
         spec = bigram_spec(5)
@@ -285,31 +263,3 @@ class TestMomentumIteration:
         with pytest.raises(ValueError, match="lam"):
             curvature.IHVPConfig(eta=0.1, mu=0.5, lam=0.0, T=5)
 
-
-class TestRegularityEstimate:
-    def test_reports_four_positive_finite_quantities(self):
-        rng = np.random.default_rng(80)
-        spec = bigram_spec()
-        thetas = [rng.standard_normal(16) * 0.5 for _ in range(3)]
-        fb = random_batch(rng, spec, n=6)
-        pb = random_batch(rng, spec, n=6)
-        detail = curvature.estimate_regularity_constant(
-            spec, thetas, [0.1, 1.0], fb, pb, L.LossKind("it"), detail=True)
-        assert set(detail) == {"opnorm", "lipschitz", "remainder", "ng_norm"}
-        for v in detail.values():
-            assert np.isfinite(v) and v > 0
-        total = curvature.estimate_regularity_constant(
-            spec, thetas, [0.1, 1.0], fb, pb, L.LossKind("it"))
-        assert total == pytest.approx(max(detail.values()))
-
-    def test_validates_inputs(self):
-        rng = np.random.default_rng(81)
-        spec = bigram_spec()
-        batch = random_batch(rng, spec)
-        with pytest.raises(ValueError, match="sample"):
-            curvature.estimate_regularity_constant(spec, [], [0.1], batch,
-                                                   batch, L.LossKind("nll"))
-        with pytest.raises(ValueError, match="positive"):
-            curvature.estimate_regularity_constant(spec, [np.zeros(16)],
-                                                   [0.0], batch, batch,
-                                                   L.LossKind("nll"))

@@ -294,6 +294,8 @@ class TestStopRule:
             Hn.StopRule(comparison="gt")
         with pytest.raises(ValueError, match="check_every"):
             Hn.StopRule(check_every=0)
+        with pytest.raises(ValueError, match="threshold"):
+            Hn.StopRule(threshold=float("nan"))
 
     def test_stops_an_unlearning_run_early(self, bigram_testbed):
         s = bigram_testbed
@@ -306,6 +308,17 @@ class TestStopRule:
         assert row["steps"] % 5 == 0
         assert row["nll_forget_after"] >= 0.5
 
+    @pytest.mark.parametrize("optimizer", ["mt", "mt-batched", "momentum-sgd",
+                                           "adamw"])
+    def test_every_optimizer_stops_at_the_first_check(self, bigram_testbed,
+                                                      optimizer):
+        s = bigram_testbed
+        method = Hn.MethodSpec(optimizer, optimizer, quick_config(T=50))
+        rule = Hn.StopRule("nll_forget", 0.0, "geq", check_every=1)
+        result = Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt,
+                                       [method], stop_rule=rule)
+        assert result["rows"][0]["steps"] == 1
+
 
 class TestMethodSpec:
     def test_validation(self):
@@ -315,6 +328,9 @@ class TestMethodSpec:
             Hn.MethodSpec("m", "mt-batched", None)
         with pytest.raises(ValueError, match="rounds"):
             Hn.MethodSpec("m", "mt-batched", quick_config(), rounds=0)
+        with pytest.raises(ValueError, match="adamw"):
+            Hn.MethodSpec("m", "momentum-sgd", quick_config(),
+                          adam=O.AdamParams())
         noop = Hn.MethodSpec("skip", "noop")
         assert noop.config is None
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: products, SPD solves, spectrum bounds."""
+"""Dense linear-algebra kernel: SPD solves and spectrum bounds."""
 
 import numpy as np
 import pytest
@@ -12,22 +12,6 @@ def random_spd(rng, n, eig_low=0.5, eig_high=4.0):
     eigs = rng.uniform(eig_low, eig_high, n)
     A = (Q * eigs) @ Q.T
     return 0.5 * (A + A.T)
-
-
-class TestMatvec:
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((7, 5))
-        x = rng.standard_normal(5)
-        np.testing.assert_allclose(linalg.matvec(A, x), A @ x, rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.matvec(np.eye(3), np.ones(4))
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError, match="2-d"):
-            linalg.matvec(np.ones(3), np.ones(3))
 
 
 class TestSolveSpd:

@@ -38,6 +38,10 @@ class TestConfig:
             (dict(clip=-1.0), "clip"),
             (dict(clip_formula="median"), "clip_formula"),
             (dict(batch_forget=0), "batch"),
+            (dict(kappa=float("nan")), "kappa"),
+            (dict(lam=float("nan")), "lam"),
+            (dict(lam=float("inf")), "lam"),
+            (dict(clip=float("nan")), "clip"),
         ]
         for kw, match in cases:
             with pytest.raises(ValueError, match=match):
@@ -408,6 +412,20 @@ class TestBaselines:
         b = O.baseline_run("adamw", self.spec, self.theta0, self.d_f,
                            self.d_pt, cfg, adam_params=O.AdamParams(lr=cfg.eta))
         np.testing.assert_array_equal(a.final_theta, b.final_theta)
+
+    def test_adam_params_validation(self):
+        cases = [
+            (dict(lr=-0.01), "lr"),
+            (dict(lr=float("nan")), "lr"),
+            (dict(eps=0.0), "eps"),
+            (dict(betas=(0.9, 1.0)), "betas"),
+            (dict(betas=(-0.1, 0.95)), "betas"),
+            (dict(betas=(0.9,)), "betas"),
+            (dict(weight_decay=-1e-3), "weight_decay"),
+        ]
+        for kw, match in cases:
+            with pytest.raises(ValueError, match=match):
+                O.AdamParams(**kw)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="baseline kind"):
