@@ -2,7 +2,7 @@
 
 The package provides:
 
-- linalg: dense symmetric solves and spectral bounds
+- linalg: symmetry checks and dense symmetric solves
 - model: bigram softmax and one-hidden-layer MLP token models
 - losses: unlearning losses (nll, ll, nlul, it, npo) with exact gradients
 - divergence: proximity terms (kl, qkl, bregman) and their damped forms
@@ -19,7 +19,6 @@ The package provides:
 
 from .artifacts import TOOL_VERSION
 from .curvature import (
-    GNHAssembly,
     IHVPConfig,
     assemble_gnh,
     bigram_damped_solve,
@@ -31,15 +30,12 @@ from .divergence import (
     CURVATURE_SCALE,
     DIVERGENCE_TAGS,
     DivergenceKind,
-    bregman_nll_div,
     curvature_quadratic_form,
     damped_grad,
     damped_value,
     damped_value_and_grad,
     divergence_value,
-    kl_div,
     local_quadratic_residual,
-    qkl_div,
 )
 from .errors import (
     ConfigError,
@@ -69,7 +65,7 @@ from .harness import (
     verify_lemma,
     verify_theorem1,
 )
-from .linalg import min_eigenvalue_bound, solve_spd
+from .linalg import solve_spd
 from .losses import (
     LOSS_TAGS,
     LossKind,
@@ -115,7 +111,6 @@ __version__ = TOOL_VERSION
 __all__ = [
     "TOOL_VERSION",
     "__version__",
-    "GNHAssembly",
     "IHVPConfig",
     "assemble_gnh",
     "bigram_damped_solve",
@@ -125,15 +120,12 @@ __all__ = [
     "CURVATURE_SCALE",
     "DIVERGENCE_TAGS",
     "DivergenceKind",
-    "bregman_nll_div",
     "curvature_quadratic_form",
     "damped_grad",
     "damped_value",
     "damped_value_and_grad",
     "divergence_value",
-    "kl_div",
     "local_quadratic_residual",
-    "qkl_div",
     "ConfigError",
     "MissingArtifactError",
     "MTUError",
@@ -158,7 +150,6 @@ __all__ = [
     "verify_divergence_quadratic",
     "verify_lemma",
     "verify_theorem1",
-    "min_eigenvalue_bound",
     "solve_spd",
     "LOSS_TAGS",
     "LossKind",

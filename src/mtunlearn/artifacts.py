@@ -44,30 +44,14 @@ def write_csv(path, header, rows):
             writer.writerow([format_cell(x) for x in row])
 
 
-def write_trajectory_csv(path, traj, reference=None):
+def write_trajectory_csv(path, traj):
     """Trajectory export with columns t, grad_norm, loss, divergence,
-    clip_scale, deviation (deviation vs the reference trajectory when one
-    is attached, empty otherwise)."""
+    clip_scale and deviation; the deviation column is kept empty so the
+    table layout stays fixed."""
     header = ["t", "grad_norm", "loss", "divergence", "clip_scale", "deviation"]
-    rows = []
-    for i, t in enumerate(traj.ts):
-        if reference is not None and traj.thetas and reference.thetas:
-            dev = float(np.linalg.norm(traj.thetas[i] - reference.thetas[i]))
-            dev_cell = repr(dev)
-        else:
-            dev_cell = ""
-        rows.append([t, traj.grad_norms[i], traj.loss_values[i],
-                     traj.divergence_values[i], traj.clip_scales[i], dev_cell])
-    write_csv(path, header, rows)
-
-
-def write_batch_log_csv(path, traj):
-    """Per-step batch composition (index draws), one row per step."""
-    header = ["t", "forget_indices", "pretrain_indices"]
-    rows = []
-    for i, (fi, pi) in enumerate(traj.batch_log, start=1):
-        rows.append([i, " ".join(str(int(x)) for x in fi),
-                     " ".join(str(int(x)) for x in pi)])
+    rows = [[t, traj.grad_norms[i], traj.loss_values[i],
+             traj.divergence_values[i], traj.clip_scales[i], ""]
+            for i, t in enumerate(traj.ts)]
     write_csv(path, header, rows)
 
 

@@ -22,6 +22,7 @@ to completion and failed, 2 configuration error, 3 training failure,
 """
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -38,36 +39,66 @@ from . import model as M
 from . import optimizer as O
 from .errors import ConfigError, MissingArtifactError, MTUError, PreconditionError
 
-_REQUIRED = object()
-
-_NUM = (int, float)
-
-
-def _typename(types):
-    if types == _NUM:
-        return "a number"
-    name = types.__name__ if not isinstance(types, tuple) else types[0].__name__
-    return {"str": "a string", "int": "an integer", "list": "a list",
-            "dict": "an object", "bool": "a boolean"}.get(name, name)
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "a boolean", list: "a list"}
 
 
-def _take(d, key, section, types, default=_REQUIRED):
-    """Pop and type-check one config field; missing required fields and
-    type mismatches raise ConfigError naming the field and section."""
-    if key in d:
-        v = d.pop(key)
-    elif default is _REQUIRED:
-        raise ConfigError(f"missing field '{key}' in section '{section}'")
-    else:
+def _typed(v, typ, what):
+    """v checked against a config type: str, int, bool, float (which takes
+    integers and returns a float) or [entry type] (a list, checked entry by
+    entry).  A mismatch raises ConfigError naming `what`."""
+    if isinstance(typ, list):
+        if not isinstance(v, list):
+            raise ConfigError(f"{what} must be a list, got {type(v).__name__}")
+        return [_typed(x, typ[0], f"entry {j} of {what}") for j, x in enumerate(v)]
+    if isinstance(v, bool) != (typ is bool) or \
+            not isinstance(v, (int, float) if typ is float else typ):
+        got = "a boolean" if isinstance(v, bool) else type(v).__name__
+        raise ConfigError(f"{what} must be {_TYPE_NAMES[typ]}, got {got}")
+    return float(v) if typ is float else v
+
+
+def _take(d, key, section, typ, default=inspect.Parameter.empty):
+    """Pop and type-check one config field; a missing required field or a
+    type mismatch raises ConfigError naming the field and section."""
+    if key not in d:
+        if default is inspect.Parameter.empty:
+            raise ConfigError(f"missing field '{key}' in section '{section}'")
         return default
-    if types is not None:
-        if isinstance(v, bool) and types is not bool:
-            raise ConfigError(f"field '{key}' in section '{section}' must be "
-                              f"{_typename(types)}, got a boolean")
-        if not isinstance(v, types):
-            raise ConfigError(f"field '{key}' in section '{section}' must be "
-                              f"{_typename(types)}, got {type(v).__name__}")
-    return v
+    return _typed(d.pop(key), typ, f"field '{key}' in section '{section}'")
+
+
+def _config_type(p, default):
+    """A parameter's config type: a list of its first entry's type for a
+    tuple or list default, else its annotation, else its default's type."""
+    if isinstance(default, (tuple, list)):
+        return [type(default[0])]
+    return type(default) if p.annotation is p.empty else p.annotation
+
+
+def _read(d, section, *fns, rename=None, skip=(), required=(), defaults=None):
+    """Pop section `d`'s fields, one per keyword parameter of each callable
+    in `fns` (a dataclass or harness function), and reject any field left.
+
+    A field is named after its parameter (`rename` maps parameter to field
+    names for the exceptions) and takes the parameter's type and default;
+    `skip` names parameters that are not fields, `required` fields that
+    must be given although the parameter has a default, and `defaults`
+    supplies a default for a parameter that has none.  Returns one kwargs
+    dict per callable, keyed by parameter name.
+    """
+    rename, defaults, out = rename or {}, defaults or {}, []
+    for fn in fns:
+        kw = {}
+        for p in inspect.signature(fn).parameters.values():
+            if p.name in skip:
+                continue
+            key = rename.get(p.name, p.name)
+            default = p.empty if key in required else defaults.get(p.name, p.default)
+            kw[p.name] = _take(d, key, section, _config_type(p, default), default)
+        out.append(kw)
+    _done(d, section)
+    return out
 
 
 def _done(d, section):
@@ -87,8 +118,17 @@ def _section(cfg, name, required=False):
     return dict(v)
 
 
+def _construct(d, section, cls, what=None, extra=None, **overrides):
+    """cls built from section `d` read as by _read, plus the keyword
+    arguments in `extra`; a ValueError from cls is a ConfigError naming
+    `what` (default: the section)."""
+    kw = dict(_read(d, section, cls, **overrides)[0], **(extra or {}))
+    return _cfgval(lambda: cls(**kw), what or section)
+
+
 def _cfgval(build, what):
-    """Run a constructor whose ValueError means invalid configuration."""
+    """Run a constructor or argument check whose ValueError means invalid
+    configuration."""
     try:
         return build()
     except ValueError as exc:
@@ -132,27 +172,7 @@ def _resolve_seed(args):
 # ---------------------------------------------------------------------------
 
 def _parse_model(cfg):
-    d = _section(cfg, "model", required=True)
-    kind = _take(d, "kind", "model", str)
-    vocab = _take(d, "vocab_size", "model", int)
-    ctx = _take(d, "context_len", "model", int, default=1)
-    hid = _take(d, "hidden_dim", "model", int, default=0)
-    _done(d, "model")
-    return _cfgval(lambda: M.ModelSpec(kind, vocab, ctx, hid), "model")
-
-
-def _parse_corpus(d):
-    vocab = _take(d, "vocab_size", "corpus", int)
-    n = _take(d, "n_sequences", "corpus", int)
-    slen = _take(d, "seq_len", "corpus", int)
-    frac = _take(d, "forget_fraction", "corpus", _NUM, default=0.5)
-    gen = _take(d, "generator", "corpus", str, default="patterned")
-    period = _take(d, "period", "corpus", int, default=2)
-    seed = _take(d, "seed", "corpus", int, default=0)
-    _done(d, "corpus")
-    return _cfgval(lambda: harness.CorpusSpec(
-        vocab_size=vocab, n_sequences=n, seq_len=slen, forget_fraction=frac,
-        generator=gen, period=period, seed=seed), "corpus")
+    return _construct(_section(cfg, "model", required=True), "model", M.ModelSpec)
 
 
 def _parse_data(spec, cfg, out_dir):
@@ -166,7 +186,7 @@ def _parse_data(spec, cfg, out_dir):
         raise ConfigError("config needs exactly one of section 'corpus' "
                           "(generated) or 'data' (JSONL files)")
     if corpus_d is not None:
-        corpus = _parse_corpus(corpus_d)
+        corpus = _construct(corpus_d, "corpus", harness.CorpusSpec)
         d_f, d_pt = harness.corpus_datasets(spec, corpus)
         return d_f, d_pt, corpus, []
     fpath = _resolve(_take(data_d, "forget", "data", str), out_dir)
@@ -184,22 +204,14 @@ def _parse_data(spec, cfg, out_dir):
     return d_f, d_pt, None, [fpath, ppath]
 
 
-def _parse_report_lens(cfg):
-    d = _section(cfg, "report")
-    if d is None:
-        return None, None
-    plen = _take(d, "prompt_len", "report", int, default=None)
-    clen = _take(d, "completion_len", "report", int, default=None)
-    _done(d, "report")
-    return plen, clen
+def _parse_report(cfg):
+    """The report section as report_lengths keyword arguments."""
+    return _read(_section(cfg, "report") or {}, "report", harness.report_lengths,
+                 skip=("sequences",))[0]
 
 
 def _parse_loss(d, spec, out_dir):
-    tag = _take(d, "loss", "loss", str)
-    beta = _take(d, "beta", "loss", _NUM, default=1.0)
     teacher = _take(d, "teacher", "loss", str, default="uniform")
-    clamp = _take(d, "clamp_eps", "loss", _NUM, default=1e-12)
-    _done(d, "loss")
     if teacher == "uniform":
         tl = Lmod.TeacherLogits()
     else:
@@ -207,31 +219,8 @@ def _parse_loss(d, spec, out_dir):
         if not os.path.exists(tpath):
             raise MissingArtifactError(f"teacher parameter file not found: {tpath}")
         tl = Lmod.TeacherLogits(spec, artifacts.load_params(tpath))
-    return _cfgval(lambda: Lmod.LossKind(tag, beta=float(beta), teacher=tl,
-                                         clamp_eps=float(clamp)), "loss")
-
-
-def _parse_divergence(d):
-    tag = _take(d, "divergence", "divergence", str)
-    lam = _take(d, "lambda", "divergence", _NUM)
-    _done(d, "divergence")
-    return _cfgval(lambda: Dmod.DivergenceKind(tag, float(lam)), "divergence"), \
-        float(lam)
-
-
-def _parse_adam(d, sec):
-    lr = _take(d, "lr", "adam", _NUM, default=0.0)
-    betas = _take(d, "betas", "adam", list, default=[0.9, 0.95])
-    eps = _take(d, "eps", "adam", _NUM, default=1e-8)
-    wd = _take(d, "weight_decay", "adam", _NUM, default=0.0)
-    warmup = _take(d, "warmup", "adam", bool, default=True)
-    _done(d, "adam")
-    if len(betas) != 2 or not all(isinstance(b, _NUM) for b in betas):
-        raise ConfigError("field 'betas' in section 'adam' must be a list "
-                          "of two numbers")
-    return _cfgval(lambda: O.AdamParams(
-        lr=float(lr), betas=(float(betas[0]), float(betas[1])), eps=float(eps),
-        weight_decay=float(wd), warmup=bool(warmup)), f"adam settings of {sec}")
+    return _construct(d, "loss", Lmod.LossKind, extra={"teacher": tl},
+                      rename={"tag": "loss"}, skip=("teacher",))
 
 
 def _parse_method(mj, i, spec, out_dir, seed_override):
@@ -239,57 +228,37 @@ def _parse_method(mj, i, spec, out_dir, seed_override):
         raise ConfigError(f"entry {i} in section 'methods' must be an object")
     d = dict(mj)
     sec = f"methods[{i}]"
-    name = _take(d, "name", sec, str, default=f"method{i}")
-    optim = _take(d, "optimizer", sec, str, default="mt-batched")
-    rounds = _take(d, "rounds", sec, int, default=1)
-    if optim == "noop":
-        _done(d, sec)
-        return _cfgval(lambda: harness.MethodSpec(name, "noop"), sec)
-    loss_d = d.pop("loss", None)
-    div_d = d.pop("divergence", None)
-    mt_d = d.pop("mt", None)
-    adam_d = d.pop("adam", None)
-    _done(d, sec)
-    for part, val in (("loss", loss_d), ("divergence", div_d), ("mt", mt_d)):
-        if not isinstance(val, dict):
+    parts = {k: d.pop(k) for k in ("loss", "divergence", "mt", "adam") if k in d}
+    head = _read(d, sec, harness.MethodSpec, skip=("config", "adam"),
+                 defaults={"name": f"method{i}"})[0]
+    if head["optimizer"] == "noop":
+        _done(parts, sec)
+        return _cfgval(lambda: harness.MethodSpec(**head), sec)
+    for part in ("loss", "divergence", "mt") + (("adam",) if "adam" in parts else ()):
+        if not isinstance(parts.get(part), dict):
             raise ConfigError(f"section '{sec}' needs an object field '{part}'")
-    loss = _parse_loss(dict(loss_d), spec, out_dir)
-    div, lam = _parse_divergence(dict(div_d))
-    md = dict(mt_d)
-    kw = {
-        "eta": float(_take(md, "eta", "mt", _NUM)),
-        "kappa": float(_take(md, "kappa", "mt", _NUM)),
-        "alpha": float(_take(md, "alpha", "mt", _NUM)),
-        "mu": float(_take(md, "mu", "mt", _NUM)),
-        "T": _take(md, "T", "mt", int),
-        "clip": float(_take(md, "clip", "mt", _NUM, default=0.0)),
-        "batch_forget": _take(md, "batch_forget", "mt", int, default=1),
-        "batch_pretrain": _take(md, "batch_pretrain", "mt", int, default=1),
-        "seed": _take(md, "seed", "mt", int, default=0),
-        "clip_formula": _take(md, "clip_formula", "mt", str, default="main"),
-    }
-    _done(md, "mt")
+    loss = _parse_loss(dict(parts["loss"]), spec, out_dir)
+    div = _construct(dict(parts["divergence"]), "divergence", Dmod.DivergenceKind,
+                     rename={"tag": "divergence", "lam": "lambda"},
+                     required=("lambda",))
+    extra = {"lam": div.lam, "loss": loss, "divergence": div}
     if seed_override is not None:
-        kw["seed"] = seed_override
-    cfg = _cfgval(lambda: O.MTConfig(lam=lam, loss=loss, divergence=div, **kw),
-                  f"mt settings of '{name}'")
-    adam = _parse_adam(dict(adam_d), sec) if adam_d is not None else None
-    return _cfgval(lambda: harness.MethodSpec(name, optim, cfg, rounds=rounds,
-                                              adam=adam), sec)
+        extra["seed"] = seed_override
+    cfg = _construct(dict(parts["mt"]), "mt", O.MTConfig,
+                     f"mt settings of '{head['name']}'", extra=extra,
+                     skip=("lam", "loss", "divergence", "ngd_grad_lag"))
+    adam = None
+    if "adam" in parts:
+        adam = _construct(dict(parts["adam"]), "adam", O.AdamParams,
+                          f"adam settings of {sec}")
+    return _cfgval(lambda: harness.MethodSpec(config=cfg, adam=adam, **head), sec)
 
 
 def _parse_stop_rule(cfg):
     d = _section(cfg, "stop_rule")
     if d is None:
         return None
-    metric = _take(d, "metric", "stop_rule", str, default="nll_forget")
-    thr = _take(d, "threshold", "stop_rule", _NUM)
-    comp = _take(d, "comparison", "stop_rule", str, default="geq")
-    every = _take(d, "check_every", "stop_rule", int, default=10)
-    _done(d, "stop_rule")
-    return _cfgval(lambda: harness.StopRule(metric=metric, threshold=float(thr),
-                                            comparison=comp, check_every=every),
-                   "stop_rule")
+    return _construct(d, "stop_rule", harness.StopRule, required=("threshold",))
 
 
 def _safe_name(name):
@@ -375,32 +344,23 @@ def cmd_train_target(args):
     cfg = dict(raw)
     spec = _parse_model(cfg)
     d_f, d_pt, corpus, inputs = _parse_data(spec, cfg, out)
-    td = _section(cfg, "train", required=True)
-    epochs = _take(td, "epochs", "train", int)
-    lr = float(_take(td, "lr", "train", _NUM, default=0.5))
-    momentum = float(_take(td, "momentum", "train", _NUM, default=0.9))
-    seed = _take(td, "seed", "train", int, default=0)
-    require = float(_take(td, "require_exact_match", "train", _NUM, default=0.9))
-    _done(td, "train")
-    plen, clen = _parse_report_lens(cfg)
+    kw = _read(_section(cfg, "train", required=True), "train",
+               harness.build_target, skip=("spec", "corpus", "prompt_len",
+                                           "completion_len"),
+               defaults={"seed": 0})[0]
+    lens = _parse_report(cfg)
     _done(cfg, "config")
-    if epochs < 1:
-        raise ConfigError("field 'epochs' in section 'train' must be >= 1")
-    if not 0 <= require <= 1:
-        raise ConfigError("field 'require_exact_match' in section 'train' "
-                          "must lie in [0, 1]")
     # The memorization gate decodes every sequence, the report the forget ones.
-    decoded = d_f.sequences + d_pt.sequences if require > 0 else d_f.sequences
-    _cfgval(lambda: harness.report_lengths(decoded, plen, clen), "section 'report'")
+    decoded = d_f.sequences + d_pt.sequences \
+        if kw["require_exact_match"] > 0 else d_f.sequences
+    _cfgval(lambda: harness.report_lengths(decoded, **lens), "section 'report'")
     override = _resolve_seed(args)
     if override is not None:
-        seed = override
+        kw["seed"] = override
+    seed = kw["seed"]
 
-    theta = harness.build_target(spec, (d_f, d_pt), epochs=epochs, seed=seed,
-                                 lr=lr, momentum=momentum,
-                                 require_exact_match=require,
-                                 prompt_len=plen, completion_len=clen)
-    rep = harness.memorization_report(spec, theta, (d_f, d_pt), plen, clen)
+    theta = harness.build_target(spec, (d_f, d_pt), **kw, **lens)
+    rep = harness.memorization_report(spec, theta, (d_f, d_pt), **lens)
     artifacts.save_params(os.path.join(out, "target.npy"), theta)
     if corpus is not None:
         _write_corpus_jsonl(out, d_f, d_pt)
@@ -430,23 +390,12 @@ def cmd_unlearn(args):
     d_f, d_pt, _, inputs = _parse_data(spec, cfg, out)
     methods_j = _take(cfg, "methods", "config", list)
     stop_rule = _parse_stop_rule(cfg)
-    plen, clen = _parse_report_lens(cfg)
+    lens = _parse_report(cfg)
     _done(cfg, "config")
-    if not methods_j:
-        raise ConfigError("section 'methods' must list at least one method")
     seed_override = _resolve_seed(args)
     methods = [_parse_method(mj, i, spec, out, seed_override)
                for i, mj in enumerate(methods_j)]
-    names = [m.name for m in methods]
-    if len(set(names)) != len(names):
-        raise ConfigError("method names must be unique")
-    n_forget = len(d_f.sequences)
-    for i, m in enumerate(methods):
-        if m.rounds > n_forget:
-            raise ConfigError(f"field 'rounds' in section 'methods[{i}]' is "
-                              f"{m.rounds}, above the {n_forget} forget "
-                              f"sequences (each round needs at least one)")
-    _cfgval(lambda: harness.report_lengths(d_f.sequences, plen, clen),
+    _cfgval(lambda: harness.report_lengths(d_f.sequences, **lens),
             "section 'report'")
 
     target_path = _resolve(target_rel, out)
@@ -460,8 +409,7 @@ def cmd_unlearn(args):
                                 f"not all finite")
 
     res = harness.unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
-                                     prompt_len=plen, completion_len=clen,
-                                     stop_rule=stop_rule)
+                                     stop_rule=stop_rule, **lens)
     for name, theta in res["thetas"].items():
         artifacts.save_params(
             os.path.join(out, f"unlearned_{_safe_name(name)}.npy"), theta)
@@ -483,129 +431,15 @@ def cmd_unlearn(args):
     return 0
 
 
-def _verify_theorem1(args, cfg, seed_override):
-    d = cfg or {}
-    eta = float(_take(d, "eta", "theorem1", _NUM, default=5e-4))
-    kappa = float(_take(d, "kappa", "theorem1", _NUM, default=10.0))
-    lam = float(_take(d, "lambda", "theorem1", _NUM, default=0.5))
-    mu = float(_take(d, "mu", "theorem1", _NUM, default=0.9))
-    alphas = _take(d, "alphas", "theorem1", list,
-                   default=[0.1, 0.05, 0.025, 0.0125])
-    t_gamma = float(_take(d, "t_gamma", "theorem1", _NUM, default=0.3))
-    slope_min = float(_take(d, "slope_min", "theorem1", _NUM, default=0.8))
-    seed = _take(d, "seed", "theorem1", int, default=11)
-    _done(d, "theorem1")
-    if seed_override is not None:
-        seed = seed_override
-    if (len(alphas) < 2 or any(not isinstance(a, _NUM) for a in alphas)
-            or any(not (0 < a <= 1) for a in alphas)
-            or sorted(alphas, reverse=True) != list(alphas)):
-        raise ConfigError("field 'alphas' in section 'theorem1' must be a "
-                          "decreasing list of at least two numbers in (0, 1]")
-    if not t_gamma > 0:
-        raise ConfigError("field 't_gamma' in section 'theorem1' must be "
-                          "positive")
-    base_cfg = _cfgval(lambda: O.MTConfig(
-        eta=eta, kappa=kappa, alpha=float(alphas[0]), lam=lam, mu=mu, T=1,
-        loss=Lmod.LossKind("it"), divergence=Dmod.DivergenceKind("kl")),
-        "theorem1 settings")
-    setup = harness.default_theorem_setup(seed=seed)
-    setup.base_cfg = base_cfg
-    resolved = {"eta": eta, "kappa": kappa, "lambda": lam, "mu": mu,
-                "alphas": [float(a) for a in alphas], "t_gamma": t_gamma,
-                "slope_min": slope_min, "seed": seed}
-    result = harness.verify_theorem1(setup, alphas=[float(a) for a in alphas],
-                                     t_gamma=t_gamma, slope_min=slope_min)
-    return result, resolved, seed
-
-
-def _verify_lemma(args, cfg, seed_override):
-    d = cfg or {}
-    dim = _take(d, "dim", "lemma", int, default=8)
-    lo = float(_take(d, "eig_low", "lemma", _NUM, default=0.5))
-    hi = float(_take(d, "eig_high", "lemma", _NUM, default=5.0))
-    seed = _take(d, "seed", "lemma", int, default=harness.LEMMA_FAMILY_SEED)
-    noise = float(_take(d, "noise_scale", "lemma", _NUM, default=0.01))
-    mus = _take(d, "mus", "lemma", list, default=[0.0, 0.5, 0.9])
-    lams = _take(d, "lams", "lemma", list, default=[0.1, 1.0, 10.0])
-    modes = _take(d, "modes", "lemma", list, default=["zero", "const"])
-    T = _take(d, "T", "lemma", int, default=400)
-    step_scale = float(_take(d, "step_scale", "lemma", _NUM, default=0.5))
-    _done(d, "lemma")
-    if seed_override is not None:
-        seed = seed_override
-    family = _cfgval(lambda: harness.LemmaFamily(
-        dim=dim, eig_low=lo, eig_high=hi, seed=seed, noise_scale=noise),
-        "lemma family")
-    for fname, vals, typ in (("mus", mus, _NUM), ("lams", lams, _NUM),
-                             ("modes", modes, str)):
-        if not vals or any(not isinstance(v, typ) for v in vals):
-            raise ConfigError(f"field '{fname}' in section 'lemma' must be a "
-                              f"non-empty list of {_typename(typ)} entries")
-    if any(m not in ("zero", "const") for m in modes):
-        raise ConfigError("field 'modes' in section 'lemma' may only contain "
-                          "'zero' and 'const'")
-    resolved = {"dim": dim, "eig_low": lo, "eig_high": hi, "seed": seed,
-                "noise_scale": noise, "mus": mus, "lams": lams,
-                "modes": modes, "T": T, "step_scale": step_scale}
-    result = harness.verify_lemma(family, mus=mus, lams=lams, modes=modes,
-                                  T=T, step_scale=step_scale)
-    return result, resolved, seed
-
-
-def _verify_dynamics(args, cfg, seed_override):
-    d = cfg or {}
-    seed = _take(d, "seed", "dynamics", int, default=5)
-    epochs = _take(d, "target_epochs", "dynamics", int, default=3000)
-    beta = float(_take(d, "beta", "dynamics", _NUM, default=0.1))
-    sat = float(_take(d, "saturation_min", "dynamics", _NUM, default=0.9))
-    ratio_min = float(_take(d, "ratio_min", "dynamics", _NUM, default=10.0))
-    raise_min = float(_take(d, "raise_min", "dynamics", _NUM, default=1.0))
-    hold_max = float(_take(d, "hold_max", "dynamics", _NUM, default=0.1))
-    tags = _take(d, "loss_tags", "dynamics", list,
-                 default=["ll", "npo", "nlul", "it"])
-    _done(d, "dynamics")
-    if seed_override is not None:
-        seed = seed_override
-    if not tags or any(t not in Lmod.LOSS_TAGS for t in tags):
-        raise ConfigError(f"field 'loss_tags' in section 'dynamics' must be a "
-                          f"non-empty list drawn from {Lmod.LOSS_TAGS}")
-    if epochs < 1:
-        raise ConfigError("field 'target_epochs' in section 'dynamics' must "
-                          "be >= 1")
-    resolved = {"seed": seed, "target_epochs": epochs, "beta": beta,
-                "saturation_min": sat, "ratio_min": ratio_min,
-                "raise_min": raise_min, "hold_max": hold_max,
-                "loss_tags": tags}
-    setup = harness.default_dynamics_setup(seed=seed, target_epochs=epochs)
-    result = harness.gradient_dynamics_study(
-        setup, loss_tags=tuple(tags), beta=beta, saturation_min=sat,
-        ratio_min=ratio_min, raise_min=raise_min, hold_max=hold_max)
-    return result, resolved, seed
-
-
-def _verify_divq(args, cfg, seed_override):
-    d = cfg or {}
-    ts = _take(d, "t_values", "divergence-quadratic", list,
-               default=[1e-2, 1e-3, 1e-4])
-    decay = float(_take(d, "decay_factor", "divergence-quadratic", _NUM,
-                        default=0.1))
-    _done(d, "divergence-quadratic")
-    if (len(ts) < 2 or any(not isinstance(t, _NUM) for t in ts)
-            or any(not t > 0 for t in ts)):
-        raise ConfigError("field 't_values' in section 'divergence-quadratic' "
-                          "must be a list of at least two positive numbers")
-    resolved = {"t_values": [float(t) for t in ts], "decay_factor": decay}
-    result = harness.verify_divergence_quadratic(
-        t_values=[float(t) for t in ts], decay_factor=decay)
-    return result, resolved, seed_override if seed_override is not None else -1
-
-
-_VERIFY_DISPATCH = {
-    "theorem1": _verify_theorem1,
-    "lemma": _verify_lemma,
-    "dynamics": _verify_dynamics,
-    "divergence-quadratic": _verify_divq,
+# Each verify check: its testbed builder (None if it has none) and the
+# check run on the testbed.  The check's config section holds the keyword
+# parameters of both.  A builder trains only its fixed corpus, so a
+# ValueError from it is a rejected argument.
+VERIFY_CHECKS = {
+    "theorem1": (harness.default_theorem_setup, harness.verify_theorem1),
+    "lemma": (harness.LemmaFamily, harness.verify_lemma),
+    "dynamics": (harness.default_dynamics_setup, harness.gradient_dynamics_study),
+    "divergence-quadratic": (None, harness.verify_divergence_quadratic),
 }
 
 
@@ -614,17 +448,28 @@ def cmd_verify(args):
     out = args.out
     os.makedirs(out, exist_ok=True)
     inputs = []
-    cfg = None
+    cfg = {}
     if args.config is not None:
         cfg, cfg_path = _load_config(args.config, out)
         inputs.append(cfg_path)
-    seed_override = _resolve_seed(args)
-    result, resolved, seed = _VERIFY_DISPATCH[args.which](args, cfg,
-                                                          seed_override)
+    build, check = VERIFY_CHECKS[args.which]
+    rename = {"lam": "lambda"}
+    kws = _read(dict(cfg), args.which,
+                *((check,) if build is None else (build, check)),
+                rename=rename, skip=("setup", "family", "out_dir"))
+    seed = _resolve_seed(args)
+    testbed = ()
+    if build is not None:
+        if seed is not None:
+            kws[0]["seed"] = seed
+        seed = kws[0]["seed"]
+        testbed = (_cfgval(lambda: build(**kws[0]), f"{args.which} settings"),)
+    result = check(*testbed, **kws[-1])
+    resolved = {rename.get(k, k): v for kw in kws for k, v in kw.items()}
     artifacts.write_results_json(out, result)
     harness.render_result_tables(result, out)
     artifacts.write_manifest(out, f"verify {args.which}", resolved,
-                             seed if isinstance(seed, int) else -1,
+                             -1 if seed is None else seed,
                              time.perf_counter() - t0, input_paths=inputs)
     print_result_summary(result, args.verbose)
     passed = result.get("passed")
@@ -672,7 +517,7 @@ def build_parser():
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run a verification suite")
-    pv.add_argument("which", choices=sorted(_VERIFY_DISPATCH),
+    pv.add_argument("which", choices=sorted(VERIFY_CHECKS),
                     help="which suite to run")
     pv.add_argument("config", nargs="?", default=None,
                     help="optional JSON config overriding suite defaults")

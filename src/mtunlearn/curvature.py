@@ -23,16 +23,6 @@ from . import model as M
 MAX_DENSE_DIM = 4096
 
 
-@dataclass
-class GNHAssembly:
-    """Assembled curvature matrix with provenance."""
-
-    H: np.ndarray
-    theta_at: np.ndarray
-    n_pairs: int
-    spec: object = None
-
-
 def _sqrt_factor(p):
     """B with B B^T = Diag(p) - p p^T, namely Diag(sqrt(p)) - p sqrt(p)^T."""
     s = np.sqrt(p)
@@ -67,8 +57,7 @@ def assemble_gnh(spec, theta, batch):
             J = M.logit_jacobian(spec, theta, ctx)
             Mfac = J @ _sqrt_factor(p)
             H += (cnt / N) * (Mfac @ Mfac.T)
-    H = 0.5 * (H + H.T)
-    return GNHAssembly(H=H, theta_at=theta.copy(), n_pairs=N, spec=spec)
+    return 0.5 * (H + H.T)
 
 
 def bigram_gnh_blocks(spec, theta, batch):

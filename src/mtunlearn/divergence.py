@@ -69,11 +69,6 @@ def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
     return v, g
 
 
-def kl_div(spec, theta, theta_ref, batch):
-    """Batch mean KL between current-model and reference-model softmaxes."""
-    return _logit_terms("kl", spec, theta, theta_ref, batch, True, False)[0]
-
-
 def _qkl_rows(H, Href):
     """Per-row quadratic form d^T S(h) d = sum_j p_j d_j^2 - (p^T d)^2."""
     P = M.softmax_rows(H)
@@ -81,11 +76,6 @@ def _qkl_rows(H, Href):
     m1 = (P * D).sum(axis=1)
     m2 = (P * D * D).sum(axis=1)
     return m2 - m1 * m1
-
-
-def qkl_div(spec, theta, theta_ref, batch):
-    """Batch mean of the quadratic form with S at the current model."""
-    return _logit_terms("qkl", spec, theta, theta_ref, batch, True, False)[0]
 
 
 def _qkl_grad_rows(H, Href):
@@ -120,11 +110,6 @@ def _bregman_terms(spec, theta, theta_ref, batch, value, grad):
     v_ref, g_ref = losses._loss_terms(_NLL, spec, theta_ref, batch, None, value, True)
     return (float(v - v_ref - (theta - theta_ref) @ g_ref) if value else None,
             g - g_ref if grad else None)
-
-
-def bregman_nll_div(spec, theta, theta_ref, batch):
-    """Bregman divergence of the batch nll loss on the bigram model."""
-    return _bregman_terms(spec, theta, theta_ref, batch, True, False)[0]
 
 
 def _divergence_terms(kind, spec, theta, theta_ref, batch, value, grad):

@@ -18,9 +18,10 @@ class MTUError(Exception):
     exit_code = 1
 
 
-class ConfigError(MTUError):
+class ConfigError(MTUError, ValueError):
     """Invalid or missing configuration field, or a static precondition
-    (checkable from the config alone) does not hold."""
+    (checkable from the config alone) does not hold.  Also a ValueError:
+    the library raises it for arguments it rejects before any work."""
 
     exit_code = 2
 

@@ -32,7 +32,7 @@ from . import divergence as Dmod
 from . import losses as Lmod
 from . import model as M
 from . import optimizer as O
-from .errors import PreconditionError, TrainingError
+from .errors import ConfigError, PreconditionError, TrainingError
 
 CORPUS_GENERATORS = ("patterned", "random")
 
@@ -199,7 +199,7 @@ def _resolve_datasets(spec, corpus):
     return d_f, d_pt
 
 
-def report_lengths(sequences, prompt_len=None, completion_len=None):
+def report_lengths(sequences, prompt_len: int = None, completion_len: int = None):
     """(prompt_len, completion_len) for decoding the given sequences; each
     defaults to an even split of the shortest one.  Raises ValueError
     unless both are >= 1 and together fit in the shortest sequence."""
@@ -247,7 +247,7 @@ def memorization_report(spec, theta, corpus, prompt_len=None, completion_len=Non
     )
 
 
-def build_target(spec, corpus, epochs, seed, lr=0.5, momentum=0.9,
+def build_target(spec, corpus, epochs: int, seed: int, lr=0.5, momentum=0.9,
                  require_exact_match=0.9, prompt_len=None, completion_len=None):
     """Memorize the full corpus with full-batch momentum SGD on the mean
     NLL and return the trained parameter vector.
@@ -257,6 +257,11 @@ def build_target(spec, corpus, epochs, seed, lr=0.5, momentum=0.9,
     skip the gate); failure raises TrainingError since an unmemorized
     target makes the downstream checks meaningless.
     """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if not 0 <= require_exact_match <= 1:
+        raise ConfigError(f"require_exact_match must lie in [0, 1], got "
+                          f"{require_exact_match}")
     d_f, d_pt = _resolve_datasets(spec, corpus)
     d_all = M.dataset_from_sequences(d_f.sequences + d_pt.sequences,
                                      spec.context_len, role="pretrain")
@@ -297,10 +302,14 @@ class TheoremSetup:
     base_cfg: O.MTConfig
 
 
-def default_theorem_setup(seed=11):
+def default_theorem_setup(seed=11, eta=5e-4, kappa=10.0, lam=0.5, mu=0.9):
     """Bigram testbed: 4 token-disjoint periodic sequences over 8 tokens,
     memorized by momentum SGD, unlearned with the uniform-teacher
-    imitation loss under a KL proximity term."""
+    imitation loss under a KL proximity term (step eta, teacher rate
+    kappa, damping lam, momentum mu; the check sets alpha and T)."""
+    base_cfg = O.MTConfig(eta=eta, kappa=kappa, alpha=0.1, lam=lam, mu=mu,
+                          T=1, loss=Lmod.LossKind("it"),
+                          divergence=Dmod.DivergenceKind("kl"))
     corpus = CorpusSpec(vocab_size=8, n_sequences=4, seq_len=12,
                         forget_fraction=0.5, generator="patterned",
                         period=2, seed=seed)
@@ -308,9 +317,6 @@ def default_theorem_setup(seed=11):
     d_f, d_pt = corpus_datasets(spec, corpus)
     theta0 = build_target(spec, (d_f, d_pt), epochs=400, seed=seed,
                           lr=0.5, momentum=0.9)
-    base_cfg = O.MTConfig(eta=5e-4, kappa=10.0, alpha=0.1, lam=0.5, mu=0.9,
-                          T=1, loss=Lmod.LossKind("it"),
-                          divergence=Dmod.DivergenceKind("kl"))
     return TheoremSetup(spec=spec, theta0=theta0, d_f=d_f, d_pt=d_pt,
                         base_cfg=base_cfg)
 
@@ -327,13 +333,15 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
     log-log slope against alpha * log(1/alpha) is at least slope_min
     (slope 1 would be exact proportionality to the predicted rate).
     """
+    alphas = list(alphas)
+    if len(alphas) < 2 or any(not (0 < a <= 1) for a in alphas) \
+            or sorted(alphas, reverse=True) != alphas:
+        raise ConfigError("alphas must be a decreasing list of at least two "
+                          "numbers in (0, 1]")
+    if not 0 < t_gamma < np.inf:
+        raise ConfigError("t_gamma must be positive and finite")
     if setup is None:
         setup = default_theorem_setup()
-    alphas = list(alphas)
-    if len(alphas) < 2 or any(not (0 < a <= 1) for a in alphas):
-        raise ValueError("need at least two alpha values in (0, 1]")
-    if sorted(alphas, reverse=True) != alphas:
-        raise ValueError("alphas must be strictly decreasing")
     rows, summary = [], {}
     for lag in (False, True):
         devs = []
@@ -342,8 +350,9 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
             derived = O.DerivedNGDParams.from_config(cfg)
             T = int(round(t_gamma / derived.gamma))
             if T < 1:
-                raise ValueError(f"horizon t_gamma={t_gamma} gives T=0 at "
-                                 f"alpha={a}")
+                # The first alpha has the shortest horizon: no run has started.
+                raise ConfigError(f"horizon t_gamma={t_gamma} gives T=0 at "
+                                  f"alpha={a}")
             cfg = O.config_with(cfg, T=T)
             mt = O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg)
             ng = O.ngd_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg)
@@ -383,6 +392,10 @@ class LemmaFamily:
     seed: int = LEMMA_FAMILY_SEED
     noise_scale: float = 0.01
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be at least 1")
+
 
 def lemma_instance(family):
     """Draw the (H, g) instance of the family (deterministic in the seed)."""
@@ -406,6 +419,11 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     relative slack of LEMMA_BOUND_RTOL).  Cells whose settings violate
     the iteration's step-size precondition are skipped with a warning.
     """
+    if min(len(mus), len(lams), len(modes)) < 1:
+        raise ConfigError("mus, lams and modes must each list at least one value")
+    if any(mode not in ("zero", "const") for mode in modes):
+        raise ConfigError(f"unknown error mode in modes {list(modes)}; "
+                          f"the modes are 'zero' and 'const'")
     family = family or LemmaFamily()
     H, g = lemma_instance(family)
     lam_max = float(np.linalg.eigvalsh(H)[-1])
@@ -414,8 +432,6 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
         for lam in lams:
             eta = step_scale / (lam_max + lam)
             for mode in modes:
-                if mode not in ("zero", "const"):
-                    raise ValueError(f"unknown error mode: {mode!r}")
                 noise_rng = np.random.default_rng(
                     LEMMA_NOISE_SEED_OFFSET + family.seed)
                 eps_norms = []
@@ -494,9 +510,9 @@ def verify_divergence_quadratic(t_values=(1e-2, 1e-3, 1e-4), decay_factor=0.1,
     leaves a 10x margin).  KL and quadratic-KL run on both model kinds;
     the Bregman term runs on the bigram model it is defined for.
     """
+    if len(t_values) < 2 or any(not t > 0 for t in t_values):
+        raise ConfigError("t_values must list at least two positive numbers")
     t_values = sorted(t_values, reverse=True)
-    if len(t_values) < 2 or t_values[-1] <= 0:
-        raise ValueError("need at least two positive t values")
     rows, passed = [], True
     for name, spec, theta_ref, batch, d in _quadratic_check_setups():
         kinds = ["kl", "qkl"] + (["bregman"] if spec.kind == M.BIGRAM else [])
@@ -576,6 +592,12 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     runs raise forget NLL by at least raise_min (complement loss) while
     the plain loss moves it by at most hold_max (saturation stalls it).
     """
+    if not loss_tags:
+        raise ConfigError("loss_tags must list at least one loss")
+    try:
+        kinds = {tag: _loss_kind_for(tag, beta) for tag in loss_tags}
+    except ValueError as exc:
+        raise ConfigError(f"invalid loss_tags or beta: {exc}") from exc
     if setup is None:
         setup = default_dynamics_setup()
     spec, theta0 = setup.spec, setup.theta0
@@ -593,8 +615,7 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     nll0 = Lmod.batch_loss(_NLL, spec, theta0, d_f)
     grad_norm0 = {}
     for tag in loss_tags:
-        kind = _loss_kind_for(tag, beta)
-        g = Lmod.batch_grad(kind, spec, theta0, d_f, base_theta=theta0)
+        g = Lmod.batch_grad(kinds[tag], spec, theta0, d_f, base_theta=theta0)
         grad_norm0[tag] = float(np.linalg.norm(g))
     ratios = {}
     if "nlul" in grad_norm0:
@@ -604,10 +625,10 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
 
     series, delta_nll = {}, {}
     for tag in loss_tags:
-        cfg = O.config_with(setup.base_cfg, loss=_loss_kind_for(tag, beta))
+        kind = kinds[tag]
+        cfg = O.config_with(setup.base_cfg, loss=kind)
         traj = O.mt_run_batched(spec, theta0, d_f, d_pt, cfg)
         nll_series = [Lmod.batch_loss(_NLL, spec, th, d_f) for th in traj.thetas]
-        kind = _loss_kind_for(tag, beta)
         gnorm_series = [float(np.linalg.norm(
             Lmod.batch_grad(kind, spec, th, d_f, base_theta=theta0)))
             for th in traj.thetas]
@@ -728,8 +749,19 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
     final parameters per method, "trajectories": per-method list of
     round trajectories}.  drift is the increase in pretrain NLL.  A
     method whose run diverges is reported as a failed row rather than
-    aborting the experiment.
+    aborting the experiment.  Methods need unique names, and at most one
+    round per forget sequence.
     """
+    if not methods:
+        raise ConfigError("methods must list at least one method")
+    names = [m.name for m in methods]
+    for i, m in enumerate(methods):
+        if names.index(m.name) != i:
+            raise ConfigError(f"methods[{i}] repeats the method name {m.name!r}")
+        if m.rounds > len(d_f.sequences):
+            raise ConfigError(f"field 'rounds' of methods[{i}] is {m.rounds}, "
+                              f"above the {len(d_f.sequences)} forget "
+                              f"sequences (each round needs at least one)")
     before = memorization_report(spec, theta_target, (d_f, d_pt),
                                  prompt_len, completion_len)
     rows, thetas, trajectories = [], {}, {}

@@ -1,4 +1,4 @@
-"""Dense real matrix kernel: symmetry checks, symmetric solves, eigen bounds.
+"""Dense real matrix kernel: symmetry checks and symmetric solves.
 
 All operations are pure functions on numpy arrays.  Vectors are 1-d float
 arrays, matrices are 2-d row-major float arrays.  Every public operation
@@ -54,15 +54,3 @@ def solve_spd(A, b):
         raise ValueError(f"matrix is not positive definite: {exc}") from exc
     return scipy.linalg.cho_solve((c, low), b, check_finite=True)
 
-
-def min_eigenvalue_bound(A):
-    """Lower bound on the spectrum of a symmetric matrix.
-
-    Computed as the exact smallest eigenvalue (LAPACK symmetric
-    eigensolver), tight to ~1e-8 for well-scaled matrices up to a few
-    hundred dimensions.  Raises on non-symmetric input.
-    """
-    A = check_symmetric(_as_matrix(A))
-    if A.shape[0] == 0:
-        raise ValueError("empty matrix has no spectrum")
-    return float(np.linalg.eigvalsh(A)[0])

@@ -48,6 +48,14 @@ class TeacherLogits:
             return np.zeros((len(contexts), vocab_size))
         return M.batch_logits(self.spec, self.theta, contexts)
 
+    def log_probs(self, contexts, vocab_size):
+        """Teacher log-probabilities of the contexts; the uniform teacher's
+        are the constant -log V, equal bit for bit to the log-softmax of
+        its zero logits."""
+        if self.is_uniform:
+            return -np.log(vocab_size)
+        return M.log_softmax_rows(self.batch(contexts, vocab_size))
+
 
 @dataclass
 class LossKind:
@@ -149,12 +157,19 @@ def nlul_grad_rows(H, y, clamp_eps=1e-12):
     return w[:, None] * _ll_grad(H, y, log1mp)
 
 
+def _it_terms(H, log_q, grad):
+    """Row-wise KL(softmax(h) || q) and, if grad, its logit gradient, from
+    one softmax and log-ratio; log_q is the teacher's log-probabilities
+    (rows, or a scalar for a uniform teacher)."""
+    P = M.softmax_rows(H)
+    R = M.log_softmax_rows(H) - log_q
+    v = (P * R).sum(axis=1)
+    return v, (P * (R - v[:, None]) if grad else None)
+
+
 def it_value_rows(H, teacher_H):
     """Row-wise KL(softmax(h) || softmax(h_teacher)), stabilized."""
-    H, T = _rows(H), _rows(teacher_H)
-    P = M.softmax_rows(H)
-    R = M.log_softmax_rows(H) - M.log_softmax_rows(T)
-    return (P * R).sum(axis=1)
+    return _it_terms(_rows(H), M.log_softmax_rows(_rows(teacher_H)), False)[0]
 
 
 def it_grad_rows(H, teacher_H):
@@ -168,11 +183,7 @@ def it_grad_rows(H, teacher_H):
 
 def it_rows(H, teacher_H):
     """(it_value_rows, it_grad_rows) from one softmax and log-ratio."""
-    H, T = _rows(H), _rows(teacher_H)
-    P = M.softmax_rows(H)
-    R = M.log_softmax_rows(H) - M.log_softmax_rows(T)
-    v = (P * R).sum(axis=1)
-    return v, P * (R - v[:, None])
+    return _it_terms(_rows(H), M.log_softmax_rows(_rows(teacher_H)), True)
 
 
 def nll_value_rows(H, y):
@@ -265,24 +276,20 @@ def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
     return v, g
 
 
-def _value_rows(kind, H, y, T):
+def _value_rows(kind, H, y):
     if kind.tag == "nll":
         return nll_value_rows(H, y)
     if kind.tag == "ll":
         return ll_value_rows(H, y)
-    if kind.tag == "nlul":
-        return nlul_value_rows(H, y, kind.clamp_eps)
-    return it_value_rows(H, T)
+    return nlul_value_rows(H, y, kind.clamp_eps)
 
 
-def _grad_rows(kind, H, y, T):
+def _grad_rows(kind, H, y):
     if kind.tag == "nll":
         return nll_grad_rows(H, y)
     if kind.tag == "ll":
         return ll_grad_rows(H, y)
-    if kind.tag == "nlul":
-        return nlul_grad_rows(H, y, kind.clamp_eps)
-    return it_grad_rows(H, T)
+    return nlul_grad_rows(H, y, kind.clamp_eps)
 
 
 def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
@@ -294,12 +301,12 @@ def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
         raise ValueError("empty batch")
     H, aux = M._forward(spec, theta, batch.contexts)
     y = batch.nexts
-    T = kind.teacher.batch(batch.contexts, spec.vocab_size) if kind.tag == "it" else None
-    if kind.tag == "it" and grad:
-        vals, G = it_rows(H, T)
+    if kind.tag == "it":
+        log_q = kind.teacher.log_probs(batch.contexts, spec.vocab_size)
+        vals, G = _it_terms(H, log_q, grad)
     else:
-        vals = _value_rows(kind, H, y, T) if value else None
-        G = _grad_rows(kind, H, y, T) if grad else None
+        vals = _value_rows(kind, H, y) if value else None
+        G = _grad_rows(kind, H, y) if grad else None
     v = float(vals.mean()) if value else None
     g = None
     if grad:

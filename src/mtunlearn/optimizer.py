@@ -351,8 +351,8 @@ class _DampedNGD:
         if self.spec.kind == M.BIGRAM:
             step = curvature.bigram_damped_solve(self.spec, theta, self.d_pt, lam_bar, step_g)
         else:
-            asm = curvature.assemble_gnh(self.spec, theta, self.d_pt)
-            step = linalg.solve_spd(asm.H + lam_bar * np.eye(len(theta)), step_g)
+            H = curvature.assemble_gnh(self.spec, theta, self.d_pt)
+            step = linalg.solve_spd(H + lam_bar * np.eye(len(theta)), step_g)
         return (theta - self.derived.gamma * step, 0.0,
                 float(np.linalg.norm(step_g)), 1.0)
 

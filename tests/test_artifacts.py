@@ -41,28 +41,11 @@ class TestCsv:
                          loss_values=[1.0, 0.5], divergence_values=[0.0, 0.1],
                          clip_scales=[1.0, 0.25],
                          thetas=[np.zeros(2), np.array([1.0, 0.0])])
-        b = O.Trajectory(ts=[0, 1], grad_norms=[0.0, 0.0],
-                         loss_values=[0.0, 0.0], divergence_values=[0.0, 0.0],
-                         clip_scales=[1.0, 1.0],
-                         thetas=[np.zeros(2), np.array([1.0, 2.0])])
         plain = tmp_path / "plain.csv"
         A.write_trajectory_csv(str(plain), a)
-        lines = plain.read_text().splitlines()
-        assert lines[0] == "t,grad_norm,loss,divergence,clip_scale,deviation"
-        assert lines[1].endswith(",")  # no reference: deviation empty
-        with_ref = tmp_path / "ref.csv"
-        A.write_trajectory_csv(str(with_ref), a, reference=b)
-        rows = with_ref.read_text().splitlines()
-        assert rows[1].split(",")[-1] == "0.0"
-        assert float(rows[2].split(",")[-1]) == pytest.approx(2.0)
-
-    def test_batch_log_rows(self, tmp_path):
-        traj = O.Trajectory(batch_log=[(np.array([3, 1]), np.array([0])),
-                                       (np.array([2, 2]), np.array([4]))])
-        path = tmp_path / "batches.csv"
-        A.write_batch_log_csv(str(path), traj)
-        assert path.read_text() == ("t,forget_indices,pretrain_indices\n"
-                                    "1,3 1,0\n2,2 2,4\n")
+        assert plain.read_text() == (
+            "t,grad_norm,loss,divergence,clip_scale,deviation\n"
+            "0,0.0,1.0,0.0,1.0,\n1,2.0,0.5,0.1,0.25,\n")
 
 
 class TestParams:

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, exit codes, and artifact reproducibility."""
 
+import functools
 import json
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from mtunlearn import artifacts as A
+from mtunlearn import cli
 from mtunlearn.cli import main
 
 
@@ -213,6 +215,82 @@ class TestConfigSchema:
         assert text in err
         # A rejected config fails before any training or artifact.
         assert os.path.exists(tmp_path / "results.json") == (code == 0)
+
+
+# Per verify check: an unknown field, a field of the wrong type, and a
+# list entry of the wrong type, each with the field its message names.
+VERIFY_SCHEMA_CASES = [
+    pytest.param(check, fields, name, id=f"{check}-{kind}")
+    for check, cases in {
+        "theorem1": [({"gamma": 1.0}, "gamma"), ({"lambda": "big"}, "lambda"),
+                     ({"alphas": [0.1, "x"]}, "alphas")],
+        "lemma": [({"eig_mid": 2.0}, "eig_mid"), ({"T": 1.5}, "T"),
+                  ({"mus": [0.0, None]}, "mus")],
+        "dynamics": [({"epochs": 10}, "epochs"), ({"beta": True}, "beta"),
+                     ({"loss_tags": ["ll", 3]}, "loss_tags")],
+        "divergence-quadratic": [({"t": [0.1]}, "t"),
+                                 ({"decay_factor": "0.1"}, "decay_factor"),
+                                 ({"t_values": [0.1, [0.01]]}, "t_values")],
+    }.items()
+    for kind, (fields, name) in zip(("unknown", "type", "entry"), cases)
+]
+
+# The config each verify check records in its manifest when run without one.
+VERIFY_DEFAULTS = {
+    "theorem1": {"eta": 5e-4, "kappa": 10.0, "lambda": 0.5, "mu": 0.9,
+                 "alphas": [0.1, 0.05, 0.025, 0.0125], "t_gamma": 0.3,
+                 "slope_min": 0.8, "seed": 11},
+    "lemma": {"dim": 8, "eig_low": 0.5, "eig_high": 5.0, "seed": 14,
+              "noise_scale": 0.01, "mus": [0.0, 0.5, 0.9],
+              "lams": [0.1, 1.0, 10.0], "modes": ["zero", "const"], "T": 400,
+              "step_scale": 0.5},
+    "dynamics": {"seed": 5, "target_epochs": 3000, "beta": 0.1,
+                 "saturation_min": 0.9, "ratio_min": 10.0, "raise_min": 1.0,
+                 "hold_max": 0.1, "loss_tags": ["ll", "npo", "nlul", "it"]},
+    "divergence-quadratic": {"t_values": [1e-2, 1e-3, 1e-4],
+                             "decay_factor": 0.1},
+}
+
+
+@pytest.fixture
+def stub_verify(monkeypatch):
+    """Replace every verify builder and check by a stub with its signature
+    that records its keyword arguments; the check returns a passing
+    divergence-quadratic document with no rows."""
+    calls = []
+
+    def stub(fn, result):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            calls.append((fn.__name__, kwargs))
+            return result
+        return run
+
+    doc = {"check": "divergence-quadratic", "rows": [], "passed": True}
+    monkeypatch.setattr(cli, "VERIFY_CHECKS", {
+        which: (build and stub(build, object()), stub(check, doc))
+        for which, (build, check) in cli.VERIFY_CHECKS.items()})
+    return calls
+
+
+class TestVerifySchema:
+    @pytest.mark.parametrize("check,fields,name", VERIFY_SCHEMA_CASES)
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, stub_verify,
+                                         check, fields, name):
+        path = write_cfg(tmp_path, fields)
+        assert main(["verify", check, path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{name}'" in err and "Traceback" not in err
+        assert stub_verify == []
+
+    @pytest.mark.parametrize("check", sorted(VERIFY_DEFAULTS))
+    def test_manifest_config_pins_the_defaults(self, tmp_path, stub_verify,
+                                               check):
+        assert main(["verify", check, "--out", str(tmp_path)]) == 0
+        manifest = A.read_manifest(str(tmp_path))
+        assert manifest["config"] == VERIFY_DEFAULTS[check]
+        assert manifest["seed"] == VERIFY_DEFAULTS[check].get("seed", -1)
+        assert len(stub_verify) == (1 if check == "divergence-quadratic" else 2)
 
 
 class TestFailureExitCodes:

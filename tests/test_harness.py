@@ -10,7 +10,7 @@ from mtunlearn import harness as Hn
 from mtunlearn import losses as L
 from mtunlearn import model as M
 from mtunlearn import optimizer as O
-from mtunlearn.errors import PreconditionError, TrainingError
+from mtunlearn.errors import ConfigError, PreconditionError, TrainingError
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,14 @@ def bigram_testbed():
     """Small memorized bigram target shared by the experiment tests."""
     setup = Hn.default_theorem_setup(seed=11)
     return setup
+
+
+def forbid(monkeypatch, module, name):
+    """Make module.name fail when called: the code under test must reject
+    its arguments before it gets there."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the arguments were checked")
+    monkeypatch.setattr(module, name, called)
 
 
 def quick_config(**kw):
@@ -184,6 +192,20 @@ class TestBuildTarget:
                                 require_exact_match=0.0)
         assert np.all(np.isfinite(theta))
 
+    @pytest.mark.parametrize("kw,field", [
+        (dict(epochs=0), "epochs"),
+        (dict(require_exact_match=float("nan")), "require_exact_match"),
+        (dict(require_exact_match=1.5), "require_exact_match"),
+        (dict(require_exact_match=-0.1), "require_exact_match"),
+    ])
+    def test_arguments_rejected_before_training(self, monkeypatch, kw, field):
+        forbid(monkeypatch, L, "batch_grad")
+        args = dict(epochs=10, seed=9)
+        args.update(kw)
+        with pytest.raises(ConfigError, match=field):
+            Hn.build_target(M.ModelSpec(M.BIGRAM, 8), Hn.CorpusSpec(8, 4, 12),
+                            **args)
+
     def test_runaway_learning_rate_is_loud(self):
         """A two-token random corpus shares contexts across sequences, so
         gradients never vanish and near-critical momentum at an absurd
@@ -207,6 +229,23 @@ class TestTheoremDriver:
         with pytest.raises(ValueError, match="gives T=0"):
             Hn.verify_theorem1(bigram_testbed, alphas=(0.2, 0.1),
                                t_gamma=1e-9)
+
+    @pytest.mark.parametrize("kw,field", [
+        (dict(t_gamma=0.0), "t_gamma"),
+        (dict(t_gamma=float("nan")), "t_gamma"),
+        (dict(alphas=(0.1, float("nan"))), "alphas"),
+        (dict(t_gamma=1e-9), "T=0"),
+    ])
+    def test_arguments_rejected_before_any_run(self, bigram_testbed,
+                                               monkeypatch, kw, field):
+        forbid(monkeypatch, O, "mt_run")
+        with pytest.raises(ConfigError, match=field):
+            Hn.verify_theorem1(bigram_testbed, **kw)
+
+    def test_setup_checks_its_config_before_training(self, monkeypatch):
+        forbid(monkeypatch, Hn, "build_target")
+        with pytest.raises(ValueError, match="contract"):
+            Hn.default_theorem_setup(eta=0.5, kappa=4.0)
 
     def test_short_horizon_run_structure(self, bigram_testbed):
         """Two loss weights at a short horizon: the step budget scales
@@ -247,9 +286,26 @@ class TestLemmaDriver:
         assert result["n_skipped"] == 2 and result["passed"] is False
         assert all(r["status"] == "skipped" for r in result["rows"])
 
+    def test_family_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="dim"):
+            Hn.LemmaFamily(dim=0)
+
     def test_unknown_error_mode_rejected(self):
         with pytest.raises(ValueError, match="error mode"):
             Hn.verify_lemma(mus=(0.0,), lams=(1.0,), modes=("ramp",), T=5)
+
+    @pytest.mark.parametrize("kw,field", [
+        (dict(modes=("zero", "ramp")), "error mode"),
+        (dict(mus=()), "at least one"),
+        (dict(lams=()), "at least one"),
+        (dict(modes=()), "at least one"),
+    ])
+    def test_grid_rejected_before_the_first_cell(self, monkeypatch, kw, field):
+        forbid(monkeypatch, Hn.curvature, "ihvp_momentum")
+        grid = dict(mus=(0.0,), lams=(1.0,), T=5)
+        grid.update(kw)
+        with pytest.raises(ConfigError, match=field):
+            Hn.verify_lemma(**grid)
 
 
 class TestQuadraticDriver:
@@ -267,6 +323,8 @@ class TestQuadraticDriver:
             Hn.verify_divergence_quadratic(t_values=(1e-2,))
         with pytest.raises(ValueError, match="two positive"):
             Hn.verify_divergence_quadratic(t_values=(1e-2, -1e-3))
+        with pytest.raises(ConfigError, match="two positive"):
+            Hn.verify_divergence_quadratic(t_values=(1e-2, float("nan")))
 
     def test_unreachable_decay_fails_the_check(self):
         result = Hn.verify_divergence_quadratic(decay_factor=1e-12)
@@ -278,6 +336,17 @@ class TestDynamicsDriver:
         setup = Hn.default_dynamics_setup(seed=5, target_epochs=10)
         with pytest.raises(PreconditionError, match="not saturated"):
             Hn.gradient_dynamics_study(setup)
+
+    @pytest.mark.parametrize("kw,text", [
+        (dict(loss_tags=()), "loss_tags"),
+        (dict(loss_tags=("nlul", "bogus")), "unknown loss tag"),
+        (dict(loss_tags=("nlul", "npo"), beta=0.0), "beta > 0"),
+    ])
+    def test_losses_rejected_before_the_saturation_check(self, kw, text):
+        # An unsaturated target: the study would otherwise fail on it.
+        setup = Hn.default_dynamics_setup(seed=5, target_epochs=10)
+        with pytest.raises(ConfigError, match=text):
+            Hn.gradient_dynamics_study(setup, **kw)
 
 
 class TestStopRule:
@@ -362,6 +431,21 @@ class TestUnlearnExperiment:
         assert split["steps"] == 120
         for name in ("single", "split"):
             assert np.all(np.isfinite(result["thetas"][name]))
+
+    @pytest.mark.parametrize("methods,text", [
+        ([], "at least one"),
+        ([Hn.MethodSpec("same", "noop"), Hn.MethodSpec("same", "noop")],
+         r"methods\[1\] repeats the method name 'same'"),
+        ([Hn.MethodSpec("skip", "noop"),
+          Hn.MethodSpec("split", "mt-batched", quick_config(T=5), rounds=3)],
+         r"'rounds' of methods\[1\] is 3, above the 2 forget"),
+    ])
+    def test_method_list_rejected_before_the_report(self, bigram_testbed,
+                                                    monkeypatch, methods, text):
+        forbid(monkeypatch, Hn, "memorization_report")
+        s = bigram_testbed
+        with pytest.raises(ConfigError, match=text):
+            Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt, methods)
 
     def test_diverged_method_reported_not_raised(self, bigram_testbed):
         s = bigram_testbed

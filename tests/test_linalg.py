@@ -40,27 +40,6 @@ class TestSolveSpd:
             linalg.solve_spd(np.eye(3), np.ones(2))
 
 
-class TestMinEigenvalueBound:
-    def test_matches_eigvalsh(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            A = random_spd(rng, 6, eig_low=-1.0, eig_high=3.0)
-            np.testing.assert_allclose(linalg.min_eigenvalue_bound(A),
-                                       np.linalg.eigvalsh(A)[0], atol=1e-10)
-
-    def test_diagonal_exact(self):
-        A = np.diag([3.0, -2.0, 5.0])
-        assert linalg.min_eigenvalue_bound(A) == pytest.approx(-2.0)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            linalg.min_eigenvalue_bound(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            linalg.min_eigenvalue_bound(np.zeros((0, 0)))
-
-
 class TestCheckSymmetric:
     def test_accepts_tiny_asymmetry(self):
         A = np.eye(3)

@@ -290,6 +290,34 @@ class TestTeacher:
         H = t.batch(np.array([[0], [1]]), 5)
         np.testing.assert_array_equal(H, np.zeros((2, 5)))
 
+    def test_uniform_log_probs_are_the_zero_logit_log_softmax(self):
+        """-log V in place of the log-softmax of zero logits leaves the
+        log-ratio bitwise unchanged (1400 random rows, V from 2 to 1000)."""
+        rng = np.random.default_rng(54)
+        for V in rng.integers(2, 1001, 20):
+            H = 5.0 * rng.standard_normal((70, V))
+            log_q = L.TeacherLogits().log_probs(np.zeros((70, 1), int), V)
+            zero = M.log_softmax_rows(np.zeros((70, V)))
+            assert np.array_equal(M.log_softmax_rows(H) - log_q,
+                                  M.log_softmax_rows(H) - zero)
+
+    def test_uniform_it_is_bitwise_the_zero_logit_teacher(self):
+        """The uniform teacher against a model teacher with all-zero
+        parameters, whose logits are exactly zero."""
+        rng = np.random.default_rng(55)
+        for spec in (bigram_spec(), mlp_spec()):
+            zeros = np.zeros(M.param_count(spec))
+            theta = rng.standard_normal(M.param_count(spec))
+            batch = random_batch(rng, spec)
+            assert not M.batch_logits(spec, zeros, batch.contexts).any()
+            uniform = L.LossKind("it")
+            explicit = L.LossKind("it", teacher=L.TeacherLogits(spec, zeros))
+            v, g = L.batch_value_and_grad(uniform, spec, theta, batch)
+            v_ref, g_ref = L.batch_value_and_grad(explicit, spec, theta, batch)
+            assert v == v_ref and np.array_equal(g, g_ref)
+            assert L.batch_loss(uniform, spec, theta, batch) == v_ref
+            assert np.array_equal(L.batch_grad(uniform, spec, theta, batch), g_ref)
+
     def test_model_teacher_serves_its_logits(self):
         rng = np.random.default_rng(52)
         spec = bigram_spec(4)

@@ -288,7 +288,7 @@ class TestReferenceRun:
         traj = O.ngd_run(spec, theta0, d_f, d_pt, cfg)
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
-        H = curvature.assemble_gnh(spec, theta0, d_pt).H
+        H = curvature.assemble_gnh(spec, theta0, d_pt)
         step = linalg.solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
         np.testing.assert_allclose(traj.thetas[1], theta0 - d.gamma * step,
                                    rtol=1e-9, atol=1e-13)
@@ -304,7 +304,7 @@ class TestReferenceRun:
         traj = O.ngd_run(spec, theta0, d_f, d_pt, cfg)
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
-        H = curvature.assemble_gnh(spec, theta0, d_pt).H
+        H = curvature.assemble_gnh(spec, theta0, d_pt)
         step = linalg.solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
         np.testing.assert_array_equal(traj.thetas[1], theta0 - d.gamma * step)
 
