@@ -342,26 +342,31 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
         raise ConfigError("t_gamma must be positive and finite")
     if setup is None:
         setup = default_theorem_setup()
-    rows, summary = [], {}
-    for lag in (False, True):
-        devs = []
-        for a in alphas:
-            cfg = O.config_with(setup.base_cfg, alpha=a, ngd_grad_lag=lag)
-            derived = O.DerivedNGDParams.from_config(cfg)
-            T = int(round(t_gamma / derived.gamma))
-            if T < 1:
-                # The first alpha has the shortest horizon: no run has started.
-                raise ConfigError(f"horizon t_gamma={t_gamma} gives T=0 at "
-                                  f"alpha={a}")
-            cfg = O.config_with(cfg, T=T)
-            mt = O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg)
-            ng = O.ngd_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg)
-            dev = O.trajectory_deviation(mt, ng)
-            devs.append(dev)
-            rows.append({"grad_lag": lag, "alpha": a, "T": T,
-                         "gamma": derived.gamma, "lam_bar": derived.lam_bar,
-                         "deviation": dev})
-        x = np.log([a * np.log(1.0 / a) for a in alphas])
+    lag_rows = {False: [], True: []}
+    for a in alphas:
+        cfg = O.config_with(setup.base_cfg, alpha=a)
+        derived = O.DerivedNGDParams.from_config(cfg)
+        T = int(round(t_gamma / derived.gamma))
+        if T < 1:
+            # The first alpha has the shortest horizon: no run has started.
+            raise ConfigError(f"horizon t_gamma={t_gamma} gives T=0 at "
+                              f"alpha={a}")
+        cfg = O.config_with(cfg, T=T)
+        # mt_run never reads ngd_grad_lag, so one mean-teacher run serves
+        # both references; each reference is dropped once compared.
+        mt = O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg,
+                      keep_iterates=True)
+        for lag, lag_row in lag_rows.items():
+            dev = O.trajectory_deviation(mt, O.ngd_run(
+                setup.spec, setup.theta0, setup.d_f, setup.d_pt,
+                O.config_with(cfg, ngd_grad_lag=lag)))
+            lag_row.append({"grad_lag": lag, "alpha": a, "T": T,
+                            "gamma": derived.gamma, "lam_bar": derived.lam_bar,
+                            "deviation": dev})
+    rows, summary = lag_rows[False] + lag_rows[True], {}
+    x = np.log([a * np.log(1.0 / a) for a in alphas])
+    for lag, lag_row in lag_rows.items():
+        devs = [r["deviation"] for r in lag_row]
         slope = float(np.polyfit(x, np.log(devs), 1)[0])
         monotone = bool(all(devs[i] > devs[i + 1] for i in range(len(devs) - 1)))
         summary["lag_true" if lag else "lag_false"] = {
@@ -419,6 +424,8 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     relative slack of LEMMA_BOUND_RTOL).  Cells whose settings violate
     the iteration's step-size precondition are skipped with a warning.
     """
+    if T < 0:
+        raise ConfigError(f"T must be nonnegative, got {T}")
     if min(len(mus), len(lams), len(modes)) < 1:
         raise ConfigError("mus, lams and modes must each list at least one value")
     if any(mode not in ("zero", "const") for mode in modes):
@@ -552,6 +559,8 @@ class DynamicsSetup:
 def default_dynamics_setup(seed=5, target_epochs=3000):
     """Bigram testbed: 8 token-disjoint periodic sequences over 16 tokens
     memorized to saturation, unlearned with batched mean-teacher runs."""
+    if target_epochs < 1:
+        raise ConfigError(f"target_epochs must be at least 1, got {target_epochs}")
     corpus = CorpusSpec(vocab_size=16, n_sequences=8, seq_len=12,
                         forget_fraction=0.5, generator="patterned",
                         period=2, seed=seed)
@@ -627,7 +636,7 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     for tag in loss_tags:
         kind = kinds[tag]
         cfg = O.config_with(setup.base_cfg, loss=kind)
-        traj = O.mt_run_batched(spec, theta0, d_f, d_pt, cfg)
+        traj = O.mt_run_batched(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
         nll_series = [Lmod.batch_loss(_NLL, spec, th, d_f) for th in traj.thetas]
         gnorm_series = [float(np.linalg.norm(
             Lmod.batch_grad(kind, spec, th, d_f, base_theta=theta0)))

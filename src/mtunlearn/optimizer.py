@@ -45,8 +45,6 @@ from . import losses as Lmod
 from . import model as M
 from .errors import TrainingError
 
-PARAM_STORE_LIMIT = 4096
-
 
 @dataclass
 class MTConfig:
@@ -113,8 +111,10 @@ class Trajectory:
     clip_scale 1, values on the full datasets); row t >= 1 describes the
     state after step t, with grad_norm and clip_scale of the update that
     produced it and loss/divergence values on the batch that step saw
-    (the full datasets in full-batch mode).  Parameter and teacher
-    vectors are stored when dim(theta) <= 4096.
+    (the full datasets in full-batch mode).  The per-step parameter and
+    teacher vectors (thetas, teachers) are kept only when the run is
+    asked to keep iterates; final_theta and final_teacher are always set
+    when the run ends.
     """
 
     ts: list = field(default_factory=list)
@@ -124,7 +124,6 @@ class Trajectory:
     clip_scales: list = field(default_factory=list)
     thetas: list = field(default_factory=list)
     teachers: list = field(default_factory=list)
-    batch_log: list = field(default_factory=list)
     final_theta: np.ndarray = None
     final_teacher: np.ndarray = None
 
@@ -132,27 +131,26 @@ class Trajectory:
         return len(self.ts)
 
     def append(self, t, grad_norm, loss_value, div_value, clip_scale,
-               theta, teacher, store_params):
+               theta, teacher, keep_iterates):
         self.ts.append(int(t))
         self.grad_norms.append(float(grad_norm))
         self.loss_values.append(float(loss_value))
         self.divergence_values.append(float(div_value))
         self.clip_scales.append(float(clip_scale))
-        if store_params:
+        if keep_iterates:
             self.thetas.append(theta.copy())
             if teacher is not None:
                 self.teachers.append(teacher.copy())
-        self.final_theta = theta.copy()
-        self.final_teacher = None if teacher is None else teacher.copy()
 
 
 def trajectory_deviation(a, b):
     """max over t of ||theta_t(a) - theta_t(b)||; requires equal lengths
-    and stored parameter vectors."""
+    and runs that kept their iterates."""
     if len(a) != len(b):
         raise ValueError(f"trajectory length mismatch: {len(a)} vs {len(b)}")
     if not a.thetas or not b.thetas:
-        raise ValueError("both trajectories must store parameter vectors")
+        raise ValueError("both trajectories must keep their parameter vectors "
+                         "(run with keep_iterates=True)")
     return max(float(np.linalg.norm(x - y)) for x, y in zip(a.thetas, b.thetas))
 
 
@@ -227,10 +225,10 @@ class _BatchSampler:
             fb = M.dataset_from_sequences([self.d_f.sequences[i] for i in fi],
                                           self.spec.context_len)
         else:
-            fi = self.rng.integers(0, len(self.d_f), self.cfg.batch_forget)
-            fb = self.d_f.subset(fi)
+            fb = self.d_f.subset(
+                self.rng.integers(0, len(self.d_f), self.cfg.batch_forget))
         pi = self.rng.integers(0, len(self.d_pt), self.cfg.batch_pretrain)
-        return fi, fb, pi, self.d_pt.subset(pi)
+        return fb, self.d_pt.subset(pi)
 
 
 @dataclass
@@ -357,7 +355,7 @@ class _DampedNGD:
                 float(np.linalg.norm(step_g)), 1.0)
 
 
-def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
+def _run(spec, theta0, d_f, d_pt, cfg, rule, callback, keep_iterates):
     """The optimizer loop every run shares.
 
     Full batch: the values recorded after step t and the gradient of step
@@ -366,10 +364,11 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     batch, takes the gradient on it, and records the values on the same
     batch after the update; row 0 holds values on the full datasets.
     callback(t, theta), if given, is invoked after each recorded step; a
-    truthy return stops the run early.
+    truthy return stops the run early.  keep_iterates records every
+    iterate and teacher; without it only the scalars and the final point
+    are kept.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    store = M.param_count(spec) <= PARAM_STORE_LIMIT
     base_theta = theta.copy()
     teacher = theta.copy() if rule.has_teacher else None
     batched = rule.batched
@@ -378,11 +377,10 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     traj = Trajectory()
     loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
                              True, not batched)
-    traj.append(0, 0.0, loss, div, 1.0, theta, teacher, store)
+    traj.append(0, 0.0, loss, div, 1.0, theta, teacher, keep_iterates)
     for t in range(1, cfg.T + 1):
         if batched:
-            fi, fb, pi, pb = sampler.draw()
-            traj.batch_log.append((fi, pi))
+            fb, pb = sampler.draw()
             g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
                           False, True)[2]
         theta, rate, grad_norm, l = rule(t, theta, g)
@@ -391,31 +389,37 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
             teacher = (1.0 - rate) * teacher + rate * theta
         loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
                                  True, not batched)
-        traj.append(t, grad_norm, loss, div, l, theta, teacher, store)
+        traj.append(t, grad_norm, loss, div, l, theta, teacher, keep_iterates)
         if callback is not None and callback(t, theta):
             break
+    traj.final_theta = theta.copy()
+    traj.final_teacher = None if teacher is None else teacher.copy()
     return traj
 
 
-def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None):
+def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None, keep_iterates=False):
     """Full-batch mean-teacher run in the plain (heavy-ball) form: every
     step uses the entire forget and pretrain sets (the deterministic mode
     the trajectory-approximation check needs).  callback stops the run
-    early as in mt_run_batched.
+    early as in mt_run_batched; keep_iterates records every iterate and
+    teacher.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg, _HeavyBall(cfg), callback)
+    return _run(spec, theta0, d_f, d_pt, cfg, _HeavyBall(cfg), callback,
+                keep_iterates)
 
 
-def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
+def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None,
+                   keep_iterates=False):
     """Batched mean-teacher run with norm clipping and a momentum buffer.
 
     Per step the clip scale l reduces both the gradient contribution and
-    the teacher rate (kappa <- l kappa for that step only); batch index
-    draws are logged in the trajectory.  callback(t, theta), if given, is
-    invoked after each recorded step; a truthy return stops the run early.
+    the teacher rate (kappa <- l kappa for that step only).  With
+    keep_iterates the trajectory records every iterate and teacher.
+    callback(t, theta), if given, is invoked after each recorded step; a
+    truthy return stops the run early.
     """
     return _run(spec, theta0, d_f, d_pt, cfg, _ClippedVelocity(cfg, cfg.kappa),
-                callback)
+                callback, keep_iterates)
 
 
 def ngd_run(spec, theta0, d_f, d_pt, cfg):
@@ -423,10 +427,12 @@ def ngd_run(spec, theta0, d_f, d_pt, cfg):
 
     Uses the derived constants gamma and lam_bar; the bigram model runs
     on the block-diagonal solver, other models on the dense assembly.
-    The reference has no teacher (no teacher vectors are stored); the
+    Every iterate is kept, since the trajectory is the point of the
+    reference.  It has no teacher (no teacher vectors are stored); the
     divergence column is NaN.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg), None)
+    return _run(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg), None,
+                True)
 
 
 def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
@@ -438,7 +444,8 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
     kind "adamw": decoupled-weight-decay Adam with bias correction and the
     staged warmup schedule.
     Both sample batches exactly like the batched mean-teacher run, and
-    callback(t, theta) can stop either early just as in that run.
+    callback(t, theta) can stop either early just as in that run.  Only
+    the scalars and the final point are kept.
     """
     if kind == "momentum-sgd":
         rule = _ClippedVelocity(cfg, 0.0)
@@ -446,7 +453,7 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
         rule = _AdamW(cfg, adam_params or AdamParams())
     else:
         raise ValueError(f"unknown baseline kind: {kind!r}")
-    return _run(spec, theta0, d_f, d_pt, cfg, rule, callback)
+    return _run(spec, theta0, d_f, d_pt, cfg, rule, callback, False)
 
 
 def config_with(cfg, **kw):

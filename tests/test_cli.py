@@ -117,6 +117,19 @@ class TestConfigErrors:
         path = write_cfg(tmp_path, {"alphas": [0.5]})
         assert main(["verify", "theorem1", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("check,fields,text", [
+        ("lemma", {"T": -1, "mus": [0.0], "lams": [1.0]},
+         "T must be nonnegative"),
+        ("dynamics", {"target_epochs": 0}, "target_epochs must be at least 1"),
+    ])
+    def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
+                                                fields, text):
+        path = write_cfg(tmp_path, fields)
+        assert main(["verify", check, path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert text in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "results.json")
+
     def test_bad_seed_environment_value(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MTUNLEARN_SEED", "lots")
         path = write_cfg(tmp_path, {"mus": [0.0], "lams": [1.0], "T": 10})

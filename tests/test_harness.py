@@ -269,6 +269,40 @@ class TestTheoremDriver:
         assert isinstance(result["passed"], bool)
 
 
+    def test_one_mean_teacher_run_per_alpha(self, bigram_testbed,
+                                            monkeypatch):
+        """mt_run never reads ngd_grad_lag: one mean-teacher run per alpha
+        serves both references, and the deviations equal those of a
+        mean-teacher run under the lagged config."""
+        mt_run, ngd_run = O.mt_run, O.ngd_run
+        mt_calls, ngd_lags = [], []
+
+        def counted_mt(*args, **kwargs):
+            mt_calls.append(args[4].alpha)
+            return mt_run(*args, **kwargs)
+
+        def counted_ngd(*args, **kwargs):
+            ngd_lags.append(args[4].ngd_grad_lag)
+            return ngd_run(*args, **kwargs)
+
+        monkeypatch.setattr(O, "mt_run", counted_mt)
+        monkeypatch.setattr(O, "ngd_run", counted_ngd)
+        alphas = (0.2, 0.1, 0.05)
+        result = Hn.verify_theorem1(bigram_testbed, alphas=alphas,
+                                    t_gamma=0.05)
+        assert mt_calls == list(alphas)
+        assert ngd_lags == [False, True] * len(alphas)
+        assert [(r["grad_lag"], r["alpha"]) for r in result["rows"]] == [
+            (lag, a) for lag in (False, True) for a in alphas]
+        s, row = bigram_testbed, result["rows"][-1]
+        cfg = O.config_with(s.base_cfg, alpha=row["alpha"], T=row["T"],
+                            ngd_grad_lag=True)
+        dev = O.trajectory_deviation(
+            mt_run(s.spec, s.theta0, s.d_f, s.d_pt, cfg, keep_iterates=True),
+            ngd_run(s.spec, s.theta0, s.d_f, s.d_pt, cfg))
+        assert dev == row["deviation"]
+
+
 class TestLemmaDriver:
     def test_small_grid_holds(self):
         result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=50)
@@ -299,6 +333,7 @@ class TestLemmaDriver:
         (dict(mus=()), "at least one"),
         (dict(lams=()), "at least one"),
         (dict(modes=()), "at least one"),
+        (dict(T=-1), "T must be nonnegative"),
     ])
     def test_grid_rejected_before_the_first_cell(self, monkeypatch, kw, field):
         forbid(monkeypatch, Hn.curvature, "ihvp_momentum")
@@ -347,6 +382,12 @@ class TestDynamicsDriver:
         setup = Hn.default_dynamics_setup(seed=5, target_epochs=10)
         with pytest.raises(ConfigError, match=text):
             Hn.gradient_dynamics_study(setup, **kw)
+
+
+    def test_target_epochs_rejected_before_training(self, monkeypatch):
+        forbid(monkeypatch, Hn, "build_target")
+        with pytest.raises(ConfigError, match="target_epochs"):
+            Hn.default_dynamics_setup(target_epochs=0)
 
 
 class TestStopRule:
@@ -446,6 +487,18 @@ class TestUnlearnExperiment:
         s = bigram_testbed
         with pytest.raises(ConfigError, match=text):
             Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt, methods)
+
+    def test_trajectories_keep_no_per_step_arrays(self, bigram_testbed):
+        s = bigram_testbed
+        methods = [Hn.MethodSpec(opt, opt, quick_config(T=20))
+                   for opt in ("mt", "mt-batched", "momentum-sgd", "adamw")]
+        result = Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt,
+                                       methods)
+        for name, (traj,) in result["trajectories"].items():
+            assert len(traj) == 21
+            assert traj.thetas == [] and traj.teachers == []
+            np.testing.assert_array_equal(traj.final_theta,
+                                          result["thetas"][name])
 
     def test_diverged_method_reported_not_raised(self, bigram_testbed):
         s = bigram_testbed

@@ -1,5 +1,7 @@
 """Mean-teacher updates, the damped reference trajectory, and baselines."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 3)
         cfg = base_config(T=2)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg)
+        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
 
         kind = Dv.DivergenceKind("kl", cfg.lam)
         theta_prev, theta, teacher = theta0, theta0, theta0
@@ -99,7 +101,7 @@ class TestFullBatchRun:
         theta0 = M.init_params(spec, 4)
         cfg = base_config(T=5, loss=L.LossKind("nlul"),
                           divergence=Dv.DivergenceKind(tag))
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg)
+        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
 
         kind = Dv.DivergenceKind(tag, cfg.lam)
         theta_prev, theta, teacher = theta0, theta0, theta0
@@ -124,7 +126,7 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 4)
         cfg = base_config(T=6)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg)
+        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
         rho = 1.0 - cfg.eta * cfg.kappa
         for t in (1, 3, 6):
             ema = (rho ** t) * traj.thetas[0]
@@ -142,7 +144,7 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 5)
         cfg = base_config(T=5)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg)
+        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
         kb = cfg.kappa / (1.0 - cfg.eta * cfg.kappa)
         us = [th - te for th, te in zip(traj.thetas, traj.teachers)]
         for t in range(1, 6):
@@ -161,7 +163,8 @@ class TestFullBatchRun:
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 6)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, base_config(alpha=0.0, T=5))
+        traj = O.mt_run(spec, theta0, d_f, d_pt, base_config(alpha=0.0, T=5),
+                        keep_iterates=True)
         for th in traj.thetas:
             np.testing.assert_array_equal(th, theta0)
         # The teacher's convex combination of identical vectors rounds in
@@ -193,7 +196,7 @@ class TestBatchedRun:
         cfg = base_config(T=6, clip=0.5, batch_forget=3, batch_pretrain=4,
                           seed=33)
         traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                                cfg)
+                                cfg, keep_iterates=True)
         kind = Dv.DivergenceKind("kl", cfg.lam)
         rng = np.random.default_rng(cfg.seed)
         theta, teacher = self.theta0, self.theta0
@@ -214,14 +217,12 @@ class TestBatchedRun:
             np.testing.assert_array_equal(traj.thetas[t], theta)
             np.testing.assert_array_equal(traj.teachers[t], teacher)
             assert traj.clip_scales[t] == l and traj.grad_norms[t] == gn
-            np.testing.assert_array_equal(traj.batch_log[t - 1][0], fi)
-            np.testing.assert_array_equal(traj.batch_log[t - 1][1], pi)
 
     def test_recorded_teacher_satisfies_scaled_average(self):
         cfg = base_config(T=8, clip=0.2, batch_forget=2, batch_pretrain=2,
                           seed=44)
         traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                                cfg)
+                                cfg, keep_iterates=True)
         for t in range(1, 9):
             lek = traj.clip_scales[t] * cfg.eta * cfg.kappa
             np.testing.assert_allclose(
@@ -352,8 +353,10 @@ class TestBaselines:
     def test_momentum_sgd_keeps_anchor_and_matches_replay(self):
         cfg = base_config(T=4, clip=0.5, batch_forget=3, batch_pretrain=3,
                           seed=111)
+        seen = [self.theta0]
         traj = O.baseline_run("momentum-sgd", self.spec, self.theta0,
-                              self.d_f, self.d_pt, cfg)
+                              self.d_f, self.d_pt, cfg,
+                              callback=lambda t, th: seen.append(th.copy()))
         kind = Dv.DivergenceKind("kl", cfg.lam)
         rng = np.random.default_rng(cfg.seed)
         theta = self.theta0
@@ -367,8 +370,9 @@ class TestBaselines:
                 + cfg.alpha * L.batch_grad(cfg.loss, self.spec, theta, fb)
             vel = cfg.mu * vel + min(1.0, cfg.clip / float(np.linalg.norm(g))) * g
             theta = theta - cfg.eta * vel
-            np.testing.assert_array_equal(traj.thetas[t], theta)
-            np.testing.assert_array_equal(traj.teachers[t], self.theta0)
+            np.testing.assert_array_equal(seen[t], theta)
+        # The teacher rate is 0: the divergence reference never leaves theta_0.
+        np.testing.assert_array_equal(traj.final_teacher, self.theta0)
 
     def test_adamw_matches_replay_with_staged_warmup(self):
         """First 100 steps run at 10% of lr, the next 100 ramp linearly
@@ -431,6 +435,74 @@ class TestBaselines:
         with pytest.raises(ValueError, match="baseline kind"):
             O.baseline_run("nesterov", self.spec, self.theta0, self.d_f,
                            self.d_pt, base_config())
+
+
+# The five update rules, each called as run(spec, theta0, d_f, d_pt, cfg, **kw).
+RUNS = {
+    "mt": O.mt_run,
+    "mt-batched": O.mt_run_batched,
+    "momentum-sgd": functools.partial(O.baseline_run, "momentum-sgd"),
+    "adamw": functools.partial(O.baseline_run, "adamw"),
+    "ngd": O.ngd_run,
+}
+SCALARS = ("ts", "grad_norms", "loss_values", "divergence_values",
+           "clip_scales")
+
+
+class TestKeepIterates:
+    def setup_method(self):
+        rng = np.random.default_rng(101)
+        self.spec = M.ModelSpec(M.BIGRAM, 6)
+        self.d_f, self.d_pt = make_data(rng, n=10)
+        self.theta0 = M.init_params(self.spec, 14)
+        self.cfg = base_config(T=6, clip=0.5, batch_forget=3, batch_pretrain=3,
+                               seed=12, ngd_grad_lag=True)
+
+    def run(self, rule, cfg=None, **kw):
+        return RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt,
+                          cfg or self.cfg, **kw)
+
+    @pytest.mark.parametrize("rule", ["mt", "mt-batched"])
+    def test_default_run_keeps_scalars_and_final_point_only(self, rule):
+        lean, full = self.run(rule), self.run(rule, keep_iterates=True)
+        for name in SCALARS:
+            np.testing.assert_array_equal(getattr(lean, name),
+                                          getattr(full, name))
+        assert lean.final_theta.tobytes() == full.final_theta.tobytes()
+        assert full.final_theta.tobytes() == full.thetas[-1].tobytes()
+        assert lean.final_teacher.tobytes() == full.final_teacher.tobytes()
+        assert full.final_teacher.tobytes() == full.teachers[-1].tobytes()
+        assert lean.thetas == [] and lean.teachers == []
+        assert len(full.thetas) == len(full.teachers) == len(full) \
+            == self.cfg.T + 1
+
+    @pytest.mark.parametrize("rule", ["momentum-sgd", "adamw", "ngd"])
+    def test_baselines_keep_no_iterates_and_the_reference_keeps_all(self,
+                                                                    rule):
+        traj = self.run(rule)
+        assert traj.teachers == [] and len(traj) == self.cfg.T + 1
+        if rule == "ngd":
+            assert len(traj.thetas) == self.cfg.T + 1
+            assert traj.final_theta.tobytes() == traj.thetas[-1].tobytes()
+            assert traj.final_teacher is None
+        else:
+            assert traj.thetas == [] and traj.final_teacher is not None
+
+    @pytest.mark.parametrize("rule", ["mt", "mt-batched", "momentum-sgd",
+                                      "adamw"])
+    def test_final_point_after_callback_stop_is_the_last_seen(self, rule):
+        seen = []
+
+        def stop_at_three(t, theta):
+            seen.append(theta.copy())
+            return t == 3
+
+        traj = self.run(rule, callback=stop_at_three)
+        assert traj.ts == [0, 1, 2, 3] and len(seen) == 3
+        assert traj.final_theta.tobytes() == seen[-1].tobytes()
+        short = self.run(rule, O.config_with(self.cfg, T=3))
+        assert traj.final_theta.tobytes() == short.final_theta.tobytes()
+        assert traj.final_teacher.tobytes() == short.final_teacher.tobytes()
 
 
 class TestTrajectoryDeviation:
