@@ -302,7 +302,8 @@ def print_result_summary(result, verbose=False):
         if verbose:
             for r in rows:
                 print(f"  mu={r['mu']} lam={r['lam']} mode={r['mode']}: "
-                      f"max_ratio={r['max_ratio']:.6f} status={r['status']}")
+                      f"max_ratio={r['max_ratio']:.6f} "
+                      f"floor_step={r['floor_step']} status={r['status']}")
         print(f"lemma: bound holds in {ok}/{ran} cells "
               f"({result['n_skipped']} skipped)")
         print(f"lemma: {_pf(result['passed'])}")

@@ -423,6 +423,11 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     the exact solution stays at or below the bound at every step (up to a
     relative slack of LEMMA_BOUND_RTOL).  Cells whose settings violate
     the iteration's step-size precondition are skipped with a warning.
+
+    max_ratio (measured distance over bound) is taken only at steps where
+    the bound exceeds that slack: below it both sides are roundoff, and
+    their ratio says nothing.  floor_step is the first step where the
+    bound is at or below the slack (None if it never gets there).
     """
     if T < 0:
         raise ConfigError(f"T must be nonnegative, got {T}")
@@ -460,6 +465,7 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
                     rows.append({"mu": mu, "lam": lam, "mode": mode,
                                  "eta": eta, "T": T, "u0_dist": float("nan"),
                                  "max_ratio": float("nan"),
+                                 "floor_step": None,
                                  "min_margin": float("nan"),
                                  "holds": False, "status": "skipped"})
                     continue
@@ -469,10 +475,13 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
                 bounds = curvature.ihvp_error_bound(cfg, u0_dist, eps_norms)
                 slack = LEMMA_BOUND_RTOL * (1.0 + u0_dist)
                 margins = [b + slack - m for m, b in zip(trace, bounds)]
-                ratios = [m / b for m, b in zip(trace[1:], bounds[1:]) if b > 0]
+                ratios = [m / b for m, b in zip(trace[1:], bounds[1:]) if b > slack]
+                floor_step = next((t for t, b in enumerate(bounds) if b <= slack),
+                                  None)
                 rows.append({"mu": mu, "lam": lam, "mode": mode, "eta": eta,
                              "T": T, "u0_dist": u0_dist,
                              "max_ratio": max(ratios) if ratios else 0.0,
+                             "floor_step": floor_step,
                              "min_margin": min(margins),
                              "holds": bool(min(margins) >= 0.0),
                              "status": "ok"})
@@ -884,9 +893,10 @@ def render_result_tables(result, out_dir):
         artifacts.write_csv(
             f"{out_dir}/lemma.csv",
             ["mu", "lam", "mode", "eta", "T", "u0_dist", "max_ratio",
-             "min_margin", "holds", "status"],
+             "floor_step", "min_margin", "holds", "status"],
             [[r["mu"], r["lam"], r["mode"], r["eta"], r["T"], r["u0_dist"],
-              r["max_ratio"], r["min_margin"], r["holds"], r["status"]]
+              r["max_ratio"], "" if r["floor_step"] is None else r["floor_step"],
+              r["min_margin"], r["holds"], r["status"]]
              for r in result["rows"]])
     elif check == "divergence-quadratic":
         artifacts.write_csv(

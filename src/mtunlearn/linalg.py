@@ -3,10 +3,15 @@
 All operations are pure functions on numpy arrays.  Vectors are 1-d float
 arrays, matrices are 2-d row-major float arrays.  Every public operation
 validates shapes and returns finite results or raises.
+
+scipy.linalg is imported on the first solve_spd call, not with the
+package: only the dense curvature oracle, the MLP route of ngd_run and
+verify lemma factorise a matrix, and loading scipy (with numpy.testing,
+unittest, email and socket behind it) would slow the start of every
+other command.
 """
 
 import numpy as np
-import scipy.linalg
 
 SYMMETRY_ATOL = 1e-12
 
@@ -48,6 +53,7 @@ def solve_spd(A, b):
     b = _as_vector(b)
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, b has length {len(b)}")
+    import scipy.linalg
     try:
         c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=True)
     except scipy.linalg.LinAlgError as exc:

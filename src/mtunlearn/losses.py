@@ -18,10 +18,10 @@ The saturated regime p_y -> 1 is handled exactly: the complementary mass
 logsumexp(h)), which never underflows to zero error where it matters.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import model as M
 
@@ -100,6 +100,22 @@ def _logsumexp_rows(A):
     E = np.exp(A - m)
     E[top] = 0.0
     return np.log1p(E.sum(axis=1) / k) + np.log(k) + m[:, 0]
+
+
+def _sigmoid(x):
+    """Entrywise 1 / (1 + exp(-x)), bitwise equal to scipy.special.expit.
+
+    A per-entry loop over math.exp (npo batches hold a few sequences);
+    exp(-x) overflows only where the result rounds to 0.
+    """
+    def one(v):
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            return 0.0
+
+    x = np.asarray(x, dtype=float)
+    return np.array([one(v) for v in x.ravel()]).reshape(x.shape)
 
 
 def _log_complement_rows(H, y):
@@ -237,7 +253,7 @@ def npo_weight(spec, s, theta, base_theta, beta):
     """
     lt = M.sequence_logprob(spec, theta, s)
     lb = M.sequence_logprob(spec, base_theta, s)
-    return float(expit(beta * (lt - lb)))
+    return float(_sigmoid(beta * (lt - lb)))
 
 
 def npo_grad(spec, s, theta, base_theta, beta):
@@ -267,7 +283,7 @@ def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
     if value:
         v = float(np.mean((2.0 / kind.beta) * np.logaddexp(0.0, kind.beta * (lt - lb))))
     if grad:
-        w = expit(kind.beta * (lt - lb))
+        w = _sigmoid(kind.beta * (lt - lb))
         G = -M.softmax_rows(H)
         G[np.arange(len(ds)), ds.nexts] += 1.0
         per_pair = np.repeat(2.0 * w / len(w), np.diff(np.append(starts, len(ds))))

@@ -206,24 +206,29 @@ def _clip_scale(cfg, grad_norm):
 class _BatchSampler:
     """Seeded with-replacement sampler; one forget draw then one pretrain
     draw per step so runs are reproducible from the seed alone.  An npo
-    forget batch holds whole sequences, expanded into pairs once per draw."""
+    forget batch holds whole sequences: the forget set is expanded into
+    pairs once, and each draw gathers its sequences' pair rows."""
 
     def __init__(self, spec, cfg, d_f, d_pt):
         self.rng = np.random.default_rng(cfg.seed)
-        self.spec = spec
         self.cfg = cfg
         self.d_f = d_f
         self.d_pt = d_pt
         self.npo = cfg.loss.tag == "npo"
-        if self.npo and not d_f.sequences:
-            raise ValueError("npo runs need forget data carrying whole sequences")
+        if self.npo:
+            if not d_f.sequences:
+                raise ValueError("npo runs need forget data carrying whole sequences")
+            self.d_f, starts = M.sequence_pairs(spec, d_f)
+            self.seq_rows = [np.arange(a, a + len(s) - 1)
+                             for a, s in zip(starts, self.d_f.sequences)]
 
     def draw(self):
         if self.npo:
-            n = len(self.d_f.sequences)
-            fi = self.rng.integers(0, n, self.cfg.batch_forget)
-            fb = M.dataset_from_sequences([self.d_f.sequences[i] for i in fi],
-                                          self.spec.context_len)
+            fi = self.rng.integers(0, len(self.seq_rows), self.cfg.batch_forget)
+            rows = np.concatenate([self.seq_rows[i] for i in fi])
+            f = self.d_f
+            fb = M.TokenDataset(f.contexts[rows], f.nexts[rows], f.role,
+                                [f.sequences[i] for i in fi])
         else:
             fb = self.d_f.subset(
                 self.rng.integers(0, len(self.d_f), self.cfg.batch_forget))

@@ -313,6 +313,21 @@ class TestLemmaDriver:
             assert r["max_ratio"] <= 1.0 + 1e-9
             assert r["min_margin"] >= 0.0
 
+    def test_ratio_is_taken_above_the_roundoff_floor(self):
+        """At the defaults the zero-error bound of four cells falls below
+        the pass/fail slack; max_ratio skips those steps and floor_step
+        names the first one.  Cells whose bound never gets there report
+        no floor step."""
+        result = Hn.verify_lemma()
+        assert result["passed"] is True
+        floors = {(r["mu"], r["lam"], r["mode"]): r["floor_step"]
+                  for r in result["rows"]}
+        assert {k: v for k, v in floors.items() if v is not None} == {
+            (0.0, 1.0, "zero"): 292, (0.0, 10.0, "zero"): 62,
+            (0.5, 1.0, "zero"): 139, (0.5, 10.0, "zero"): 75}
+        for r in result["rows"]:
+            assert r["holds"] and 0.8 < r["max_ratio"] < 1.0
+
     def test_oversized_step_cells_are_skipped_with_warning(self):
         with pytest.warns(UserWarning, match="skipping"):
             result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=10,
@@ -523,8 +538,8 @@ class TestRenderTables:
         assert os.path.exists(os.path.join(out, "divergence_quadratic.csv"))
         with open(os.path.join(out, "lemma.csv")) as fh:
             assert fh.readline().strip() == ("mu,lam,mode,eta,T,u0_dist,"
-                                             "max_ratio,min_margin,holds,"
-                                             "status")
+                                             "max_ratio,floor_step,min_margin,"
+                                             "holds,status")
 
     def test_target_report_table(self, tmp_path):
         result = {"check": "train-target",

@@ -1,9 +1,62 @@
 """Dense linear-algebra kernel: SPD solves and spectrum bounds."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from mtunlearn import linalg
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+# Runs in a fresh interpreter: importing the package and the command line,
+# then a small target, unlearning and artifact run, must not load scipy;
+# the first dense solve loads it and still reports a non-SPD matrix.
+IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
+    import sys, tempfile
+    import numpy as np
+
+    def scipy_modules():
+        return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+    import mtunlearn
+    import mtunlearn.cli
+    assert not scipy_modules(), scipy_modules()
+    from mtunlearn import artifacts as A, divergence as Dv, harness as Hn
+    from mtunlearn import linalg, losses as L, model as M, optimizer as O
+
+    spec = M.ModelSpec(M.BIGRAM, 8)
+    corpus = Hn.CorpusSpec(vocab_size=8, n_sequences=4, seq_len=12, seed=11)
+    d_f, d_pt = Hn.corpus_datasets(spec, corpus)
+    theta = Hn.build_target(spec, corpus, epochs=200, seed=11)
+    cfg = O.MTConfig(eta=0.05, kappa=0.5, alpha=0.5, lam=0.1, mu=0.9, T=10,
+                     loss=L.LossKind("nlul"), divergence=Dv.DivergenceKind("kl"),
+                     clip=1.0, batch_forget=2, batch_pretrain=4)
+    O.mt_run_batched(spec, theta, d_f, d_pt, cfg)
+    O.mt_run_batched(spec, theta, d_f, d_pt,
+                     O.config_with(cfg, loss=L.LossKind("npo", beta=0.5)))
+    with tempfile.TemporaryDirectory() as out:
+        result = Hn.unlearn_experiment(spec, theta, d_f, d_pt,
+                                       [Hn.MethodSpec("mt", "mt-batched", cfg)],
+                                       out_dir=out)
+        A.write_trajectory_csv(out + "/trajectory.csv",
+                               result["trajectories"]["mt"][0])
+        A.save_params(out + "/mt.npy", result["thetas"]["mt"])
+        A.write_results_json(out, {"check": "unlearn"})
+        A.write_manifest(out, "unlearn", {}, 0, 0.0)
+    assert not scipy_modules(), scipy_modules()
+
+    x = linalg.solve_spd(np.array([[4.0, 1.0], [1.0, 3.0]]), np.ones(2))
+    assert np.allclose(x, [2.0 / 11.0, 3.0 / 11.0])
+    try:
+        linalg.solve_spd(np.diag([1.0, -1.0]), np.ones(2))
+        raise SystemExit("non-SPD matrix accepted")
+    except ValueError as exc:
+        assert "matrix is not positive definite" in str(exc), exc
+""")
 
 
 def random_spd(rng, n, eig_low=0.5, eig_high=4.0):
@@ -38,6 +91,15 @@ class TestSolveSpd:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             linalg.solve_spd(np.eye(3), np.ones(2))
+
+
+class TestLazyScipy:
+    def test_scipy_is_loaded_only_by_the_first_dense_solve(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCheckSymmetric:

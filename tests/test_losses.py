@@ -200,6 +200,25 @@ class TestBatchInterface:
             L.LossKind("elbo")
 
 
+class TestSigmoid:
+    def test_sigmoid_is_bitwise_scipy_expit(self):
+        """npo's sigmoid equals expit bit for bit on random points across
+        the whole range and on the overflow, signed-zero, infinite and
+        NaN edges, and keeps the input's shape."""
+        rng = np.random.default_rng(56)
+        x = np.concatenate([rng.standard_normal(50_000) * 30.0,
+                            rng.uniform(-800.0, 800.0, 50_000),
+                            rng.standard_normal(20_000) * 1e-3])
+        edges = [0.0, -0.0, 709.78, -709.78, 745.0, -745.0, 1e308, -1e308,
+                 np.inf, -np.inf, np.nan]
+        for pts in (x, np.array(edges)):
+            s = L._sigmoid(pts)
+            np.testing.assert_array_equal(s.view(np.int64),
+                                          expit(pts).view(np.int64))
+        assert L._sigmoid(x.reshape(40, -1)).shape == (40, 3000)
+        assert L._sigmoid(-1.5).shape == ()
+
+
 class TestLogsumexp:
     def test_matches_scipy_on_inf_and_saturated_rows(self):
         """The numpy form keeps scipy's arithmetic (maximal entries out of

@@ -278,6 +278,33 @@ class TestBatchedRun:
         with pytest.raises(ValueError, match="sequences"):
             O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt, cfg)
 
+    @pytest.mark.parametrize("spec", [M.ModelSpec(M.BIGRAM, 6),
+                                      M.ModelSpec(M.MLP, 6, context_len=2,
+                                                  hidden_dim=4)],
+                             ids=["bigram", "mlp"])
+    def test_npo_batches_gather_the_expansion_of_their_draw(self, spec):
+        """An npo forget batch gathered from the once-expanded forget set
+        equals dataset_from_sequences of the same seeded draw, padded
+        starts included, and sequence_pairs takes it as it is."""
+        rng = np.random.default_rng(99)
+        seqs = [rng.integers(0, 6, n) for n in (2, 3, 5, 4, 7)]
+        d_f = M.dataset_from_sequences(seqs, spec.context_len)
+        cfg = base_config(loss=L.LossKind("npo", beta=0.5), batch_forget=4,
+                          batch_pretrain=3, seed=41)
+        sampler = O._BatchSampler(spec, cfg, d_f, self.d_pt)
+        replay = np.random.default_rng(cfg.seed)
+        for _ in range(5):
+            fb, pb = sampler.draw()
+            fi = replay.integers(0, len(seqs), cfg.batch_forget)
+            want = M.dataset_from_sequences([seqs[i] for i in fi],
+                                            spec.context_len)
+            np.testing.assert_array_equal(fb.contexts, want.contexts)
+            np.testing.assert_array_equal(fb.nexts, want.nexts)
+            assert [list(s) for s in fb.sequences] == [list(s) for s in want.sequences]
+            assert M.sequence_pairs(spec, fb)[0] is fb
+            pi = replay.integers(0, len(self.d_pt), cfg.batch_pretrain)
+            np.testing.assert_array_equal(pb.nexts, self.d_pt.nexts[pi])
+
 
 class TestReferenceRun:
     def test_one_step_matches_damped_solve(self):
