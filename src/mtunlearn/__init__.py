@@ -73,10 +73,6 @@ from .losses import (
     batch_grad,
     batch_loss,
     batch_value_and_grad,
-    it_value,
-    ll_value,
-    nlul_grad,
-    nlul_value,
     npo_value,
 )
 from .model import (
@@ -103,7 +99,6 @@ from .optimizer import (
     mt_run,
     mt_run_batched,
     ngd_run,
-    trajectory_deviation,
 )
 
 __version__ = TOOL_VERSION
@@ -157,10 +152,6 @@ __all__ = [
     "batch_grad",
     "batch_loss",
     "batch_value_and_grad",
-    "it_value",
-    "ll_value",
-    "nlul_grad",
-    "nlul_value",
     "npo_value",
     "BIGRAM",
     "MLP",
@@ -183,5 +174,4 @@ __all__ = [
     "mt_run",
     "mt_run_batched",
     "ngd_run",
-    "trajectory_deviation",
 ]

@@ -259,6 +259,10 @@ def build_target(spec, corpus, epochs: int, seed: int, lr=0.5, momentum=0.9,
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"lr must be positive and finite, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
     if not 0 <= require_exact_match <= 1:
         raise ConfigError(f"require_exact_match must lie in [0, 1], got "
                           f"{require_exact_match}")
@@ -353,16 +357,19 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
                               f"alpha={a}")
         cfg = O.config_with(cfg, T=T)
         # mt_run never reads ngd_grad_lag, so one mean-teacher run serves
-        # both references; each reference is dropped once compared.
-        mt = O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg,
-                      keep_iterates=True)
+        # both references; each reference step is compared as it is taken.
+        mt_thetas = [setup.theta0]
+        O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg,
+                 callback=lambda t, th, te: mt_thetas.append(th))
         for lag, lag_row in lag_rows.items():
-            dev = O.trajectory_deviation(mt, O.ngd_run(
-                setup.spec, setup.theta0, setup.d_f, setup.d_pt,
-                O.config_with(cfg, ngd_grad_lag=lag)))
+            dists = [0.0]
+            O.ngd_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
+                      O.config_with(cfg, ngd_grad_lag=lag),
+                      callback=lambda t, th, te: dists.append(
+                          float(np.linalg.norm(mt_thetas[t] - th))))
             lag_row.append({"grad_lag": lag, "alpha": a, "T": T,
                             "gamma": derived.gamma, "lam_bar": derived.lam_bar,
-                            "deviation": dev})
+                            "deviation": max(dists)})
     rows, summary = lag_rows[False] + lag_rows[True], {}
     x = np.log([a * np.log(1.0 / a) for a in alphas])
     for lag, lag_row in lag_rows.items():
@@ -644,19 +651,25 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     series, delta_nll = {}, {}
     for tag in loss_tags:
         kind = kinds[tag]
-        cfg = O.config_with(setup.base_cfg, loss=kind)
-        traj = O.mt_run_batched(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
-        nll_series = [Lmod.batch_loss(_NLL, spec, th, d_f) for th in traj.thetas]
-        gnorm_series = [float(np.linalg.norm(
-            Lmod.batch_grad(kind, spec, th, d_f, base_theta=theta0)))
-            for th in traj.thetas]
-        entry = {"t": list(traj.ts), "nll_forget": nll_series,
-                 "loss_grad_norm": gnorm_series}
+        # Row 0 is theta0, where nll0 and grad_norm0 were just computed.
+        entry = {"t": [0], "nll_forget": [nll0],
+                 "loss_grad_norm": [grad_norm0[tag]]}
         if tag == "it":
-            entry["kl_to_teacher"] = [
-                Lmod.batch_loss(kind, spec, th, d_f) for th in traj.thetas]
+            entry["kl_to_teacher"] = [Lmod.batch_loss(kind, spec, theta0, d_f)]
+
+        def observe(t, th, teacher):
+            entry["t"].append(t)
+            entry["nll_forget"].append(Lmod.batch_loss(_NLL, spec, th, d_f))
+            entry["loss_grad_norm"].append(float(np.linalg.norm(
+                Lmod.batch_grad(kind, spec, th, d_f, base_theta=theta0))))
+            if tag == "it":
+                entry["kl_to_teacher"].append(Lmod.batch_loss(kind, spec, th, d_f))
+
+        O.mt_run_batched(spec, theta0, d_f, d_pt,
+                         O.config_with(setup.base_cfg, loss=kind),
+                         callback=observe)
         series[tag] = entry
-        delta_nll[tag] = nll_series[-1] - nll0
+        delta_nll[tag] = entry["nll_forget"][-1] - nll0
 
     passed = None
     if "nlul" in loss_tags and "ll" in loss_tags:
@@ -738,7 +751,7 @@ def _run_method(method, spec, theta, d_f, d_pt, stop_rule):
 
     callback = None
     if stop_rule is not None:
-        def callback(t, th):
+        def callback(t, th, teacher):
             if t % stop_rule.check_every != 0:
                 return False
             ds = d_f if stop_rule.metric == "nll_forget" else d_pt

@@ -138,7 +138,7 @@ def ll_value_rows(H, y):
 
 
 def ll_grad_rows(H, y):
-    """Row-wise gradient of ll_value in logit space: e_y - softmax(h).
+    """Row-wise gradient of ll_value_rows in logit space: e_y - softmax(h).
 
     The y entry is assembled as exp(log(1 - p_y)) = 1 - p_y computed in
     log space, so it stays exact when p_y saturates toward 1.
@@ -161,7 +161,7 @@ def nlul_value_rows(H, y, clamp_eps=1e-12):
 def nlul_grad_rows(H, y, clamp_eps=1e-12):
     """Row-wise gradient of nlul in logit space.
 
-    Equals w * ll_grad with w = p_y/(1 - p_y) at the clamped p_y.  The y
+    Equals w * ll_grad_rows with w = p_y/(1 - p_y) at the clamped p_y.  The y
     entry reduces to exactly p_y (the weight cancels the complementary
     mass), so the gradient never underflows at memorized points.
     """
@@ -188,17 +188,13 @@ def it_value_rows(H, teacher_H):
     return _it_terms(_rows(H), M.log_softmax_rows(_rows(teacher_H)), False)[0]
 
 
-def it_grad_rows(H, teacher_H):
-    """Row-wise gradient of it_value in logit space.
+def it_rows(H, teacher_H):
+    """(it_value_rows, row-wise logit gradient) from one softmax and
+    log-ratio.
 
     d/dh KL(p || q) = p * (r - <p, r>) with r = log p - log q; the
     centering term is the softmax covariance acting on r.
     """
-    return it_rows(H, teacher_H)[1]
-
-
-def it_rows(H, teacher_H):
-    """(it_value_rows, it_grad_rows) from one softmax and log-ratio."""
     return _it_terms(_rows(H), M.log_softmax_rows(_rows(teacher_H)), True)
 
 
@@ -208,31 +204,6 @@ def nll_value_rows(H, y):
 
 def nll_grad_rows(H, y):
     return -ll_grad_rows(H, y)
-
-
-def ll_value(h, y):
-    """log softmax(h)_y for a single logit vector."""
-    return float(ll_value_rows(h, [int(y)])[0])
-
-
-def ll_grad(h, y):
-    """Gradient of ll_value in logit space for a single logit vector."""
-    return ll_grad_rows(h, [int(y)])[0]
-
-
-def nlul_value(h, y, clamp_eps=1e-12):
-    """-log(1 - p_y) with the clamp p_y <= 1 - clamp_eps."""
-    return float(nlul_value_rows(h, [int(y)], clamp_eps)[0])
-
-
-def nlul_grad(h, y, clamp_eps=1e-12):
-    """(p_y/(1-p_y)) * ll_grad(h, y) at the clamped p_y."""
-    return nlul_grad_rows(h, [int(y)], clamp_eps)[0]
-
-
-def it_value(h, teacher_h):
-    """KL between softmax(h) and softmax(teacher_h)."""
-    return float(it_value_rows(h, teacher_h)[0])
 
 
 def npo_value(spec, s, theta, base_theta, beta):

@@ -123,11 +123,17 @@ def dataset_from_sequences(sequences, context_len, role="forget"):
             c = [PAD] * (context_len - len(c)) + c
             ctx.append(c)
             nxt.append(int(s[t]))
-    return TokenDataset(np.array(ctx, dtype=int), np.array(nxt, dtype=int), role, seqs)
+    contexts = np.array(ctx, dtype=int).reshape(len(nxt), context_len)
+    return TokenDataset(contexts, np.array(nxt, dtype=int), role, seqs)
 
 
 def load_jsonl_dataset(path, context_len, role="forget"):
-    """Load sequences from a JSON-lines file of {"tokens": [int, ...]} records."""
+    """Load sequences from a JSON-lines file of {"tokens": [int, ...]} records.
+
+    Raises ValueError naming path:line for a record that is not an object
+    or whose tokens are not a list of token ids (booleans and floats are
+    not ids), and naming the path for a file with no sequences.
+    """
     seqs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -135,9 +141,18 @@ def load_jsonl_dataset(path, context_len, role="forget"):
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: record is not a JSON object")
             if "tokens" not in rec:
                 raise ValueError(f"{path}:{lineno}: record has no 'tokens' field")
-            seqs.append(rec["tokens"])
+            tokens = rec["tokens"]
+            if not (isinstance(tokens, list)
+                    and all(type(x) is int and 0 <= x < 2 ** 63 for x in tokens)):
+                raise ValueError(f"{path}:{lineno}: 'tokens' must be a list of "
+                                 f"nonnegative integer token ids")
+            seqs.append(tokens)
+    if not seqs:
+        raise ValueError(f"{path}: no sequences")
     return dataset_from_sequences(seqs, context_len, role)
 
 

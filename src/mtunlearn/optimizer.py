@@ -111,10 +111,9 @@ class Trajectory:
     clip_scale 1, values on the full datasets); row t >= 1 describes the
     state after step t, with grad_norm and clip_scale of the update that
     produced it and loss/divergence values on the batch that step saw
-    (the full datasets in full-batch mode).  The per-step parameter and
-    teacher vectors (thetas, teachers) are kept only when the run is
-    asked to keep iterates; final_theta and final_teacher are always set
-    when the run ends.
+    (the full datasets in full-batch mode).  final_theta and
+    final_teacher are set when the run ends; the iterates in between
+    reach a caller only through the run's callback.
     """
 
     ts: list = field(default_factory=list)
@@ -122,36 +121,18 @@ class Trajectory:
     loss_values: list = field(default_factory=list)
     divergence_values: list = field(default_factory=list)
     clip_scales: list = field(default_factory=list)
-    thetas: list = field(default_factory=list)
-    teachers: list = field(default_factory=list)
     final_theta: np.ndarray = None
     final_teacher: np.ndarray = None
 
     def __len__(self):
         return len(self.ts)
 
-    def append(self, t, grad_norm, loss_value, div_value, clip_scale,
-               theta, teacher, keep_iterates):
+    def append(self, t, grad_norm, loss_value, div_value, clip_scale):
         self.ts.append(int(t))
         self.grad_norms.append(float(grad_norm))
         self.loss_values.append(float(loss_value))
         self.divergence_values.append(float(div_value))
         self.clip_scales.append(float(clip_scale))
-        if keep_iterates:
-            self.thetas.append(theta.copy())
-            if teacher is not None:
-                self.teachers.append(teacher.copy())
-
-
-def trajectory_deviation(a, b):
-    """max over t of ||theta_t(a) - theta_t(b)||; requires equal lengths
-    and runs that kept their iterates."""
-    if len(a) != len(b):
-        raise ValueError(f"trajectory length mismatch: {len(a)} vs {len(b)}")
-    if not a.thetas or not b.thetas:
-        raise ValueError("both trajectories must keep their parameter vectors "
-                         "(run with keep_iterates=True)")
-    return max(float(np.linalg.norm(x - y)) for x, y in zip(a.thetas, b.thetas))
 
 
 def _effective_divergence(cfg):
@@ -360,7 +341,7 @@ class _DampedNGD:
                 float(np.linalg.norm(step_g)), 1.0)
 
 
-def _run(spec, theta0, d_f, d_pt, cfg, rule, callback, keep_iterates):
+def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     """The optimizer loop every run shares.
 
     Full batch: the values recorded after step t and the gradient of step
@@ -368,10 +349,10 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback, keep_iterates):
     value-and-gradient evaluation serves both.  Batched: each step draws a
     batch, takes the gradient on it, and records the values on the same
     batch after the update; row 0 holds values on the full datasets.
-    callback(t, theta), if given, is invoked after each recorded step; a
-    truthy return stops the run early.  keep_iterates records every
-    iterate and teacher; without it only the scalars and the final point
-    are kept.
+    callback(t, theta, teacher), if given, is invoked after each recorded
+    step t >= 1 with the iterate and the teacher (None for a run without
+    one); the loop never writes into either array, so a callback may keep
+    them.  A truthy return stops the run early.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     base_theta = theta.copy()
@@ -382,7 +363,7 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback, keep_iterates):
     traj = Trajectory()
     loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
                              True, not batched)
-    traj.append(0, 0.0, loss, div, 1.0, theta, teacher, keep_iterates)
+    traj.append(0, 0.0, loss, div, 1.0)
     for t in range(1, cfg.T + 1):
         if batched:
             fb, pb = sampler.draw()
@@ -394,50 +375,45 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback, keep_iterates):
             teacher = (1.0 - rate) * teacher + rate * theta
         loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
                                  True, not batched)
-        traj.append(t, grad_norm, loss, div, l, theta, teacher, keep_iterates)
-        if callback is not None and callback(t, theta):
+        traj.append(t, grad_norm, loss, div, l)
+        if callback is not None and callback(t, theta, teacher):
             break
     traj.final_theta = theta.copy()
     traj.final_teacher = None if teacher is None else teacher.copy()
     return traj
 
 
-def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None, keep_iterates=False):
+def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None):
     """Full-batch mean-teacher run in the plain (heavy-ball) form: every
     step uses the entire forget and pretrain sets (the deterministic mode
-    the trajectory-approximation check needs).  callback stops the run
-    early as in mt_run_batched; keep_iterates records every iterate and
-    teacher.
+    the trajectory-approximation check needs).  callback observes each
+    step and can stop the run early as in mt_run_batched.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg, _HeavyBall(cfg), callback,
-                keep_iterates)
+    return _run(spec, theta0, d_f, d_pt, cfg, _HeavyBall(cfg), callback)
 
 
-def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None,
-                   keep_iterates=False):
+def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
     """Batched mean-teacher run with norm clipping and a momentum buffer.
 
     Per step the clip scale l reduces both the gradient contribution and
-    the teacher rate (kappa <- l kappa for that step only).  With
-    keep_iterates the trajectory records every iterate and teacher.
-    callback(t, theta), if given, is invoked after each recorded step; a
-    truthy return stops the run early.
+    the teacher rate (kappa <- l kappa for that step only).
+    callback(t, theta, teacher), if given, is invoked after each recorded
+    step; a truthy return stops the run early.
     """
     return _run(spec, theta0, d_f, d_pt, cfg, _ClippedVelocity(cfg, cfg.kappa),
-                callback, keep_iterates)
+                callback)
 
 
-def ngd_run(spec, theta0, d_f, d_pt, cfg):
+def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None):
     """Damped natural-gradient reference trajectory (full batch).
 
     Uses the derived constants gamma and lam_bar; the bigram model runs
     on the block-diagonal solver, other models on the dense assembly.
-    Every iterate is kept, since the trajectory is the point of the
-    reference.  It has no teacher (no teacher vectors are stored); the
-    divergence column is NaN.
+    It has no teacher: callback(t, theta, None) observes each iterate as
+    in mt_run, and the divergence column is NaN.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg), None,
-                True)
+    return _run(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg),
+                callback)
 
 
 def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
@@ -449,8 +425,8 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
     kind "adamw": decoupled-weight-decay Adam with bias correction and the
     staged warmup schedule.
     Both sample batches exactly like the batched mean-teacher run, and
-    callback(t, theta) can stop either early just as in that run.  Only
-    the scalars and the final point are kept.
+    callback(t, theta, teacher) observes and can stop either just as in
+    that run.
     """
     if kind == "momentum-sgd":
         rule = _ClippedVelocity(cfg, 0.0)
@@ -458,7 +434,7 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
         rule = _AdamW(cfg, adam_params or AdamParams())
     else:
         raise ValueError(f"unknown baseline kind: {kind!r}")
-    return _run(spec, theta0, d_f, d_pt, cfg, rule, callback, False)
+    return _run(spec, theta0, d_f, d_pt, cfg, rule, callback)
 
 
 def config_with(cfg, **kw):

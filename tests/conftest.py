@@ -23,3 +23,18 @@ def relative_error(approx, exact):
     exact = np.asarray(exact, dtype=float)
     return float(np.linalg.norm(approx - exact)
                  / max(np.linalg.norm(exact), 1e-12))
+
+
+def observed_run(run, spec, theta0, d_f, d_pt, cfg, **kw):
+    """Call an optimizer run with a callback that records every iterate
+    and teacher; returns (trajectory, thetas, teachers).  Row 0 of both
+    lists is theta0, or None in teachers for a run without a teacher."""
+    thetas, teachers = [theta0], []
+
+    def record(t, theta, teacher):
+        thetas.append(theta.copy())
+        teachers.append(None if teacher is None else teacher.copy())
+
+    traj = run(spec, theta0, d_f, d_pt, cfg, callback=record, **kw)
+    teacher0 = None if traj.final_teacher is None else theta0
+    return traj, thetas, [teacher0] + teachers

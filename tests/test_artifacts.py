@@ -39,8 +39,7 @@ class TestCsv:
     def test_trajectory_deviation_column(self, tmp_path):
         a = O.Trajectory(ts=[0, 1], grad_norms=[0.0, 2.0],
                          loss_values=[1.0, 0.5], divergence_values=[0.0, 0.1],
-                         clip_scales=[1.0, 0.25],
-                         thetas=[np.zeros(2), np.array([1.0, 0.0])])
+                         clip_scales=[1.0, 0.25])
         plain = tmp_path / "plain.csv"
         A.write_trajectory_csv(str(plain), a)
         assert plain.read_text() == (

@@ -165,6 +165,41 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["train-target", "unlearn"])
+    @pytest.mark.parametrize("bad,text", [
+        (("forget", ""), "no sequences"),
+        (("pretrain", "\n"), "no sequences"),
+        (("forget", "5\n"), "not a JSON object"),
+        (("forget", '{"tokens": null}\n'), "'tokens' must be"),
+        (("pretrain", '{"tokens": [[0, 1]]}\n'), "'tokens' must be"),
+        (("forget", '{"tokens": [0, 1e20]}\n'), "'tokens' must be"),
+        (("forget", '{"tokens": [0, 1, 2.5, 3]}\n'), "'tokens' must be"),
+        (("pretrain", '{"tokens": [true, false]}\n'), "'tokens' must be"),
+    ], ids=["empty-forget", "blank-pretrain", "not-object", "null", "nested",
+            "overflow", "fraction", "bool"])
+    def test_malformed_jsonl_exits_2_naming_the_file(
+            self, tmp_path, trained_dir, capsys, command, bad, text):
+        files = {"forget": '{"tokens": [0, 1, 2, 3]}\n',
+                 "pretrain": '{"tokens": [4, 5, 6, 7]}\n'}
+        split, content = bad
+        files[split] = content
+        for name, body in files.items():
+            (tmp_path / f"{name}.jsonl").write_text(body)
+        if command == "train-target":
+            cfg = target_cfg()
+        else:
+            cfg = unlearn_cfg()
+            cfg["target"] = os.path.join(trained_dir, "target.npy")
+        del cfg["corpus"]
+        cfg["data"] = {"forget": "forget.jsonl", "pretrain": "pretrain.jsonl"}
+        path = write_cfg(tmp_path, cfg)
+        assert main([command, path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / f"{split}.jsonl") in err and text in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "results.json")
+
+
 def adamw_method(**adam):
     return dict(mt_method("adamw"), optimizer="adamw", adam=adam)
 
@@ -180,6 +215,11 @@ SCHEMA_CASES = [
     pytest.param("train-target", {"train": dict(target_cfg()["train"],
                                                 require_exact_match=NAN)}, 2,
                  "require_exact_match", id="train-nan-gate"),
+    *[pytest.param("train-target", {"train": dict(target_cfg()["train"],
+                                                  **{field: value})}, 2,
+                   f"{field} must", id=f"train-{field}-{value}")
+      for field, value in [("lr", -0.5), ("lr", 0.0), ("lr", NAN),
+                           ("momentum", 1.5), ("momentum", -1.0)]],
     pytest.param("unlearn", {"report": {"prompt_len": -1}}, 2,
                  "prompt_len", id="unlearn-negative-prompt"),
     pytest.param("unlearn", {"report": {"completion_len": 0}}, 2,

@@ -78,25 +78,14 @@ class TestRowIdentities:
         H, _ = random_rows(rng)
         np.testing.assert_allclose(L.it_value_rows(H, H.copy()), 0.0, atol=1e-14)
 
-    def test_single_row_wrappers_match_batch_rows(self):
-        rng = np.random.default_rng(44)
-        H, y = random_rows(rng, n=1)
-        h, yy = H[0], int(y[0])
-        assert L.ll_value(h, yy) == pytest.approx(L.ll_value_rows(H, y)[0])
-        assert L.nlul_value(h, yy) == pytest.approx(L.nlul_value_rows(H, y)[0])
-        np.testing.assert_allclose(L.nlul_grad(h, yy), L.nlul_grad_rows(H, y)[0])
-        t = rng.standard_normal(len(h))
-        assert L.it_value(h, t) == pytest.approx(
-            L.it_value_rows(H, t[None, :])[0])
-
 
 class TestNluLStability:
     def test_clamp_keeps_saturated_rows_finite(self):
         """At p_y ~ 1 the raw -log(1 - p_y) overflows; the clamp caps the
         complement probability at clamp_eps from below."""
-        h = np.array([80.0, 0.0, 0.0, 0.0])
-        val = L.nlul_value(h, 0)
-        g = L.nlul_grad(h, 0)
+        H, y = np.array([[80.0, 0.0, 0.0, 0.0]]), [0]
+        val = L.nlul_value_rows(H, y)[0]
+        g = L.nlul_grad_rows(H, y)[0]
         assert np.isfinite(val)
         assert np.all(np.isfinite(g))
         assert val == pytest.approx(-np.log(1e-12), rel=1e-6)

@@ -12,6 +12,8 @@ from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.errors import TrainingError
 
+from conftest import observed_run
+
 
 def make_data(rng, V=6, n=8, context_len=1):
     ctx = rng.integers(0, V, (n, context_len))
@@ -75,7 +77,8 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 3)
         cfg = base_config(T=2)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
+        traj, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f,
+                                              d_pt, cfg)
 
         kind = Dv.DivergenceKind("kl", cfg.lam)
         theta_prev, theta, teacher = theta0, theta0, theta0
@@ -86,8 +89,8 @@ class TestFullBatchRun:
             teacher = (1.0 - cfg.eta * cfg.kappa) * teacher \
                 + cfg.eta * cfg.kappa * theta_new
             theta_prev, theta = theta, theta_new
-        np.testing.assert_array_equal(traj.thetas[2], theta)
-        np.testing.assert_array_equal(traj.teachers[2], teacher)
+        np.testing.assert_array_equal(thetas[2], theta)
+        np.testing.assert_array_equal(teachers[2], teacher)
         np.testing.assert_array_equal(traj.final_theta, theta)
         assert traj.ts == [0, 1, 2] and len(traj) == 3
 
@@ -101,7 +104,7 @@ class TestFullBatchRun:
         theta0 = M.init_params(spec, 4)
         cfg = base_config(T=5, loss=L.LossKind("nlul"),
                           divergence=Dv.DivergenceKind(tag))
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
+        traj, thetas, _ = observed_run(O.mt_run, spec, theta0, d_f, d_pt, cfg)
 
         kind = Dv.DivergenceKind(tag, cfg.lam)
         theta_prev, theta, teacher = theta0, theta0, theta0
@@ -112,7 +115,7 @@ class TestFullBatchRun:
             teacher = (1.0 - cfg.eta * cfg.kappa) * teacher \
                 + cfg.eta * cfg.kappa * theta_new
             theta_prev, theta = theta, theta_new
-            np.testing.assert_array_equal(traj.thetas[t], theta)
+            np.testing.assert_array_equal(thetas[t], theta)
             assert traj.grad_norms[t] == float(np.linalg.norm(g))
             assert traj.loss_values[t] == L.batch_loss(cfg.loss, spec, theta, d_f)
             assert traj.divergence_values[t] == Dv.damped_value(
@@ -126,13 +129,14 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 4)
         cfg = base_config(T=6)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
+        _, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+                                           cfg)
         rho = 1.0 - cfg.eta * cfg.kappa
         for t in (1, 3, 6):
-            ema = (rho ** t) * traj.thetas[0]
+            ema = (rho ** t) * thetas[0]
             for i in range(t):
-                ema = ema + cfg.eta * cfg.kappa * (rho ** i) * traj.thetas[t - i]
-            np.testing.assert_allclose(traj.teachers[t], ema, rtol=1e-12,
+                ema = ema + cfg.eta * cfg.kappa * (rho ** i) * thetas[t - i]
+            np.testing.assert_allclose(teachers[t], ema, rtol=1e-12,
                                        atol=1e-15)
 
     def test_gap_recursion_links_iterate_and_teacher(self):
@@ -144,15 +148,16 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 5)
         cfg = base_config(T=5)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, cfg, keep_iterates=True)
+        _, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+                                           cfg)
         kb = cfg.kappa / (1.0 - cfg.eta * cfg.kappa)
-        us = [th - te for th, te in zip(traj.thetas, traj.teachers)]
+        us = [th - te for th, te in zip(thetas, teachers)]
         for t in range(1, 6):
             np.testing.assert_allclose(
-                traj.teachers[t] - traj.teachers[t - 1],
+                teachers[t] - teachers[t - 1],
                 cfg.eta * kb * us[t], rtol=1e-9, atol=1e-14)
             np.testing.assert_allclose(
-                traj.thetas[t] - traj.thetas[t - 1],
+                thetas[t] - thetas[t - 1],
                 cfg.eta * kb * us[t] + (us[t] - us[t - 1]),
                 rtol=1e-9, atol=1e-14)
 
@@ -163,9 +168,9 @@ class TestFullBatchRun:
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 6)
-        traj = O.mt_run(spec, theta0, d_f, d_pt, base_config(alpha=0.0, T=5),
-                        keep_iterates=True)
-        for th in traj.thetas:
+        traj, thetas, _ = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+                                       base_config(alpha=0.0, T=5))
+        for th in thetas:
             np.testing.assert_array_equal(th, theta0)
         # The teacher's convex combination of identical vectors rounds in
         # the last ulp, so it is fixed only to machine precision.
@@ -195,8 +200,8 @@ class TestBatchedRun:
         independently; every stored vector must match bit for bit."""
         cfg = base_config(T=6, clip=0.5, batch_forget=3, batch_pretrain=4,
                           seed=33)
-        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                                cfg, keep_iterates=True)
+        traj, thetas, teachers = observed_run(
+            O.mt_run_batched, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
         kind = Dv.DivergenceKind("kl", cfg.lam)
         rng = np.random.default_rng(cfg.seed)
         theta, teacher = self.theta0, self.theta0
@@ -214,20 +219,20 @@ class TestBatchedRun:
             theta = theta - cfg.eta * vel
             lek = l * cfg.eta * cfg.kappa
             teacher = (1.0 - lek) * teacher + lek * theta
-            np.testing.assert_array_equal(traj.thetas[t], theta)
-            np.testing.assert_array_equal(traj.teachers[t], teacher)
+            np.testing.assert_array_equal(thetas[t], theta)
+            np.testing.assert_array_equal(teachers[t], teacher)
             assert traj.clip_scales[t] == l and traj.grad_norms[t] == gn
 
     def test_recorded_teacher_satisfies_scaled_average(self):
         cfg = base_config(T=8, clip=0.2, batch_forget=2, batch_pretrain=2,
                           seed=44)
-        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                                cfg, keep_iterates=True)
+        traj, thetas, teachers = observed_run(
+            O.mt_run_batched, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
         for t in range(1, 9):
             lek = traj.clip_scales[t] * cfg.eta * cfg.kappa
             np.testing.assert_allclose(
-                traj.teachers[t],
-                (1.0 - lek) * traj.teachers[t - 1] + lek * traj.thetas[t],
+                teachers[t],
+                (1.0 - lek) * teachers[t - 1] + lek * thetas[t],
                 rtol=1e-12, atol=1e-15)
 
     def test_clip_scales_follow_threshold_rule(self):
@@ -264,7 +269,7 @@ class TestBatchedRun:
         cfg = base_config(T=50, seed=88)
         seen = []
 
-        def stop_at_three(t, theta):
+        def stop_at_three(t, theta, teacher):
             seen.append(t)
             return t == 3
 
@@ -313,14 +318,15 @@ class TestReferenceRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 10)
         cfg = base_config(T=1)
-        traj = O.ngd_run(spec, theta0, d_f, d_pt, cfg)
+        traj, thetas, teachers = observed_run(O.ngd_run, spec, theta0, d_f,
+                                              d_pt, cfg)
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
         H = curvature.assemble_gnh(spec, theta0, d_pt)
         step = linalg.solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
-        np.testing.assert_allclose(traj.thetas[1], theta0 - d.gamma * step,
+        np.testing.assert_allclose(thetas[1], theta0 - d.gamma * step,
                                    rtol=1e-9, atol=1e-13)
-        assert traj.final_teacher is None and traj.teachers == []
+        assert traj.final_teacher is None and teachers == [None, None]
         assert all(np.isnan(v) for v in traj.divergence_values)
 
     def test_mlp_route_matches_dense_solve(self):
@@ -329,23 +335,24 @@ class TestReferenceRun:
         d_f, d_pt = make_data(rng, V=5, context_len=2)
         theta0 = M.init_params(spec, 11)
         cfg = base_config(T=1)
-        traj = O.ngd_run(spec, theta0, d_f, d_pt, cfg)
+        _, thetas, _ = observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg)
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
         H = curvature.assemble_gnh(spec, theta0, d_pt)
         step = linalg.solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
-        np.testing.assert_array_equal(traj.thetas[1], theta0 - d.gamma * step)
+        np.testing.assert_array_equal(thetas[1], theta0 - d.gamma * step)
 
     def test_gradient_lag_matters_only_after_first_step(self):
         rng = np.random.default_rng(99)
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 12)
-        lead = O.ngd_run(spec, theta0, d_f, d_pt, base_config(T=3))
-        lag = O.ngd_run(spec, theta0, d_f, d_pt,
-                        base_config(T=3, ngd_grad_lag=True))
-        np.testing.assert_array_equal(lead.thetas[1], lag.thetas[1])
-        assert not np.array_equal(lead.thetas[2], lag.thetas[2])
+        lead = observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
+                            base_config(T=3))[1]
+        lag = observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
+                           base_config(T=3, ngd_grad_lag=True))[1]
+        np.testing.assert_array_equal(lead[1], lag[1])
+        assert not np.array_equal(lead[2], lag[2])
 
 
     @pytest.mark.parametrize("lag", [False, True])
@@ -358,14 +365,14 @@ class TestReferenceRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 13)
         cfg = base_config(T=4, ngd_grad_lag=lag)
-        traj = O.ngd_run(spec, theta0, d_f, d_pt, cfg)
+        traj, thetas, _ = observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg)
         d = O.DerivedNGDParams.from_config(cfg)
         theta_prev, theta = theta0, theta0
         for t in range(1, 5):
             g = L.batch_grad(cfg.loss, spec, theta_prev if lag else theta, d_f)
             step = curvature.bigram_damped_solve(spec, theta, d_pt, d.lam_bar, g)
             theta_prev, theta = theta, theta - d.gamma * step
-            np.testing.assert_array_equal(traj.thetas[t], theta)
+            np.testing.assert_array_equal(thetas[t], theta)
             assert traj.grad_norms[t] == float(np.linalg.norm(g))
             assert traj.loss_values[t] == L.batch_loss(cfg.loss, spec, theta, d_f)
 
@@ -380,10 +387,9 @@ class TestBaselines:
     def test_momentum_sgd_keeps_anchor_and_matches_replay(self):
         cfg = base_config(T=4, clip=0.5, batch_forget=3, batch_pretrain=3,
                           seed=111)
-        seen = [self.theta0]
-        traj = O.baseline_run("momentum-sgd", self.spec, self.theta0,
-                              self.d_f, self.d_pt, cfg,
-                              callback=lambda t, th: seen.append(th.copy()))
+        traj, seen, _ = observed_run(
+            functools.partial(O.baseline_run, "momentum-sgd"), self.spec,
+            self.theta0, self.d_f, self.d_pt, cfg)
         kind = Dv.DivergenceKind("kl", cfg.lam)
         rng = np.random.default_rng(cfg.seed)
         theta = self.theta0
@@ -472,8 +478,6 @@ RUNS = {
     "adamw": functools.partial(O.baseline_run, "adamw"),
     "ngd": O.ngd_run,
 }
-SCALARS = ("ts", "grad_norms", "loss_values", "divergence_values",
-           "clip_scales")
 
 
 class TestKeepIterates:
@@ -489,63 +493,22 @@ class TestKeepIterates:
         return RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt,
                           cfg or self.cfg, **kw)
 
-    @pytest.mark.parametrize("rule", ["mt", "mt-batched"])
-    def test_default_run_keeps_scalars_and_final_point_only(self, rule):
-        lean, full = self.run(rule), self.run(rule, keep_iterates=True)
-        for name in SCALARS:
-            np.testing.assert_array_equal(getattr(lean, name),
-                                          getattr(full, name))
-        assert lean.final_theta.tobytes() == full.final_theta.tobytes()
-        assert full.final_theta.tobytes() == full.thetas[-1].tobytes()
-        assert lean.final_teacher.tobytes() == full.final_teacher.tobytes()
-        assert full.final_teacher.tobytes() == full.teachers[-1].tobytes()
-        assert lean.thetas == [] and lean.teachers == []
-        assert len(full.thetas) == len(full.teachers) == len(full) \
-            == self.cfg.T + 1
-
-    @pytest.mark.parametrize("rule", ["momentum-sgd", "adamw", "ngd"])
-    def test_baselines_keep_no_iterates_and_the_reference_keeps_all(self,
-                                                                    rule):
-        traj = self.run(rule)
-        assert traj.teachers == [] and len(traj) == self.cfg.T + 1
-        if rule == "ngd":
-            assert len(traj.thetas) == self.cfg.T + 1
-            assert traj.final_theta.tobytes() == traj.thetas[-1].tobytes()
-            assert traj.final_teacher is None
-        else:
-            assert traj.thetas == [] and traj.final_teacher is not None
-
-    @pytest.mark.parametrize("rule", ["mt", "mt-batched", "momentum-sgd",
-                                      "adamw"])
+    @pytest.mark.parametrize("rule", list(RUNS))
     def test_final_point_after_callback_stop_is_the_last_seen(self, rule):
         seen = []
 
-        def stop_at_three(t, theta):
-            seen.append(theta.copy())
+        def stop_at_three(t, theta, teacher):
+            seen.append((theta.copy(), teacher))
             return t == 3
 
         traj = self.run(rule, callback=stop_at_three)
         assert traj.ts == [0, 1, 2, 3] and len(seen) == 3
-        assert traj.final_theta.tobytes() == seen[-1].tobytes()
+        assert traj.final_theta.tobytes() == seen[-1][0].tobytes()
         short = self.run(rule, O.config_with(self.cfg, T=3))
         assert traj.final_theta.tobytes() == short.final_theta.tobytes()
-        assert traj.final_teacher.tobytes() == short.final_teacher.tobytes()
-
-
-class TestTrajectoryDeviation:
-    def test_max_parameter_distance(self):
-        a = O.Trajectory(ts=[0, 1], thetas=[np.zeros(3), np.array([1., 0., 0.])])
-        b = O.Trajectory(ts=[0, 1], thetas=[np.zeros(3), np.array([3., 0., 0.])])
-        assert O.trajectory_deviation(a, b) == pytest.approx(2.0)
-
-    def test_length_mismatch_rejected(self):
-        a = O.Trajectory(ts=[0, 1], thetas=[np.zeros(2)] * 2)
-        b = O.Trajectory(ts=[0], thetas=[np.zeros(2)])
-        with pytest.raises(ValueError, match="length mismatch"):
-            O.trajectory_deviation(a, b)
-
-    def test_missing_parameter_storage_rejected(self):
-        a = O.Trajectory(ts=[0, 1])
-        b = O.Trajectory(ts=[0, 1])
-        with pytest.raises(ValueError, match="parameter vectors"):
-            O.trajectory_deviation(a, b)
+        if rule == "ngd":
+            assert traj.final_teacher is short.final_teacher is None
+            assert all(teacher is None for _, teacher in seen)
+        else:
+            assert traj.final_teacher.tobytes() == seen[-1][1].tobytes()
+            assert traj.final_teacher.tobytes() == short.final_teacher.tobytes()

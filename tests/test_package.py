@@ -1,0 +1,17 @@
+"""The package's export list."""
+
+import types
+
+import mtunlearn
+
+
+def test_all_lists_every_public_name_once_and_each_resolves():
+    """__init__ names each export twice (import and __all__); the two must
+    agree, so a deleted or added export cannot drift."""
+    defined = {name for name, value in vars(mtunlearn).items()
+               if not name.startswith("_")
+               and not isinstance(value, types.ModuleType)}
+    assert len(set(mtunlearn.__all__)) == len(mtunlearn.__all__)
+    assert set(mtunlearn.__all__) == defined | {"__version__"}
+    for name in mtunlearn.__all__:
+        assert getattr(mtunlearn, name) is not None
