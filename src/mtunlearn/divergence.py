@@ -60,8 +60,7 @@ def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
     if tag == "kl":
         vals, G = losses.it_rows(H, Href) if grad else (losses.it_value_rows(H, Href), None)
     else:
-        vals = _qkl_rows(H, Href) if value else None
-        G = _qkl_grad_rows(H, Href) if grad else None
+        vals, G = _qkl_terms(H, Href, value, grad)
     v = float(vals.mean()) if value else None
     g = None
     if grad:
@@ -69,17 +68,9 @@ def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
     return v, g
 
 
-def _qkl_rows(H, Href):
-    """Per-row quadratic form d^T S(h) d = sum_j p_j d_j^2 - (p^T d)^2."""
-    P = M.softmax_rows(H)
-    D = H - Href
-    m1 = (P * D).sum(axis=1)
-    m2 = (P * D * D).sum(axis=1)
-    return m2 - m1 * m1
-
-
-def _qkl_grad_rows(H, Href):
-    """Exact logit-space gradient of the per-row quadratic form.
+def _qkl_terms(H, Href, value, grad):
+    """Per-row quadratic form d^T S(h) d = sum_j p_j d_j^2 - (p^T d)^2 and,
+    if grad, its exact logit-space gradient, from one softmax.
 
     With d = h - h', p = softmax(h), m1 = p^T d, m2 = p^T d^2, the
     product rule over both d and S(h) gives
@@ -88,9 +79,15 @@ def _qkl_grad_rows(H, Href):
     """
     P = M.softmax_rows(H)
     D = H - Href
-    m1 = (P * D).sum(axis=1, keepdims=True)
-    m2 = (P * D * D).sum(axis=1, keepdims=True)
-    return P * (2.0 * D - 2.0 * m1 + D * D - m2 - 2.0 * m1 * D + 2.0 * m1 * m1)
+    PD = P * D
+    m1 = PD.sum(axis=1, keepdims=True)
+    m2 = (PD * D).sum(axis=1, keepdims=True)
+    v = G = None
+    if value:
+        v = (m2 - m1 * m1)[:, 0]
+    if grad:
+        G = P * (2.0 * D - 2.0 * m1 + D * D - m2 - 2.0 * m1 * D + 2.0 * m1 * m1)
+    return v, G
 
 
 _NLL = losses.LossKind("nll")

@@ -14,8 +14,10 @@ p = softmax(h):
          pi_base^beta).
 
 The saturated regime p_y -> 1 is handled exactly: the complementary mass
-1 - p_y is computed in log space as exp(logsumexp(h without y) -
-logsumexp(h)), which never underflows to zero error where it matters.
+1 - p_y is a sum of positive terms, never the difference 1 - p_y.  The
+public *_rows functions compute it in log space as exp(logsumexp(h
+without y) - logsumexp(h)); the batch losses take it, with everything
+else, from one exp pass per logit matrix (_label_rows), pinned to them.
 """
 
 import math
@@ -175,10 +177,12 @@ def nlul_grad_rows(H, y, clamp_eps=1e-12):
 
 def _it_terms(H, log_q, grad):
     """Row-wise KL(softmax(h) || q) and, if grad, its logit gradient, from
-    one softmax and log-ratio; log_q is the teacher's log-probabilities
-    (rows, or a scalar for a uniform teacher)."""
-    P = M.softmax_rows(H)
-    R = M.log_softmax_rows(H) - log_q
+    one exp pass; log_q is the teacher's log-probabilities (rows, or a
+    scalar for a uniform teacher).  Bitwise equal to taking p and log p
+    from softmax_rows and log_softmax_rows."""
+    Z, E, S = M._exp_rows(H)
+    P = E / S
+    R = Z - np.log(S) - log_q
     v = (P * R).sum(axis=1)
     return v, (P * (R - v[:, None]) if grad else None)
 
@@ -263,20 +267,48 @@ def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
     return v, g
 
 
-def _value_rows(kind, H, y):
-    if kind.tag == "nll":
-        return nll_value_rows(H, y)
-    if kind.tag == "ll":
-        return ll_value_rows(H, y)
-    return nlul_value_rows(H, y, kind.clamp_eps)
+_TINY = np.finfo(float).tiny
 
 
-def _grad_rows(kind, H, y):
-    if kind.tag == "nll":
-        return nll_grad_rows(H, y)
-    if kind.tag == "ll":
-        return ll_grad_rows(H, y)
-    return nlul_grad_rows(H, y, kind.clamp_eps)
+def _label_rows(kind, H, y, value, grad):
+    """Row values and logit gradients of the nll, ll or nlul loss from one
+    exp pass; a part not asked for is None.
+
+    With Z, E, S from model._exp_rows, log p_y = Z_y - log S.  The
+    complement mass Sc = sum_{j != y} E_j gives log(1 - p_y) = log Sc -
+    log S, a sum of positive terms, so it stays accurate as p_y -> 1.
+    Rows where Sc underflows (y leads every other logit by more than
+    ~708) take log(1 - p_y) from _log_complement_rows, which is exact
+    there.  Entries of E that underflow are meant to be zero, so underflow
+    is not signalled.  The gradient is w (e_y - p) with w = 1 (ll), -1
+    (nll) or p_y/(1 - p_y) at the clamped p_y (nlul); values and gradients
+    match the *_rows functions to ~1e-12.
+    """
+    rows = np.arange(len(H))
+    v = G = None
+    with np.errstate(under="ignore"):
+        Z, E, S = M._exp_rows(H)
+        logS = np.log(S[:, 0])
+        logp = Z[rows, y] - logS
+        if value and kind.tag != "nlul":
+            v = logp if kind.tag == "ll" else -logp
+        if not (grad or kind.tag == "nlul"):
+            return v, None                  # ll and nll values need no Sc
+        E[rows, y] = 0.0
+        Sc = E.sum(axis=1)
+        low = Sc < _TINY
+        log1mp = np.log(np.where(low, 1.0, Sc)) - logS
+        if low.any():
+            log1mp[low] = _log_complement_rows(H[low], y[low])
+        if value and kind.tag == "nlul":
+            v = np.minimum(-log1mp, -np.log(kind.clamp_eps))
+        if grad:
+            sign = -1.0 if kind.tag == "nll" else 1.0
+            G = E / (-sign * S)
+            G[rows, y] = sign * np.exp(log1mp)
+            if kind.tag == "nlul":
+                G *= np.exp(logp - np.maximum(log1mp, np.log(kind.clamp_eps)))[:, None]
+    return v, G
 
 
 def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
@@ -292,8 +324,7 @@ def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
         log_q = kind.teacher.log_probs(batch.contexts, spec.vocab_size)
         vals, G = _it_terms(H, log_q, grad)
     else:
-        vals = _value_rows(kind, H, y) if value else None
-        G = _grad_rows(kind, H, y) if grad else None
+        vals, G = _label_rows(kind, H, y, value, grad)
     v = float(vals.mean()) if value else None
     g = None
     if grad:

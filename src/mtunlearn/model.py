@@ -130,9 +130,10 @@ def dataset_from_sequences(sequences, context_len, role="forget"):
 def load_jsonl_dataset(path, context_len, role="forget"):
     """Load sequences from a JSON-lines file of {"tokens": [int, ...]} records.
 
-    Raises ValueError naming path:line for a record that is not an object
-    or whose tokens are not a list of token ids (booleans and floats are
-    not ids), and naming the path for a file with no sequences.
+    Raises ValueError naming path:line for a line that is not valid JSON,
+    a record that is not an object, or one whose tokens are not a list of
+    at least 2 token ids (booleans and floats are not ids), and naming the
+    path for a file with no sequences.
     """
     seqs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -140,7 +141,10 @@ def load_jsonl_dataset(path, context_len, role="forget"):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{path}:{lineno}: record is not a JSON object")
             if "tokens" not in rec:
@@ -150,6 +154,8 @@ def load_jsonl_dataset(path, context_len, role="forget"):
                     and all(type(x) is int and 0 <= x < 2 ** 63 for x in tokens)):
                 raise ValueError(f"{path}:{lineno}: 'tokens' must be a list of "
                                  f"nonnegative integer token ids")
+            if len(tokens) < 2:
+                raise ValueError(f"{path}:{lineno}: a sequence needs at least 2 tokens")
             seqs.append(tokens)
     if not seqs:
         raise ValueError(f"{path}: no sequences")
@@ -294,17 +300,24 @@ def logit_jvp(spec, theta, contexts, v):
     return A @ dW2.T + dA @ W2.T + db2
 
 
+def _exp_rows(H):
+    """Z = h - max h, E = exp(Z) and S = sum_j E_j (kept as a column) per
+    row: the one exp pass behind every softmax-based row quantity."""
+    Z = H - H.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    return Z, E, E.sum(axis=1, keepdims=True)
+
+
 def log_softmax_rows(H):
     """Row-wise log softmax, stabilized by max subtraction."""
-    Z = H - H.max(axis=1, keepdims=True)
-    return Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+    Z, _, S = _exp_rows(H)
+    return Z - np.log(S)
 
 
 def softmax_rows(H):
     """Row-wise softmax, stabilized by max subtraction."""
-    Z = H - H.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+    _, E, S = _exp_rows(H)
+    return E / S
 
 
 def sequence_pairs(spec, sequences):

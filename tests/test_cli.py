@@ -175,8 +175,10 @@ class TestConfigErrors:
         (("forget", '{"tokens": [0, 1e20]}\n'), "'tokens' must be"),
         (("forget", '{"tokens": [0, 1, 2.5, 3]}\n'), "'tokens' must be"),
         (("pretrain", '{"tokens": [true, false]}\n'), "'tokens' must be"),
+        (("forget", '{"tokens": [0, 1] "x": 2}\n'), ":1: invalid JSON"),
+        (("pretrain", '{"tokens": [4, 5]}\n{"tokens": [6]}\n'), ":2: a sequence needs"),
     ], ids=["empty-forget", "blank-pretrain", "not-object", "null", "nested",
-            "overflow", "fraction", "bool"])
+            "overflow", "fraction", "bool", "not-json", "one-token"])
     def test_malformed_jsonl_exits_2_naming_the_file(
             self, tmp_path, trained_dir, capsys, command, bad, text):
         files = {"forget": '{"tokens": [0, 1, 2, 3]}\n',

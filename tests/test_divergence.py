@@ -21,8 +21,8 @@ def bigram_spec(V=5):
     return M.ModelSpec(M.BIGRAM, V)
 
 
-def mlp_spec():
-    return M.ModelSpec(M.MLP, 5, context_len=2, hidden_dim=4)
+def mlp_spec(V=5):
+    return M.ModelSpec(M.MLP, V, context_len=2, hidden_dim=4)
 
 
 def random_batch(rng, spec, n=10):
@@ -129,17 +129,39 @@ class TestFusedValueAndGrad:
     @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_bitwise_equal_to_separate_calls(self, tag, lam):
+        """Also at V = 2 and with both points (so the logits) scaled x1e3,
+        where every value and gradient stays finite."""
         rng = np.random.default_rng(64)
         kind = D.DivergenceKind(tag, lam)
-        specs = (bigram_spec(),) if tag == "bregman" else (bigram_spec(), mlp_spec())
-        for spec in specs:
-            theta = rng.standard_normal(M.param_count(spec))
-            ref = rng.standard_normal(M.param_count(spec))
-            batch = random_batch(rng, spec)
-            value, grad = D.damped_value_and_grad(kind, spec, theta, ref, batch)
-            assert value == D.damped_value(kind, spec, theta, ref, batch)
-            np.testing.assert_array_equal(
-                grad, D.damped_grad(kind, spec, theta, ref, batch))
+        makers = (bigram_spec,) if tag == "bregman" else (bigram_spec, mlp_spec)
+        for V, scale in ((5, 1.0), (2, 1.0), (5, 1e3)):
+            for spec in (make(V) for make in makers):
+                theta = scale * rng.standard_normal(M.param_count(spec))
+                ref = scale * rng.standard_normal(M.param_count(spec))
+                batch = random_batch(rng, spec)
+                value, grad = D.damped_value_and_grad(kind, spec, theta, ref, batch)
+                assert np.isfinite(value) and np.all(np.isfinite(grad))
+                assert value == D.damped_value(kind, spec, theta, ref, batch)
+                np.testing.assert_array_equal(
+                    grad, D.damped_grad(kind, spec, theta, ref, batch))
+
+    def test_qkl_kernel_is_bitwise_the_two_softmax_formulas(self):
+        rng = np.random.default_rng(67)
+        H = 2.0 * rng.standard_normal((40, 7))
+        Href = H + rng.standard_normal((40, 7))
+        P = M.softmax_rows(H)
+        Dd = H - Href
+        m1 = (P * Dd).sum(axis=1)
+        m2 = (P * Dd * Dd).sum(axis=1)
+        v, g = D._qkl_terms(H, Href, True, True)
+        np.testing.assert_array_equal(v, m2 - m1 * m1)
+        P = M.softmax_rows(H)
+        m1 = (P * Dd).sum(axis=1, keepdims=True)
+        m2 = (P * Dd * Dd).sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(
+            g, P * (2.0 * Dd - 2.0 * m1 + Dd * Dd - m2 - 2.0 * m1 * Dd + 2.0 * m1 * m1))
+        assert D._qkl_terms(H, Href, False, True)[0] is None
+        np.testing.assert_array_equal(D._qkl_terms(H, Href, True, False)[0], v)
 
 
 class TestLocalQuadratic:

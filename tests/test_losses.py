@@ -22,8 +22,8 @@ def bigram_spec(V=5):
     return M.ModelSpec(M.BIGRAM, V)
 
 
-def mlp_spec():
-    return M.ModelSpec(M.MLP, 5, context_len=2, hidden_dim=4)
+def mlp_spec(V=5):
+    return M.ModelSpec(M.MLP, V, context_len=2, hidden_dim=4)
 
 
 def random_rows(rng, n=8, V=5, scale=2.0):
@@ -239,6 +239,71 @@ class TestLogsumexp:
                                        p_y[live], rtol=1e-13, atol=0)
 
 
+def oracle_rows(kind, H, y):
+    """(values, logit gradients) of the public log-space *_rows functions."""
+    if kind.tag == "nll":
+        return L.nll_value_rows(H, y), L.nll_grad_rows(H, y)
+    if kind.tag == "ll":
+        return L.ll_value_rows(H, y), L.ll_grad_rows(H, y)
+    return L.nlul_value_rows(H, y, kind.clamp_eps), L.nlul_grad_rows(H, y, kind.clamp_eps)
+
+
+class TestLabelKernel:
+    """The one-pass nll/ll/nlul kernel against the log-space oracle, and
+    the it and qkl kernels against the two-softmax formulas they replace."""
+
+    @staticmethod
+    def cases(rng):
+        H, y = random_rows(rng, n=40, V=7)
+        ties = np.round(H)
+        ties[:10, :2] = ties[:10].max(axis=1, keepdims=True)
+        y_ties = y.copy()
+        y_ties[:5] = 0                      # y on a tied maximum
+        lead = H.copy()
+        lead[np.arange(40), y] = H.max(axis=1) + 800.0 + 50.0 * rng.random(40)
+        return {"random": (H, y), "ties": (ties, y_ties), "x1e3": (H * 1e3, y),
+                "V2": random_rows(rng, n=40, V=2), "lead": (lead, y)}
+
+    @pytest.mark.parametrize("tag", ["nll", "ll", "nlul"])
+    def test_matches_log_space_oracle(self, tag):
+        """nll and ll values are bitwise the oracle's; every other entry
+        agrees at rtol 1e-12 above the oracle's own floor.  The oracle
+        forms log(1 - p_y) as a difference of two unshifted logsumexps,
+        good to a few ulps of max|h| in absolute terms, which bounds both
+        the nlul value near p_y = 0 and the relative error of exp(log(1 -
+        p_y)).  Where y leads by >= 800 the complement mass underflows and
+        the kernel takes the oracle's log-space value."""
+        rng = np.random.default_rng(58)
+        kind = L.LossKind(tag)
+        for name, (H, y) in self.cases(rng).items():
+            floor = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(H).max(axis=1))
+            value, grad = oracle_rows(kind, H, y)
+            with np.errstate(all="raise"):
+                v, g = L._label_rows(kind, H, y, True, True)
+                assert L._label_rows(kind, H, y, True, False)[1] is None
+                assert L._label_rows(kind, H, y, False, True)[0] is None
+            if tag == "nlul":
+                assert np.all(np.abs(v - value) <= 1e-12 * np.abs(value) + floor), name
+            else:
+                np.testing.assert_array_equal(v, value, err_msg=name)
+            assert np.all(np.abs(g - grad) <= (1e-12 + floor[:, None]) * np.abs(grad)), name
+            if name == "lead":
+                np.testing.assert_array_equal(v, value)
+                np.testing.assert_array_equal(g, grad)
+
+    def test_it_kernel_is_bitwise_the_softmax_formula(self):
+        rng = np.random.default_rng(59)
+        H, _ = random_rows(rng, n=40, V=7)
+        for log_q in (M.log_softmax_rows(rng.standard_normal(H.shape)), -np.log(7)):
+            P = M.softmax_rows(H)
+            R = M.log_softmax_rows(H) - log_q
+            value = (P * R).sum(axis=1)
+            v, g = L._it_terms(H, log_q, True)
+            np.testing.assert_array_equal(v, value)
+            np.testing.assert_array_equal(g, P * (R - value[:, None]))
+            np.testing.assert_array_equal(L._it_terms(H, log_q, False)[0], value)
+
+
 def loss_kinds(spec, rng):
     teacher = L.TeacherLogits(spec, rng.standard_normal(M.param_count(spec)))
     return [L.LossKind("nll"), L.LossKind("ll"), L.LossKind("nlul"),
@@ -249,21 +314,26 @@ def loss_kinds(spec, rng):
 class TestFusedValueAndGrad:
     @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
     def test_bitwise_equal_to_separate_calls(self, make_spec):
+        """Also at V = 2 and with theta (so the logits) scaled x1e3, where
+        every value and gradient stays finite."""
         rng = np.random.default_rng(56)
-        spec = make_spec()
-        theta = rng.standard_normal(M.param_count(spec))
-        base = rng.standard_normal(M.param_count(spec))
-        pairs = random_batch(rng, spec)
-        seqs = M.dataset_from_sequences([[0, 1, 2, 3], [4, 2], [3, 3, 1]],
-                                        spec.context_len)
-        for kind in loss_kinds(spec, rng):
-            batch = seqs if kind.tag == "npo" else pairs
-            value, grad = L.batch_value_and_grad(kind, spec, theta, batch,
-                                                 base_theta=base)
-            assert value == L.batch_loss(kind, spec, theta, batch,
-                                         base_theta=base)
-            np.testing.assert_array_equal(
-                grad, L.batch_grad(kind, spec, theta, batch, base_theta=base))
+        for V, scale in ((5, 1.0), (2, 1.0), (5, 1e3)):
+            spec = make_spec(V)
+            theta = scale * rng.standard_normal(M.param_count(spec))
+            base = rng.standard_normal(M.param_count(spec))
+            pairs = random_batch(rng, spec)
+            seqs = M.dataset_from_sequences(
+                [np.array(s) % V for s in ([0, 1, 2, 3], [4, 2], [3, 3, 1])],
+                spec.context_len)
+            for kind in loss_kinds(spec, rng):
+                batch = seqs if kind.tag == "npo" else pairs
+                value, grad = L.batch_value_and_grad(kind, spec, theta, batch,
+                                                     base_theta=base)
+                assert np.isfinite(value) and np.all(np.isfinite(grad))
+                assert value == L.batch_loss(kind, spec, theta, batch,
+                                             base_theta=base)
+                np.testing.assert_array_equal(
+                    grad, L.batch_grad(kind, spec, theta, batch, base_theta=base))
 
 
 class TestBatchedNpo:
