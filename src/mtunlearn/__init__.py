@@ -73,7 +73,6 @@ from .losses import (
     batch_grad,
     batch_loss,
     batch_value_and_grad,
-    npo_value,
 )
 from .model import (
     BIGRAM,
@@ -152,7 +151,6 @@ __all__ = [
     "batch_grad",
     "batch_loss",
     "batch_value_and_grad",
-    "npo_value",
     "BIGRAM",
     "MLP",
     "ModelSpec",

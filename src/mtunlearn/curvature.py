@@ -71,12 +71,10 @@ def bigram_gnh_blocks(spec, theta, batch):
         raise ValueError("block assembly applies to the bigram model only")
     V = spec.vocab_size
     table = np.asarray(theta, dtype=float).reshape(V, V)
-    rows, counts = np.unique(batch.contexts[:, -1], return_counts=True)
+    rows, c = batch.last_token_weights(spec)
     P = M.softmax_rows(table[rows])
-    out = {}
-    for r, c, p in zip(rows, counts, P):
-        out[int(r)] = (c / len(batch)) * (np.diag(p) - np.outer(p, p))
-    return out
+    return {int(r): w * (np.diag(p) - np.outer(p, p))
+            for r, w, p in zip(rows, c[:, 0], P)}
 
 
 def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
@@ -97,9 +95,7 @@ def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
         raise ValueError("lam_prime must be positive")
     V = spec.vocab_size
     table = np.asarray(theta, dtype=float).reshape(V, V)
-    counts = np.bincount(pretrain_batch.contexts[:, -1], minlength=V)
-    rows = np.flatnonzero(counts)
-    c = (counts[rows] / len(pretrain_batch))[:, None]
+    rows, c = pretrain_batch.last_token_weights(spec)
     P = M.softmax_rows(table[rows])
     G = np.asarray(g, dtype=float).reshape(V, V)
     X = G / lam_prime

@@ -55,16 +55,16 @@ def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
     """Batch-mean kl or qkl value and gradient from one forward pass at
     each point; a part not asked for is None."""
     _check_batch(batch)
-    H, aux = M._forward(spec, theta, batch.contexts)
-    Href = M.batch_logits(spec, theta_ref, batch.contexts)
+    H, aux = M._forward(spec, theta, batch.inputs(spec))
+    Href = M.batch_logits(spec, theta_ref, batch)
     if tag == "kl":
         vals, G = losses.it_rows(H, Href) if grad else (losses.it_value_rows(H, Href), None)
     else:
         vals, G = _qkl_terms(H, Href, value, grad)
-    v = float(vals.mean()) if value else None
+    v = float(vals.sum() / len(vals)) if value else None
     g = None
     if grad:
-        g = M.grad_from_logit_grads(spec, theta, batch.contexts, G / len(batch), aux=aux)
+        g = M.grad_from_logit_grads(spec, theta, batch, G / len(batch), aux=aux)
     return v, g
 
 
@@ -152,8 +152,8 @@ def curvature_quadratic_form(spec, theta_ref, batch, d):
     """d^T H(theta_ref) d for the shared curvature matrix H (batch mean of
     J S J^T), computed matrix-free via the logit directional derivative:
     each context contributes u^T S u with u = J^T d."""
-    U = M.logit_jvp(spec, theta_ref, batch.contexts, d)
-    H = M.batch_logits(spec, theta_ref, batch.contexts)
+    U = M.logit_jvp(spec, theta_ref, batch, d)
+    H = M.batch_logits(spec, theta_ref, batch)
     P = M.softmax_rows(H)
     m1 = (P * U).sum(axis=1)
     m2 = (P * U * U).sum(axis=1)

@@ -29,6 +29,7 @@ import numpy as np
 from . import artifacts
 from . import curvature
 from . import divergence as Dmod
+from . import linalg
 from . import losses as Lmod
 from . import model as M
 from . import optimizer as O
@@ -366,7 +367,7 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
             O.ngd_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
                       O.config_with(cfg, ngd_grad_lag=lag),
                       callback=lambda t, th, te: dists.append(
-                          float(np.linalg.norm(mt_thetas[t] - th))))
+                          linalg.norm(mt_thetas[t] - th)))
             lag_row.append({"grad_lag": lag, "alpha": a, "T": T,
                             "gamma": derived.gamma, "lam_bar": derived.lam_bar,
                             "deviation": max(dists)})
@@ -628,7 +629,7 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     spec, theta0 = setup.spec, setup.theta0
     d_f, d_pt = setup.d_f, setup.d_pt
 
-    H = M.batch_logits(spec, theta0, d_f.contexts)
+    H = M.batch_logits(spec, theta0, d_f)
     P = M.softmax_rows(H)
     p_y = P[np.arange(len(d_f)), d_f.nexts]
     min_p = float(p_y.min())
@@ -641,7 +642,7 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     grad_norm0 = {}
     for tag in loss_tags:
         g = Lmod.batch_grad(kinds[tag], spec, theta0, d_f, base_theta=theta0)
-        grad_norm0[tag] = float(np.linalg.norm(g))
+        grad_norm0[tag] = linalg.norm(g)
     ratios = {}
     if "nlul" in grad_norm0:
         for other in ("ll", "npo", "it"):
@@ -660,8 +661,8 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
         def observe(t, th, teacher):
             entry["t"].append(t)
             entry["nll_forget"].append(Lmod.batch_loss(_NLL, spec, th, d_f))
-            entry["loss_grad_norm"].append(float(np.linalg.norm(
-                Lmod.batch_grad(kind, spec, th, d_f, base_theta=theta0))))
+            entry["loss_grad_norm"].append(linalg.norm(
+                Lmod.batch_grad(kind, spec, th, d_f, base_theta=theta0)))
             if tag == "it":
                 entry["kl_to_teacher"].append(Lmod.batch_loss(kind, spec, th, d_f))
 

@@ -11,6 +11,8 @@ unittest, email and socket behind it) would slow the start of every
 other command.
 """
 
+import math
+
 import numpy as np
 
 SYMMETRY_ATOL = 1e-12
@@ -28,6 +30,12 @@ def _as_vector(x):
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got ndim={x.ndim}")
     return x
+
+
+def norm(x):
+    """Euclidean norm of a 1-d float vector: sqrt(x . x), np.linalg.norm's
+    own formula (bit for bit) without its wrapper, for per-step use."""
+    return math.sqrt(x.dot(x))
 
 
 def check_symmetric(A, atol=SYMMETRY_ATOL):

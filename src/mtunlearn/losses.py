@@ -45,18 +45,19 @@ class TeacherLogits:
     def is_uniform(self):
         return self.spec is None
 
-    def batch(self, contexts, vocab_size):
+    def batch(self, data, vocab_size):
+        """Teacher logits of a TokenDataset or an array of contexts."""
         if self.is_uniform:
-            return np.zeros((len(contexts), vocab_size))
-        return M.batch_logits(self.spec, self.theta, contexts)
+            return np.zeros((len(data), vocab_size))
+        return M.batch_logits(self.spec, self.theta, data)
 
-    def log_probs(self, contexts, vocab_size):
+    def log_probs(self, data, vocab_size):
         """Teacher log-probabilities of the contexts; the uniform teacher's
         are the constant -log V, equal bit for bit to the log-softmax of
         its zero logits."""
         if self.is_uniform:
             return -np.log(vocab_size)
-        return M.log_softmax_rows(self.batch(contexts, vocab_size))
+        return M.log_softmax_rows(self.batch(data, vocab_size))
 
 
 @dataclass
@@ -210,60 +211,44 @@ def nll_grad_rows(H, y):
     return -ll_grad_rows(H, y)
 
 
-def npo_value(spec, s, theta, base_theta, beta):
-    """Sequence-level value (2/beta) * softplus(beta * (L_theta - L_base))
-    with L = sequence log-probability; equals
-    -(2/beta) log sigmoid(-beta (L_theta - L_base)).
-    """
-    lt = M.sequence_logprob(spec, theta, s)
-    lb = M.sequence_logprob(spec, base_theta, s)
-    return float((2.0 / beta) * np.logaddexp(0.0, beta * (lt - lb)))
-
-
-def npo_weight(spec, s, theta, base_theta, beta):
-    """Damping weight w = pi_theta(s)^beta / (pi_theta(s)^beta + pi_base(s)^beta).
-
-    Equals sigmoid(beta * (L_theta - L_base)); w = 1/2 when theta equals
-    the base model.
-    """
-    lt = M.sequence_logprob(spec, theta, s)
-    lb = M.sequence_logprob(spec, base_theta, s)
-    return float(_sigmoid(beta * (lt - lb)))
-
-
-def npo_grad(spec, s, theta, base_theta, beta):
-    """Exact gradient of npo_value w.r.t. theta.
-
-    Chain rule gives 2 w(s) times the gradient of the sequence
-    log-probability (the summed per-token ll gradients).
-    """
-    w = npo_weight(spec, s, theta, base_theta, beta)
-    return 2.0 * w * M.grad_sequence_logprob(spec, theta, s)
+def npo_pairs(spec, data, base_theta):
+    """The npo forget set of a run: data's sequences expanded into pairs
+    once (model.sequence_pairs), carrying each sequence's log-probability
+    under the fixed base model, so that its batches gather those values
+    instead of recomputing them."""
+    ds, _ = M.sequence_pairs(spec, data)
+    return M.TokenDataset(ds.contexts, ds.nexts, ds.role, ds.sequences,
+                          M.sequence_logprob(spec, base_theta, ds))
 
 
 def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
     """Batch-mean npo value and gradient from one forward pass over the
-    batch's pairs at theta and one at the base model.
+    batch's pairs at theta and, unless the batch carries base_logprob,
+    one at the base model.
 
-    Per sequence the gradient is 2 w(s) times the summed e_y - p rows of
-    its pairs (see npo_grad); the rows are scaled before one backprop.
+    Per sequence the value is (2/beta) softplus(beta (L_theta - L_base))
+    with L the sequence log-probability, and the gradient is 2 w(s) times
+    the summed e_y - p rows of its pairs, w = sigmoid(beta (L_theta -
+    L_base)); the rows are scaled before one backprop.
     """
     ds, starts = M.sequence_pairs(spec, batch)
     if base_theta is None:
         raise ValueError("npo requires base_theta")
-    lb = M.sequence_logprob(spec, base_theta, ds)
-    H, aux = M._forward(spec, theta, ds.contexts)
+    lb = ds.base_logprob
+    if lb is None:
+        lb = M.sequence_logprob(spec, base_theta, ds)
+    H, aux = M._forward(spec, theta, ds.inputs(spec))
     lt = M.segment_logprob(H, ds, starts)
     v = g = None
     if value:
-        v = float(np.mean((2.0 / kind.beta) * np.logaddexp(0.0, kind.beta * (lt - lb))))
+        vals = (2.0 / kind.beta) * np.logaddexp(0.0, kind.beta * (lt - lb))
+        v = float(vals.sum() / len(vals))
     if grad:
         w = _sigmoid(kind.beta * (lt - lb))
         G = -M.softmax_rows(H)
         G[np.arange(len(ds)), ds.nexts] += 1.0
         per_pair = np.repeat(2.0 * w / len(w), np.diff(np.append(starts, len(ds))))
-        g = M.grad_from_logit_grads(spec, theta, ds.contexts, G * per_pair[:, None],
-                                    aux=aux)
+        g = M.grad_from_logit_grads(spec, theta, ds, G * per_pair[:, None], aux=aux)
     return v, g
 
 
@@ -318,17 +303,16 @@ def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
         return _npo_terms(kind, spec, theta, batch, base_theta, value, grad)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    H, aux = M._forward(spec, theta, batch.contexts)
-    y = batch.nexts
+    H, aux = M._forward(spec, theta, batch.inputs(spec))
     if kind.tag == "it":
-        log_q = kind.teacher.log_probs(batch.contexts, spec.vocab_size)
-        vals, G = _it_terms(H, log_q, grad)
+        vals, G = _it_terms(H, kind.teacher.log_probs(batch, spec.vocab_size), grad)
     else:
-        vals, G = _label_rows(kind, H, y, value, grad)
-    v = float(vals.mean()) if value else None
+        vals, G = _label_rows(kind, H, batch.nexts, value, grad)
+    # sum / n is np.mean's own formula, bit for bit, without its wrapper.
+    v = float(vals.sum() / len(vals)) if value else None
     g = None
     if grad:
-        g = M.grad_from_logit_grads(spec, theta, batch.contexts, G / len(batch), aux=aux)
+        g = M.grad_from_logit_grads(spec, theta, batch, G / len(batch), aux=aux)
     return v, g
 
 
@@ -337,8 +321,9 @@ def batch_loss(kind, spec, theta, batch, base_theta=None):
 
     For npo the batch is a set of sequences (a TokenDataset built from
     sequences, or a plain list of sequences) and base_theta must be the
-    fixed base model parameters.  All other losses average per
-    (context, next) pair.
+    fixed base model parameters; a batch carrying base_logprob (see
+    npo_pairs) supplies the base model's values from it.  All other
+    losses average per (context, next) pair.
     """
     return _loss_terms(kind, spec, theta, batch, base_theta, True, False)[0]
 

@@ -91,20 +91,65 @@ class TokenDataset:
     target tokens.  role labels the split the pairs belong to ("forget" or
     "pretrain").  sequences retains the source sequences when the dataset
     was built from them (needed for sequence-level losses and for greedy
-    decoding metrics).
+    decoding metrics).  base_logprob, when set, holds the npo base model's
+    log-probability of each sequence (a run computes it once and its
+    batches gather it).
+
+    The model inputs are a property of the dataset: the first use with a
+    ModelSpec checks every token id and encodes the pairs (`inputs`), and
+    the dataset keeps the encoding, so the pairs must not be modified
+    after it is first used.
     """
 
     contexts: np.ndarray
     nexts: np.ndarray
     role: str = "forget"
     sequences: list = field(default_factory=list)
+    base_logprob: np.ndarray = None
+    _prepared: tuple = field(default=None, init=False, repr=False)
+    _weights: tuple = field(default=None, init=False, repr=False)
 
     def __len__(self):
         return len(self.nexts)
 
+    def inputs(self, spec):
+        """One-hot model inputs of the pairs for spec (see `_encode`).
+
+        The first call with a spec checks every context and next-token id
+        and encodes; later calls, and the batches `subset` takes, reuse
+        that encoding.
+        """
+        p = self._prepared
+        if p is None or (p[0] is not spec and p[0] != spec):
+            p = self._prepared = (spec, _encode(spec, self.contexts, self.nexts))
+        return p[1]
+
+    def last_token_weights(self, spec):
+        """(rows, weights) of the bigram curvature: the distinct last
+        context tokens in ascending order, and as a column the share of
+        the pairs each one ends.  Computed once."""
+        self.inputs(spec)
+        if self._weights is None:
+            counts = np.bincount(self.contexts[:, -1], minlength=spec.vocab_size)
+            rows = np.flatnonzero(counts)
+            self._weights = (rows, (counts[rows] / len(self))[:, None])
+        return self._weights
+
     def subset(self, idx):
         """Row subset by integer index array (sequences are not subset)."""
-        return TokenDataset(self.contexts[idx], self.nexts[idx], self.role, [])
+        return self._take(idx)
+
+    def _take(self, rows, seqs=None):
+        """Pairs `rows`, with their encoded inputs gathered rather than
+        re-encoded, plus the sequences `seqs` (an index array) and their
+        base log-probabilities when given."""
+        keep = seqs is not None and self.base_logprob is not None
+        out = TokenDataset(self.contexts[rows], self.nexts[rows], self.role,
+                           [] if seqs is None else [self.sequences[i] for i in seqs],
+                           self.base_logprob[seqs] if keep else None)
+        if self._prepared is not None:
+            out._prepared = (self._prepared[0], self._prepared[1][rows])
+        return out
 
 
 def dataset_from_sequences(sequences, context_len, role="forget"):
@@ -163,25 +208,41 @@ def load_jsonl_dataset(path, context_len, role="forget"):
 
 
 def validate_dataset(spec, ds):
-    """Check every token id against the vocabulary; raise on violation."""
-    V = spec.vocab_size
-    ok_ctx = np.all((ds.contexts >= PAD) & (ds.contexts < V))
-    ok_nxt = np.all((ds.nexts >= 0) & (ds.nexts < V))
-    if not (ok_ctx and ok_nxt):
-        raise ValueError(f"token id out of vocabulary (V={V})")
-    if ds.contexts.shape[1] > spec.context_len and spec.kind == MLP:
-        raise ValueError("context wider than the model's context_len")
+    """Check every token id against the vocabulary (and an MLP context
+    against its width); raise ValueError on violation.  This is the
+    dataset's preparation for spec (TokenDataset.inputs): the encoding it
+    builds is kept for every later use."""
+    ds.inputs(spec)
 
 
-def _encode_contexts(spec, contexts):
-    """Concatenated one-hot encoding (n, V*context_len); pad rows stay zero."""
+def _encode(spec, contexts, nexts=()):
+    """The one check and encoding of token ids behind every model input.
+
+    Raises ValueError unless every context id is a token or PAD and every
+    next id a token.  Returns the one-hot input matrix: for the MLP the
+    concatenated encoding (n, V*context_len) of the context positions, a
+    PAD slot or a narrower context's missing left positions staying zero;
+    for the bigram the (n, V) encoding of the last context token, which
+    must not be PAD.
+    """
     contexts = np.asarray(contexts, dtype=int)
-    n, width = contexts.shape
+    nexts = np.asarray(nexts, dtype=int)
     V = spec.vocab_size
-    X = np.zeros((n, V * spec.context_len))
+    if (contexts.size and (contexts.max() >= V or contexts.min() < PAD)) or \
+            (nexts.size and (nexts.max() >= V or nexts.min() < 0)):
+        raise ValueError(f"token id out of vocabulary (V={V})")
+    n, width = contexts.shape
+    if spec.kind == BIGRAM:
+        last = contexts[:, -1]
+        if last.size and last.min() < 0:
+            raise ValueError("bigram model requires a non-empty context")
+        X = np.zeros((n, V))
+        X[np.arange(n), last] = 1.0
+        return X
     offset = spec.context_len - width
     if offset < 0:
         raise ValueError("context wider than the model's context_len")
+    X = np.zeros((n, V * spec.context_len))
     for j in range(width):
         t = contexts[:, j]
         m = t >= 0
@@ -189,32 +250,34 @@ def _encode_contexts(spec, contexts):
     return X
 
 
-def _forward(spec, theta, contexts):
-    """Batch logits plus the auxiliary state the backward pass needs.
+def model_inputs(spec, data):
+    """One-hot inputs of a TokenDataset (its kept encoding) or of an
+    (n, width) array of raw context ids (checked and encoded now)."""
+    if isinstance(data, TokenDataset):
+        return data.inputs(spec)
+    return _encode(spec, data)
 
-    Returns (H, aux): H is (n, V); aux is the hidden activation matrix for
-    the MLP and the encoded one-hot matrix, or the context rows for the
-    bigram model.
+
+def _forward(spec, theta, X):
+    """Batch logits of the one-hot inputs X plus the auxiliary state the
+    backward pass needs.
+
+    Returns (H, aux): H is (n, V); aux is X for the bigram model and
+    (X, hidden activations) for the MLP.  The bigram logits X @ table are
+    the gathered table rows bit for bit, except that a -0.0 entry reads
+    +0.0.
     """
-    contexts = np.asarray(contexts, dtype=int)
-    V = spec.vocab_size
-    if contexts.size and (contexts.max() >= V or contexts.min() < PAD):
-        raise ValueError(f"token id out of vocabulary (V={V})")
     if spec.kind == BIGRAM:
-        rows = contexts[:, -1]
-        if rows.size and rows.min() < 0:
-            raise ValueError("bigram model requires a non-empty context")
-        table = theta.reshape(V, V)
-        return table[rows], rows
-    X = _encode_contexts(spec, contexts)
+        V = spec.vocab_size
+        return X @ theta.reshape(V, V), X
     W1, b1, W2, b2 = _unpack_mlp(spec, theta)
     A = np.tanh(X @ W1.T + b1)
     return A @ W2.T + b2, (X, A)
 
 
-def batch_logits(spec, theta, contexts):
-    """Logit matrix (n, V) for a batch of contexts."""
-    H, _ = _forward(spec, theta, contexts)
+def batch_logits(spec, theta, data):
+    """Logit matrix (n, V) for a TokenDataset or an array of contexts."""
+    H, _ = _forward(spec, theta, model_inputs(spec, data))
     return H
 
 
@@ -224,22 +287,20 @@ def logits(spec, theta, x):
     return batch_logits(spec, theta, x)[0]
 
 
-def grad_from_logit_grads(spec, theta, contexts, G, aux=None):
+def grad_from_logit_grads(spec, theta, data, G, aux=None):
     """Backprop: gradient w.r.t. theta of sum_n <G[n], h(x_n; theta)>.
 
-    G is (n, V).  Passing the aux state returned by `_forward` avoids a
-    second forward pass.
+    G is (n, V) and data a TokenDataset or an array of contexts.  Passing
+    the aux state returned by `_forward` avoids a second forward pass.
+    The bigram gradient X^T G equals np.add.at of G into the table rows
+    bit for bit.
     """
-    contexts = np.asarray(contexts, dtype=int)
-    V = spec.vocab_size
     G = np.asarray(G, dtype=float)
     if spec.kind == BIGRAM:
-        rows = aux if aux is not None else contexts[:, -1]
-        dW = np.zeros((V, V))
-        np.add.at(dW, rows, G)
-        return dW.ravel()
+        X = model_inputs(spec, data) if aux is None else aux
+        return (X.T @ G).ravel()
     if aux is None:
-        _, aux = _forward(spec, theta, contexts)
+        _, aux = _forward(spec, theta, model_inputs(spec, data))
     X, A = aux
     _, _, W2, _ = _unpack_mlp(spec, theta)
     dW2 = G.T @ A
@@ -257,20 +318,17 @@ def logit_jacobian(spec, theta, x):
     block on the active table row, zeros elsewhere.
     """
     x = np.asarray(x, dtype=int).reshape(1, -1)
+    X = model_inputs(spec, x)
     V = spec.vocab_size
     dim = param_count(spec)
     J = np.zeros((dim, V))
     if spec.kind == BIGRAM:
         row = int(x[0, -1])
-        if row < 0:
-            raise ValueError("bigram model requires a non-empty context")
-        if row >= V:
-            raise ValueError(f"token id out of vocabulary (V={V})")
         for j in range(V):
             J[row * V + j, j] = 1.0
         return J
     # Backprop of each logit coordinate: column j is the gradient of h_j.
-    _, aux = _forward(spec, theta, x)
+    _, aux = _forward(spec, theta, X)
     for j in range(V):
         G = np.zeros((1, V))
         G[0, j] = 1.0
@@ -278,20 +336,17 @@ def logit_jacobian(spec, theta, x):
     return J
 
 
-def logit_jvp(spec, theta, contexts, v):
+def logit_jvp(spec, theta, data, v):
     """Directional derivative of the batch logits along the parameter
     direction v: returns (n, V) with rows J(x_n)^T v.
 
     Exact forward-mode product; avoids materializing dense Jacobians.
     """
-    contexts = np.asarray(contexts, dtype=int)
+    X = model_inputs(spec, data)
     V = spec.vocab_size
     v = np.asarray(v, dtype=float)
     if spec.kind == BIGRAM:
-        rows = contexts[:, -1]
-        dtable = v.reshape(V, V)
-        return dtable[rows]
-    X = _encode_contexts(spec, contexts)
+        return X @ v.reshape(V, V)
     W1, b1, W2, b2 = _unpack_mlp(spec, theta)
     dW1, db1, dW2, db2 = _unpack_mlp(spec, v)
     A = np.tanh(X @ W1.T + b1)
@@ -356,27 +411,13 @@ def sequence_logprob(spec, theta, s):
     """
     if isinstance(s, TokenDataset):
         ds, starts = sequence_pairs(spec, s)
-        return segment_logprob(batch_logits(spec, theta, ds.contexts), ds, starts)
+        return segment_logprob(batch_logits(spec, theta, ds), ds, starts)
     s = np.asarray(s, dtype=int)
     if len(s) < 2:
         raise ValueError("sequence must have length >= 2")
     ds = dataset_from_sequences([s], spec.context_len)
-    H = batch_logits(spec, theta, ds.contexts)
-    L = log_softmax_rows(H)
+    L = log_softmax_rows(batch_logits(spec, theta, ds))
     return float(L[np.arange(len(ds.nexts)), ds.nexts].sum())
-
-
-def grad_sequence_logprob(spec, theta, s):
-    """Gradient w.r.t. theta of sequence_logprob (sum of per-step terms)."""
-    s = np.asarray(s, dtype=int)
-    if len(s) < 2:
-        raise ValueError("sequence must have length >= 2")
-    ds = dataset_from_sequences([s], spec.context_len)
-    H, aux = _forward(spec, theta, ds.contexts)
-    P = softmax_rows(H)
-    G = -P
-    G[np.arange(len(ds.nexts)), ds.nexts] += 1.0
-    return grad_from_logit_grads(spec, theta, ds.contexts, G, aux=aux)
 
 
 def greedy_continuation(spec, theta, prompt, n_steps):

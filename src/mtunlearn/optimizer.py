@@ -186,9 +186,10 @@ def _clip_scale(cfg, grad_norm):
 
 class _BatchSampler:
     """Seeded with-replacement sampler; one forget draw then one pretrain
-    draw per step so runs are reproducible from the seed alone.  An npo
-    forget batch holds whole sequences: the forget set is expanded into
-    pairs once, and each draw gathers its sequences' pair rows."""
+    draw per step so runs are reproducible from the seed alone.  A batch
+    gathers its rows of the datasets' encoded inputs.  An npo forget batch
+    holds whole sequences: the forget set is expanded into pairs once, and
+    each draw gathers its sequences' pair rows and base log-probabilities."""
 
     def __init__(self, spec, cfg, d_f, d_pt):
         self.rng = np.random.default_rng(cfg.seed)
@@ -197,19 +198,16 @@ class _BatchSampler:
         self.d_pt = d_pt
         self.npo = cfg.loss.tag == "npo"
         if self.npo:
-            if not d_f.sequences:
-                raise ValueError("npo runs need forget data carrying whole sequences")
             self.d_f, starts = M.sequence_pairs(spec, d_f)
             self.seq_rows = [np.arange(a, a + len(s) - 1)
                              for a, s in zip(starts, self.d_f.sequences)]
+        for ds in (self.d_f, d_pt):
+            ds.inputs(spec)
 
     def draw(self):
         if self.npo:
             fi = self.rng.integers(0, len(self.seq_rows), self.cfg.batch_forget)
-            rows = np.concatenate([self.seq_rows[i] for i in fi])
-            f = self.d_f
-            fb = M.TokenDataset(f.contexts[rows], f.nexts[rows], f.role,
-                                [f.sequences[i] for i in fi])
+            fb = self.d_f._take(np.concatenate([self.seq_rows[i] for i in fi]), fi)
         else:
             fb = self.d_f.subset(
                 self.rng.integers(0, len(self.d_f), self.cfg.batch_forget))
@@ -270,7 +268,7 @@ class _HeavyBall:
         prev = theta if self.prev is None else self.prev
         self.prev = theta
         return (theta - c.eta * g + c.mu * (theta - prev), c.eta * c.kappa,
-                float(np.linalg.norm(g)), 1.0)
+                linalg.norm(g), 1.0)
 
 
 class _ClippedVelocity:
@@ -285,7 +283,7 @@ class _ClippedVelocity:
 
     def __call__(self, t, theta, g):
         c = self.cfg
-        gn = float(np.linalg.norm(g))
+        gn = linalg.norm(g)
         l = _clip_scale(c, gn)
         self.vel = c.mu * self.vel + l * g
         return theta - c.eta * self.vel, l * c.eta * self.kappa, gn, l
@@ -311,7 +309,7 @@ class _AdamW:
         v_hat = self.v2 / (1.0 - b2 ** t)
         theta_new = theta - lr_t * (m_hat / (np.sqrt(v_hat) + ap.eps)
                                     + ap.weight_decay * theta)
-        return theta_new, 0.0, float(np.linalg.norm(g)), 1.0
+        return theta_new, 0.0, linalg.norm(g), 1.0
 
 
 class _DampedNGD:
@@ -338,7 +336,7 @@ class _DampedNGD:
             H = curvature.assemble_gnh(self.spec, theta, self.d_pt)
             step = linalg.solve_spd(H + lam_bar * np.eye(len(theta)), step_g)
         return (theta - self.derived.gamma * step, 0.0,
-                float(np.linalg.norm(step_g)), 1.0)
+                linalg.norm(step_g), 1.0)
 
 
 def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
@@ -356,6 +354,8 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     """
     theta = np.asarray(theta0, dtype=float).copy()
     base_theta = theta.copy()
+    if cfg.loss.tag == "npo":
+        d_f = Lmod.npo_pairs(spec, d_f, base_theta)
     teacher = theta.copy() if rule.has_teacher else None
     batched = rule.batched
     sampler = _BatchSampler(spec, cfg, d_f, d_pt) if batched else None

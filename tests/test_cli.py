@@ -202,6 +202,33 @@ class TestConfigErrors:
         assert not os.path.exists(tmp_path / "results.json")
 
 
+    @pytest.mark.parametrize("command", ["train-target", "unlearn"])
+    @pytest.mark.parametrize("split", ["forget", "pretrain"])
+    def test_out_of_vocabulary_token_exits_2_naming_the_split(
+            self, tmp_path, trained_dir, capsys, command, split):
+        """The dataset's one id check runs at the boundary, with its
+        message, before any training."""
+        files = {"forget": '{"tokens": [0, 1, 2, 3]}\n',
+                 "pretrain": '{"tokens": [4, 5, 6, 7]}\n'}
+        files[split] = '{"tokens": [0, 1, 99, 3]}\n'
+        for name, body in files.items():
+            (tmp_path / f"{name}.jsonl").write_text(body)
+        if command == "train-target":
+            cfg = target_cfg()
+        else:
+            cfg = unlearn_cfg()
+            cfg["target"] = os.path.join(trained_dir, "target.npy")
+        del cfg["corpus"]
+        cfg["data"] = {"forget": "forget.jsonl", "pretrain": "pretrain.jsonl"}
+        path = write_cfg(tmp_path, cfg)
+        assert main([command, path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        V = cfg["model"]["vocab_size"]
+        assert f"invalid {split} data: token id out of vocabulary (V={V})" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "results.json")
+
+
 def adamw_method(**adam):
     return dict(mt_method("adamw"), optimizer="adamw", adam=adam)
 

@@ -113,3 +113,18 @@ class TestCheckSymmetric:
         A[0, 1] = 1e-6
         with pytest.raises(ValueError, match="asymmetry"):
             linalg.check_symmetric(A)
+
+
+class TestNorm:
+    def test_is_numpy_norm_bit_for_bit(self):
+        """2 400 random vectors: lengths 1 to 3 000, scales 1e-150 to 1e150,
+        zeros and signed zeros included."""
+        rng = np.random.default_rng(7)
+        for i in range(2400):
+            x = rng.standard_normal(int(rng.integers(1, 3000)))
+            x *= 10.0 ** rng.uniform(-150, 150)
+            if i % 7 == 0:
+                x[: len(x) // 2] = -0.0
+            assert linalg.norm(x) == np.linalg.norm(x)
+            assert type(linalg.norm(x)) is float
+        assert linalg.norm(np.zeros(4)) == 0.0

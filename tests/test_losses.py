@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
 
-from conftest import central_difference_gradient, relative_error
+from conftest import (central_difference_gradient, grad_sequence_logprob,
+                      npo_grad, npo_value, npo_weight, relative_error)
 from mtunlearn import losses as L
 from mtunlearn import model as M
 
@@ -107,9 +108,9 @@ class TestNpo:
         theta = rng.standard_normal(25)
         s = [0, 3, 1, 4]
         beta = 0.7
-        assert L.npo_value(spec, s, theta, theta, beta) == pytest.approx(
+        assert npo_value(spec, s, theta, theta, beta) == pytest.approx(
             (2.0 / beta) * np.log(2.0), rel=1e-12)
-        assert L.npo_weight(spec, s, theta, theta, beta) == pytest.approx(0.5)
+        assert npo_weight(spec, s, theta, theta, beta) == pytest.approx(0.5)
 
     def test_sequence_weight_identity(self):
         """grad npo = 2 sigmoid(beta (L_theta - L_base)) grad L_theta,
@@ -123,11 +124,11 @@ class TestNpo:
             s = list(rng.integers(0, 4, 5))
             w = expit(beta * (M.sequence_logprob(spec, theta, s)
                               - M.sequence_logprob(spec, base, s)))
-            identity = 2.0 * w * M.grad_sequence_logprob(spec, theta, s)
-            np.testing.assert_allclose(L.npo_grad(spec, s, theta, base, beta),
+            identity = 2.0 * w * grad_sequence_logprob(spec, theta, s)
+            np.testing.assert_allclose(npo_grad(spec, s, theta, base, beta),
                                        identity, rtol=1e-12)
             fd = central_difference_gradient(
-                lambda th: L.npo_value(spec, s, th, base, beta), theta)
+                lambda th: npo_value(spec, s, th, base, beta), theta)
             assert relative_error(identity, fd) <= 1e-6
 
 
@@ -336,6 +337,31 @@ class TestFusedValueAndGrad:
                     grad, L.batch_grad(kind, spec, theta, batch, base_theta=base))
 
 
+class TestBatchMean:
+    def test_sum_over_n_is_numpy_mean_bit_for_bit(self):
+        """The batch losses average row values as sum / n; on 2 400 random
+        vectors that is np.mean's result bit for bit."""
+        rng = np.random.default_rng(58)
+        for _ in range(2400):
+            v = rng.standard_normal(int(rng.integers(1, 3000)))
+            v *= 10.0 ** rng.uniform(-100, 100)
+            assert v.sum() / len(v) == v.mean()
+
+    @pytest.mark.parametrize("tag", ["nll", "ll", "nlul", "it"])
+    def test_batch_loss_is_the_mean_of_its_rows(self, tag):
+        rng = np.random.default_rng(59)
+        kind = L.LossKind(tag)
+        for spec in (bigram_spec(), mlp_spec()):
+            theta = rng.standard_normal(M.param_count(spec))
+            batch = random_batch(rng, spec, n=13)
+            H = M.batch_logits(spec, theta, batch)
+            if tag == "it":
+                vals = L.it_value_rows(H, np.zeros_like(H))
+            else:
+                vals = L._label_rows(kind, H, batch.nexts, True, False)[0]
+            assert L.batch_loss(kind, spec, theta, batch) == float(np.mean(vals))
+
+
 class TestBatchedNpo:
     SEQS = [[0, 1, 2, 3, 4, 0], [3, 2], [1, 4, 1], [3, 2]]
 
@@ -350,9 +376,9 @@ class TestBatchedNpo:
         for _ in range(5):
             theta = rng.standard_normal(M.param_count(spec))
             base = rng.standard_normal(M.param_count(spec))
-            value = np.mean([L.npo_value(spec, s, theta, base, beta)
+            value = np.mean([npo_value(spec, s, theta, base, beta)
                              for s in self.SEQS])
-            grad = np.mean([L.npo_grad(spec, s, theta, base, beta)
+            grad = np.mean([npo_grad(spec, s, theta, base, beta)
                             for s in self.SEQS], axis=0)
             for batch in (M.dataset_from_sequences(self.SEQS, spec.context_len),
                           self.SEQS):

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, relative_error
+from conftest import (central_difference_gradient, grad_sequence_logprob,
+                      raw_backprop, raw_forward, relative_error, same_bits)
+from mtunlearn import losses as L
 from mtunlearn import model as M
 
 
@@ -130,6 +132,96 @@ class TestForward:
         np.testing.assert_allclose(np.log(P), M.log_softmax_rows(H), atol=1e-9)
 
 
+class TestPreparedInputs:
+    """A dataset checks and encodes its ids once; everything after is
+    arithmetic on the kept encoding, bit for bit the per-call path."""
+
+    @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec],
+                             ids=["bigram", "mlp"])
+    def test_forward_and_backprop_match_the_raw_id_path(self, make_spec):
+        rng = np.random.default_rng(14)
+        spec = make_spec()
+        for n in (1, 7, 40):
+            theta = rng.standard_normal(M.param_count(spec))
+            batch = random_batch(rng, spec, n=n)    # MLP: PAD slots included
+            H, aux = M._forward(spec, theta, batch.inputs(spec))
+            H_raw, aux_raw = raw_forward(spec, theta, batch.contexts)
+            assert same_bits(H, H_raw)
+            assert same_bits(M.batch_logits(spec, theta, batch), H_raw)
+            assert same_bits(M.batch_logits(spec, theta, batch.contexts), H_raw)
+            G = rng.standard_normal(H.shape)
+            g_raw = raw_backprop(spec, theta, batch.contexts, G, aux=aux_raw)
+            assert same_bits(M.grad_from_logit_grads(spec, theta, batch, G, aux=aux),
+                             g_raw)
+            assert same_bits(M.grad_from_logit_grads(spec, theta, batch.contexts, G),
+                             g_raw)
+            v = rng.standard_normal(M.param_count(spec))
+            assert same_bits(M.logit_jvp(spec, theta, batch, v),
+                             M.logit_jvp(spec, theta, batch.contexts, v))
+
+    @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec],
+                             ids=["bigram", "mlp"])
+    def test_subset_gathers_the_encoding_of_its_rows(self, make_spec):
+        rng = np.random.default_rng(15)
+        spec = make_spec()
+        ds = random_batch(rng, spec, n=9)
+        X = ds.inputs(spec)
+        assert ds.inputs(spec) is X            # encoded once, then kept
+        assert same_bits(X, M.model_inputs(spec, ds.contexts))
+        for idx in (np.array([3, 3, 0, 8]), rng.integers(0, 9, 30)):
+            sub = ds.subset(idx)
+            assert same_bits(sub.inputs(spec), M.model_inputs(spec, sub.contexts))
+            assert same_bits(sub.inputs(spec), X[idx])
+
+    def test_encoding_follows_the_spec(self):
+        ds = M.dataset_from_sequences([[0, 1, 2, 3], [3, 1]], context_len=2)
+        for spec in (bigram_spec(4), bigram_spec(6), mlp_spec(V=5, ctx=2),
+                     mlp_spec(V=5, ctx=3), bigram_spec(4)):
+            assert same_bits(ds.inputs(spec), M.model_inputs(spec, ds.contexts))
+
+    def test_bigram_products_are_the_gather_and_the_scatter(self):
+        """X @ table is the gather of table rows and X^T G the np.add.at
+        scatter, bit for bit (2 000 random shapes, rows left unvisited
+        included).  A -0.0 table entry reads +0.0 through the product."""
+        rng = np.random.default_rng(16)
+        for trial in range(2000):
+            V = int(rng.integers(2, 40))
+            n = int(rng.integers(1, 300))
+            rows = rng.integers(0, V if trial % 2 else max(1, V // 2), n)
+            X = M.model_inputs(bigram_spec(V), rows[:, None])
+            table = rng.standard_normal((V, V)) * 10.0 ** rng.uniform(-3, 3)
+            G = rng.standard_normal((n, V)) * 10.0 ** rng.uniform(-3, 3)
+            dW = np.zeros((V, V))
+            np.add.at(dW, rows, G)
+            assert same_bits(X @ table, table[rows])
+            assert same_bits(X.T @ G, dW)
+        table = np.array([[-0.0, 1.0], [2.0, 3.0]])
+        assert (M.model_inputs(bigram_spec(2), [[0]]) @ table)[0, 0] == 0.0
+
+    def test_bad_ids_fail_at_first_use_with_the_same_message(self):
+        """Each bad dataset fails at validate_dataset, at a loss and at
+        every later use, and nothing is kept from the failed check."""
+        nll = L.LossKind("nll")
+        cases = [
+            (bigram_spec(), [[0], [5]], [1, 2], "out of vocabulary \\(V=5\\)"),
+            (bigram_spec(), [[0], [-2]], [1, 2], "out of vocabulary \\(V=5\\)"),
+            (bigram_spec(), [[0], [1]], [1, 5], "out of vocabulary \\(V=5\\)"),
+            (bigram_spec(), [[0], [1]], [-1, 2], "out of vocabulary \\(V=5\\)"),
+            (bigram_spec(), [[1], [M.PAD]], [1, 2], "non-empty context"),
+            (mlp_spec(), [[M.PAD, 6]], [1], "out of vocabulary \\(V=6\\)"),
+            (mlp_spec(), [[0, 1, 2]], [1], "wider than the model's context_len"),
+        ]
+        for spec, ctx, nxt, match in cases:
+            ds = M.TokenDataset(np.array(ctx), np.array(nxt))
+            theta = np.zeros(M.param_count(spec))
+            for use in (lambda: M.validate_dataset(spec, ds),
+                        lambda: L.batch_loss(nll, spec, theta, ds),
+                        lambda: ds.subset(np.arange(len(ds))).inputs(spec),
+                        lambda: M.batch_logits(spec, theta, ds)):
+                with pytest.raises(ValueError, match=match):
+                    use()
+
+
 class TestDerivatives:
     def test_logit_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(20)
@@ -189,7 +281,7 @@ class TestSequences:
         spec = bigram_spec(4)
         theta = rng.standard_normal(16)
         s = [0, 2, 1, 1, 3]
-        g = M.grad_sequence_logprob(spec, theta, s)
+        g = grad_sequence_logprob(spec, theta, s)
         fd = central_difference_gradient(
             lambda th: M.sequence_logprob(spec, th, s), theta)
         assert relative_error(g, fd) < 1e-7

@@ -12,7 +12,7 @@ from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.errors import TrainingError
 
-from conftest import observed_run
+from conftest import observed_run, same_bits, use_raw_forward
 
 
 def make_data(rng, V=6, n=8, context_len=1):
@@ -512,3 +512,98 @@ class TestKeepIterates:
         else:
             assert traj.final_teacher.tobytes() == seen[-1][1].tobytes()
             assert traj.final_teacher.tobytes() == short.final_teacher.tobytes()
+
+
+SPECS = {"bigram": M.ModelSpec(M.BIGRAM, 6),
+         "mlp": M.ModelSpec(M.MLP, 6, context_len=2, hidden_dim=4)}
+
+
+def sequence_data(spec, seed):
+    """Forget (3 sequences, 9 pairs) and pretrain (4 sequences, 13 pairs)
+    datasets built from sequences, so MLP contexts carry PAD slots."""
+    rng = np.random.default_rng(seed)
+    forget = [rng.integers(0, 6, n) for n in (3, 5, 4)]
+    pretrain = [rng.integers(0, 6, n) for n in (6, 2, 5, 4)]
+    return (M.dataset_from_sequences(forget, spec.context_len),
+            M.dataset_from_sequences(pretrain, spec.context_len, "pretrain"))
+
+
+PREPARED_CASES = {
+    "nlul-kl": dict(loss=L.LossKind("nlul")),
+    "it-qkl": dict(loss=L.LossKind("it"), divergence=Dv.DivergenceKind("qkl")),
+    "npo": dict(loss=L.LossKind("npo", beta=0.5)),
+    # Batches above the split sizes: with-replacement draws of 20 pairs
+    # from 9 and 13, and of 7 npo sequences from 3.
+    "oversized": dict(loss=L.LossKind("nlul"), batch_forget=20,
+                      batch_pretrain=30),
+    "oversized-npo": dict(loss=L.LossKind("npo", beta=0.5), batch_forget=7,
+                          batch_pretrain=30),
+}
+
+
+class TestPreparedRuns:
+    """Runs on the datasets' kept encodings against the same runs with
+    every evaluation re-checking and re-encoding raw ids, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(PREPARED_CASES))
+    @pytest.mark.parametrize("rule", list(RUNS))
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_runs_match_the_per_call_encoding(self, monkeypatch, kind, rule, case):
+        spec = SPECS[kind]
+        cfg = base_config(**dict(dict(T=5, clip=0.5, batch_forget=3,
+                                      batch_pretrain=4, seed=7),
+                                 **PREPARED_CASES[case]))
+        theta0 = M.init_params(spec, 3)
+        prepared = RUNS[rule](spec, theta0, *sequence_data(spec, 5), cfg)
+        with monkeypatch.context() as mp:
+            use_raw_forward(mp)
+            raw = RUNS[rule](spec, theta0, *sequence_data(spec, 5), cfg)
+        assert same_bits(prepared.final_theta, raw.final_theta)
+        if raw.final_teacher is not None:
+            assert same_bits(prepared.final_teacher, raw.final_teacher)
+        for name in ("grad_norms", "loss_values", "divergence_values",
+                     "clip_scales"):
+            assert same_bits(getattr(prepared, name), getattr(raw, name))
+
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_oversized_draws_gather_their_rows(self, kind):
+        """Batches larger than their split, npo included, hold the drawn
+        rows with the same encoding and base log-probabilities as the
+        drawn pairs and sequences built afresh."""
+        spec = SPECS[kind]
+        d_f, d_pt = sequence_data(spec, 6)
+        base = M.init_params(spec, 4)
+        for loss, n_f in ((L.LossKind("nlul"), 20), (L.LossKind("npo"), 7)):
+            cfg = base_config(loss=loss, batch_forget=n_f, batch_pretrain=30)
+            npo = loss.tag == "npo"
+            forget = L.npo_pairs(spec, d_f, base) if npo else d_f
+            sampler = O._BatchSampler(spec, cfg, forget, d_pt)
+            for _ in range(3):
+                fb, pb = sampler.draw()
+                assert len(pb) == 30
+                assert len(fb.sequences if npo else fb) == n_f
+                for b in (fb, pb):
+                    assert same_bits(b.inputs(spec), M.model_inputs(spec, b.contexts))
+                if npo:
+                    fresh = M.dataset_from_sequences(fb.sequences, spec.context_len)
+                    assert same_bits(fb.contexts, fresh.contexts)
+                    assert same_bits(fb.base_logprob,
+                                     M.sequence_logprob(spec, base, fresh))
+
+    @pytest.mark.parametrize("rule", ["mt", "mt-batched"])
+    def test_npo_base_values_are_computed_once_per_run(self, monkeypatch, rule):
+        spec = SPECS["bigram"]
+        calls = []
+        real = M.sequence_logprob
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(M, "sequence_logprob", counted)
+        theta0 = M.init_params(spec, 3)
+        cfg = base_config(T=6, loss=L.LossKind("npo", beta=0.5), batch_forget=2,
+                          batch_pretrain=3)
+        RUNS[rule](spec, theta0, *sequence_data(spec, 8), cfg)
+        assert len(calls) == 1 and calls[0] is not theta0
+        assert same_bits(calls[0], theta0)
