@@ -94,7 +94,6 @@ from .optimizer import (
     MTConfig,
     Trajectory,
     baseline_run,
-    config_with,
     mt_run,
     mt_run_batched,
     ngd_run,
@@ -168,7 +167,6 @@ __all__ = [
     "MTConfig",
     "Trajectory",
     "baseline_run",
-    "config_with",
     "mt_run",
     "mt_run_batched",
     "ngd_run",

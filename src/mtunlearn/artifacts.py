@@ -62,9 +62,21 @@ def save_params(path, theta):
 
 
 def load_params(path):
+    """The numeric array of a .npy parameter dump; a missing file, or one
+    that is not a numeric .npy array, raises MissingArtifactError naming
+    it."""
     if not os.path.exists(path):
         raise MissingArtifactError(f"parameter file not found: {path}")
-    return np.load(path)
+    try:
+        with open(path, "rb") as fh:
+            theta = np.load(fh)
+    except (OSError, ValueError, EOFError) as exc:
+        raise MissingArtifactError(f"cannot read parameter file {path}: {exc}") \
+            from exc
+    if not isinstance(theta, np.ndarray) or theta.dtype.kind not in "iuf":
+        raise MissingArtifactError(f"parameter file {path} does not hold a "
+                                   f"numeric .npy array")
+    return theta
 
 
 def _jsonable(obj):

@@ -18,7 +18,7 @@ between reruns.
 
 Exit codes: 0 success (verification passed), 1 a verification suite ran
 to completion and failed, 2 configuration error, 3 training failure,
-4 missing artifact, 5 precondition guard tripped.
+4 missing or unreadable artifact, 5 precondition guard tripped.
 """
 
 import argparse
@@ -195,9 +195,9 @@ def _parse_data(spec, cfg, out_dir):
     for p in (fpath, ppath):
         if not os.path.exists(p):
             raise MissingArtifactError(f"data file not found: {p}")
-    d_f = _cfgval(lambda: M.load_jsonl_dataset(fpath, spec.context_len, "forget"),
+    d_f = _cfgval(lambda: M.load_jsonl_dataset(fpath, spec.context_len),
                   "forget data")
-    d_pt = _cfgval(lambda: M.load_jsonl_dataset(ppath, spec.context_len, "pretrain"),
+    d_pt = _cfgval(lambda: M.load_jsonl_dataset(ppath, spec.context_len),
                    "pretrain data")
     for name, ds in (("forget", d_f), ("pretrain", d_pt)):
         _cfgval(lambda ds=ds: M.validate_dataset(spec, ds), f"{name} data")
@@ -210,15 +210,29 @@ def _parse_report(cfg):
                  skip=("sequences",))[0]
 
 
+def _load_params(path, spec, what):
+    """Parameter vector of the model `spec` from the .npy file `path`,
+    named `what` in messages: exit 4 if the file is missing or unreadable,
+    2 if its parameter count does not match the model, 5 if a value is not
+    finite."""
+    theta = artifacts.load_params(path)
+    n = M.param_count(spec)
+    if theta.shape != (n,):
+        raise ConfigError(f"{what} parameter count {theta.shape} in {path} "
+                          f"does not match the model ({n} parameters)")
+    if not np.all(np.isfinite(theta)):
+        raise PreconditionError(f"{what} parameters in {path} are not all "
+                                f"finite")
+    return theta
+
+
 def _parse_loss(d, spec, out_dir):
     teacher = _take(d, "teacher", "loss", str, default="uniform")
     if teacher == "uniform":
         tl = Lmod.TeacherLogits()
     else:
         tpath = _resolve(teacher, out_dir)
-        if not os.path.exists(tpath):
-            raise MissingArtifactError(f"teacher parameter file not found: {tpath}")
-        tl = Lmod.TeacherLogits(spec, artifacts.load_params(tpath))
+        tl = Lmod.TeacherLogits(spec, _load_params(tpath, spec, "teacher"))
     return _construct(d, "loss", Lmod.LossKind, extra={"teacher": tl},
                       rename={"tag": "loss"}, skip=("teacher",))
 
@@ -239,14 +253,13 @@ def _parse_method(mj, i, spec, out_dir, seed_override):
             raise ConfigError(f"section '{sec}' needs an object field '{part}'")
     loss = _parse_loss(dict(parts["loss"]), spec, out_dir)
     div = _construct(dict(parts["divergence"]), "divergence", Dmod.DivergenceKind,
-                     rename={"tag": "divergence", "lam": "lambda"},
-                     required=("lambda",))
-    extra = {"lam": div.lam, "loss": loss, "divergence": div}
+                     rename={"tag": "divergence", "lam": "lambda"})
+    extra = {"loss": loss, "divergence": div}
     if seed_override is not None:
         extra["seed"] = seed_override
     cfg = _construct(dict(parts["mt"]), "mt", O.MTConfig,
                      f"mt settings of '{head['name']}'", extra=extra,
-                     skip=("lam", "loss", "divergence", "ngd_grad_lag"))
+                     skip=("loss", "divergence", "ngd_grad_lag"))
     adam = None
     if "adam" in parts:
         adam = _construct(dict(parts["adam"]), "adam", O.AdamParams,
@@ -346,7 +359,7 @@ def cmd_train_target(args):
     spec = _parse_model(cfg)
     d_f, d_pt, corpus, inputs = _parse_data(spec, cfg, out)
     kw = _read(_section(cfg, "train", required=True), "train",
-               harness.build_target, skip=("spec", "corpus", "prompt_len",
+               harness.build_target, skip=("spec", "datasets", "prompt_len",
                                            "completion_len"),
                defaults={"seed": 0})[0]
     lens = _parse_report(cfg)
@@ -400,14 +413,7 @@ def cmd_unlearn(args):
             "section 'report'")
 
     target_path = _resolve(target_rel, out)
-    theta_target = artifacts.load_params(target_path)
-    if theta_target.shape != (M.param_count(spec),):
-        raise ConfigError(
-            f"target parameter count {theta_target.shape} does not match "
-            f"the model ({M.param_count(spec)} parameters)")
-    if not np.all(np.isfinite(theta_target)):
-        raise PreconditionError(f"target parameters in {target_path} are "
-                                f"not all finite")
+    theta_target = _load_params(target_path, spec, "target")
 
     res = harness.unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
                                      stop_rule=stop_rule, **lens)
@@ -457,7 +463,7 @@ def cmd_verify(args):
     rename = {"lam": "lambda"}
     kws = _read(dict(cfg), args.which,
                 *((check,) if build is None else (build, check)),
-                rename=rename, skip=("setup", "family", "out_dir"))
+                rename=rename, skip=("setup", "family"))
     seed = _resolve_seed(args)
     testbed = ()
     if build is not None:
@@ -481,9 +487,16 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    result = artifacts.read_results_json(args.out)
-    harness.render_result_tables(result, args.out)
-    print_result_summary(result, args.verbose)
+    path = os.path.join(args.out, "results.json")
+    try:
+        result = artifacts.read_results_json(args.out)
+        if not isinstance(result, dict):
+            raise TypeError("the document is not a JSON object")
+        harness.render_result_tables(result, args.out)
+        print_result_summary(result, args.verbose)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise MissingArtifactError(f"malformed results document {path}: "
+                                   f"{type(exc).__name__}: {exc}") from exc
     if args.verbose:
         print(f"tables re-rendered in {args.out}")
     return 0

@@ -34,10 +34,11 @@ CURVATURE_SCALE = {"kl": 1.0, "qkl": 2.0, "bregman": 1.0}
 
 @dataclass
 class DivergenceKind:
-    """Divergence selector plus damping strength lam >= 0."""
+    """Divergence selector plus damping strength lam >= 0: the lam of
+    D_lam, from which an optimizer run derives its reference damping."""
 
     tag: str
-    lam: float = 0.0
+    lam: float
 
     def __post_init__(self):
         if self.tag not in DIVERGENCE_TAGS:

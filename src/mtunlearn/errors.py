@@ -7,7 +7,7 @@ maps it to:
     1  a verification suite ran to completion but its pass criteria failed
     2  configuration error (missing or invalid field, violated static precondition)
     3  training failure (divergence, memorization threshold not reached)
-    4  missing input artifact (e.g. target parameter file)
+    4  missing or unreadable input artifact (e.g. target parameter file)
     5  data-dependent precondition guard (e.g. target not memorized)
 """
 
@@ -34,7 +34,8 @@ class TrainingError(MTUError):
 
 
 class MissingArtifactError(MTUError):
-    """A required input artifact (parameter dump, manifest) is absent."""
+    """A required input artifact (parameter dump, manifest, results
+    document) is absent or cannot be read."""
 
     exit_code = 4
 

@@ -29,6 +29,9 @@ from . import model as M
 
 LOSS_TAGS = ("nll", "ll", "nlul", "it", "npo")
 
+# nlul clamps p_y to at most 1 - CLAMP_EPS.
+CLAMP_EPS = 1e-12
+
 
 @dataclass
 class TeacherLogits:
@@ -67,21 +70,17 @@ class LossKind:
     tag: one of "nll", "ll", "nlul", "it", "npo".
     beta: npo inverse temperature (> 0).
     teacher: it logit source (defaults to uniform).
-    clamp_eps: p_y is clamped to at most 1 - clamp_eps inside nlul.
     """
 
     tag: str
     beta: float = 1.0
     teacher: TeacherLogits = field(default_factory=TeacherLogits)
-    clamp_eps: float = 1e-12
 
     def __post_init__(self):
         if self.tag not in LOSS_TAGS:
             raise ValueError(f"unknown loss tag: {self.tag!r}")
         if self.tag == "npo" and not self.beta > 0:
             raise ValueError("npo requires beta > 0")
-        if not (0.0 < self.clamp_eps < 1e-3):
-            raise ValueError("clamp_eps must lie in (0, 1e-3)")
 
 
 def _rows(h):
@@ -156,12 +155,12 @@ def _ll_grad(H, y, log1mp):
     return G
 
 
-def nlul_value_rows(H, y, clamp_eps=1e-12):
-    """Row-wise -log(1 - p_y) with p_y clamped to at most 1 - clamp_eps."""
-    return np.minimum(-_log_complement_rows(_rows(H), y), -np.log(clamp_eps))
+def nlul_value_rows(H, y):
+    """Row-wise -log(1 - p_y) with p_y clamped to at most 1 - CLAMP_EPS."""
+    return np.minimum(-_log_complement_rows(_rows(H), y), -np.log(CLAMP_EPS))
 
 
-def nlul_grad_rows(H, y, clamp_eps=1e-12):
+def nlul_grad_rows(H, y):
     """Row-wise gradient of nlul in logit space.
 
     Equals w * ll_grad_rows with w = p_y/(1 - p_y) at the clamped p_y.  The y
@@ -170,7 +169,7 @@ def nlul_grad_rows(H, y, clamp_eps=1e-12):
     """
     H = _rows(H)
     log1mp = _log_complement_rows(H, y)
-    log1mp_c = np.maximum(log1mp, np.log(clamp_eps))
+    log1mp_c = np.maximum(log1mp, np.log(CLAMP_EPS))
     logp = ll_value_rows(H, y)
     w = np.exp(logp - log1mp_c)
     return w[:, None] * _ll_grad(H, y, log1mp)
@@ -217,7 +216,7 @@ def npo_pairs(spec, data, base_theta):
     under the fixed base model, so that its batches gather those values
     instead of recomputing them."""
     ds, _ = M.sequence_pairs(spec, data)
-    return M.TokenDataset(ds.contexts, ds.nexts, ds.role, ds.sequences,
+    return M.TokenDataset(ds.contexts, ds.nexts, ds.sequences,
                           M.sequence_logprob(spec, base_theta, ds))
 
 
@@ -286,13 +285,13 @@ def _label_rows(kind, H, y, value, grad):
         if low.any():
             log1mp[low] = _log_complement_rows(H[low], y[low])
         if value and kind.tag == "nlul":
-            v = np.minimum(-log1mp, -np.log(kind.clamp_eps))
+            v = np.minimum(-log1mp, -np.log(CLAMP_EPS))
         if grad:
             sign = -1.0 if kind.tag == "nll" else 1.0
             G = E / (-sign * S)
             G[rows, y] = sign * np.exp(log1mp)
             if kind.tag == "nlul":
-                G *= np.exp(logp - np.maximum(log1mp, np.log(kind.clamp_eps)))[:, None]
+                G *= np.exp(logp - np.maximum(log1mp, np.log(CLAMP_EPS)))[:, None]
     return v, G
 
 

@@ -88,12 +88,11 @@ class TokenDataset:
 
     contexts is an (n, context_len) int array, left-padded with -1 where a
     sequence prefix is shorter than context_len; nexts is the (n,) array of
-    target tokens.  role labels the split the pairs belong to ("forget" or
-    "pretrain").  sequences retains the source sequences when the dataset
-    was built from them (needed for sequence-level losses and for greedy
-    decoding metrics).  base_logprob, when set, holds the npo base model's
-    log-probability of each sequence (a run computes it once and its
-    batches gather it).
+    target tokens.  sequences retains the source sequences when the
+    dataset was built from them (needed for sequence-level losses and for
+    greedy decoding metrics).  base_logprob, when set, holds the npo base
+    model's log-probability of each sequence (losses.npo_pairs computes it
+    once and the batches drawn from that dataset gather it).
 
     The model inputs are a property of the dataset: the first use with a
     ModelSpec checks every token id and encodes the pairs (`inputs`), and
@@ -103,7 +102,6 @@ class TokenDataset:
 
     contexts: np.ndarray
     nexts: np.ndarray
-    role: str = "forget"
     sequences: list = field(default_factory=list)
     base_logprob: np.ndarray = None
     _prepared: tuple = field(default=None, init=False, repr=False)
@@ -144,7 +142,7 @@ class TokenDataset:
         re-encoded, plus the sequences `seqs` (an index array) and their
         base log-probabilities when given."""
         keep = seqs is not None and self.base_logprob is not None
-        out = TokenDataset(self.contexts[rows], self.nexts[rows], self.role,
+        out = TokenDataset(self.contexts[rows], self.nexts[rows],
                            [] if seqs is None else [self.sequences[i] for i in seqs],
                            self.base_logprob[seqs] if keep else None)
         if self._prepared is not None:
@@ -152,7 +150,7 @@ class TokenDataset:
         return out
 
 
-def dataset_from_sequences(sequences, context_len, role="forget"):
+def dataset_from_sequences(sequences, context_len):
     """Expand token sequences into all (context, next) pairs.
 
     Each sequence s contributes pairs (s[max(0, t-context_len):t], s[t])
@@ -169,10 +167,10 @@ def dataset_from_sequences(sequences, context_len, role="forget"):
             ctx.append(c)
             nxt.append(int(s[t]))
     contexts = np.array(ctx, dtype=int).reshape(len(nxt), context_len)
-    return TokenDataset(contexts, np.array(nxt, dtype=int), role, seqs)
+    return TokenDataset(contexts, np.array(nxt, dtype=int), seqs)
 
 
-def load_jsonl_dataset(path, context_len, role="forget"):
+def load_jsonl_dataset(path, context_len):
     """Load sequences from a JSON-lines file of {"tokens": [int, ...]} records.
 
     Raises ValueError naming path:line for a line that is not valid JSON,
@@ -204,7 +202,7 @@ def load_jsonl_dataset(path, context_len, role="forget"):
             seqs.append(tokens)
     if not seqs:
         raise ValueError(f"{path}: no sequences")
-    return dataset_from_sequences(seqs, context_len, role)
+    return dataset_from_sequences(seqs, context_len)
 
 
 def validate_dataset(spec, ds):

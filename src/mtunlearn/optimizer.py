@@ -18,15 +18,15 @@ the same gradient g, compute the clip scale l, then
     theta_t  = theta_{t-1} - eta v
     theta'_t = (1 - l eta kappa) theta'_{t-1} + l eta kappa theta_t
 
-The clip scale applies only to the current step.  Default clip semantics:
-l = min(1, c/||g||) (clipping acts as a learning-rate reduction, and the
-teacher rate is reduced by the same factor); the alternative printed form
-l = 1/max(||g||, c) is available as clip_formula="alg2" (both agree at
-c = 1).
+The clip scale l = min(1, c/||g||) applies only to the current step:
+clipping acts as a learning-rate reduction, and the teacher rate is
+reduced by the same factor.  (The printed form l = 1/max(||g||, c) is the
+same function at c = 1.)
 
 Natural-gradient reference with derived constants
 gamma = kappa alpha eta / (1 - kappa eta) and
-lam_bar = lam + (1 - mu) kappa / (1 - eta kappa):
+lam_bar = lam + (1 - mu) kappa / (1 - eta kappa), with lam the damping of
+the divergence term (cfg.divergence.lam):
 
     theta_{t+1} = theta_t - gamma (H(theta_t) + lam_bar I)^{-1} grad L
 
@@ -34,7 +34,7 @@ where grad L is evaluated at theta_t by default and at theta_{t-1} when
 ngd_grad_lag is set.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +48,12 @@ from .errors import TrainingError
 
 @dataclass
 class MTConfig:
-    """Full hyperparameter record for one optimizer run."""
+    """Full hyperparameter record for one optimizer run; the damping lam
+    of the proximity term is divergence.lam."""
 
     eta: float
     kappa: float
     alpha: float
-    lam: float
     mu: float
     T: int
     loss: Lmod.LossKind
@@ -62,7 +62,6 @@ class MTConfig:
     batch_forget: int = 1
     batch_pretrain: int = 1
     seed: int = 0
-    clip_formula: str = "main"   # "main" or "alg2"
     ngd_grad_lag: bool = False
 
     def __post_init__(self):
@@ -75,16 +74,12 @@ class MTConfig:
                              "must contract)")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lam must be finite and nonnegative")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError("mu must lie in [0, 1)")
         if self.T < 0:
             raise ValueError("T must be nonnegative")
         if not self.clip >= 0:
             raise ValueError("clip must be nonnegative (0 disables)")
-        if self.clip_formula not in ("main", "alg2"):
-            raise ValueError(f"unknown clip_formula: {self.clip_formula!r}")
         if self.batch_forget < 1 or self.batch_pretrain < 1:
             raise ValueError("batch sizes must be positive")
 
@@ -99,7 +94,7 @@ class DerivedNGDParams:
     @classmethod
     def from_config(cls, cfg):
         gamma = cfg.kappa * cfg.alpha * cfg.eta / (1.0 - cfg.kappa * cfg.eta)
-        lam_bar = cfg.lam + (1.0 - cfg.mu) * cfg.kappa / (1.0 - cfg.eta * cfg.kappa)
+        lam_bar = cfg.divergence.lam + (1.0 - cfg.mu) * cfg.kappa / (1.0 - cfg.eta * cfg.kappa)
         return cls(gamma=gamma, lam_bar=lam_bar)
 
 
@@ -135,11 +130,6 @@ class Trajectory:
         self.clip_scales.append(float(clip_scale))
 
 
-def _effective_divergence(cfg):
-    """The run-level damping lam is authoritative for the divergence term."""
-    return Dmod.DivergenceKind(cfg.divergence.tag, cfg.lam)
-
-
 def _check_finite(theta, t):
     if not np.isfinite(theta).all():
         raise TrainingError(f"non-finite parameters at step {t}")
@@ -157,7 +147,7 @@ def _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta, value, grad):
         div = float("nan")
     else:
         weight = cfg.alpha
-        kind = _effective_divergence(cfg)
+        kind = cfg.divergence
         if value and grad:
             div, g = Dmod.damped_value_and_grad(kind, spec, theta, teacher, pb)
         elif grad:
@@ -179,8 +169,6 @@ def _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta, value, grad):
 def _clip_scale(cfg, grad_norm):
     if cfg.clip <= 0 or grad_norm == 0.0:
         return 1.0
-    if cfg.clip_formula == "alg2":
-        return 1.0 / max(grad_norm, cfg.clip)
     return min(1.0, cfg.clip / grad_norm)
 
 
@@ -435,8 +423,3 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
     else:
         raise ValueError(f"unknown baseline kind: {kind!r}")
     return _run(spec, theta0, d_f, d_pt, cfg, rule, callback)
-
-
-def config_with(cfg, **kw):
-    """Copy of cfg with the given fields replaced (validation re-runs)."""
-    return replace(cfg, **kw)

@@ -29,7 +29,7 @@ def both_specs():
 
 def random_pair_batch(rng, spec, n=8):
     return M.TokenDataset(rng.integers(0, spec.vocab_size, (n, spec.context_len)),
-                          rng.integers(0, spec.vocab_size, n), "forget")
+                          rng.integers(0, spec.vocab_size, n))
 
 
 def test_criterion_1_gradient_identities():
@@ -69,7 +69,7 @@ def test_criterion_1_gradient_identities():
 
             # sequence-preference gradient = 2 sigmoid(beta margin) grad logprob
             seq = list(rng.integers(0, V, 6))
-            ds = M.dataset_from_sequences([seq], spec.context_len, "forget")
+            ds = M.dataset_from_sequences([seq], spec.context_len)
             base = rng.standard_normal(M.param_count(spec))
             lt = M.sequence_logprob(spec, theta, seq)
             lb = M.sequence_logprob(spec, base, seq)
@@ -98,8 +98,7 @@ def test_criterion_2_finite_differences():
                 if kind.tag == "npo":
                     seqs = [list(rng.integers(0, spec.vocab_size, 5))
                             for _ in range(3)]
-                    batch = M.dataset_from_sequences(seqs, spec.context_len,
-                                                     "forget")
+                    batch = M.dataset_from_sequences(seqs, spec.context_len)
                 else:
                     batch = random_pair_batch(rng, spec)
                 base = 0.5 * rng.standard_normal(M.param_count(spec))

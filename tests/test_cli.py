@@ -277,6 +277,13 @@ SCHEMA_CASES = [
                  2, "methods[0]", id="adam-on-mt-batched"),
     pytest.param("unlearn", {"methods": [adamw_method(lr=0.01)]}, 0, "",
                  id="valid-adamw"),
+    # Settings the library no longer has: the clip formula and the nlul
+    # clamp are fixed, so the fields are unknown.
+    pytest.param("unlearn", {"methods": [mt_method(clip_formula="alg2")]}, 2,
+                 "'clip_formula' in section 'mt'", id="mt-clip-formula"),
+    pytest.param("unlearn", {"methods": [dict(
+        mt_method(), loss={"loss": "nlul", "clamp_eps": 1e-10})]}, 2,
+                 "'clamp_eps' in section 'loss'", id="loss-clamp-eps"),
 ]
 
 
@@ -397,6 +404,55 @@ class TestFailureExitCodes:
 
     def test_report_on_empty_directory_exits_4(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("body,text", [
+        ("{}", "cannot render result of kind None"),
+        ("{", "JSONDecodeError"),
+        ('{"check": "theorem1"}', "KeyError: 'rows'"),
+        ("[1, 2]", "not a JSON object"),
+    ], ids=["empty-object", "invalid-json", "no-rows", "list"])
+    def test_malformed_results_document_exits_4_naming_it(
+            self, tmp_path, capsys, body, text):
+        path = tmp_path / "results.json"
+        path.write_text(body)
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"malformed results document {path}" in err and text in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["target", "teacher"])
+    @pytest.mark.parametrize("content,code,text", [
+        (np.zeros(10), 2, "parameter count (10,)"),
+        (np.full(64, np.inf), 5, "not all finite"),
+        (b"not an array", 4, "cannot read parameter file"),
+        (np.array(["x"] * 64), 4, "numeric .npy array"),
+    ], ids=["count", "non-finite", "not-npy", "strings"])
+    def test_bad_parameter_file_exits_naming_it(
+            self, tmp_path, trained_dir, capsys, which, content, code, text):
+        """The target and an it teacher are checked alike, before any run."""
+        bad = tmp_path / "bad.npy"
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            np.save(bad, content)
+        method = dict(mt_method(), loss={"loss": "it", "teacher": "bad.npy"})
+        cfg = unlearn_cfg([method] if which == "teacher" else None)
+        cfg["target"] = "bad.npy" if which == "target" else \
+            os.path.join(trained_dir, "target.npy")
+        path = write_cfg(tmp_path, cfg)
+        assert main(["unlearn", path, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and text in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "results.json")
+
+    def test_valid_teacher_file_runs(self, tmp_path, trained_dir):
+        out = str(tmp_path)
+        A.save_params(str(tmp_path / "teacher.npy"), np.zeros(64))
+        cfg = unlearn_cfg([dict(mt_method(T=10), loss={"loss": "it",
+                                                       "teacher": "teacher.npy"})])
+        cfg["target"] = os.path.join(trained_dir, "target.npy")
+        assert main(["unlearn", write_cfg(tmp_path, cfg), "--out", out]) == 0
+        assert A.read_results_json(out)["rows"][0]["status"] == "ok"
 
     def test_missing_data_file_exits_4(self, tmp_path):
         cfg = target_cfg()

@@ -21,7 +21,7 @@ def mlp_spec():
 def random_batch(rng, spec, n=12):
     ctx = rng.integers(0, spec.vocab_size, (n, spec.context_len))
     nxt = rng.integers(0, spec.vocab_size, n)
-    return M.TokenDataset(ctx, nxt, "pretrain")
+    return M.TokenDataset(ctx, nxt)
 
 
 def spd_instance(rng, dim=6, eig_low=0.5, eig_high=5.0):
@@ -64,7 +64,7 @@ class TestAssembly:
         theta = rng.standard_normal(M.param_count(spec))
         ctx = rng.integers(0, 4, (8, 2))
         ctx[4:] = ctx[:4]  # force duplicate contexts through the grouping
-        batch = M.TokenDataset(ctx, rng.integers(0, 4, 8), "pretrain")
+        batch = M.TokenDataset(ctx, rng.integers(0, 4, 8))
         H = np.zeros((M.param_count(spec),) * 2)
         P = M.softmax_rows(M.batch_logits(spec, theta, batch.contexts))
         for c, p in zip(batch.contexts, P):

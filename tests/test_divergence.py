@@ -28,7 +28,7 @@ def mlp_spec(V=5):
 def random_batch(rng, spec, n=10):
     ctx = rng.integers(0, spec.vocab_size, (n, spec.context_len))
     nxt = rng.integers(0, spec.vocab_size, n)
-    return M.TokenDataset(ctx, nxt, "pretrain")
+    return M.TokenDataset(ctx, nxt)
 
 
 class TestValues:
@@ -53,7 +53,7 @@ class TestValues:
         Q = M.softmax_rows(M.batch_logits(spec, ref, batch.contexts))
         forward = float(np.mean(np.sum(P * (np.log(P) - np.log(Q)), axis=1)))
         reverse = float(np.mean(np.sum(Q * (np.log(Q) - np.log(P)), axis=1)))
-        val = D.divergence_value(D.DivergenceKind("kl"), spec, theta, ref, batch)
+        val = D.divergence_value(D.DivergenceKind("kl", 0.0), spec, theta, ref, batch)
         assert val == pytest.approx(forward, rel=1e-10)
         assert abs(val - reverse) > 1e-6
 
@@ -69,7 +69,7 @@ class TestValues:
         P = M.softmax_rows(M.batch_logits(spec, theta, batch.contexts))
         Q = M.softmax_rows(M.batch_logits(spec, ref, batch.contexts))
         reverse = float(np.mean(np.sum(Q * (np.log(Q) - np.log(P)), axis=1)))
-        assert D.divergence_value(D.DivergenceKind("bregman"), spec, theta,
+        assert D.divergence_value(D.DivergenceKind("bregman", 0.0), spec, theta,
                                   ref, batch) == pytest.approx(reverse, rel=1e-10)
 
     def test_bregman_requires_bigram(self):
@@ -87,7 +87,7 @@ class TestValues:
         ref = rng.standard_normal(16)
         batch = random_batch(rng, spec)
         kind = D.DivergenceKind("kl", 0.7)
-        expected = (D.divergence_value(D.DivergenceKind("kl"), spec, theta, ref, batch)
+        expected = (D.divergence_value(D.DivergenceKind("kl", 0.0), spec, theta, ref, batch)
                     + 0.35 * np.sum((theta - ref) ** 2))
         assert D.damped_value(kind, spec, theta, ref, batch) == pytest.approx(
             expected, rel=1e-12)
@@ -95,8 +95,9 @@ class TestValues:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="tag"):
             D.DivergenceKind("wasserstein", 0.1)
-        with pytest.raises(ValueError, match="lam"):
-            D.DivergenceKind("kl", -1.0)
+        for lam in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam"):
+                D.DivergenceKind("kl", lam)
 
 
 class TestGradients:
@@ -201,7 +202,7 @@ class TestLocalQuadratic:
         d /= np.linalg.norm(d)
         batch = random_batch(rng, spec)
         t = 1e-4
-        kl, qkl = (D.divergence_value(D.DivergenceKind(tag), spec,
+        kl, qkl = (D.divergence_value(D.DivergenceKind(tag, 0.0), spec,
                                       theta_ref + t * d, theta_ref, batch)
                    for tag in ("kl", "qkl"))
         assert qkl / kl == pytest.approx(2.0, rel=1e-3)

@@ -1,5 +1,6 @@
 """Corpus generation, memorization metrics, and the verification drivers."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from mtunlearn import divergence as Dv
 from mtunlearn import harness as Hn
+from mtunlearn import linalg
 from mtunlearn import losses as L
 from mtunlearn import model as M
 from mtunlearn import optimizer as O
@@ -31,8 +33,8 @@ def forbid(monkeypatch, module, name):
 
 
 def quick_config(**kw):
-    defaults = dict(eta=0.05, kappa=0.5, alpha=0.5, lam=0.1, mu=0.9, T=120,
-                    loss=L.LossKind("nlul"), divergence=Dv.DivergenceKind("kl"),
+    defaults = dict(eta=0.05, kappa=0.5, alpha=0.5, mu=0.9, T=120,
+                    loss=L.LossKind("nlul"), divergence=Dv.DivergenceKind("kl", 0.1),
                     clip=1.0, batch_forget=8, batch_pretrain=8, seed=42)
     defaults.update(kw)
     return O.MTConfig(**defaults)
@@ -111,11 +113,10 @@ class TestCorpusSpec:
                                                  seed=7))
         assert f3 != f1
 
-    def test_datasets_carry_roles_and_sequences(self):
+    def test_datasets_carry_sequences(self):
         corpus = Hn.CorpusSpec(8, 4, 12, seed=8)
         spec = M.ModelSpec(M.BIGRAM, 8)
         d_f, d_pt = Hn.corpus_datasets(spec, corpus)
-        assert d_f.role == "forget" and d_pt.role == "pretrain"
         assert len(d_f.sequences) == 2 and len(d_pt.sequences) == 2
         assert len(d_f) == 2 * 11
 
@@ -135,7 +136,7 @@ class TestMemorization:
         table[0, 1] = 10.0
         table[1, 0] = 10.0
         seqs = [[0, 1, 0, 1, 0, 1]]
-        d = M.dataset_from_sequences(seqs, 1, role="forget")
+        d = M.dataset_from_sequences(seqs, 1)
         rep = Hn.memorization_report(spec, table.ravel(), (d, d))
         assert rep.exact_match_rate == 1.0 and rep.lcs_ratio == 1.0
         assert rep.nll_forget < 1e-3
@@ -150,7 +151,7 @@ class TestMemorization:
 
     def test_prompt_and_completion_validation(self):
         spec = M.ModelSpec(M.BIGRAM, 4)
-        d = M.dataset_from_sequences([[0, 1, 2, 3]], 1, role="forget")
+        d = M.dataset_from_sequences([[0, 1, 2, 3]], 1)
         theta = np.zeros(16)
         with pytest.raises(ValueError, match="exceeds"):
             Hn.memorization_report(spec, theta, (d, d), prompt_len=3,
@@ -158,7 +159,7 @@ class TestMemorization:
         with pytest.raises(ValueError, match="positive"):
             Hn.memorization_report(spec, theta, (d, d), prompt_len=0,
                                    completion_len=2)
-        bare = M.TokenDataset(np.array([[0], [1]]), np.array([1, 2]), "forget")
+        bare = M.TokenDataset(np.array([[0], [1]]), np.array([1, 2]))
         with pytest.raises(ValueError, match="whole sequences"):
             Hn.memorization_report(spec, theta, (bare, bare))
 
@@ -167,7 +168,7 @@ class TestMemorization:
         table = np.zeros((4, 4))
         table[0, 1] = 10.0
         table[1, 0] = 10.0
-        d = M.dataset_from_sequences([[0, 1, 0, 1, 0, 1]], 1, role="forget")
+        d = M.dataset_from_sequences([[0, 1, 0, 1, 0, 1]], 1)
         auto = Hn.memorization_report(spec, table.ravel(), (d, d))
         explicit = Hn.memorization_report(spec, table.ravel(), (d, d),
                                           prompt_len=3, completion_len=3)
@@ -182,15 +183,15 @@ class TestBuildTarget:
         assert rep.nll_forget < 0.05
 
     def test_undertrained_target_is_rejected(self):
-        corpus = Hn.CorpusSpec(8, 4, 12, seed=9)
         spec = M.ModelSpec(M.BIGRAM, 8)
+        data = Hn.corpus_datasets(spec, Hn.CorpusSpec(8, 4, 12, seed=9))
         with pytest.raises(TrainingError, match="too weak"):
-            Hn.build_target(spec, corpus, epochs=1, seed=9)
+            Hn.build_target(spec, data, epochs=1, seed=9)
 
     def test_gate_can_be_skipped(self):
-        corpus = Hn.CorpusSpec(8, 4, 12, seed=9)
         spec = M.ModelSpec(M.BIGRAM, 8)
-        theta = Hn.build_target(spec, corpus, epochs=1, seed=9,
+        data = Hn.corpus_datasets(spec, Hn.CorpusSpec(8, 4, 12, seed=9))
+        theta = Hn.build_target(spec, data, epochs=1, seed=9,
                                 require_exact_match=0.0)
         assert np.all(np.isfinite(theta))
 
@@ -209,19 +210,21 @@ class TestBuildTarget:
         forbid(monkeypatch, L, "batch_grad")
         args = dict(epochs=10, seed=9)
         args.update(kw)
+        spec = M.ModelSpec(M.BIGRAM, 8)
+        data = Hn.corpus_datasets(spec, Hn.CorpusSpec(8, 4, 12))
         with pytest.raises(ConfigError, match=field):
-            Hn.build_target(M.ModelSpec(M.BIGRAM, 8), Hn.CorpusSpec(8, 4, 12),
-                            **args)
+            Hn.build_target(spec, data, **args)
 
     def test_runaway_learning_rate_is_loud(self):
         """A two-token random corpus shares contexts across sequences, so
         gradients never vanish and near-critical momentum at an absurd
         learning rate accumulates to overflow."""
-        corpus = Hn.CorpusSpec(2, 4, 8, generator="random", seed=1)
         spec = M.ModelSpec(M.BIGRAM, 2)
+        data = Hn.corpus_datasets(
+            spec, Hn.CorpusSpec(2, 4, 8, generator="random", seed=1))
         with np.errstate(all="ignore"), pytest.raises(TrainingError,
                                                       match="reduce lr"):
-            Hn.build_target(spec, corpus, epochs=300, seed=2, lr=1e308,
+            Hn.build_target(spec, data, epochs=300, seed=2, lr=1e308,
                             momentum=0.999, require_exact_match=0.0)
 
 
@@ -302,8 +305,8 @@ class TestTheoremDriver:
         assert [(r["grad_lag"], r["alpha"]) for r in result["rows"]] == [
             (lag, a) for lag in (False, True) for a in alphas]
         s, row = bigram_testbed, result["rows"][-1]
-        cfg = O.config_with(s.base_cfg, alpha=row["alpha"], T=row["T"],
-                            ngd_grad_lag=True)
+        cfg = dataclasses.replace(s.base_cfg, alpha=row["alpha"], T=row["T"],
+                                  ngd_grad_lag=True)
         mt = observed_run(mt_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
         ngd = observed_run(ngd_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
         assert len(mt) == len(ngd) == row["T"] + 1
@@ -406,6 +409,34 @@ class TestDynamicsDriver:
         with pytest.raises(ConfigError, match=text):
             Hn.gradient_dynamics_study(setup, **kw)
 
+
+    def test_npo_base_values_are_computed_once(self, monkeypatch):
+        """The study scores the forget set under the fixed base model once,
+        and its npo run once more; the per-step npo gradient norms equal
+        those recomputed from scratch at each iterate."""
+        setup = Hn.default_dynamics_setup(seed=5, target_epochs=300)
+        setup = dataclasses.replace(
+            setup, base_cfg=dataclasses.replace(setup.base_cfg, T=6))
+        real, calls = M.sequence_logprob, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "sequence_logprob", counted)
+            result = Hn.gradient_dynamics_study(setup, loss_tags=("npo",))
+        assert len(calls) == 2
+        kind = L.LossKind("npo", beta=0.1)
+        fresh = []
+        O.mt_run_batched(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
+                         dataclasses.replace(setup.base_cfg, loss=kind),
+                         callback=lambda t, th, te: fresh.append(linalg.norm(
+                             L.batch_grad(kind, setup.spec, th, setup.d_f,
+                                          base_theta=setup.theta0))))
+        g0 = L.batch_grad(kind, setup.spec, setup.theta0, setup.d_f,
+                          base_theta=setup.theta0)
+        assert result["series"]["npo"]["loss_grad_norm"] == [linalg.norm(g0)] + fresh
 
     def test_target_epochs_rejected_before_training(self, monkeypatch):
         forbid(monkeypatch, Hn, "build_target")
@@ -539,8 +570,9 @@ class TestUnlearnExperiment:
 class TestRenderTables:
     def test_lemma_and_quadratic_tables(self, tmp_path):
         out = str(tmp_path)
-        Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=20, out_dir=out)
-        Hn.verify_divergence_quadratic(out_dir=out)
+        Hn.render_result_tables(Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=20),
+                                out)
+        Hn.render_result_tables(Hn.verify_divergence_quadratic(), out)
         assert os.path.exists(os.path.join(out, "lemma.csv"))
         assert os.path.exists(os.path.join(out, "divergence_quadratic.csv"))
         with open(os.path.join(out, "lemma.csv")) as fh:
@@ -567,7 +599,7 @@ class TestDefaultSetups:
         s = bigram_testbed
         assert s.spec.kind == M.BIGRAM and s.spec.vocab_size == 8
         cfg = s.base_cfg
-        assert (cfg.eta, cfg.kappa, cfg.lam, cfg.mu) == (5e-4, 10.0, 0.5, 0.9)
+        assert (cfg.eta, cfg.kappa, cfg.divergence.lam, cfg.mu) == (5e-4, 10.0, 0.5, 0.9)
         assert cfg.loss.tag == "it" and cfg.divergence.tag == "kl"
 
     def test_dynamics_testbed_settings(self):

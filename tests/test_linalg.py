@@ -16,7 +16,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 # then a small target, unlearning and artifact run, must not load scipy;
 # the first dense solve loads it and still reports a non-SPD matrix.
 IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
-    import sys, tempfile
+    import dataclasses, sys, tempfile
     import numpy as np
 
     def scipy_modules():
@@ -31,17 +31,17 @@ IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
     spec = M.ModelSpec(M.BIGRAM, 8)
     corpus = Hn.CorpusSpec(vocab_size=8, n_sequences=4, seq_len=12, seed=11)
     d_f, d_pt = Hn.corpus_datasets(spec, corpus)
-    theta = Hn.build_target(spec, corpus, epochs=200, seed=11)
-    cfg = O.MTConfig(eta=0.05, kappa=0.5, alpha=0.5, lam=0.1, mu=0.9, T=10,
-                     loss=L.LossKind("nlul"), divergence=Dv.DivergenceKind("kl"),
+    theta = Hn.build_target(spec, (d_f, d_pt), epochs=200, seed=11)
+    cfg = O.MTConfig(eta=0.05, kappa=0.5, alpha=0.5, mu=0.9, T=10,
+                     loss=L.LossKind("nlul"), divergence=Dv.DivergenceKind("kl", 0.1),
                      clip=1.0, batch_forget=2, batch_pretrain=4)
     O.mt_run_batched(spec, theta, d_f, d_pt, cfg)
     O.mt_run_batched(spec, theta, d_f, d_pt,
-                     O.config_with(cfg, loss=L.LossKind("npo", beta=0.5)))
+                     dataclasses.replace(cfg, loss=L.LossKind("npo", beta=0.5)))
     with tempfile.TemporaryDirectory() as out:
         result = Hn.unlearn_experiment(spec, theta, d_f, d_pt,
-                                       [Hn.MethodSpec("mt", "mt-batched", cfg)],
-                                       out_dir=out)
+                                       [Hn.MethodSpec("mt", "mt-batched", cfg)])
+        Hn.render_result_tables(result, out)
         A.write_trajectory_csv(out + "/trajectory.csv",
                                result["trajectories"]["mt"][0])
         A.save_params(out + "/mt.npy", result["thetas"]["mt"])

@@ -36,7 +36,7 @@ def random_rows(rng, n=8, V=5, scale=2.0):
 def random_batch(rng, spec, n=10):
     ctx = rng.integers(0, spec.vocab_size, (n, spec.context_len))
     nxt = rng.integers(0, spec.vocab_size, n)
-    return M.TokenDataset(ctx, nxt, "forget")
+    return M.TokenDataset(ctx, nxt)
 
 
 class TestRowIdentities:
@@ -246,7 +246,7 @@ def oracle_rows(kind, H, y):
         return L.nll_value_rows(H, y), L.nll_grad_rows(H, y)
     if kind.tag == "ll":
         return L.ll_value_rows(H, y), L.ll_grad_rows(H, y)
-    return L.nlul_value_rows(H, y, kind.clamp_eps), L.nlul_grad_rows(H, y, kind.clamp_eps)
+    return L.nlul_value_rows(H, y), L.nlul_grad_rows(H, y)
 
 
 class TestLabelKernel:

@@ -25,7 +25,7 @@ def random_batch(rng, spec, n=12):
     if spec.context_len > 1:
         ctx[: n // 3, 0] = M.PAD
     nxt = rng.integers(0, spec.vocab_size, n)
-    return M.TokenDataset(ctx, nxt, "forget")
+    return M.TokenDataset(ctx, nxt)
 
 
 def mlp_logits_oracle(spec, theta, contexts):
@@ -334,8 +334,7 @@ class TestDatasets:
         with open(path, "w", encoding="utf-8") as fh:
             for s in seqs:
                 fh.write(json.dumps({"tokens": s}) + "\n")
-        ds = M.load_jsonl_dataset(str(path), context_len=1, role="pretrain")
-        assert ds.role == "pretrain"
+        ds = M.load_jsonl_dataset(str(path), context_len=1)
         assert [list(map(int, s)) for s in ds.sequences] == seqs
 
     def test_jsonl_missing_field(self, tmp_path):

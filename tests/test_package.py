@@ -1,5 +1,7 @@
-"""The package's export list."""
+"""The package's export list and the README's library quick start."""
 
+import os
+import re
 import types
 
 import mtunlearn
@@ -24,3 +26,25 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     for name in ("npo_value", "npo_weight", "npo_grad"):
         assert not hasattr(losses, name) and name not in mtunlearn.__all__
     assert not hasattr(model, "grad_sequence_logprob")
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
+
+
+def test_readme_quick_start_runs_as_documented(capsys):
+    """The README's one Python block runs against the package as it is and
+    prints what the text below it says: the forget split is no longer
+    reproduced, its NLL rises from 0.003 to about 2.0, and the pretrain
+    NLL is untouched."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "forget exact match 1.0 -> 0.0"
+    before, after = map(float, re.fullmatch(r"forget nll (\S+) -> (\S+)",
+                                             lines[1]).groups())
+    assert before == 0.003 and 1.9 <= after <= 2.1
+    pretrain = re.fullmatch(r"pretrain nll (\S+) -> (\S+)", lines[2]).groups()
+    assert pretrain[0] == pretrain[1]
