@@ -492,8 +492,12 @@ def cmd_report(args):
         result = artifacts.read_results_json(args.out)
         if not isinstance(result, dict):
             raise TypeError("the document is not a JSON object")
-        harness.render_result_tables(result, args.out)
+        # Build the tables, then summarise, then write: a malformed
+        # document changes no file.
+        tables = harness.result_tables(result)
         print_result_summary(result, args.verbose)
+        for name, header, rows in tables:
+            artifacts.write_csv(os.path.join(args.out, name), header, rows)
     except (LookupError, TypeError, ValueError) as exc:
         raise MissingArtifactError(f"malformed results document {path}: "
                                    f"{type(exc).__name__}: {exc}") from exc

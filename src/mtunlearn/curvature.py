@@ -90,24 +90,33 @@ def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
     lam' sum_i p_i / (c p_i + lam') > 0 in exact arithmetic; a value that
     is not positive raises.  assemble_gnh plus linalg.solve_spd is the
     dense oracle this matches.
+
+    theta and g may be stacks of parameter vectors (..., V*V), solved row
+    by row in the same operations, with lam_prime a number or an array
+    over the leading axes (one damping per row); each row's solution is
+    bit for bit that of a call with the row alone.
     """
-    if not lam_prime > 0:
+    if not np.all(np.asarray(lam_prime) > 0):
         raise ValueError("lam_prime must be positive")
     V = spec.vocab_size
-    table = np.asarray(theta, dtype=float).reshape(V, V)
+    theta = np.asarray(theta, dtype=float)
+    lead = theta.shape[:-1]
+    lam = lam_prime if np.ndim(lam_prime) == 0 else \
+        np.asarray(lam_prime, dtype=float)[..., None, None]
+    table = theta.reshape(lead + (V, V))
     rows, c = pretrain_batch.last_token_weights(spec)
-    P = M.softmax_rows(table[rows])
-    G = np.asarray(g, dtype=float).reshape(V, V)
-    X = G / lam_prime
-    D = c * P + lam_prime
-    Dg = G[rows] / D
+    P = M.softmax_rows(table[..., rows, :])
+    G = np.asarray(g, dtype=float).reshape(lead + (V, V))
+    X = G / lam
+    D = c * P + lam
+    Dg = G[..., rows, :] / D
     Dp = P / D
-    den = lam_prime * Dp.sum(axis=1, keepdims=True)
+    den = lam * Dp.sum(axis=-1, keepdims=True)
     if not np.all(den > 0):
         raise ValueError("damped bigram block is not positive definite "
                          f"(Sherman-Morrison denominator {float(den.min()):.3e})")
-    X[rows] = Dg + (c * (P * Dg).sum(axis=1, keepdims=True) / den) * Dp
-    return X.ravel()
+    X[..., rows, :] = Dg + (c * (P * Dg).sum(axis=-1, keepdims=True) / den) * Dp
+    return X.reshape(lead + (-1,))
 
 
 @dataclass

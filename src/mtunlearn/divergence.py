@@ -14,12 +14,17 @@ unused), with exact gradients w.r.t. the first argument:
 
 The damped variant adds (lam/2) ||theta - theta_ref||^2, whose gradient
 contributes lam (theta - theta_ref).
+
+theta (and theta_ref) may be a stack of parameter vectors (..., dim):
+every value and gradient is then one per row, bit for bit that of a call
+with the row alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from . import losses
 from . import model as M
 
@@ -62,7 +67,7 @@ def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
         vals, G = losses.it_rows(H, Href) if grad else (losses.it_value_rows(H, Href), None)
     else:
         vals, G = _qkl_terms(H, Href, value, grad)
-    v = float(vals.sum() / len(vals)) if value else None
+    v = losses._batch_mean(vals) if value else None
     g = None
     if grad:
         g = M.grad_from_logit_grads(spec, theta, batch, G / len(batch), aux=aux)
@@ -81,11 +86,11 @@ def _qkl_terms(H, Href, value, grad):
     P = M.softmax_rows(H)
     D = H - Href
     PD = P * D
-    m1 = PD.sum(axis=1, keepdims=True)
-    m2 = (PD * D).sum(axis=1, keepdims=True)
+    m1 = PD.sum(axis=-1, keepdims=True)
+    m2 = (PD * D).sum(axis=-1, keepdims=True)
     v = G = None
     if value:
-        v = (m2 - m1 * m1)[:, 0]
+        v = (m2 - m1 * m1)[..., 0]
     if grad:
         G = P * (2.0 * D - 2.0 * m1 + D * D - m2 - 2.0 * m1 * D + 2.0 * m1 * m1)
     return v, G
@@ -106,7 +111,7 @@ def _bregman_terms(spec, theta, theta_ref, batch, value, grad):
     theta_ref = np.asarray(theta_ref, dtype=float)
     v, g = losses._loss_terms(_NLL, spec, theta, batch, None, value, grad)
     v_ref, g_ref = losses._loss_terms(_NLL, spec, theta_ref, batch, None, value, True)
-    return (float(v - v_ref - (theta - theta_ref) @ g_ref) if value else None,
+    return (v - v_ref - linalg.dot(theta - theta_ref, g_ref) if value else None,
             g - g_ref if grad else None)
 
 
@@ -126,7 +131,7 @@ def _damped_terms(kind, spec, theta, theta_ref, batch, value, grad):
     v, g = _divergence_terms(kind, spec, theta, theta_ref, batch, value, grad)
     diff = np.asarray(theta, dtype=float) - np.asarray(theta_ref, dtype=float)
     if value:
-        v = v + 0.5 * kind.lam * float(diff @ diff)
+        v = v + 0.5 * kind.lam * linalg.dot(diff, diff)
     if grad and kind.lam:
         g = g + kind.lam * diff
     return v, g

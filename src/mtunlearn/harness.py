@@ -8,7 +8,9 @@ reproducible bit for bit.  Four checks are provided:
   verify_theorem1             the mean-teacher trajectory stays within
                               O(alpha log(1/alpha)) of the damped
                               natural-gradient reference over a fixed
-                              rescaled horizon,
+                              rescaled horizon (every run of the check
+                              advances in one lockstep loop on a stack
+                              of parameter vectors),
   verify_lemma                the damped momentum iteration tracks the
                               inverse-curvature-vector product within the
                               closed-form per-step error bound,
@@ -324,45 +326,39 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
     natural-gradient reference over a fixed rescaled horizon.
 
     For each loss weight alpha the horizon is T = round(t_gamma / gamma)
-    steps, so every run covers the same rescaled time.  The check passes
-    when, for both gradient-evaluation conventions of the reference, the
-    maximum parameter deviation decreases monotonically in alpha and its
-    log-log slope against alpha * log(1/alpha) is at least slope_min
-    (slope 1 would be exact proportionality to the predicted rate).
+    steps, so every run covers the same rescaled time.  The deviation of
+    a reference is max_t ||theta_mt(t) - theta_ngd(t)||; all runs, per
+    alpha the mean teacher and the reference under both
+    gradient-evaluation conventions, advance in one lockstep loop
+    (optimizer.mt_ngd_deviations), bit for bit the separate mt_run and
+    ngd_run.  The check passes when, for both conventions, the deviation
+    decreases monotonically in alpha and its log-log slope against
+    alpha * log(1/alpha) is at least slope_min (slope 1 would be exact
+    proportionality to the predicted rate).  alphas must decrease
+    strictly within (0, 1), where log(alpha log(1/alpha)) is finite.
     """
     alphas = list(alphas)
-    if len(alphas) < 2 or any(not (0 < a <= 1) for a in alphas) \
-            or sorted(alphas, reverse=True) != alphas:
-        raise ConfigError("alphas must be a decreasing list of at least two "
-                          "numbers in (0, 1]")
+    if len(alphas) < 2 or any(not (0 < a < 1) for a in alphas) \
+            or any(not a > b for a, b in zip(alphas, alphas[1:])):
+        raise ConfigError("alphas must be a strictly decreasing list of at "
+                          "least two numbers in (0, 1)")
     if not 0 < t_gamma < np.inf:
         raise ConfigError("t_gamma must be positive and finite")
     if setup is None:
         setup = default_theorem_setup()
-    lag_rows = {False: [], True: []}
-    for a in alphas:
-        cfg = replace(setup.base_cfg, alpha=a)
-        derived = O.DerivedNGDParams.from_config(cfg)
-        T = int(round(t_gamma / derived.gamma))
-        if T < 1:
-            # The first alpha has the shortest horizon: no run has started.
-            raise ConfigError(f"horizon t_gamma={t_gamma} gives T=0 at "
-                              f"alpha={a}")
-        cfg = replace(cfg, T=T)
-        # mt_run never reads ngd_grad_lag, so one mean-teacher run serves
-        # both references; each reference step is compared as it is taken.
-        mt_thetas = [setup.theta0]
-        O.mt_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt, cfg,
-                 callback=lambda t, th, te: mt_thetas.append(th))
-        for lag, lag_row in lag_rows.items():
-            dists = [0.0]
-            O.ngd_run(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
-                      replace(cfg, ngd_grad_lag=lag),
-                      callback=lambda t, th, te: dists.append(
-                          linalg.norm(mt_thetas[t] - th)))
-            lag_row.append({"grad_lag": lag, "alpha": a, "T": T,
-                            "gamma": derived.gamma, "lam_bar": derived.lam_bar,
-                            "deviation": max(dists)})
+    cfgs = [replace(setup.base_cfg, alpha=a) for a in alphas]
+    derived = [O.DerivedNGDParams.from_config(cfg) for cfg in cfgs]
+    Ts = [int(round(t_gamma / d.gamma)) for d in derived]
+    if Ts[0] < 1:
+        # The first alpha has the shortest horizon.
+        raise ConfigError(f"horizon t_gamma={t_gamma} gives T=0 at "
+                          f"alpha={alphas[0]}")
+    devs = O.mt_ngd_deviations(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
+                               [replace(cfg, T=T) for cfg, T in zip(cfgs, Ts)])
+    lag_rows = {lag: [{"grad_lag": lag, "alpha": a, "T": T, "gamma": d.gamma,
+                       "lam_bar": d.lam_bar, "deviation": float(dev[int(lag)])}
+                      for a, T, d, dev in zip(alphas, Ts, derived, devs)]
+                for lag in (False, True)}
     rows, summary = lag_rows[False] + lag_rows[True], {}
     x = np.log([a * np.log(1.0 / a) for a in alphas])
     for lag, lag_row in lag_rows.items():
@@ -856,30 +852,35 @@ def default_unlearn_setup(seed=7):
 
 def render_result_tables(result, out_dir):
     """Write the CSV tables for a result document (fresh or reloaded from
-    its results.json).  Dispatches on the document's "check" field."""
+    its results.json).  Every table is built before the first is written,
+    so a malformed document leaves the directory as it was."""
+    for name, header, rows in result_tables(result):
+        artifacts.write_csv(f"{out_dir}/{name}", header, rows)
+
+
+def result_tables(result):
+    """(file name, header, rows) of each CSV table of a result document,
+    built in memory.  Dispatches on the document's "check" field."""
     check = result.get("check")
     if check == "theorem1":
-        artifacts.write_csv(
-            f"{out_dir}/theorem1.csv",
-            ["grad_lag", "alpha", "T", "gamma", "lam_bar", "deviation"],
-            [[r["grad_lag"], r["alpha"], r["T"], r["gamma"], r["lam_bar"],
-              r["deviation"]] for r in result["rows"]])
-    elif check == "lemma":
-        artifacts.write_csv(
-            f"{out_dir}/lemma.csv",
-            ["mu", "lam", "mode", "eta", "T", "u0_dist", "max_ratio",
-             "floor_step", "min_margin", "holds", "status"],
-            [[r["mu"], r["lam"], r["mode"], r["eta"], r["T"], r["u0_dist"],
-              r["max_ratio"], "" if r["floor_step"] is None else r["floor_step"],
-              r["min_margin"], r["holds"], r["status"]]
-             for r in result["rows"]])
-    elif check == "divergence-quadratic":
-        artifacts.write_csv(
-            f"{out_dir}/divergence_quadratic.csv",
-            ["model", "kind", "t", "residual", "ratio"],
-            [[r["model"], r["kind"], r["t"], r["residual"], r["ratio"]]
-             for r in result["rows"]])
-    elif check == "dynamics":
+        return [("theorem1.csv",
+                 ["grad_lag", "alpha", "T", "gamma", "lam_bar", "deviation"],
+                 [[r["grad_lag"], r["alpha"], r["T"], r["gamma"], r["lam_bar"],
+                   r["deviation"]] for r in result["rows"]])]
+    if check == "lemma":
+        return [("lemma.csv",
+                 ["mu", "lam", "mode", "eta", "T", "u0_dist", "max_ratio",
+                  "floor_step", "min_margin", "holds", "status"],
+                 [[r["mu"], r["lam"], r["mode"], r["eta"], r["T"], r["u0_dist"],
+                   r["max_ratio"], "" if r["floor_step"] is None else r["floor_step"],
+                   r["min_margin"], r["holds"], r["status"]]
+                  for r in result["rows"]])]
+    if check == "divergence-quadratic":
+        return [("divergence_quadratic.csv",
+                 ["model", "kind", "t", "residual", "ratio"],
+                 [[r["model"], r["kind"], r["t"], r["residual"], r["ratio"]]
+                  for r in result["rows"]])]
+    if check == "dynamics":
         rows = []
         for tag, entry in result["series"].items():
             klv = entry.get("kl_to_teacher")
@@ -887,29 +888,25 @@ def render_result_tables(result, out_dir):
                 rows.append([tag, t, entry["nll_forget"][i],
                              entry["loss_grad_norm"][i],
                              klv[i] if klv is not None else ""])
-        artifacts.write_csv(
-            f"{out_dir}/dynamics.csv",
-            ["loss", "t", "nll_forget", "loss_grad_norm", "kl_to_teacher"],
-            rows)
-        artifacts.write_csv(
-            f"{out_dir}/dynamics_summary.csv",
-            ["loss", "grad_norm_initial", "delta_nll_forget"],
-            [[tag, result["grad_norm0"][tag], result["delta_nll"][tag]]
-             for tag in result["grad_norm0"]])
-    elif check == "unlearn":
+        return [("dynamics.csv",
+                 ["loss", "t", "nll_forget", "loss_grad_norm", "kl_to_teacher"],
+                 rows),
+                ("dynamics_summary.csv",
+                 ["loss", "grad_norm_initial", "delta_nll_forget"],
+                 [[tag, result["grad_norm0"][tag], result["delta_nll"][tag]]
+                  for tag in result["grad_norm0"]])]
+    if check == "unlearn":
         header = ["name", "optimizer", "rounds", "steps",
                   "exact_match_before", "exact_match_after", "lcs_before",
                   "lcs_after", "nll_forget_before", "nll_forget_after",
                   "nll_pretrain_before", "nll_pretrain_after", "drift",
                   "status"]
-        artifacts.write_csv(f"{out_dir}/unlearn.csv", header,
-                            [[r[h] for h in header] for r in result["rows"]])
-    elif check == "train-target":
+        return [("unlearn.csv", header,
+                 [[r[h] for h in header] for r in result["rows"]])]
+    if check == "train-target":
         rep = result["report"]
-        artifacts.write_csv(
-            f"{out_dir}/target_report.csv",
-            ["exact_match_rate", "lcs_ratio", "nll_forget", "nll_pretrain"],
-            [[rep["exact_match_rate"], rep["lcs_ratio"], rep["nll_forget"],
-              rep["nll_pretrain"]]])
-    else:
-        raise ValueError(f"cannot render result of kind {check!r}")
+        return [("target_report.csv",
+                 ["exact_match_rate", "lcs_ratio", "nll_forget", "nll_pretrain"],
+                 [[rep["exact_match_rate"], rep["lcs_ratio"], rep["nll_forget"],
+                   rep["nll_pretrain"]]])]
+    raise ValueError(f"cannot render result of kind {check!r}")

@@ -1,8 +1,9 @@
 """Dense real matrix kernel: symmetry checks and symmetric solves.
 
 All operations are pure functions on numpy arrays.  Vectors are 1-d float
-arrays, matrices are 2-d row-major float arrays.  Every public operation
-validates shapes and returns finite results or raises.
+arrays, matrices are 2-d row-major float arrays; `dot` and `norm` also
+take stacks of vectors and give one result per row.  Every public
+operation validates shapes and returns finite results or raises.
 
 scipy.linalg is imported on the first solve_spd call, not with the
 package: only the dense curvature oracle, the MLP route of ngd_run and
@@ -32,10 +33,22 @@ def _as_vector(x):
     return x
 
 
+def dot(a, b):
+    """a . b over the last axis: a float for two 1-d vectors, and for
+    stacks of them (..., n) one product per row, each bit for bit the 1-d
+    product (a batched 1 x n by n x 1 matmul runs the same dot kernel)."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def norm(x):
     """Euclidean norm of a 1-d float vector: sqrt(x . x), np.linalg.norm's
-    own formula (bit for bit) without its wrapper, for per-step use."""
-    return math.sqrt(x.dot(x))
+    own formula (bit for bit) without its wrapper, for per-step use; a
+    stack of vectors (..., n) gives one norm per row."""
+    if x.ndim == 1:
+        return math.sqrt(x.dot(x))
+    return np.sqrt(dot(x, x))
 
 
 def check_symmetric(A, atol=SYMMETRY_ATOL):

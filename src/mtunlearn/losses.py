@@ -179,12 +179,13 @@ def _it_terms(H, log_q, grad):
     """Row-wise KL(softmax(h) || q) and, if grad, its logit gradient, from
     one exp pass; log_q is the teacher's log-probabilities (rows, or a
     scalar for a uniform teacher).  Bitwise equal to taking p and log p
-    from softmax_rows and log_softmax_rows."""
+    from softmax_rows and log_softmax_rows.  Rows run over the last axis
+    of H, so a stack of logit matrices works row by row."""
     Z, E, S = M._exp_rows(H)
     P = E / S
     R = Z - np.log(S) - log_q
-    v = (P * R).sum(axis=1)
-    return v, (P * (R - v[:, None]) if grad else None)
+    v = (P * R).sum(axis=-1)
+    return v, (P * (R - v[..., None]) if grad else None)
 
 
 def it_value_rows(H, teacher_H):
@@ -228,7 +229,9 @@ def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
     Per sequence the value is (2/beta) softplus(beta (L_theta - L_base))
     with L the sequence log-probability, and the gradient is 2 w(s) times
     the summed e_y - p rows of its pairs, w = sigmoid(beta (L_theta -
-    L_base)); the rows are scaled before one backprop.
+    L_base)); the rows are scaled before one backprop.  A stack of
+    parameter vectors (theta of shape (..., dim)) gives one value and
+    gradient per row, against the same base model.
     """
     ds, starts = M.sequence_pairs(spec, batch)
     if base_theta is None:
@@ -241,13 +244,15 @@ def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
     v = g = None
     if value:
         vals = (2.0 / kind.beta) * np.logaddexp(0.0, kind.beta * (lt - lb))
-        v = float(vals.sum() / len(vals))
+        v = _batch_mean(vals)
     if grad:
         w = _sigmoid(kind.beta * (lt - lb))
         G = -M.softmax_rows(H)
-        G[np.arange(len(ds)), ds.nexts] += 1.0
-        per_pair = np.repeat(2.0 * w / len(w), np.diff(np.append(starts, len(ds))))
-        g = M.grad_from_logit_grads(spec, theta, ds, G * per_pair[:, None], aux=aux)
+        G[..., np.arange(len(ds)), ds.nexts] += 1.0
+        per_pair = np.repeat(2.0 * w / w.shape[-1],
+                             np.diff(np.append(starts, len(ds))), axis=-1)
+        g = M.grad_from_logit_grads(spec, theta, ds, G * per_pair[..., None],
+                                    aux=aux)
     return v, g
 
 
@@ -266,38 +271,50 @@ def _label_rows(kind, H, y, value, grad):
     there.  Entries of E that underflow are meant to be zero, so underflow
     is not signalled.  The gradient is w (e_y - p) with w = 1 (ll), -1
     (nll) or p_y/(1 - p_y) at the clamped p_y (nlul); values and gradients
-    match the *_rows functions to ~1e-12.
+    match the *_rows functions to ~1e-12.  H may be a stack of logit
+    matrices (..., n, V) sharing the labels y.
     """
-    rows = np.arange(len(H))
+    rows = np.arange(H.shape[-2])
     v = G = None
     with np.errstate(under="ignore"):
         Z, E, S = M._exp_rows(H)
-        logS = np.log(S[:, 0])
-        logp = Z[rows, y] - logS
+        logS = np.log(S[..., 0])
+        logp = Z[..., rows, y] - logS
         if value and kind.tag != "nlul":
             v = logp if kind.tag == "ll" else -logp
         if not (grad or kind.tag == "nlul"):
             return v, None                  # ll and nll values need no Sc
-        E[rows, y] = 0.0
-        Sc = E.sum(axis=1)
+        E[..., rows, y] = 0.0
+        Sc = E.sum(axis=-1)
         low = Sc < _TINY
         log1mp = np.log(np.where(low, 1.0, Sc)) - logS
         if low.any():
-            log1mp[low] = _log_complement_rows(H[low], y[low])
+            log1mp[low] = _log_complement_rows(H[low],
+                                               np.broadcast_to(y, low.shape)[low])
         if value and kind.tag == "nlul":
             v = np.minimum(-log1mp, -np.log(CLAMP_EPS))
         if grad:
             sign = -1.0 if kind.tag == "nll" else 1.0
             G = E / (-sign * S)
-            G[rows, y] = sign * np.exp(log1mp)
+            G[..., rows, y] = sign * np.exp(log1mp)
             if kind.tag == "nlul":
-                G *= np.exp(logp - np.maximum(log1mp, np.log(CLAMP_EPS)))[:, None]
+                G *= np.exp(logp - np.maximum(log1mp, np.log(CLAMP_EPS)))[..., None]
     return v, G
+
+
+def _batch_mean(vals):
+    """Mean over the last axis as sum / n, np.mean's own formula bit for
+    bit without its wrapper: a float for one row of values, an array with
+    one mean per row for a stack."""
+    m = vals.sum(axis=-1) / vals.shape[-1]
+    return float(m) if m.ndim == 0 else m
 
 
 def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
     """(batch-mean loss, its gradient) from one forward pass at theta;
-    a part not asked for is None."""
+    a part not asked for is None.  theta may be a stack of parameter
+    vectors (..., dim): then each row gets its own mean and gradient, bit
+    for bit those of a call with that row alone."""
     if kind.tag == "npo":
         return _npo_terms(kind, spec, theta, batch, base_theta, value, grad)
     if len(batch) == 0:
@@ -307,8 +324,7 @@ def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
         vals, G = _it_terms(H, kind.teacher.log_probs(batch, spec.vocab_size), grad)
     else:
         vals, G = _label_rows(kind, H, batch.nexts, value, grad)
-    # sum / n is np.mean's own formula, bit for bit, without its wrapper.
-    v = float(vals.sum() / len(vals)) if value else None
+    v = _batch_mean(vals) if value else None
     g = None
     if grad:
         g = M.grad_from_logit_grads(spec, theta, batch, G / len(batch), aux=aux)
@@ -322,7 +338,9 @@ def batch_loss(kind, spec, theta, batch, base_theta=None):
     sequences, or a plain list of sequences) and base_theta must be the
     fixed base model parameters; a batch carrying base_logprob (see
     npo_pairs) supplies the base model's values from it.  All other
-    losses average per (context, next) pair.
+    losses average per (context, next) pair.  A stack of parameter
+    vectors, theta of shape (..., dim), gives one mean per row, as do
+    batch_grad and batch_value_and_grad (one gradient per row).
     """
     return _loss_terms(kind, spec, theta, batch, base_theta, True, False)[0]
 

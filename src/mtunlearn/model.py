@@ -73,8 +73,17 @@ def init_params(spec, seed):
 
 
 def _unpack_mlp(spec, theta):
+    """Views (W1, b1, W2, b2) of a parameter vector.  For a stack of them
+    (theta of shape (..., dim)) every view gains the leading axes, and the
+    biases a unit axis before their last, so that they broadcast against
+    a batch of rows as a 1-d bias does."""
     V, D, Hd = spec.vocab_size, spec.vocab_size * spec.context_len, spec.hidden_dim
     lay = param_layout(spec)
+    if theta.ndim > 1:
+        lead = theta.shape[:-1]
+        W1, b1, W2, b2 = (theta[..., i:j] for i, j in lay.values())
+        return (W1.reshape(lead + (Hd, D)), b1[..., None, :],
+                W2.reshape(lead + (V, Hd)), b2[..., None, :])
     W1 = theta[lay["W1"][0]:lay["W1"][1]].reshape(Hd, D)
     b1 = theta[lay["b1"][0]:lay["b1"][1]]
     W2 = theta[lay["W2"][0]:lay["W2"][1]].reshape(V, Hd)
@@ -263,14 +272,15 @@ def _forward(spec, theta, X):
     Returns (H, aux): H is (n, V); aux is X for the bigram model and
     (X, hidden activations) for the MLP.  The bigram logits X @ table are
     the gathered table rows bit for bit, except that a -0.0 entry reads
-    +0.0.
+    +0.0.  A stack of parameter vectors, theta of shape (..., dim), gives
+    H of shape (..., n, V), each slice bit for bit its row's logits.
     """
     if spec.kind == BIGRAM:
         V = spec.vocab_size
-        return X @ theta.reshape(V, V), X
+        return X @ theta.reshape(theta.shape[:-1] + (V, V)), X
     W1, b1, W2, b2 = _unpack_mlp(spec, theta)
-    A = np.tanh(X @ W1.T + b1)
-    return A @ W2.T + b2, (X, A)
+    A = np.tanh(X @ W1.swapaxes(-1, -2) + b1)
+    return A @ W2.swapaxes(-1, -2) + b2, (X, A)
 
 
 def batch_logits(spec, theta, data):
@@ -291,22 +301,26 @@ def grad_from_logit_grads(spec, theta, data, G, aux=None):
     G is (n, V) and data a TokenDataset or an array of contexts.  Passing
     the aux state returned by `_forward` avoids a second forward pass.
     The bigram gradient X^T G equals np.add.at of G into the table rows
-    bit for bit.
+    bit for bit.  For a stack of parameter vectors (theta of shape
+    (..., dim), G of shape (..., n, V)) it returns one gradient per row,
+    each bit for bit that row's own.
     """
     G = np.asarray(G, dtype=float)
+    flat = G.shape[:-2] + (-1,)
     if spec.kind == BIGRAM:
         X = model_inputs(spec, data) if aux is None else aux
-        return (X.T @ G).ravel()
+        return (X.T @ G).reshape(flat)
     if aux is None:
         _, aux = _forward(spec, theta, model_inputs(spec, data))
     X, A = aux
     _, _, W2, _ = _unpack_mlp(spec, theta)
-    dW2 = G.T @ A
-    db2 = G.sum(axis=0)
+    dW2 = G.swapaxes(-1, -2) @ A
+    db2 = G.sum(axis=-2)
     dZ = (G @ W2) * (1.0 - A * A)
-    dW1 = dZ.T @ X
-    db1 = dZ.sum(axis=0)
-    return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+    dW1 = dZ.swapaxes(-1, -2) @ X
+    db1 = dZ.sum(axis=-2)
+    return np.concatenate([dW1.reshape(flat), db1, dW2.reshape(flat), db2],
+                          axis=-1)
 
 
 def logit_jacobian(spec, theta, x):
@@ -355,10 +369,11 @@ def logit_jvp(spec, theta, data, v):
 
 def _exp_rows(H):
     """Z = h - max h, E = exp(Z) and S = sum_j E_j (kept as a column) per
-    row: the one exp pass behind every softmax-based row quantity."""
-    Z = H - H.max(axis=1, keepdims=True)
+    row, over the last axis of H: the one exp pass behind every
+    softmax-based row quantity."""
+    Z = H - H.max(axis=-1, keepdims=True)
     E = np.exp(Z)
-    return Z, E, E.sum(axis=1, keepdims=True)
+    return Z, E, E.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_rows(H):
@@ -395,9 +410,11 @@ def sequence_pairs(spec, sequences):
 
 def segment_logprob(H, ds, starts):
     """Per-sequence sums of log softmax(H)_next over the pairs of
-    `sequence_pairs` (logits H of all pairs, in order)."""
+    `sequence_pairs` (logits H of all pairs, in order; a stack of logit
+    matrices gives one row of sums per matrix)."""
     L = log_softmax_rows(H)
-    return np.add.reduceat(L[np.arange(len(ds.nexts)), ds.nexts], starts)
+    return np.add.reduceat(L[..., np.arange(len(ds.nexts)), ds.nexts], starts,
+                           axis=-1)
 
 
 def sequence_logprob(spec, theta, s):

@@ -32,6 +32,10 @@ the divergence term (cfg.divergence.lam):
 
 where grad L is evaluated at theta_t by default and at theta_{t-1} when
 ngd_grad_lag is set.
+
+mt_ngd_deviations runs many full-batch mean-teacher runs and their
+references in lockstep on one stack of parameter vectors, bit for bit
+mt_run and ngd_run, and returns only the largest gap between them.
 """
 
 from dataclasses import dataclass, field
@@ -242,6 +246,11 @@ def _warmup_lr(base_lr, t, warmup):
 # and a rule without a teacher optimizes the loss alone.
 
 
+def _heavy_ball_step(cfg, theta, prev, g):
+    """theta - eta g + mu (theta - theta_prev), row by row for stacks."""
+    return theta - cfg.eta * g + cfg.mu * (theta - prev)
+
+
 class _HeavyBall:
     """Full-batch mean teacher: theta - eta g + mu (theta - theta_prev),
     teacher rate eta kappa."""
@@ -255,7 +264,7 @@ class _HeavyBall:
         c = self.cfg
         prev = theta if self.prev is None else self.prev
         self.prev = theta
-        return (theta - c.eta * g + c.mu * (theta - prev), c.eta * c.kappa,
+        return (_heavy_ball_step(c, theta, prev, g), c.eta * c.kappa,
                 linalg.norm(g), 1.0)
 
 
@@ -300,11 +309,26 @@ class _AdamW:
         return theta_new, 0.0, linalg.norm(g), 1.0
 
 
+def _damped_solve(spec, theta, d_pt, lam_bar, g):
+    """(H(theta) + lam_bar I)^{-1} g with H on the pretrain data: the
+    bigram model on the closed-form block solve, other models on the dense
+    assembly.  A stack of parameter vectors (..., dim), with lam_bar a
+    number or one per row, is solved row by row: the bigram in one call,
+    other models in a loop."""
+    if spec.kind == M.BIGRAM:
+        return curvature.bigram_damped_solve(spec, theta, d_pt, lam_bar, g)
+    if theta.ndim > 1:
+        dim, lams = theta.shape[-1], np.broadcast_to(lam_bar, theta.shape[:-1])
+        return np.array([_damped_solve(spec, th, d_pt, lam, gi) for th, lam, gi in
+                         zip(theta.reshape(-1, dim), lams.ravel(), g.reshape(-1, dim))]
+                        ).reshape(theta.shape)
+    H = curvature.assemble_gnh(spec, theta, d_pt)
+    return linalg.solve_spd(H + lam_bar * np.eye(len(theta)), g)
+
+
 class _DampedNGD:
-    """theta - gamma (H(theta) + lam_bar I)^{-1} g, with H on the pretrain
-    data: the bigram model on the closed-form block solve, other models on
-    the dense assembly.  With ngd_grad_lag the step uses the gradient one
-    iterate back."""
+    """theta - gamma (H(theta) + lam_bar I)^{-1} g (see _damped_solve).
+    With ngd_grad_lag the step uses the gradient one iterate back."""
 
     batched, has_teacher = False, False
 
@@ -317,12 +341,7 @@ class _DampedNGD:
         step_g = g if self.g_prev is None else self.g_prev
         if self.lag:
             self.g_prev = g
-        lam_bar = self.derived.lam_bar
-        if self.spec.kind == M.BIGRAM:
-            step = curvature.bigram_damped_solve(self.spec, theta, self.d_pt, lam_bar, step_g)
-        else:
-            H = curvature.assemble_gnh(self.spec, theta, self.d_pt)
-            step = linalg.solve_spd(H + lam_bar * np.eye(len(theta)), step_g)
+        step = _damped_solve(self.spec, theta, self.d_pt, self.derived.lam_bar, step_g)
         return (theta - self.derived.gamma * step, 0.0,
                 linalg.norm(step_g), 1.0)
 
@@ -402,6 +421,71 @@ def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None):
     """
     return _run(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg),
                 callback)
+
+
+def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
+    """The largest gap max_t ||theta_mt(t) - theta_ngd(t)|| between mt_run
+    and ngd_run from theta0, for each config and both gradient conventions
+    of the reference: an array of shape (len(cfgs), 2) whose columns are
+    ngd_grad_lag False and True.
+
+    The configs differ only in alpha (> 0) and T; the first supplies every
+    other setting.  All 3 len(cfgs) runs advance in lockstep on one stack
+    of parameter vectors, ordered by horizon, longest first, so that a run
+    leaves the active prefix when its horizon ends.  Each step takes the
+    heavy-ball step of every mean teacher, both references' damped steps
+    in one solve, one forget-loss gradient over the stack and one
+    divergence gradient over the mean teachers.  Every row is bit for bit
+    its own mt_run or ngd_run; the iterates are not kept, and the
+    Trajectory records, which the gap does not need, are not computed.
+    """
+    if not all(c.alpha > 0 for c in cfgs):
+        raise ValueError("every alpha must be positive")
+    cfg = cfgs[0]
+    theta0 = np.asarray(theta0, dtype=float)
+    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].T)
+    T = [cfgs[i].T for i in order]
+    derived = [DerivedNGDParams.from_config(cfgs[i]) for i in order]
+    alpha = np.array([cfgs[i].alpha for i in order])[:, None]
+    gamma = np.array([d.gamma for d in derived])[:, None, None]
+    lam_bar = np.array([d.lam_bar for d in derived])[:, None]
+    if cfg.loss.tag == "npo":
+        d_f = Lmod.npo_pairs(spec, d_f, theta0)
+
+    def gradients(th, teacher):
+        """Loss gradients of every row, and the mean teachers' objective
+        gradients (divergence plus alpha times loss, as in _evaluate)."""
+        g = Lmod.batch_grad(cfg.loss, spec, th.reshape(-1, th.shape[-1]), d_f,
+                            base_theta=theta0).reshape(th.shape)
+        return g, (Dmod.damped_grad(cfg.divergence, spec, th[:, 0], teacher, d_pt)
+                   + alpha[:len(th)] * g[:, 0])
+
+    # Rows per config: mean teacher, reference, lagged reference.
+    th = np.tile(theta0, (len(cfgs), 3, 1))
+    prev = teacher = th[:, 0]
+    g, g_mt = gradients(th, teacher)
+    g_lag = g[:, 2]
+    rate = cfg.eta * cfg.kappa
+    dev = np.zeros((len(cfgs), 2))
+    j = sum(n > 0 for n in T)
+    for t in range(1, T[0] + 1):
+        new = np.empty((j,) + th.shape[1:])
+        new[:, 0] = _heavy_ball_step(cfg, th[:j, 0], prev[:j], g_mt[:j])
+        step_g = np.stack([g[:j, 1], g_lag[:j]], axis=1)
+        new[:, 1:] = th[:j, 1:] - gamma[:j] * _damped_solve(
+            spec, th[:j, 1:], d_pt, lam_bar[:j], step_g)
+        _check_finite(new, t)
+        dev[:j] = np.maximum(dev[:j], linalg.norm(new[:, :1] - new[:, 1:]))
+        while j and T[j - 1] == t:
+            j -= 1
+        if rate:
+            teacher = (1.0 - rate) * teacher[:j] + rate * new[:j, 0]
+        th, prev, g_lag = new[:j], th[:j, 0], g[:j, 2]
+        if j:
+            g, g_mt = gradients(th, teacher[:j])
+    out = np.empty_like(dev)
+    out[order] = dev
+    return out
 
 
 def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,

@@ -121,6 +121,9 @@ class TestConfigErrors:
         ("lemma", {"T": -1, "mus": [0.0], "lams": [1.0]},
          "T must be nonnegative"),
         ("dynamics", {"target_epochs": 0}, "target_epochs must be at least 1"),
+        # alpha = 1 once ran every trajectory and then died in np.polyfit.
+        ("theorem1", {"alphas": [1.0, 0.5], "t_gamma": 0.01}, "alphas must be"),
+        ("theorem1", {"alphas": [0.1, 0.1]}, "alphas must be a strictly"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):
@@ -401,6 +404,28 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert str(tmp_path / "target.npy") in err and "finite" in err
         assert not os.path.exists(tmp_path / "results.json")
+
+    @pytest.mark.parametrize("doc", [
+        {"check": "dynamics", "series": {"ll": {
+            "t": [0], "nll_forget": [1.0], "loss_grad_norm": [2.0]}}},
+        {"check": "theorem1", "rows": [{"grad_lag": False, "alpha": 0.1,
+                                        "T": 1, "gamma": 0.1, "lam_bar": 1.0,
+                                        "deviation": 0.5}]},
+    ], ids=["second-table", "summary"])
+    def test_malformed_document_leaves_the_tables_as_they_were(
+            self, tmp_path, capsys, doc):
+        """A dynamics document whose series renders but which has no
+        grad_norm0 for its second table, and a theorem1 document whose
+        table renders but which has no summary: no table is rewritten."""
+        tables = {name: f"{name} before report\n" for name in
+                  ("dynamics.csv", "dynamics_summary.csv", "theorem1.csv")}
+        for name, text in tables.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "results.json").write_text(json.dumps(doc))
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        assert "malformed results document" in capsys.readouterr().err
+        for name, text in tables.items():
+            assert (tmp_path / name).read_text() == text
 
     def test_report_on_empty_directory_exits_4(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 4

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import relative_error
+from conftest import relative_error, same_bits
 from mtunlearn import curvature, linalg
 from mtunlearn import model as M
 
@@ -188,6 +188,27 @@ class TestClosedFormBigramSolve:
         x = curvature.bigram_damped_solve(spec, np.zeros(16), batch, 0.5, g)
         np.testing.assert_array_equal(x.reshape(4, 4)[[0, 2]],
                                       g.reshape(4, 4)[[0, 2]] / 0.5)
+
+    def test_stacks_solve_each_row_with_its_own_damping(self):
+        """A (2, 3) stack, with one damping for all rows and with one per
+        row, against one call per row; a non-positive damping in any row
+        is rejected."""
+        rng = np.random.default_rng(12)
+        spec = bigram_spec(5)
+        batch = random_batch(rng, spec, n=9)
+        theta = rng.standard_normal((2, 3, 25)) * 3.0
+        g = rng.standard_normal(theta.shape)
+        lams = rng.uniform(0.1, 2.0, (2, 3))
+        for lam in (0.7, lams, lams[:, :1]):
+            x = curvature.bigram_damped_solve(spec, theta, batch, lam, g)
+            assert x.shape == theta.shape
+            per_row = np.broadcast_to(lam, (2, 3))
+            for i in np.ndindex(2, 3):
+                assert same_bits(x[i], curvature.bigram_damped_solve(
+                    spec, theta[i], batch, float(per_row[i]), g[i]))
+        lams[1, 2] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            curvature.bigram_damped_solve(spec, theta, batch, lams, g)
 
     def test_rejects_nonpositive_damping_and_non_finite_tables(self):
         spec = bigram_spec(4)

@@ -11,7 +11,7 @@ Conventions:
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, relative_error
+from conftest import central_difference_gradient, relative_error, same_bits
 from mtunlearn import curvature
 from mtunlearn import divergence as D
 from mtunlearn import model as M
@@ -163,6 +163,30 @@ class TestFusedValueAndGrad:
             g, P * (2.0 * Dd - 2.0 * m1 + Dd * Dd - m2 - 2.0 * m1 * Dd + 2.0 * m1 * m1))
         assert D._qkl_terms(H, Href, False, True)[0] is None
         np.testing.assert_array_equal(D._qkl_terms(H, Href, True, False)[0], v)
+
+
+class TestStackedParameters:
+    @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
+    def test_each_row_is_bitwise_its_own_call(self, tag):
+        """Stacks of (2, 3) points and references against one call per
+        row: raw and damped values and gradients."""
+        rng = np.random.default_rng(68)
+        kind = D.DivergenceKind(tag, 0.3)
+        makers = (bigram_spec,) if tag == "bregman" else (bigram_spec, mlp_spec)
+        for spec in (make() for make in makers):
+            theta = rng.standard_normal((2, 3, M.param_count(spec)))
+            ref = rng.standard_normal(theta.shape)
+            batch = random_batch(rng, spec)
+            values, grads = D.damped_value_and_grad(kind, spec, theta, ref, batch)
+            raw = D.divergence_value(kind, spec, theta, ref, batch)
+            assert values.shape == raw.shape == (2, 3)
+            assert same_bits(values, D.damped_value(kind, spec, theta, ref, batch))
+            assert same_bits(grads, D.damped_grad(kind, spec, theta, ref, batch))
+            for i in np.ndindex(2, 3):
+                v, g = D.damped_value_and_grad(kind, spec, theta[i], ref[i], batch)
+                assert same_bits(values[i], v) and same_bits(grads[i], g)
+                assert same_bits(raw[i], D.divergence_value(kind, spec, theta[i],
+                                                            ref[i], batch))
 
 
 class TestLocalQuadratic:

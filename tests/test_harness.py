@@ -230,12 +230,17 @@ class TestBuildTarget:
 
 class TestTheoremDriver:
     def test_alpha_validation(self, bigram_testbed):
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
             Hn.verify_theorem1(bigram_testbed, alphas=(2.0, 1.0))
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
             Hn.verify_theorem1(bigram_testbed, alphas=(0.1,))
+        # At alpha = 1 the check's abscissa log(alpha log(1/alpha)) is -inf.
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            Hn.verify_theorem1(bigram_testbed, alphas=(1.0, 0.5), t_gamma=0.01)
         with pytest.raises(ValueError, match="decreasing"):
             Hn.verify_theorem1(bigram_testbed, alphas=(0.1, 0.2))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            Hn.verify_theorem1(bigram_testbed, alphas=(0.1, 0.1))
         with pytest.raises(ValueError, match="gives T=0"):
             Hn.verify_theorem1(bigram_testbed, alphas=(0.2, 0.1),
                                t_gamma=1e-9)
@@ -245,10 +250,12 @@ class TestTheoremDriver:
         (dict(t_gamma=float("nan")), "t_gamma"),
         (dict(alphas=(0.1, float("nan"))), "alphas"),
         (dict(t_gamma=1e-9), "T=0"),
+        (dict(alphas=(1.0, 0.5), t_gamma=0.01), "alphas"),
+        (dict(alphas=(0.1, 0.1)), "alphas"),
     ])
     def test_arguments_rejected_before_any_run(self, bigram_testbed,
                                                monkeypatch, kw, field):
-        forbid(monkeypatch, O, "mt_run")
+        forbid(monkeypatch, O, "mt_ngd_deviations")
         with pytest.raises(ConfigError, match=field):
             Hn.verify_theorem1(bigram_testbed, **kw)
 
@@ -279,39 +286,24 @@ class TestTheoremDriver:
         assert isinstance(result["passed"], bool)
 
 
-    def test_one_mean_teacher_run_per_alpha(self, bigram_testbed,
-                                            monkeypatch):
-        """mt_run never reads ngd_grad_lag: one mean-teacher run per alpha
-        serves both references, and the deviations equal those of a
-        mean-teacher run under the lagged config."""
-        mt_run, ngd_run = O.mt_run, O.ngd_run
-        mt_calls, ngd_lags = [], []
-
-        def counted_mt(*args, **kwargs):
-            mt_calls.append(args[4].alpha)
-            return mt_run(*args, **kwargs)
-
-        def counted_ngd(*args, **kwargs):
-            ngd_lags.append(args[4].ngd_grad_lag)
-            return ngd_run(*args, **kwargs)
-
-        monkeypatch.setattr(O, "mt_run", counted_mt)
-        monkeypatch.setattr(O, "ngd_run", counted_ngd)
+    def test_deviations_equal_the_separate_runs(self, bigram_testbed):
+        """Every row's deviation, for every alpha and both gradient
+        conventions, is bit for bit the largest gap between mt_run and
+        ngd_run run separately."""
         alphas = (0.2, 0.1, 0.05)
         result = Hn.verify_theorem1(bigram_testbed, alphas=alphas,
                                     t_gamma=0.05)
-        assert mt_calls == list(alphas)
-        assert ngd_lags == [False, True] * len(alphas)
         assert [(r["grad_lag"], r["alpha"]) for r in result["rows"]] == [
             (lag, a) for lag in (False, True) for a in alphas]
-        s, row = bigram_testbed, result["rows"][-1]
-        cfg = dataclasses.replace(s.base_cfg, alpha=row["alpha"], T=row["T"],
-                                  ngd_grad_lag=True)
-        mt = observed_run(mt_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
-        ngd = observed_run(ngd_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
-        assert len(mt) == len(ngd) == row["T"] + 1
-        dev = max(float(np.linalg.norm(x - y)) for x, y in zip(mt, ngd))
-        assert dev == row["deviation"]
+        s = bigram_testbed
+        for row in result["rows"]:
+            cfg = dataclasses.replace(s.base_cfg, alpha=row["alpha"],
+                                      T=row["T"], ngd_grad_lag=row["grad_lag"])
+            mt = observed_run(O.mt_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
+            ngd = observed_run(O.ngd_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
+            assert len(mt) == len(ngd) == row["T"] + 1
+            dev = max(linalg.norm(x - y) for x, y in zip(mt, ngd))
+            assert type(row["deviation"]) is float and row["deviation"] == dev
 
 
 class TestLemmaDriver:

@@ -128,3 +128,14 @@ class TestNorm:
             assert linalg.norm(x) == np.linalg.norm(x)
             assert type(linalg.norm(x)) is float
         assert linalg.norm(np.zeros(4)) == 0.0
+
+    def test_stacks_give_the_norm_and_dot_of_each_row(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 7, 64, 300):
+            x = rng.standard_normal((3, 2, n)) * 10.0 ** rng.uniform(-50, 50)
+            y = rng.standard_normal(x.shape)
+            norms, dots = linalg.norm(x), linalg.dot(x, y)
+            assert norms.shape == dots.shape == (3, 2)
+            for i in np.ndindex(3, 2):
+                assert norms[i] == linalg.norm(x[i])
+                assert dots[i] == linalg.dot(x[i], y[i]) == float(x[i] @ y[i])

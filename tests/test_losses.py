@@ -14,7 +14,7 @@ import pytest
 from scipy.special import expit, logsumexp
 
 from conftest import (central_difference_gradient, grad_sequence_logprob,
-                      npo_grad, npo_value, npo_weight, relative_error)
+                      npo_grad, npo_value, npo_weight, relative_error, same_bits)
 from mtunlearn import losses as L
 from mtunlearn import model as M
 
@@ -335,6 +335,43 @@ class TestFusedValueAndGrad:
                                              base_theta=base)
                 np.testing.assert_array_equal(
                     grad, L.batch_grad(kind, spec, theta, batch, base_theta=base))
+
+
+class TestStackedParameters:
+    @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
+    def test_each_row_is_bitwise_its_own_call(self, make_spec):
+        """A (2, 3, dim) stack of parameter vectors against one call per
+        row, for every loss; one row's logits let the labels of token 0
+        lead by at least 800, so nlul takes its log-space complement
+        there."""
+        rng = np.random.default_rng(60)
+        spec = make_spec()
+        dim = M.param_count(spec)
+        stack = rng.standard_normal((2, 3, dim))
+        if spec.kind == M.BIGRAM:
+            stack[0, 1].reshape(5, 5)[:, 0] = 900.0
+        else:
+            stack[0, 1, -5] = 900.0            # the bias of token 0
+        base = rng.standard_normal(dim)
+        pairs = random_batch(rng, spec, n=12)
+        pairs.nexts[:4] = 0
+        H = M.batch_logits(spec, stack[0, 1], pairs)
+        assert (H[:4, 0] - np.delete(H[:4], 0, axis=1).max(axis=1) >= 800).all()
+        seqs = M.dataset_from_sequences([[0, 1, 2, 3], [4, 2], [3, 3, 1, 0]],
+                                        spec.context_len)
+        for kind in loss_kinds(spec, rng):
+            batch = seqs if kind.tag == "npo" else pairs
+            values, grads = L.batch_value_and_grad(kind, spec, stack, batch,
+                                                   base_theta=base)
+            assert values.shape == (2, 3) and grads.shape == stack.shape
+            assert same_bits(values, L.batch_loss(kind, spec, stack, batch,
+                                                  base_theta=base))
+            assert same_bits(grads, L.batch_grad(kind, spec, stack, batch,
+                                                 base_theta=base))
+            for i in np.ndindex(2, 3):
+                v, g = L.batch_value_and_grad(kind, spec, stack[i], batch,
+                                              base_theta=base)
+                assert same_bits(values[i], v) and same_bits(grads[i], g)
 
 
 class TestBatchMean:

@@ -604,3 +604,79 @@ class TestPreparedRuns:
         RUNS[rule](spec, theta0, *sequence_data(spec, 8), cfg)
         assert len(calls) == 1 and calls[0] is not theta0
         assert same_bits(calls[0], theta0)
+
+
+LOCKSTEP_CASES = {
+    "it-kl": dict(loss=L.LossKind("it")),
+    "nlul-qkl": dict(loss=L.LossKind("nlul"), divergence=Dv.DivergenceKind("qkl", 0.3)),
+    "npo-kl": dict(loss=L.LossKind("npo", beta=0.5)),
+    "nll-bregman": dict(divergence=Dv.DivergenceKind("bregman", 0.3)),
+}
+
+
+class TestLockstep:
+    """mt_ngd_deviations advances every mean teacher and both references
+    of every config on one stack of parameter vectors."""
+
+    @pytest.mark.parametrize("kind,case", [
+        (kind, case) for kind in SPECS for case in LOCKSTEP_CASES
+        if kind == "bigram" or case != "nll-bregman"])
+    def test_rows_are_the_separate_runs_at_every_step(self, monkeypatch, kind,
+                                                      case):
+        """Horizons 3, 7 and 5 (so rows leave the stack at unequal steps):
+        at every step every row is bit for bit its own mt_run or ngd_run
+        iterate, and each deviation is the largest gap of those runs."""
+        spec = SPECS[kind]
+        d_f, d_pt = sequence_data(spec, 5)
+        theta0 = M.init_params(spec, 3)
+        cfgs = [base_config(alpha=a, T=T, **LOCKSTEP_CASES[case])
+                for a, T in ((0.5, 3), (0.2, 7), (0.3, 5))]
+        runs = []
+        for cfg in cfgs:
+            runs.append([observed_run(O.mt_run, spec, theta0, d_f, d_pt, cfg)[1]]
+                        + [observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
+                                        dataclasses.replace(cfg, ngd_grad_lag=lag))[1]
+                           for lag in (False, True)])
+        stacks = []
+        check = O._check_finite
+
+        def record(theta, t):
+            stacks.append(theta.copy())
+            check(theta, t)
+
+        monkeypatch.setattr(O, "_check_finite", record)
+        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs)
+        assert len(stacks) == 7
+        for t, stack in enumerate(stacks, start=1):
+            active = [i for i in (1, 2, 0) if cfgs[i].T >= t]
+            assert stack.shape == (len(active), 3, len(theta0))
+            for rows, i in zip(stack, active):
+                for row, iterates in zip(rows, runs[i]):
+                    assert same_bits(row, iterates[t])
+        for i, (mt, ref, lagged) in enumerate(runs):
+            assert same_bits(devs[i], [max(linalg.norm(a - b) for a, b in zip(mt, r))
+                                       for r in (ref, lagged)])
+
+    def test_zero_horizon_and_bad_weight(self):
+        rng = np.random.default_rng(96)
+        spec = M.ModelSpec(M.BIGRAM, 6)
+        d_f, d_pt = make_data(rng)
+        theta0 = M.init_params(spec, 9)
+        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt,
+                                   [base_config(T=0), base_config(alpha=0.2, T=2)])
+        assert devs[0].tolist() == [0.0, 0.0] and (devs[1] > 0).all()
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [base_config(alpha=0.0)])
+
+    def test_divergent_step_size_fails_at_the_runs_step(self):
+        rng = np.random.default_rng(95)
+        spec = M.ModelSpec(M.BIGRAM, 6)
+        d_f, d_pt = make_data(rng)
+        theta0 = M.init_params(spec, 8)
+        cfg = base_config(eta=1e160, kappa=0.0, alpha=1.0, mu=0.0, T=5)
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrainingError, match="non-finite") as run:
+                O.mt_run(spec, theta0, d_f, d_pt, cfg)
+            with pytest.raises(TrainingError) as lockstep:
+                O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [cfg])
+        assert str(lockstep.value) == str(run.value)
