@@ -278,6 +278,27 @@ def _safe_name(name):
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
 
 
+def _method_artifacts(method):
+    """The files `unlearn` may write for a method: its parameters and one
+    trajectory per round, suffixed _roundK when it has several rounds."""
+    name = _safe_name(method.name)
+    rounds = [""] if method.rounds == 1 else \
+        [f"_round{k + 1}" for k in range(method.rounds)]
+    return [f"unlearned_{name}.npy"] + [f"trajectory_{name}{r}.csv" for r in rounds]
+
+
+def _check_artifact_names(methods):
+    """Reject two methods that would write a file of the same name."""
+    owner = {}
+    for i, m in enumerate(methods):
+        for fname in _method_artifacts(m):
+            j = owner.setdefault(fname, i)
+            if j != i:
+                raise ConfigError(f"methods[{j}] ({methods[j].name!r}) and "
+                                  f"methods[{i}] ({m.name!r}) would both "
+                                  f"write {fname}")
+
+
 def _write_corpus_jsonl(out_dir, d_f, d_pt):
     for fname, ds in (("forget.jsonl", d_f), ("pretrain.jsonl", d_pt)):
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
@@ -409,6 +430,7 @@ def cmd_unlearn(args):
     seed_override = _resolve_seed(args)
     methods = [_parse_method(mj, i, spec, out, seed_override)
                for i, mj in enumerate(methods_j)]
+    _check_artifact_names(methods)
     _cfgval(lambda: harness.report_lengths(d_f.sequences, **lens),
             "section 'report'")
 
@@ -417,15 +439,12 @@ def cmd_unlearn(args):
 
     res = harness.unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
                                      stop_rule=stop_rule, **lens)
-    for name, theta in res["thetas"].items():
-        artifacts.save_params(
-            os.path.join(out, f"unlearned_{_safe_name(name)}.npy"), theta)
-    for name, trajs in res["trajectories"].items():
-        base = f"trajectory_{_safe_name(name)}"
-        for k, traj in enumerate(trajs):
-            suffix = f"_round{k + 1}" if len(trajs) > 1 else ""
-            artifacts.write_trajectory_csv(
-                os.path.join(out, f"{base}{suffix}.csv"), traj)
+    for m in methods:
+        params, *trajectories = _method_artifacts(m)
+        if m.name in res["thetas"]:
+            artifacts.save_params(os.path.join(out, params), res["thetas"][m.name])
+        for fname, traj in zip(trajectories, res["trajectories"][m.name]):
+            artifacts.write_trajectory_csv(os.path.join(out, fname), traj)
     result = {k: v for k, v in res.items()
               if k not in ("thetas", "trajectories")}
     artifacts.write_results_json(out, result)

@@ -604,10 +604,16 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     # base log-probabilities, computed once since theta0 is fixed.
     observed = {tag: Lmod.npo_pairs(spec, d_f, theta0) if tag == "npo" else d_f
                 for tag in loss_tags}
-    grad_norm0 = {}
+    # The imitation loss also reports its value, the KL to its teacher, on
+    # the same forget set: one value-and-gradient call gives both.
+    kl0, grad_norm0 = None, {}
     for tag in loss_tags:
-        g = Lmod.batch_grad(kinds[tag], spec, theta0, observed[tag],
-                            base_theta=theta0)
+        if tag == "it":
+            kl0, g = Lmod.batch_value_and_grad(kinds[tag], spec, theta0,
+                                               observed[tag], base_theta=theta0)
+        else:
+            g = Lmod.batch_grad(kinds[tag], spec, theta0, observed[tag],
+                                base_theta=theta0)
         grad_norm0[tag] = linalg.norm(g)
     ratios = {}
     if "nlul" in grad_norm0:
@@ -622,15 +628,18 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
         entry = {"t": [0], "nll_forget": [nll0],
                  "loss_grad_norm": [grad_norm0[tag]]}
         if tag == "it":
-            entry["kl_to_teacher"] = [Lmod.batch_loss(kind, spec, theta0, d_f)]
+            entry["kl_to_teacher"] = [kl0]
 
         def observe(t, th, teacher):
             entry["t"].append(t)
             entry["nll_forget"].append(Lmod.batch_loss(_NLL, spec, th, d_f))
-            entry["loss_grad_norm"].append(linalg.norm(
-                Lmod.batch_grad(kind, spec, th, forget, base_theta=theta0)))
             if tag == "it":
-                entry["kl_to_teacher"].append(Lmod.batch_loss(kind, spec, th, d_f))
+                kl, g = Lmod.batch_value_and_grad(kind, spec, th, forget,
+                                                  base_theta=theta0)
+                entry["kl_to_teacher"].append(kl)
+            else:
+                g = Lmod.batch_grad(kind, spec, th, forget, base_theta=theta0)
+            entry["loss_grad_norm"].append(linalg.norm(g))
 
         O.mt_run_batched(spec, theta0, d_f, d_pt,
                          replace(setup.base_cfg, loss=kind),

@@ -107,12 +107,16 @@ class Trajectory:
     """Per-step records of one optimizer run.
 
     Row 0 describes the initial state (theta_0 = teacher, grad_norm 0,
-    clip_scale 1, values on the full datasets); row t >= 1 describes the
-    state after step t, with grad_norm and clip_scale of the update that
-    produced it and loss/divergence values on the batch that step saw
-    (the full datasets in full-batch mode).  final_theta and
-    final_teacher are set when the run ends; the iterates in between
-    reach a caller only through the run's callback.
+    clip_scale 1, gap 0, values on the full datasets); row t >= 1
+    describes the state after step t, with grad_norm and clip_scale of the
+    update that produced it.  Its loss/divergence values are taken where
+    step t + 1's gradient is: on the full datasets in full-batch mode, on
+    the next batch drawn in batched mode (after the last step, one extra
+    draw), which is independent of the batch that produced theta_t.  gap
+    is the teacher-student distance ||theta_t - theta'_t||, None for a run
+    without a teacher.  final_theta and final_teacher are set when the run
+    ends; the iterates in between reach a caller only through the run's
+    callback.
     """
 
     ts: list = field(default_factory=list)
@@ -120,18 +124,20 @@ class Trajectory:
     loss_values: list = field(default_factory=list)
     divergence_values: list = field(default_factory=list)
     clip_scales: list = field(default_factory=list)
+    gaps: list = field(default_factory=list)
     final_theta: np.ndarray = None
     final_teacher: np.ndarray = None
 
     def __len__(self):
         return len(self.ts)
 
-    def append(self, t, grad_norm, loss_value, div_value, clip_scale):
+    def append(self, t, grad_norm, loss_value, div_value, clip_scale, gap):
         self.ts.append(int(t))
         self.grad_norms.append(float(grad_norm))
         self.loss_values.append(float(loss_value))
         self.divergence_values.append(float(div_value))
         self.clip_scales.append(float(clip_scale))
+        self.gaps.append(None if gap is None else float(gap))
 
 
 def _check_finite(theta, t):
@@ -242,8 +248,8 @@ def _warmup_lr(base_lr, t, warmup):
 # Update rules: rule(t, theta, g), with g the objective gradient at theta,
 # returns (new theta, teacher rate r, gradient norm to record, clip scale)
 # and keeps its own state; the loop then moves the teacher to
-# (1 - r) teacher + r theta.  `batched` picks the loop's recording policy,
-# and a rule without a teacher optimizes the loss alone.
+# (1 - r) teacher + r theta.  `batched` makes the loop draw a batch per
+# step, and a rule without a teacher optimizes the loss alone.
 
 
 def _heavy_ball_step(cfg, theta, prev, g):
@@ -349,11 +355,12 @@ class _DampedNGD:
 def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     """The optimizer loop every run shares.
 
-    Full batch: the values recorded after step t and the gradient of step
-    t + 1 are taken at the same point on the same data, so one
-    value-and-gradient evaluation serves both.  Batched: each step draws a
-    batch, takes the gradient on it, and records the values on the same
-    batch after the update; row 0 holds values on the full datasets.
+    Row t records the state after step t where step t + 1's gradient is
+    taken, so one value-and-gradient evaluation serves both (values only
+    after the last step).  Full batch: that point is on the full datasets.
+    Batched: step t + 1's batch is drawn right after step t, and one more
+    draw after the last step supplies row T's batch; row 0 holds values on
+    the full datasets, and step 1's gradient is taken alone on batch 1.
     callback(t, theta, teacher), if given, is invoked after each recorded
     step t >= 1 with the iterate and the teacher (None for a run without
     one); the loop never writes into either array, so a callback may keep
@@ -369,20 +376,23 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     fb, pb = d_f, d_pt
     traj = Trajectory()
     loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
-                             True, not batched)
-    traj.append(0, 0.0, loss, div, 1.0)
+                             True, not batched and cfg.T > 0)
+    traj.append(0, 0.0, loss, div, 1.0, None if teacher is None else 0.0)
+    if batched and cfg.T > 0:
+        fb, pb = sampler.draw()
+        g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
+                      False, True)[2]
     for t in range(1, cfg.T + 1):
-        if batched:
-            fb, pb = sampler.draw()
-            g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
-                          False, True)[2]
         theta, rate, grad_norm, l = rule(t, theta, g)
         _check_finite(theta, t)
         if rate:
             teacher = (1.0 - rate) * teacher + rate * theta
+        if batched:
+            fb, pb = sampler.draw()
         loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
-                                 True, not batched)
-        traj.append(t, grad_norm, loss, div, l)
+                                 True, t < cfg.T)
+        traj.append(t, grad_norm, loss, div, l,
+                    None if teacher is None else linalg.norm(theta - teacher))
         if callback is not None and callback(t, theta, teacher):
             break
     traj.final_theta = theta.copy()

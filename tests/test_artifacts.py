@@ -36,15 +36,22 @@ class TestCsv:
         assert b"\r" not in raw
         assert raw == b"a,b\n1,0.5\nTrue,x\n"
 
-    def test_trajectory_deviation_column(self, tmp_path):
+    def test_trajectory_gap_column(self, tmp_path):
         a = O.Trajectory(ts=[0, 1], grad_norms=[0.0, 2.0],
                          loss_values=[1.0, 0.5], divergence_values=[0.0, 0.1],
-                         clip_scales=[1.0, 0.25])
+                         clip_scales=[1.0, 0.25], gaps=[0.0, 0.125])
         plain = tmp_path / "plain.csv"
         A.write_trajectory_csv(str(plain), a)
         assert plain.read_text() == (
-            "t,grad_norm,loss,divergence,clip_scale,deviation\n"
-            "0,0.0,1.0,0.0,1.0,\n1,2.0,0.5,0.1,0.25,\n")
+            "t,grad_norm,loss,divergence,clip_scale,gap\n"
+            "0,0.0,1.0,0.0,1.0,0.0\n1,2.0,0.5,0.1,0.25,0.125\n")
+        # A run without a teacher (ngd_run) leaves the gap cells empty.
+        ngd = O.Trajectory(ts=[0], grad_norms=[0.0], loss_values=[1.0],
+                           divergence_values=[float("nan")], clip_scales=[1.0],
+                           gaps=[None])
+        A.write_trajectory_csv(str(plain), ngd)
+        assert plain.read_text() == (
+            "t,grad_norm,loss,divergence,clip_scale,gap\n0,0.0,1.0,nan,1.0,\n")
 
 
 class TestParams:

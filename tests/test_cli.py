@@ -9,7 +9,9 @@ import pytest
 
 from mtunlearn import artifacts as A
 from mtunlearn import cli
+from mtunlearn import optimizer as O
 from mtunlearn.cli import main
+from mtunlearn.errors import TrainingError
 
 
 @pytest.fixture(autouse=True)
@@ -143,6 +145,25 @@ class TestConfigErrors:
         cfg["target"] = os.path.join(trained_dir, "target.npy")
         path = write_cfg(tmp_path, cfg)
         assert main(["unlearn", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("methods, fname", [
+        ([mt_method("a b"), mt_method("a_b")], "unlearned_a_b.npy"),
+        ([dict(mt_method("x"), rounds=2), mt_method("x_round1")],
+         "trajectory_x_round1.csv"),
+    ], ids=["sanitized-name", "round-suffix"])
+    def test_colliding_artifact_names(self, tmp_path, trained_dir, capsys,
+                                      methods, fname):
+        """Two methods that would write a file of the same name are
+        rejected before any run, naming both."""
+        cfg = unlearn_cfg([{"name": "skip", "optimizer": "noop"}] + methods)
+        cfg["target"] = os.path.join(trained_dir, "target.npy")
+        path = write_cfg(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["unlearn", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "methods[1]" in err and "methods[2]" in err and fname in err
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
 
     def test_parameter_count_mismatch(self, tmp_path):
         A.save_params(str(tmp_path / "target.npy"), np.zeros(10))
@@ -564,6 +585,30 @@ class TestUnlearn:
         assert rows["mt nlul/a"]["nll_forget_after"] > \
             rows["mt nlul/a"]["nll_forget_before"]
         assert A.read_manifest(out)["seed"] == -1
+
+    def test_round_suffix_follows_the_rounds_setting(self, tmp_path,
+                                                     trained_dir, monkeypatch):
+        """A 2-round method whose second round diverges writes its first
+        round's trajectory as _round1, and no parameters."""
+        run, calls = O.mt_run_batched, []
+
+        def diverge_in_round_two(*args, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TrainingError("non-finite parameters at step 1")
+            return run(*args, **kw)
+
+        monkeypatch.setattr(O, "mt_run_batched", diverge_in_round_two)
+        out = str(tmp_path)
+        cfg = unlearn_cfg([dict(mt_method("split", T=10), rounds=2)])
+        cfg["target"] = os.path.join(trained_dir, "target.npy")
+        path = write_cfg(tmp_path, cfg)
+        assert main(["unlearn", path, "--out", out]) == 0
+        row = A.read_results_json(out)["rows"][0]
+        assert row["status"].startswith("diverged") and row["steps"] == 10
+        written = sorted(f for f in os.listdir(out)
+                         if f.startswith(("trajectory_", "unlearned_")))
+        assert written == ["trajectory_split_round1.csv"]
 
     def test_jsonl_data_sections_resolve_against_out(self, tmp_path,
                                                      trained_dir):

@@ -30,6 +30,25 @@ def base_config(**kw):
     return O.MTConfig(**defaults)
 
 
+def batch_draws(cfg, d_f, d_pt):
+    """The seeded (forget, pretrain) batches of a batched run, in order:
+    step t's gradient is taken on draw t, and row t (the state after step
+    t) is recorded on draw t + 1."""
+    rng = np.random.default_rng(cfg.seed)
+    while True:
+        fb = d_f.subset(rng.integers(0, len(d_f), cfg.batch_forget))
+        yield fb, d_pt.subset(rng.integers(0, len(d_pt), cfg.batch_pretrain))
+
+
+def assert_row(traj, t, cfg, spec, theta, teacher, fb, pb):
+    """Row t holds the loss on fb and the damped divergence on pb at
+    (theta, teacher), and the teacher-student gap, bit for bit."""
+    assert traj.loss_values[t] == L.batch_loss(cfg.loss, spec, theta, fb)
+    assert traj.divergence_values[t] == Dv.damped_value(cfg.divergence, spec,
+                                                         theta, teacher, pb)
+    assert traj.gaps[t] == float(np.linalg.norm(theta - teacher))
+
+
 class TestConfig:
     def test_validation(self):
         cases = [
@@ -124,9 +143,7 @@ class TestFullBatchRun:
             theta_prev, theta = theta, theta_new
             np.testing.assert_array_equal(thetas[t], theta)
             assert traj.grad_norms[t] == float(np.linalg.norm(g))
-            assert traj.loss_values[t] == L.batch_loss(cfg.loss, spec, theta, d_f)
-            assert traj.divergence_values[t] == Dv.damped_value(
-                kind, spec, theta, teacher, d_pt)
+            assert_row(traj, t, cfg, spec, theta, teacher, d_f, d_pt)
 
     def test_teacher_equals_exponential_average_of_iterates(self):
         """theta'_t = eta kappa sum_i (1-eta kappa)^i theta_{t-i}
@@ -202,22 +219,18 @@ class TestBatchedRun:
         self.d_f, self.d_pt = make_data(rng, n=10)
         self.theta0 = M.init_params(self.spec, 9)
 
-    def test_matches_hand_replayed_updates(self):
-        """Replay the seeded draws and the clipped velocity update
-        independently; every stored vector must match bit for bit."""
-        cfg = base_config(T=6, clip=0.5, batch_forget=3, batch_pretrain=4,
-                          seed=33)
-        traj, thetas, teachers = observed_run(
-            O.mt_run_batched, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+    def replay(self, cfg, steps):
+        """Replay the seeded draws and the clipped velocity update for
+        `steps` steps; yields (t, theta, teacher, grad norm, clip scale,
+        forget batch, pretrain batch) with row t's batches: the full
+        datasets at t = 0, else the draw after step t."""
         kind = cfg.divergence
-        rng = np.random.default_rng(cfg.seed)
+        batches = batch_draws(cfg, self.d_f, self.d_pt)
         theta, teacher = self.theta0, self.theta0
         vel = np.zeros_like(self.theta0)
-        for t in range(1, 7):
-            fi = rng.integers(0, len(self.d_f), cfg.batch_forget)
-            fb = self.d_f.subset(fi)
-            pi = rng.integers(0, len(self.d_pt), cfg.batch_pretrain)
-            pb = self.d_pt.subset(pi)
+        yield 0, theta, teacher, 0.0, 1.0, self.d_f, self.d_pt
+        fb, pb = next(batches)
+        for t in range(1, steps + 1):
             g = Dv.damped_grad(kind, self.spec, theta, teacher, pb) \
                 + cfg.alpha * L.batch_grad(cfg.loss, self.spec, theta, fb)
             gn = float(np.linalg.norm(g))
@@ -226,9 +239,68 @@ class TestBatchedRun:
             theta = theta - cfg.eta * vel
             lek = l * cfg.eta * cfg.kappa
             teacher = (1.0 - lek) * teacher + lek * theta
+            fb, pb = next(batches)
+            yield t, theta, teacher, gn, l, fb, pb
+
+    def test_matches_hand_replayed_updates(self):
+        """Replay the seeded draws and the clipped velocity update
+        independently; every stored vector and every recorded value must
+        match bit for bit.  Row t's values are on the batch step t + 1
+        draws (row T's on one extra draw), row 0's on the full datasets."""
+        cfg = base_config(T=6, clip=0.5, batch_forget=3, batch_pretrain=4,
+                          seed=33)
+        traj, thetas, teachers = observed_run(
+            O.mt_run_batched, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+        assert traj.ts == list(range(7))
+        for t, theta, teacher, gn, l, fb, pb in self.replay(cfg, 6):
             np.testing.assert_array_equal(thetas[t], theta)
             np.testing.assert_array_equal(teachers[t], teacher)
             assert traj.clip_scales[t] == l and traj.grad_norms[t] == gn
+            assert_row(traj, t, cfg, self.spec, theta, teacher, fb, pb)
+
+    def test_callback_stop_records_the_next_draw(self):
+        """A run stopped by its callback after step 3 records row 3 on the
+        batch step 4 would have used; T = 0 records row 0 alone, on the
+        full datasets."""
+        cfg = base_config(T=50, clip=0.5, batch_forget=3, batch_pretrain=4,
+                          seed=34)
+        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
+                                cfg, callback=lambda t, theta, teacher: t == 3)
+        assert traj.ts == [0, 1, 2, 3]
+        for t, theta, teacher, gn, l, fb, pb in self.replay(cfg, 3):
+            assert traj.clip_scales[t] == l and traj.grad_norms[t] == gn
+            assert_row(traj, t, cfg, self.spec, theta, teacher, fb, pb)
+        np.testing.assert_array_equal(traj.final_theta, theta)
+
+        cfg = dataclasses.replace(cfg, T=0)
+        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+        assert traj.ts == [0] and traj.gaps == [0.0]
+        assert_row(traj, 0, cfg, self.spec, self.theta0, self.theta0,
+                   self.d_f, self.d_pt)
+        np.testing.assert_array_equal(traj.final_theta, self.theta0)
+
+    @pytest.mark.parametrize("rule", ["mt", "mt-batched", "ngd"])
+    @pytest.mark.parametrize("T", [0, 1, 5])
+    def test_one_evaluation_per_step(self, monkeypatch, rule, T):
+        """Each step's record and the next step's gradient share one
+        evaluation; only a batched run's step 1 takes its gradient alone,
+        and no gradient is taken after the last step."""
+        calls = []
+        evaluate = O._evaluate
+
+        def counting(*args):
+            calls.append(args[-2:])
+            return evaluate(*args)
+
+        monkeypatch.setattr(O, "_evaluate", counting)
+        RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt,
+                   base_config(T=T, batch_forget=3, batch_pretrain=4, seed=35))
+        if rule == "mt-batched":
+            want = [(True, False)] + [(False, True)] * (T > 0)
+        else:
+            want = [(True, T > 0)]
+        want += [(True, True)] * (T - 1) + [(True, False)] * (T > 0)
+        assert calls == want
 
     def test_recorded_teacher_satisfies_scaled_average(self):
         cfg = base_config(T=8, clip=0.2, batch_forget=2, batch_pretrain=2,
@@ -325,6 +397,7 @@ class TestReferenceRun:
                                    rtol=1e-9, atol=1e-13)
         assert traj.final_teacher is None and teachers == [None, None]
         assert all(np.isnan(v) for v in traj.divergence_values)
+        assert traj.gaps == [None, None]
 
     def test_mlp_route_matches_dense_solve(self):
         rng = np.random.default_rng(98)
@@ -388,19 +461,19 @@ class TestBaselines:
             functools.partial(O.baseline_run, "momentum-sgd"), self.spec,
             self.theta0, self.d_f, self.d_pt, cfg)
         kind = cfg.divergence
-        rng = np.random.default_rng(cfg.seed)
+        batches = batch_draws(cfg, self.d_f, self.d_pt)
         theta = self.theta0
         vel = np.zeros_like(self.theta0)
+        assert_row(traj, 0, cfg, self.spec, theta, theta, self.d_f, self.d_pt)
+        fb, pb = next(batches)
         for t in range(1, 5):
-            fi = rng.integers(0, len(self.d_f), cfg.batch_forget)
-            fb = self.d_f.subset(fi)
-            pi = rng.integers(0, len(self.d_pt), cfg.batch_pretrain)
-            pb = self.d_pt.subset(pi)
             g = Dv.damped_grad(kind, self.spec, theta, self.theta0, pb) \
                 + cfg.alpha * L.batch_grad(cfg.loss, self.spec, theta, fb)
             vel = cfg.mu * vel + min(1.0, cfg.clip / float(np.linalg.norm(g))) * g
             theta = theta - cfg.eta * vel
             np.testing.assert_array_equal(seen[t], theta)
+            fb, pb = next(batches)
+            assert_row(traj, t, cfg, self.spec, theta, self.theta0, fb, pb)
         # The teacher rate is 0: the divergence reference never leaves theta_0.
         np.testing.assert_array_equal(traj.final_teacher, self.theta0)
 
@@ -413,15 +486,13 @@ class TestBaselines:
         traj = O.baseline_run("adamw", self.spec, self.theta0, self.d_f,
                               self.d_pt, cfg, adam_params=ap)
         kind = cfg.divergence
-        rng = np.random.default_rng(cfg.seed)
+        batches = batch_draws(cfg, self.d_f, self.d_pt)
         theta = self.theta0
         m = np.zeros_like(self.theta0)
         v = np.zeros_like(self.theta0)
+        assert_row(traj, 0, cfg, self.spec, theta, theta, self.d_f, self.d_pt)
+        fb, pb = next(batches)
         for t in range(1, 211):
-            fi = rng.integers(0, len(self.d_f), cfg.batch_forget)
-            fb = self.d_f.subset(fi)
-            pi = rng.integers(0, len(self.d_pt), cfg.batch_pretrain)
-            pb = self.d_pt.subset(pi)
             g = Dv.damped_grad(kind, self.spec, theta, self.theta0, pb) \
                 + cfg.alpha * L.batch_grad(cfg.loss, self.spec, theta, fb)
             if t <= 100:
@@ -436,6 +507,8 @@ class TestBaselines:
             theta = theta - lr_t * (m / (1.0 - b1 ** t)
                                     / (np.sqrt(v / (1.0 - b2 ** t)) + ap.eps)
                                     + ap.weight_decay * theta)
+            fb, pb = next(batches)
+            assert_row(traj, t, cfg, self.spec, theta, self.theta0, fb, pb)
         np.testing.assert_array_equal(traj.final_theta, theta)
         assert traj.clip_scales[1:] == [1.0] * 210
 
