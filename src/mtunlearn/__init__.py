@@ -22,7 +22,6 @@ from .curvature import (
     IHVPConfig,
     assemble_gnh,
     bigram_damped_solve,
-    bigram_gnh_blocks,
     ihvp_error_bound,
     ihvp_momentum,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "IHVPConfig",
     "assemble_gnh",
     "bigram_damped_solve",
-    "bigram_gnh_blocks",
     "ihvp_error_bound",
     "ihvp_momentum",
     "CURVATURE_SCALE",

@@ -259,7 +259,7 @@ def _parse_method(mj, i, spec, out_dir, seed_override):
         extra["seed"] = seed_override
     cfg = _construct(dict(parts["mt"]), "mt", O.MTConfig,
                      f"mt settings of '{head['name']}'", extra=extra,
-                     skip=("loss", "divergence", "ngd_grad_lag"))
+                     skip=("loss", "divergence"))
     adam = None
     if "adam" in parts:
         adam = _construct(dict(parts["adam"]), "adam", O.AdamParams,

@@ -42,39 +42,17 @@ def assemble_gnh(spec, theta, batch):
         raise ValueError(f"dim(theta)={dim} exceeds the dense assembly limit "
                          f"{MAX_DENSE_DIM}; use a smaller model")
     theta = np.asarray(theta, dtype=float)
-    V = spec.vocab_size
     N = len(batch)
     H = np.zeros((dim, dim))
-    if spec.kind == M.BIGRAM:
-        for row, block in bigram_gnh_blocks(spec, theta, batch).items():
-            i0 = row * V
-            H[i0:i0 + V, i0:i0 + V] = block
-    else:
-        # Group identical contexts: they share J and S.
-        ctxs, counts = np.unique(batch.contexts, axis=0, return_counts=True)
-        P = M.softmax_rows(M.batch_logits(spec, theta, ctxs))
-        for ctx, cnt, p in zip(ctxs, counts, P):
-            J = M.logit_jacobian(spec, theta, ctx)
-            Mfac = J @ _sqrt_factor(p)
-            H += (cnt / N) * (Mfac @ Mfac.T)
+    # Group identical contexts: they share J and S.  The bigram's J is the
+    # 0/1 selection of its table row.
+    ctxs, counts = np.unique(batch.contexts, axis=0, return_counts=True)
+    P = M.softmax_rows(M.batch_logits(spec, theta, ctxs))
+    for ctx, cnt, p in zip(ctxs, counts, P):
+        J = M.logit_jacobian(spec, theta, ctx)
+        Mfac = J @ _sqrt_factor(p)
+        H += (cnt / N) * (Mfac @ Mfac.T)
     return 0.5 * (H + H.T)
-
-
-def bigram_gnh_blocks(spec, theta, batch):
-    """Bigram curvature as {table row: (count/N) * S(h_row)} blocks.
-
-    The bigram Jacobian selects one table row per context, so the
-    curvature matrix is block diagonal with one softmax-covariance block
-    per visited row (rows never visited contribute zero).
-    """
-    if spec.kind != M.BIGRAM:
-        raise ValueError("block assembly applies to the bigram model only")
-    V = spec.vocab_size
-    table = np.asarray(theta, dtype=float).reshape(V, V)
-    rows, c = batch.last_token_weights(spec)
-    P = M.softmax_rows(table[rows])
-    return {int(r): w * (np.diag(p) - np.outer(p, p))
-            for r, w, p in zip(rows, c[:, 0], P)}
 
 
 def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):

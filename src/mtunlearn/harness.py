@@ -665,7 +665,7 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
 
 @dataclass
 class StopRule:
-    """Early-stopping rule evaluated during batched runs.
+    """Early-stopping rule evaluated during every optimizer's run.
 
     Every check_every steps the metric ("nll_forget" on the split being
     unlearned this round, or "nll_pretrain" on the full pretrain split)

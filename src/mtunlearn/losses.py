@@ -15,9 +15,9 @@ p = softmax(h):
 
 The saturated regime p_y -> 1 is handled exactly: the complementary mass
 1 - p_y is a sum of positive terms, never the difference 1 - p_y.  The
-public *_rows functions compute it in log space as exp(logsumexp(h
-without y) - logsumexp(h)); the batch losses take it, with everything
-else, from one exp pass per logit matrix (_label_rows), pinned to them.
+batch losses take it, with everything else, from one exp pass per logit
+matrix (_label_rows); rows where that sum underflows take it in log
+space, as exp(logsumexp(h without y) - logsumexp(h)).
 """
 
 import math
@@ -43,6 +43,11 @@ class TeacherLogits:
 
     spec: object = None
     theta: object = None
+
+    def __eq__(self, other):
+        """Same model and parameters, compared as whole arrays."""
+        return isinstance(other, TeacherLogits) and self.spec == other.spec \
+            and np.array_equal(self.theta, other.theta)
 
     @property
     def is_uniform(self):
@@ -132,49 +137,6 @@ def _log_complement_rows(H, y):
     return _logsumexp_rows(Hm) - _logsumexp_rows(H)
 
 
-def ll_value_rows(H, y):
-    """Row-wise log softmax(h)_y."""
-    H = _rows(H)
-    L = M.log_softmax_rows(H)
-    return L[np.arange(len(H)), y]
-
-
-def ll_grad_rows(H, y):
-    """Row-wise gradient of ll_value_rows in logit space: e_y - softmax(h).
-
-    The y entry is assembled as exp(log(1 - p_y)) = 1 - p_y computed in
-    log space, so it stays exact when p_y saturates toward 1.
-    """
-    H = _rows(H)
-    return _ll_grad(H, y, _log_complement_rows(H, y))
-
-
-def _ll_grad(H, y, log1mp):
-    G = -M.softmax_rows(H)
-    G[np.arange(len(H)), y] = np.exp(log1mp)
-    return G
-
-
-def nlul_value_rows(H, y):
-    """Row-wise -log(1 - p_y) with p_y clamped to at most 1 - CLAMP_EPS."""
-    return np.minimum(-_log_complement_rows(_rows(H), y), -np.log(CLAMP_EPS))
-
-
-def nlul_grad_rows(H, y):
-    """Row-wise gradient of nlul in logit space.
-
-    Equals w * ll_grad_rows with w = p_y/(1 - p_y) at the clamped p_y.  The y
-    entry reduces to exactly p_y (the weight cancels the complementary
-    mass), so the gradient never underflows at memorized points.
-    """
-    H = _rows(H)
-    log1mp = _log_complement_rows(H, y)
-    log1mp_c = np.maximum(log1mp, np.log(CLAMP_EPS))
-    logp = ll_value_rows(H, y)
-    w = np.exp(logp - log1mp_c)
-    return w[:, None] * _ll_grad(H, y, log1mp)
-
-
 def _it_terms(H, log_q, grad):
     """Row-wise KL(softmax(h) || q) and, if grad, its logit gradient, from
     one exp pass; log_q is the teacher's log-probabilities (rows, or a
@@ -201,14 +163,6 @@ def it_rows(H, teacher_H):
     centering term is the softmax covariance acting on r.
     """
     return _it_terms(_rows(H), M.log_softmax_rows(_rows(teacher_H)), True)
-
-
-def nll_value_rows(H, y):
-    return -ll_value_rows(H, y)
-
-
-def nll_grad_rows(H, y):
-    return -ll_grad_rows(H, y)
 
 
 def npo_pairs(spec, data, base_theta):
@@ -270,9 +224,8 @@ def _label_rows(kind, H, y, value, grad):
     ~708) take log(1 - p_y) from _log_complement_rows, which is exact
     there.  Entries of E that underflow are meant to be zero, so underflow
     is not signalled.  The gradient is w (e_y - p) with w = 1 (ll), -1
-    (nll) or p_y/(1 - p_y) at the clamped p_y (nlul); values and gradients
-    match the *_rows functions to ~1e-12.  H may be a stack of logit
-    matrices (..., n, V) sharing the labels y.
+    (nll) or p_y/(1 - p_y) at the clamped p_y (nlul).  H may be a stack
+    of logit matrices (..., n, V) sharing the labels y.
     """
     rows = np.arange(H.shape[-2])
     v = G = None

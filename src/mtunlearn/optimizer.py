@@ -1,18 +1,14 @@
-"""Mean-teacher proximal optimizer, its batched variant with norm clipping
-and momentum, the exact damped natural-gradient reference trajectory, and
-first-order baselines.
+"""Mean-teacher proximal optimizer with norm clipping and momentum (full
+batch or on sampled batches), the exact damped natural-gradient reference
+trajectory, and first-order baselines.
 
-Mean-teacher update (full-batch form), starting from theta_{-1} := theta_0
-and teacher theta'_0 := theta_0:
+Mean-teacher update, starting from v_0 := 0 and teacher theta'_0 :=
+theta_0.  Per step, form the gradient
 
-    theta_t  = theta_{t-1}
-               - eta * grad[ alpha L(theta_{t-1})
-                             + D_lam(theta_{t-1}, theta'_{t-1}) ]
-               + mu (theta_{t-1} - theta_{t-2})
-    theta'_t = (1 - eta kappa) theta'_{t-1} + eta kappa theta_t
+    g = grad[ alpha L(theta_{t-1}) + D_lam(theta_{t-1}, theta'_{t-1}) ]
 
-Batched form: per step, sample a forget batch and a pretrain batch, form
-the same gradient g, compute the clip scale l, then
+on the full forget and pretrain sets (mt_run) or on a sampled forget
+batch and pretrain batch (mt_run_batched), compute the clip scale l, then
 
     v       <- mu v + l g
     theta_t  = theta_{t-1} - eta v
@@ -21,7 +17,9 @@ the same gradient g, compute the clip scale l, then
 The clip scale l = min(1, c/||g||) applies only to the current step:
 clipping acts as a learning-rate reduction, and the teacher rate is
 reduced by the same factor.  (The printed form l = 1/max(||g||, c) is the
-same function at c = 1.)
+same function at c = 1.)  At l = 1 the step is the heavy-ball form the
+theory states, theta_t = theta_{t-1} - eta g + mu (theta_{t-1} -
+theta_{t-2}) with theta_{-1} := theta_0, in a different float order.
 
 Natural-gradient reference with derived constants
 gamma = kappa alpha eta / (1 - kappa eta) and
@@ -30,15 +28,15 @@ the divergence term (cfg.divergence.lam):
 
     theta_{t+1} = theta_t - gamma (H(theta_t) + lam_bar I)^{-1} grad L
 
-where grad L is evaluated at theta_t by default and at theta_{t-1} when
-ngd_grad_lag is set.
+where grad L is evaluated at theta_t by default and at theta_{t-1} with
+ngd_run's grad_lag.
 
-mt_ngd_deviations runs many full-batch mean-teacher runs and their
-references in lockstep on one stack of parameter vectors, bit for bit
-mt_run and ngd_run, and returns only the largest gap between them.
+mt_ngd_deviations runs many unclipped full-batch mean-teacher runs and
+their references in lockstep on one stack of parameter vectors, bit for
+bit mt_run and ngd_run, and returns only the largest gap between them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,7 +64,6 @@ class MTConfig:
     batch_forget: int = 1
     batch_pretrain: int = 1
     seed: int = 0
-    ngd_grad_lag: bool = False
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -252,44 +249,29 @@ def _warmup_lr(base_lr, t, warmup):
 # step, and a rule without a teacher optimizes the loss alone.
 
 
-def _heavy_ball_step(cfg, theta, prev, g):
-    """theta - eta g + mu (theta - theta_prev), row by row for stacks."""
-    return theta - cfg.eta * g + cfg.mu * (theta - prev)
-
-
-class _HeavyBall:
-    """Full-batch mean teacher: theta - eta g + mu (theta - theta_prev),
-    teacher rate eta kappa."""
-
-    batched, has_teacher = False, True
-
-    def __init__(self, cfg):
-        self.cfg, self.prev = cfg, None
-
-    def __call__(self, t, theta, g):
-        c = self.cfg
-        prev = theta if self.prev is None else self.prev
-        self.prev = theta
-        return (_heavy_ball_step(c, theta, prev, g), c.eta * c.kappa,
-                linalg.norm(g), 1.0)
+def _velocity_step(cfg, theta, vel, lg):
+    """(theta - eta v, v) with v = mu vel + lg, lg the clipped gradient;
+    row by row for stacks."""
+    vel = cfg.mu * vel + lg
+    return theta - cfg.eta * vel, vel
 
 
 class _ClippedVelocity:
-    """v <- mu v + l g, theta - eta v, teacher rate l eta kappa with the
-    clip scale l.  kappa = 0 freezes the teacher at theta_0, which is the
-    momentum-SGD baseline."""
+    """The mean-teacher rule: v <- mu v + l g, theta - eta v, teacher rate
+    l eta kappa with the clip scale l.  kappa = 0 freezes the teacher at
+    theta_0, which is the momentum-SGD baseline."""
 
-    batched, has_teacher = True, True
+    has_teacher = True
 
-    def __init__(self, cfg, kappa):
-        self.cfg, self.kappa, self.vel = cfg, kappa, 0.0
+    def __init__(self, cfg, kappa, batched):
+        self.cfg, self.kappa, self.batched, self.vel = cfg, kappa, batched, 0.0
 
     def __call__(self, t, theta, g):
         c = self.cfg
         gn = linalg.norm(g)
         l = _clip_scale(c, gn)
-        self.vel = c.mu * self.vel + l * g
-        return theta - c.eta * self.vel, l * c.eta * self.kappa, gn, l
+        theta, self.vel = _velocity_step(c, theta, self.vel, l * g)
+        return theta, l * c.eta * self.kappa, gn, l
 
 
 class _AdamW:
@@ -334,12 +316,12 @@ def _damped_solve(spec, theta, d_pt, lam_bar, g):
 
 class _DampedNGD:
     """theta - gamma (H(theta) + lam_bar I)^{-1} g (see _damped_solve).
-    With ngd_grad_lag the step uses the gradient one iterate back."""
+    With lag the step uses the gradient one iterate back."""
 
     batched, has_teacher = False, False
 
-    def __init__(self, spec, d_pt, cfg):
-        self.spec, self.d_pt, self.lag = spec, d_pt, cfg.ngd_grad_lag
+    def __init__(self, spec, d_pt, cfg, lag):
+        self.spec, self.d_pt, self.lag = spec, d_pt, lag
         self.derived = DerivedNGDParams.from_config(cfg)
         self.g_prev = None
 
@@ -401,12 +383,14 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
 
 
 def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None):
-    """Full-batch mean-teacher run in the plain (heavy-ball) form: every
-    step uses the entire forget and pretrain sets (the deterministic mode
-    the trajectory-approximation check needs).  callback observes each
-    step and can stop the run early as in mt_run_batched.
+    """Full-batch mean-teacher run: mt_run_batched's rule, clip included,
+    with every step on the entire forget and pretrain sets (the
+    deterministic mode the trajectory-approximation check needs).
+    callback observes each step and can stop the run early as in
+    mt_run_batched.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg, _HeavyBall(cfg), callback)
+    return _run(spec, theta0, d_f, d_pt, cfg,
+                _ClippedVelocity(cfg, cfg.kappa, batched=False), callback)
 
 
 def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
@@ -417,41 +401,49 @@ def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
     callback(t, theta, teacher), if given, is invoked after each recorded
     step; a truthy return stops the run early.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg, _ClippedVelocity(cfg, cfg.kappa),
-                callback)
+    return _run(spec, theta0, d_f, d_pt, cfg,
+                _ClippedVelocity(cfg, cfg.kappa, batched=True), callback)
 
 
-def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None):
+def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None, grad_lag=False):
     """Damped natural-gradient reference trajectory (full batch).
 
     Uses the derived constants gamma and lam_bar; the bigram model runs
     on the block-diagonal solver, other models on the dense assembly.
+    With grad_lag each step uses the gradient at the previous iterate.
     It has no teacher: callback(t, theta, None) observes each iterate as
     in mt_run, and the divergence column is NaN.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg),
-                callback)
+    return _run(spec, theta0, d_f, d_pt, cfg,
+                _DampedNGD(spec, d_pt, cfg, grad_lag), callback)
 
 
 def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
     """The largest gap max_t ||theta_mt(t) - theta_ngd(t)|| between mt_run
     and ngd_run from theta0, for each config and both gradient conventions
     of the reference: an array of shape (len(cfgs), 2) whose columns are
-    ngd_grad_lag False and True.
+    grad_lag False and True.
 
-    The configs differ only in alpha (> 0) and T; the first supplies every
-    other setting.  All 3 len(cfgs) runs advance in lockstep on one stack
-    of parameter vectors, ordered by horizon, longest first, so that a run
-    leaves the active prefix when its horizon ends.  Each step takes the
-    heavy-ball step of every mean teacher, both references' damped steps
-    in one solve, one forget-loss gradient over the stack and one
-    divergence gradient over the mean teachers.  Every row is bit for bit
-    its own mt_run or ngd_run; the iterates are not kept, and the
-    Trajectory records, which the gap does not need, are not computed.
+    The configs differ only in alpha (> 0) and T, and do not clip;
+    anything else raises ValueError naming the field.  All 3 len(cfgs)
+    runs advance in lockstep on one stack of parameter vectors, ordered by
+    horizon, longest first, so that a run leaves the active prefix when
+    its horizon ends.  Each step takes the velocity step of every mean
+    teacher, both references' damped steps in one solve, one forget-loss
+    gradient over the stack and one divergence gradient over the mean
+    teachers.  Every row is bit for bit its own mt_run or ngd_run; the
+    iterates are not kept, and the Trajectory records, which the gap does
+    not need, are not computed.
     """
     if not all(c.alpha > 0 for c in cfgs):
         raise ValueError("every alpha must be positive")
     cfg = cfgs[0]
+    for f in fields(MTConfig):
+        if f.name not in ("alpha", "T") and any(
+                getattr(c, f.name) != getattr(cfg, f.name) for c in cfgs):
+            raise ValueError(f"configs differ in {f.name}; only alpha and T may")
+    if cfg.clip > 0:
+        raise ValueError("clip must be 0: the lockstep runs do not clip")
     theta0 = np.asarray(theta0, dtype=float)
     order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].T)
     T = [cfgs[i].T for i in order]
@@ -472,7 +464,8 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
 
     # Rows per config: mean teacher, reference, lagged reference.
     th = np.tile(theta0, (len(cfgs), 3, 1))
-    prev = teacher = th[:, 0]
+    teacher = th[:, 0]
+    vel = np.zeros_like(teacher)
     g, g_mt = gradients(th, teacher)
     g_lag = g[:, 2]
     rate = cfg.eta * cfg.kappa
@@ -480,7 +473,8 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
     j = sum(n > 0 for n in T)
     for t in range(1, T[0] + 1):
         new = np.empty((j,) + th.shape[1:])
-        new[:, 0] = _heavy_ball_step(cfg, th[:j, 0], prev[:j], g_mt[:j])
+        # With the clip off l = 1, and 1.0 * g is g.
+        new[:, 0], vel = _velocity_step(cfg, th[:j, 0], vel[:j], g_mt[:j])
         step_g = np.stack([g[:j, 1], g_lag[:j]], axis=1)
         new[:, 1:] = th[:j, 1:] - gamma[:j] * _damped_solve(
             spec, th[:j, 1:], d_pt, lam_bar[:j], step_g)
@@ -490,7 +484,7 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
             j -= 1
         if rate:
             teacher = (1.0 - rate) * teacher[:j] + rate * new[:j, 0]
-        th, prev, g_lag = new[:j], th[:j, 0], g[:j, 2]
+        th, g_lag = new[:j], g[:j, 2]
         if j:
             g, g_mt = gradients(th, teacher[:j])
     out = np.empty_like(dev)
@@ -511,7 +505,7 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
     that run.
     """
     if kind == "momentum-sgd":
-        rule = _ClippedVelocity(cfg, 0.0)
+        rule = _ClippedVelocity(cfg, 0.0, batched=True)
     elif kind == "adamw":
         rule = _AdamW(cfg, adam_params or AdamParams())
     else:

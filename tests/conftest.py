@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from mtunlearn import losses as L
 from mtunlearn import model as M
 
 
@@ -141,3 +142,57 @@ def npo_weight(spec, s, theta, base_theta, beta):
 def npo_grad(spec, s, theta, base_theta, beta):
     return 2.0 * npo_weight(spec, s, theta, base_theta, beta) * \
         grad_sequence_logprob(spec, theta, s)
+
+
+# Row-wise nll, ll and nlul in log space, the oracle for the one-pass
+# kernel losses._label_rows: 1 - p_y is formed as exp(logsumexp(h
+# without y) - logsumexp(h)), a sum of positive terms.
+
+def ll_value_rows(H, y):
+    """Row-wise log softmax(h)_y."""
+    H = L._rows(H)
+    return M.log_softmax_rows(H)[np.arange(len(H)), y]
+
+
+def ll_grad_rows(H, y):
+    """Row-wise gradient of ll_value_rows in logit space: e_y - softmax(h).
+
+    The y entry is assembled as exp(log(1 - p_y)) = 1 - p_y computed in
+    log space, so it stays exact when p_y saturates toward 1.
+    """
+    H = L._rows(H)
+    return _ll_grad(H, y, L._log_complement_rows(H, y))
+
+
+def _ll_grad(H, y, log1mp):
+    G = -M.softmax_rows(H)
+    G[np.arange(len(H)), y] = np.exp(log1mp)
+    return G
+
+
+def nll_value_rows(H, y):
+    return -ll_value_rows(H, y)
+
+
+def nll_grad_rows(H, y):
+    return -ll_grad_rows(H, y)
+
+
+def nlul_value_rows(H, y):
+    """Row-wise -log(1 - p_y) with p_y clamped to at most 1 - CLAMP_EPS."""
+    return np.minimum(-L._log_complement_rows(L._rows(H), y),
+                      -np.log(L.CLAMP_EPS))
+
+
+def nlul_grad_rows(H, y):
+    """Row-wise gradient of nlul in logit space.
+
+    Equals w * ll_grad_rows with w = p_y/(1 - p_y) at the clamped p_y.  The y
+    entry reduces to exactly p_y (the weight cancels the complementary
+    mass), so the gradient never underflows at memorized points.
+    """
+    H = L._rows(H)
+    log1mp = L._log_complement_rows(H, y)
+    log1mp_c = np.maximum(log1mp, np.log(L.CLAMP_EPS))
+    w = np.exp(ll_value_rows(H, y) - log1mp_c)
+    return w[:, None] * _ll_grad(H, y, log1mp)

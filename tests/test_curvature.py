@@ -41,20 +41,21 @@ class TestAssembly:
             assert np.linalg.eigvalsh(H)[0] >= -1e-10
 
     def test_bigram_blocks_match_dense_assembly(self):
-        """Dual route: the per-row block map and the dense assembly must
-        agree entry for entry, including never-visited rows (zero)."""
+        """The bigram Jacobian selects one table row per context, so the
+        dense assembly is one (count/N) (Diag p - p p^T) block per visited
+        row and zero on rows never visited."""
         rng = np.random.default_rng(71)
         spec = bigram_spec(5)
         theta = rng.standard_normal(25)
-        batch = random_batch(rng, spec, n=9)
+        batch = random_batch(rng, spec, n=4)  # 4 contexts leave a row unvisited
         H = curvature.assemble_gnh(spec, theta, batch)
-        dense = np.zeros_like(H)
-        blocks = curvature.bigram_gnh_blocks(spec, theta, batch)
-        for r, B in blocks.items():
-            dense[5 * r:5 * r + 5, 5 * r:5 * r + 5] = B
-        np.testing.assert_allclose(H, dense, atol=1e-14)
-        visited = set(int(r) for r in batch.contexts[:, -1])
-        assert set(blocks) == visited
+        blocks = np.zeros_like(H)
+        rows, counts = np.unique(batch.contexts[:, -1], return_counts=True)
+        for r, c in zip(rows, counts):
+            p = M.softmax_rows(theta.reshape(5, 5)[r][None, :])[0]
+            blocks[5 * r:5 * r + 5, 5 * r:5 * r + 5] = \
+                (c / len(batch)) * (np.diag(p) - np.outer(p, p))
+        np.testing.assert_allclose(H, blocks, rtol=0, atol=1e-14)
 
     def test_mlp_assembly_matches_ungrouped_oracle(self):
         """The grouped assembly must equal the naive per-pair sum
@@ -102,13 +103,6 @@ class TestAssembly:
                                np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
             curvature.assemble_gnh(spec, np.zeros(16), empty)
-
-    def test_blocks_require_bigram(self):
-        spec = mlp_spec()
-        with pytest.raises(ValueError, match="bigram"):
-            curvature.bigram_gnh_blocks(spec, np.zeros(M.param_count(spec)),
-                                        random_batch(np.random.default_rng(0),
-                                                     spec))
 
 
 class TestSolves:

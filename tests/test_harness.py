@@ -297,10 +297,10 @@ class TestTheoremDriver:
             (lag, a) for lag in (False, True) for a in alphas]
         s = bigram_testbed
         for row in result["rows"]:
-            cfg = dataclasses.replace(s.base_cfg, alpha=row["alpha"],
-                                      T=row["T"], ngd_grad_lag=row["grad_lag"])
+            cfg = dataclasses.replace(s.base_cfg, alpha=row["alpha"], T=row["T"])
             mt = observed_run(O.mt_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
-            ngd = observed_run(O.ngd_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
+            ngd = observed_run(O.ngd_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg,
+                               grad_lag=row["grad_lag"])[1]
             assert len(mt) == len(ngd) == row["T"] + 1
             dev = max(linalg.norm(x - y) for x, y in zip(mt, ngd))
             assert type(row["deviation"]) is float and row["deviation"] == dev

@@ -14,7 +14,9 @@ import pytest
 from scipy.special import expit, logsumexp
 
 from conftest import (central_difference_gradient, grad_sequence_logprob,
-                      npo_grad, npo_value, npo_weight, relative_error, same_bits)
+                      ll_grad_rows, ll_value_rows, nll_grad_rows,
+                      nll_value_rows, nlul_grad_rows, nlul_value_rows, npo_grad,
+                      npo_value, npo_weight, relative_error, same_bits)
 from mtunlearn import losses as L
 from mtunlearn import model as M
 
@@ -46,8 +48,8 @@ class TestRowIdentities:
         rng = np.random.default_rng(40)
         for _ in range(20):
             H, y = random_rows(rng)
-            assert np.array_equal(L.ll_value_rows(H, y), -L.nll_value_rows(H, y))
-            assert np.array_equal(L.ll_grad_rows(H, y), -L.nll_grad_rows(H, y))
+            assert np.array_equal(ll_value_rows(H, y), -nll_value_rows(H, y))
+            assert np.array_equal(ll_grad_rows(H, y), -nll_grad_rows(H, y))
 
     def test_nlul_gradient_weight_identity(self):
         """grad nlul = (p_y / (1 - p_y)) * grad ll, row by row."""
@@ -57,8 +59,8 @@ class TestRowIdentities:
             P = M.softmax_rows(H)
             p_y = P[np.arange(len(y)), y]
             w = p_y / (1.0 - p_y)
-            expected = w[:, None] * L.ll_grad_rows(H, y)
-            err = relative_error(L.nlul_grad_rows(H, y), expected)
+            expected = w[:, None] * ll_grad_rows(H, y)
+            err = relative_error(nlul_grad_rows(H, y), expected)
             assert err <= 1e-10
 
     def test_it_uniform_is_log_v_minus_entropy(self):
@@ -85,8 +87,8 @@ class TestNluLStability:
         """At p_y ~ 1 the raw -log(1 - p_y) overflows; the clamp caps the
         complement probability at clamp_eps from below."""
         H, y = np.array([[80.0, 0.0, 0.0, 0.0]]), [0]
-        val = L.nlul_value_rows(H, y)[0]
-        g = L.nlul_grad_rows(H, y)[0]
+        val = nlul_value_rows(H, y)[0]
+        g = nlul_grad_rows(H, y)[0]
         assert np.isfinite(val)
         assert np.all(np.isfinite(g))
         assert val == pytest.approx(-np.log(1e-12), rel=1e-6)
@@ -96,7 +98,7 @@ class TestNluLStability:
         H, y = random_rows(rng)
         P = M.softmax_rows(H)
         p_y = P[np.arange(len(y)), y]
-        np.testing.assert_allclose(L.nlul_value_rows(H, y), -np.log1p(-p_y),
+        np.testing.assert_allclose(nlul_value_rows(H, y), -np.log1p(-p_y),
                                    rtol=1e-10)
 
 
@@ -235,18 +237,18 @@ class TestLogsumexp:
             P = M.softmax_rows(H)
             p_y = P[np.arange(len(y)), y]
             live = (p_y < 0.5) & (p_y > 0)
-            G = L.nlul_grad_rows(H, y)
+            G = nlul_grad_rows(H, y)
             np.testing.assert_allclose(G[np.arange(len(y)), y][live],
                                        p_y[live], rtol=1e-13, atol=0)
 
 
 def oracle_rows(kind, H, y):
-    """(values, logit gradients) of the public log-space *_rows functions."""
+    """(values, logit gradients) of the log-space *_rows oracles."""
     if kind.tag == "nll":
-        return L.nll_value_rows(H, y), L.nll_grad_rows(H, y)
+        return nll_value_rows(H, y), nll_grad_rows(H, y)
     if kind.tag == "ll":
-        return L.ll_value_rows(H, y), L.ll_grad_rows(H, y)
-    return L.nlul_value_rows(H, y), L.nlul_grad_rows(H, y)
+        return ll_value_rows(H, y), ll_grad_rows(H, y)
+    return nlul_value_rows(H, y), nlul_grad_rows(H, y)
 
 
 class TestLabelKernel:

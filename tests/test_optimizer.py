@@ -96,8 +96,8 @@ class TestConfig:
 
 class TestFullBatchRun:
     def test_two_steps_match_hand_unrolled_update(self):
-        """Unroll theta_t = theta_{t-1} - eta grad + mu (theta_{t-1} -
-        theta_{t-2}) and the teacher average by hand for two steps."""
+        """Unroll v_t = mu v_{t-1} + grad, theta_t = theta_{t-1} - eta v_t
+        and the teacher average by hand for two steps, bit for bit."""
         rng = np.random.default_rng(90)
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
@@ -107,18 +107,42 @@ class TestFullBatchRun:
                                               d_pt, cfg)
 
         kind = cfg.divergence
-        theta_prev, theta, teacher = theta0, theta0, theta0
+        theta, teacher, vel = theta0, theta0, np.zeros_like(theta0)
         for _ in range(2):
+            g = Dv.damped_grad(kind, spec, theta, teacher, d_pt) \
+                + cfg.alpha * L.batch_grad(cfg.loss, spec, theta, d_f)
+            vel = cfg.mu * vel + g
+            theta = theta - cfg.eta * vel
+            teacher = (1.0 - cfg.eta * cfg.kappa) * teacher \
+                + cfg.eta * cfg.kappa * theta
+        np.testing.assert_array_equal(thetas[2], theta)
+        np.testing.assert_array_equal(teachers[2], teacher)
+        np.testing.assert_array_equal(traj.final_theta, theta)
+        assert traj.ts == [0, 1, 2] and len(traj) == 3
+
+    def test_unclipped_steps_are_the_heavy_ball_form(self):
+        """At l = 1 the velocity step is the form the theory states,
+        theta_t = theta_{t-1} - eta grad + mu (theta_{t-1} - theta_{t-2})
+        with theta_{-1} = theta_0, in another float order."""
+        rng = np.random.default_rng(94)
+        spec = M.ModelSpec(M.BIGRAM, 6)
+        d_f, d_pt = make_data(rng)
+        theta0 = M.init_params(spec, 7)
+        cfg = base_config(T=8, loss=L.LossKind("nlul"))
+        _, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+                                           cfg)
+
+        kind = cfg.divergence
+        theta_prev, theta, teacher = theta0, theta0, theta0
+        for t in range(1, 9):
             g = Dv.damped_grad(kind, spec, theta, teacher, d_pt) \
                 + cfg.alpha * L.batch_grad(cfg.loss, spec, theta, d_f)
             theta_new = theta - cfg.eta * g + cfg.mu * (theta - theta_prev)
             teacher = (1.0 - cfg.eta * cfg.kappa) * teacher \
                 + cfg.eta * cfg.kappa * theta_new
             theta_prev, theta = theta, theta_new
-        np.testing.assert_array_equal(thetas[2], theta)
-        np.testing.assert_array_equal(teachers[2], teacher)
-        np.testing.assert_array_equal(traj.final_theta, theta)
-        assert traj.ts == [0, 1, 2] and len(traj) == 3
+            np.testing.assert_allclose(thetas[t], theta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(teachers[t], teacher, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
     def test_fused_run_replays_separate_calls_bitwise(self, tag):
@@ -133,14 +157,14 @@ class TestFullBatchRun:
         traj, thetas, _ = observed_run(O.mt_run, spec, theta0, d_f, d_pt, cfg)
 
         kind = cfg.divergence
-        theta_prev, theta, teacher = theta0, theta0, theta0
+        theta, teacher, vel = theta0, theta0, np.zeros_like(theta0)
         for t in range(1, 6):
             g = Dv.damped_grad(kind, spec, theta, teacher, d_pt) \
                 + cfg.alpha * L.batch_grad(cfg.loss, spec, theta, d_f)
-            theta_new = theta - cfg.eta * g + cfg.mu * (theta - theta_prev)
+            vel = cfg.mu * vel + g
+            theta = theta - cfg.eta * vel
             teacher = (1.0 - cfg.eta * cfg.kappa) * teacher \
-                + cfg.eta * cfg.kappa * theta_new
-            theta_prev, theta = theta, theta_new
+                + cfg.eta * cfg.kappa * theta
             np.testing.assert_array_equal(thetas[t], theta)
             assert traj.grad_norms[t] == float(np.linalg.norm(g))
             assert_row(traj, t, cfg, spec, theta, teacher, d_f, d_pt)
@@ -302,11 +326,15 @@ class TestBatchedRun:
         want += [(True, True)] * (T - 1) + [(True, False)] * (T > 0)
         assert calls == want
 
-    def test_recorded_teacher_satisfies_scaled_average(self):
-        cfg = base_config(T=8, clip=0.2, batch_forget=2, batch_pretrain=2,
+    @pytest.mark.parametrize("rule", ["mt", "mt-batched"])
+    def test_recorded_teacher_satisfies_scaled_average(self, rule):
+        """theta'_t = (1 - l eta kappa) theta'_{t-1} + l eta kappa theta_t
+        at a clip that fires (full-batch gradients are the smaller)."""
+        cfg = base_config(T=8, clip=0.1, batch_forget=2, batch_pretrain=2,
                           seed=44)
         traj, thetas, teachers = observed_run(
-            O.mt_run_batched, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+            RUNS[rule], self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+        assert any(s < 1.0 for s in traj.clip_scales[1:])
         for t in range(1, 9):
             lek = traj.clip_scales[t] * cfg.eta * cfg.kappa
             np.testing.assert_allclose(
@@ -314,12 +342,12 @@ class TestBatchedRun:
                 (1.0 - lek) * teachers[t - 1] + lek * thetas[t],
                 rtol=1e-12, atol=1e-15)
 
-    def test_clip_scales_follow_threshold_rule(self):
+    @pytest.mark.parametrize("rule", ["mt", "mt-batched"])
+    def test_clip_scales_follow_threshold_rule(self, rule):
         """l = min(1, c / ||g||): scales below-threshold steps to 1."""
         cfg = base_config(T=8, clip=0.1, batch_forget=2, batch_pretrain=2,
                           seed=55)
-        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                                cfg)
+        traj = RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt, cfg)
         for t in range(1, 9):
             gn = traj.grad_norms[t]
             assert traj.clip_scales[t] == min(1.0, cfg.clip / gn)
@@ -420,7 +448,7 @@ class TestReferenceRun:
         lead = observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
                             base_config(T=3))[1]
         lag = observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
-                           base_config(T=3, ngd_grad_lag=True))[1]
+                           base_config(T=3), grad_lag=True)[1]
         np.testing.assert_array_equal(lead[1], lag[1])
         assert not np.array_equal(lead[2], lag[2])
 
@@ -434,8 +462,9 @@ class TestReferenceRun:
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 13)
-        cfg = base_config(T=4, ngd_grad_lag=lag)
-        traj, thetas, _ = observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg)
+        cfg = base_config(T=4)
+        traj, thetas, _ = observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg,
+                                       grad_lag=lag)
         d = O.DerivedNGDParams.from_config(cfg)
         theta_prev, theta = theta0, theta0
         for t in range(1, 5):
@@ -557,9 +586,11 @@ class TestKeepIterates:
         self.d_f, self.d_pt = make_data(rng, n=10)
         self.theta0 = M.init_params(self.spec, 14)
         self.cfg = base_config(T=6, clip=0.5, batch_forget=3, batch_pretrain=3,
-                               seed=12, ngd_grad_lag=True)
+                               seed=12)
 
     def run(self, rule, cfg=None, **kw):
+        if rule == "ngd":
+            kw["grad_lag"] = True
         return RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt,
                           cfg or self.cfg, **kw)
 
@@ -707,8 +738,8 @@ class TestLockstep:
         runs = []
         for cfg in cfgs:
             runs.append([observed_run(O.mt_run, spec, theta0, d_f, d_pt, cfg)[1]]
-                        + [observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
-                                        dataclasses.replace(cfg, ngd_grad_lag=lag))[1]
+                        + [observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg,
+                                        grad_lag=lag)[1]
                            for lag in (False, True)])
         stacks = []
         check = O._check_finite
@@ -740,6 +771,25 @@ class TestLockstep:
         assert devs[0].tolist() == [0.0, 0.0] and (devs[1] > 0).all()
         with pytest.raises(ValueError, match="alpha must be positive"):
             O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [base_config(alpha=0.0)])
+        # Only alpha and T may differ from the first config, and a clipped
+        # mt_run is not what the lockstep computes.
+        for kw, field in ((dict(eta=0.04), "eta"), (dict(seed=3), "seed"),
+                          (dict(loss=L.LossKind("nlul")), "loss"),
+                          (dict(divergence=Dv.DivergenceKind("kl", 0.2)),
+                           "divergence")):
+            with pytest.raises(ValueError, match=f"differ in {field};"):
+                O.mt_ngd_deviations(spec, theta0, d_f, d_pt,
+                                    [base_config(), base_config(alpha=0.2, **kw)])
+        with pytest.raises(ValueError, match="clip"):
+            O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [base_config(clip=0.5)])
+        # it teachers compare by parameter values, not by identity.
+        def it(theta):
+            return base_config(T=2, loss=L.LossKind(
+                "it", teacher=L.TeacherLogits(spec, theta.copy())))
+        O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [it(theta0), it(theta0)])
+        with pytest.raises(ValueError, match="differ in loss;"):
+            O.mt_ngd_deviations(spec, theta0, d_f, d_pt,
+                                [it(theta0), it(theta0 + 1.0)])
 
     def test_divergent_step_size_fails_at_the_runs_step(self):
         rng = np.random.default_rng(95)

@@ -5,7 +5,7 @@ import re
 import types
 
 import mtunlearn
-from mtunlearn import losses, model
+from mtunlearn import curvature, losses, model
 
 
 def test_all_lists_every_public_name_once_and_each_resolves():
@@ -21,11 +21,17 @@ def test_all_lists_every_public_name_once_and_each_resolves():
 
 
 def test_per_sequence_npo_helpers_live_in_the_tests():
-    """Only tests called the per-sequence npo functions; they are the
-    tests' oracle for batched npo (conftest), not package API."""
-    for name in ("npo_value", "npo_weight", "npo_grad"):
+    """Only tests called the per-sequence npo functions, the log-space row
+    losses and the bigram curvature blocks; the first two are the tests'
+    oracles (conftest) for batched npo and the one-pass label kernel, not
+    package API, and the dense assembly covers the bigram."""
+    for name in ("npo_value", "npo_weight", "npo_grad", "ll_value_rows",
+                 "ll_grad_rows", "nll_value_rows", "nll_grad_rows",
+                 "nlul_value_rows", "nlul_grad_rows", "_ll_grad"):
         assert not hasattr(losses, name) and name not in mtunlearn.__all__
     assert not hasattr(model, "grad_sequence_logprob")
+    assert not hasattr(curvature, "bigram_gnh_blocks")
+    assert "bigram_gnh_blocks" not in mtunlearn.__all__
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
