@@ -200,7 +200,7 @@ def _parse_data(spec, cfg, out_dir):
     d_pt = _cfgval(lambda: M.load_jsonl_dataset(ppath, spec.context_len),
                    "pretrain data")
     for name, ds in (("forget", d_f), ("pretrain", d_pt)):
-        _cfgval(lambda ds=ds: M.validate_dataset(spec, ds), f"{name} data")
+        _cfgval(lambda ds=ds: ds.inputs(spec), f"{name} data")
     return d_f, d_pt, None, [fpath, ppath]
 
 

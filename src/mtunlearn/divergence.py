@@ -64,13 +64,13 @@ def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
     H, aux = M._forward(spec, theta, batch.inputs(spec))
     Href = M.batch_logits(spec, theta_ref, batch)
     if tag == "kl":
-        vals, G = losses.it_rows(H, Href) if grad else (losses.it_value_rows(H, Href), None)
+        vals, G = losses._it_terms(H, M.log_softmax_rows(Href), grad)
     else:
         vals, G = _qkl_terms(H, Href, value, grad)
     v = losses._batch_mean(vals) if value else None
     g = None
     if grad:
-        g = M.grad_from_logit_grads(spec, theta, batch, G / len(batch), aux=aux)
+        g = M.grad_from_logit_grads(spec, theta, G / len(batch), aux)
     return v, g
 
 
@@ -109,8 +109,8 @@ def _bregman_terms(spec, theta, theta_ref, batch, value, grad):
                          "(the wrapped nll loss must be convex in theta)")
     theta = np.asarray(theta, dtype=float)
     theta_ref = np.asarray(theta_ref, dtype=float)
-    v, g = losses._loss_terms(_NLL, spec, theta, batch, None, value, grad)
-    v_ref, g_ref = losses._loss_terms(_NLL, spec, theta_ref, batch, None, value, True)
+    v, g = losses._loss_terms(_NLL, spec, theta, batch, value, grad)
+    v_ref, g_ref = losses._loss_terms(_NLL, spec, theta_ref, batch, value, True)
     return (v - v_ref - linalg.dot(theta - theta_ref, g_ref) if value else None,
             g - g_ref if grad else None)
 

@@ -610,10 +610,9 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     for tag in loss_tags:
         if tag == "it":
             kl0, g = Lmod.batch_value_and_grad(kinds[tag], spec, theta0,
-                                               observed[tag], base_theta=theta0)
+                                               observed[tag])
         else:
-            g = Lmod.batch_grad(kinds[tag], spec, theta0, observed[tag],
-                                base_theta=theta0)
+            g = Lmod.batch_grad(kinds[tag], spec, theta0, observed[tag])
         grad_norm0[tag] = linalg.norm(g)
     ratios = {}
     if "nlul" in grad_norm0:
@@ -634,11 +633,10 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
             entry["t"].append(t)
             entry["nll_forget"].append(Lmod.batch_loss(_NLL, spec, th, d_f))
             if tag == "it":
-                kl, g = Lmod.batch_value_and_grad(kind, spec, th, forget,
-                                                  base_theta=theta0)
+                kl, g = Lmod.batch_value_and_grad(kind, spec, th, forget)
                 entry["kl_to_teacher"].append(kl)
             else:
-                g = Lmod.batch_grad(kind, spec, th, forget, base_theta=theta0)
+                g = Lmod.batch_grad(kind, spec, th, forget)
             entry["loss_grad_norm"].append(linalg.norm(g))
 
         O.mt_run_batched(spec, theta0, d_f, d_pt,
@@ -719,8 +717,9 @@ class MethodSpec:
                              f"only, not {self.optimizer!r}")
 
 
-def _run_method(method, spec, theta, d_f, d_pt, stop_rule):
-    """One optimizer run (single round); returns its Trajectory."""
+def _run_method(method, cfg, spec, theta, d_f, d_pt, stop_rule):
+    """One optimizer run (single round) of method with config cfg; returns
+    its Trajectory."""
 
     callback = None
     if stop_rule is not None:
@@ -731,16 +730,11 @@ def _run_method(method, spec, theta, d_f, d_pt, stop_rule):
             return stop_rule.triggered(Lmod.batch_loss(_NLL, spec, th, ds))
 
     if method.optimizer == "mt":
-        traj = O.mt_run(spec, theta, d_f, d_pt, method.config,
-                        callback=callback)
-    elif method.optimizer == "mt-batched":
-        traj = O.mt_run_batched(spec, theta, d_f, d_pt, method.config,
-                                callback=callback)
-    else:
-        traj = O.baseline_run(method.optimizer, spec, theta, d_f, d_pt,
-                              method.config, adam_params=method.adam,
-                              callback=callback)
-    return traj
+        return O.mt_run(spec, theta, d_f, d_pt, cfg, callback=callback)
+    if method.optimizer == "mt-batched":
+        return O.mt_run_batched(spec, theta, d_f, d_pt, cfg, callback=callback)
+    return O.baseline_run(method.optimizer, spec, theta, d_f, d_pt, cfg,
+                          adam_params=method.adam, callback=callback)
 
 
 def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
@@ -771,19 +765,15 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
     for method in methods:
         status, steps = "ok", 0
         trajectories[method.name] = []
-        if method.optimizer == "noop":
-            theta = np.asarray(theta_target, dtype=float).copy()
-        else:
-            theta = np.asarray(theta_target, dtype=float).copy()
+        theta = np.asarray(theta_target, dtype=float).copy()
+        if method.optimizer != "noop":
             groups = np.array_split(np.arange(len(d_f.sequences)), method.rounds)
             try:
                 for k, idx in enumerate(groups):
                     round_seqs = [d_f.sequences[i] for i in idx]
                     d_fk = M.dataset_from_sequences(round_seqs, spec.context_len)
                     cfg_k = replace(method.config, seed=method.config.seed + k)
-                    method_k = MethodSpec(method.name, method.optimizer,
-                                          cfg_k, rounds=1, adam=method.adam)
-                    traj = _run_method(method_k, spec, theta, d_fk, d_pt,
+                    traj = _run_method(method, cfg_k, spec, theta, d_fk, d_pt,
                                        stop_rule)
                     trajectories[method.name].append(traj)
                     theta = traj.final_theta

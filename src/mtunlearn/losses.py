@@ -88,11 +88,6 @@ class LossKind:
             raise ValueError("npo requires beta > 0")
 
 
-def _rows(h):
-    h = np.asarray(h, dtype=float)
-    return h.reshape(1, -1) if h.ndim == 1 else h
-
-
 def _logsumexp_rows(A):
     """Row-wise log sum_j exp(A_ij), exact in the saturated regime.
 
@@ -129,9 +124,9 @@ def _log_complement_rows(H, y):
     """log(1 - p_y) per row, exact in log space.
 
     Computed as logsumexp over the non-y logits minus the full logsumexp,
-    which equals log(sum_{j != y} p_j) without forming 1 - p_y.
+    which equals log(sum_{j != y} p_j) without forming 1 - p_y.  H is
+    an (n, V) matrix of logit rows.
     """
-    H = _rows(H)
     Hm = H.copy()
     Hm[np.arange(len(H)), y] = -np.inf
     return _logsumexp_rows(Hm) - _logsumexp_rows(H)
@@ -150,35 +145,20 @@ def _it_terms(H, log_q, grad):
     return v, (P * (R - v[..., None]) if grad else None)
 
 
-def it_value_rows(H, teacher_H):
-    """Row-wise KL(softmax(h) || softmax(h_teacher)), stabilized."""
-    return _it_terms(_rows(H), M.log_softmax_rows(_rows(teacher_H)), False)[0]
-
-
-def it_rows(H, teacher_H):
-    """(it_value_rows, row-wise logit gradient) from one softmax and
-    log-ratio.
-
-    d/dh KL(p || q) = p * (r - <p, r>) with r = log p - log q; the
-    centering term is the softmax covariance acting on r.
-    """
-    return _it_terms(_rows(H), M.log_softmax_rows(_rows(teacher_H)), True)
-
-
-def npo_pairs(spec, data, base_theta):
+def npo_pairs(spec, data, base):
     """The npo forget set of a run: data's sequences expanded into pairs
     once (model.sequence_pairs), carrying each sequence's log-probability
-    under the fixed base model, so that its batches gather those values
-    instead of recomputing them."""
+    under the fixed base model, whose parameters are `base`, so that its
+    batches gather those values instead of recomputing them."""
     ds, _ = M.sequence_pairs(spec, data)
     return M.TokenDataset(ds.contexts, ds.nexts, ds.sequences,
-                          M.sequence_logprob(spec, base_theta, ds))
+                          M.sequence_logprob(spec, base, ds))
 
 
-def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
+def _npo_terms(kind, spec, theta, batch, value, grad):
     """Batch-mean npo value and gradient from one forward pass over the
-    batch's pairs at theta and, unless the batch carries base_logprob,
-    one at the base model.
+    batch's pairs at theta; the base model's sequence log-probabilities
+    come from the batch's base_logprob (see npo_pairs).
 
     Per sequence the value is (2/beta) softplus(beta (L_theta - L_base))
     with L the sequence log-probability, and the gradient is 2 w(s) times
@@ -187,12 +167,11 @@ def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
     parameter vectors (theta of shape (..., dim)) gives one value and
     gradient per row, against the same base model.
     """
-    ds, starts = M.sequence_pairs(spec, batch)
-    if base_theta is None:
-        raise ValueError("npo requires base_theta")
-    lb = ds.base_logprob
+    lb = getattr(batch, "base_logprob", None)
     if lb is None:
-        lb = M.sequence_logprob(spec, base_theta, ds)
+        raise ValueError("npo needs a batch carrying the base model's "
+                         "log-probabilities; build the forget set with npo_pairs")
+    ds, starts = M.sequence_pairs(spec, batch)
     H, aux = M._forward(spec, theta, ds.inputs(spec))
     lt = M.segment_logprob(H, ds, starts)
     v = g = None
@@ -205,8 +184,7 @@ def _npo_terms(kind, spec, theta, batch, base_theta, value, grad):
         G[..., np.arange(len(ds)), ds.nexts] += 1.0
         per_pair = np.repeat(2.0 * w / w.shape[-1],
                              np.diff(np.append(starts, len(ds))), axis=-1)
-        g = M.grad_from_logit_grads(spec, theta, ds, G * per_pair[..., None],
-                                    aux=aux)
+        g = M.grad_from_logit_grads(spec, theta, G * per_pair[..., None], aux)
     return v, g
 
 
@@ -263,13 +241,13 @@ def _batch_mean(vals):
     return float(m) if m.ndim == 0 else m
 
 
-def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
+def _loss_terms(kind, spec, theta, batch, value, grad):
     """(batch-mean loss, its gradient) from one forward pass at theta;
     a part not asked for is None.  theta may be a stack of parameter
     vectors (..., dim): then each row gets its own mean and gradient, bit
     for bit those of a call with that row alone."""
     if kind.tag == "npo":
-        return _npo_terms(kind, spec, theta, batch, base_theta, value, grad)
+        return _npo_terms(kind, spec, theta, batch, value, grad)
     if len(batch) == 0:
         raise ValueError("empty batch")
     H, aux = M._forward(spec, theta, batch.inputs(spec))
@@ -280,30 +258,29 @@ def _loss_terms(kind, spec, theta, batch, base_theta, value, grad):
     v = _batch_mean(vals) if value else None
     g = None
     if grad:
-        g = M.grad_from_logit_grads(spec, theta, batch, G / len(batch), aux=aux)
+        g = M.grad_from_logit_grads(spec, theta, G / len(batch), aux)
     return v, g
 
 
-def batch_loss(kind, spec, theta, batch, base_theta=None):
+def batch_loss(kind, spec, theta, batch):
     """Mean loss over the batch.
 
-    For npo the batch is a set of sequences (a TokenDataset built from
-    sequences, or a plain list of sequences) and base_theta must be the
-    fixed base model parameters; a batch carrying base_logprob (see
-    npo_pairs) supplies the base model's values from it.  All other
-    losses average per (context, next) pair.  A stack of parameter
-    vectors, theta of shape (..., dim), gives one mean per row, as do
-    batch_grad and batch_value_and_grad (one gradient per row).
+    For npo the batch is a set of whole sequences carrying the base
+    model's log-probability of each (npo_pairs builds it, and the batches
+    a run draws from it keep those values).  All other losses average per
+    (context, next) pair.  A stack of parameter vectors, theta of shape
+    (..., dim), gives one mean per row, as do batch_grad and
+    batch_value_and_grad (one gradient per row).
     """
-    return _loss_terms(kind, spec, theta, batch, base_theta, True, False)[0]
+    return _loss_terms(kind, spec, theta, batch, True, False)[0]
 
 
-def batch_grad(kind, spec, theta, batch, base_theta=None):
+def batch_grad(kind, spec, theta, batch):
     """Exact gradient of batch_loss w.r.t. theta."""
-    return _loss_terms(kind, spec, theta, batch, base_theta, False, True)[1]
+    return _loss_terms(kind, spec, theta, batch, False, True)[1]
 
 
-def batch_value_and_grad(kind, spec, theta, batch, base_theta=None):
+def batch_value_and_grad(kind, spec, theta, batch):
     """(batch_loss, batch_grad) from one shared forward pass; bitwise equal
     to the two separate calls."""
-    return _loss_terms(kind, spec, theta, batch, base_theta, True, True)
+    return _loss_terms(kind, spec, theta, batch, True, True)

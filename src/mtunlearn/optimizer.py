@@ -142,7 +142,7 @@ def _check_finite(theta, t):
         raise TrainingError(f"non-finite parameters at step {t}")
 
 
-def _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta, value, grad):
+def _evaluate(cfg, spec, theta, teacher, fb, pb, value, grad):
     """(loss value, damped divergence value, objective gradient) at theta;
     a part not asked for is None, and value-and-gradient takes one
     forward pass per argument.  The objective is alpha L(theta) +
@@ -163,13 +163,12 @@ def _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta, value, grad):
             div = Dmod.damped_value(kind, spec, theta, teacher, pb)
     if grad and weight != 0.0:
         if value:
-            loss, g_loss = Lmod.batch_value_and_grad(cfg.loss, spec, theta, fb,
-                                                     base_theta=base_theta)
+            loss, g_loss = Lmod.batch_value_and_grad(cfg.loss, spec, theta, fb)
         else:
-            g_loss = Lmod.batch_grad(cfg.loss, spec, theta, fb, base_theta=base_theta)
+            g_loss = Lmod.batch_grad(cfg.loss, spec, theta, fb)
         g = g_loss if g is None else g + weight * g_loss
     if value and loss is None:
-        loss = Lmod.batch_loss(cfg.loss, spec, theta, fb, base_theta=base_theta)
+        loss = Lmod.batch_loss(cfg.loss, spec, theta, fb)
     return loss, div, g
 
 
@@ -202,7 +201,7 @@ class _BatchSampler:
     def draw(self):
         if self.npo:
             fi = self.rng.integers(0, len(self.seq_rows), self.cfg.batch_forget)
-            fb = self.d_f._take(np.concatenate([self.seq_rows[i] for i in fi]), fi)
+            fb = self.d_f.subset(np.concatenate([self.seq_rows[i] for i in fi]), fi)
         else:
             fb = self.d_f.subset(
                 self.rng.integers(0, len(self.d_f), self.cfg.batch_forget))
@@ -349,21 +348,19 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     them.  A truthy return stops the run early.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    base_theta = theta.copy()
     if cfg.loss.tag == "npo":
-        d_f = Lmod.npo_pairs(spec, d_f, base_theta)
+        d_f = Lmod.npo_pairs(spec, d_f, theta)
     teacher = theta.copy() if rule.has_teacher else None
     batched = rule.batched
     sampler = _BatchSampler(spec, cfg, d_f, d_pt) if batched else None
     fb, pb = d_f, d_pt
     traj = Trajectory()
-    loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
+    loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb,
                              True, not batched and cfg.T > 0)
     traj.append(0, 0.0, loss, div, 1.0, None if teacher is None else 0.0)
     if batched and cfg.T > 0:
         fb, pb = sampler.draw()
-        g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
-                      False, True)[2]
+        g = _evaluate(cfg, spec, theta, teacher, fb, pb, False, True)[2]
     for t in range(1, cfg.T + 1):
         theta, rate, grad_norm, l = rule(t, theta, g)
         _check_finite(theta, t)
@@ -371,7 +368,7 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
             teacher = (1.0 - rate) * teacher + rate * theta
         if batched:
             fb, pb = sampler.draw()
-        loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb, base_theta,
+        loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb,
                                  True, t < cfg.T)
         traj.append(t, grad_norm, loss, div, l,
                     None if teacher is None else linalg.norm(theta - teacher))
@@ -457,8 +454,8 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
     def gradients(th, teacher):
         """Loss gradients of every row, and the mean teachers' objective
         gradients (divergence plus alpha times loss, as in _evaluate)."""
-        g = Lmod.batch_grad(cfg.loss, spec, th.reshape(-1, th.shape[-1]), d_f,
-                            base_theta=theta0).reshape(th.shape)
+        g = Lmod.batch_grad(cfg.loss, spec, th.reshape(-1, th.shape[-1]),
+                            d_f).reshape(th.shape)
         return g, (Dmod.damped_grad(cfg.divergence, spec, th[:, 0], teacher, d_pt)
                    + alpha[:len(th)] * g[:, 0])
 

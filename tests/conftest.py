@@ -53,12 +53,11 @@ def raw_forward(spec, theta, contexts):
     return A @ W2.T + b2, (X, A)
 
 
-def raw_backprop(spec, theta, contexts, G, aux=None):
-    """Backprop matching raw_forward: np.add.at into the bigram table
-    rows, the same products as model.grad_from_logit_grads for the MLP."""
+def raw_backprop(spec, theta, G, aux):
+    """Backprop matching raw_forward, from the aux state it returned:
+    np.add.at into the bigram table rows, the same products as
+    model.grad_from_logit_grads for the MLP."""
     G = np.asarray(G, dtype=float)
-    if aux is None:
-        _, aux = raw_forward(spec, theta, contexts)
     if spec.kind == M.BIGRAM:
         V = spec.vocab_size
         dW = np.zeros((V, V))
@@ -122,9 +121,10 @@ def grad_sequence_logprob(spec, theta, s):
     """Gradient w.r.t. theta of model.sequence_logprob of one sequence:
     the summed e_y - softmax rows of its pairs, backpropagated."""
     ds = M.dataset_from_sequences([np.asarray(s, dtype=int)], spec.context_len)
-    G = -M.softmax_rows(M.batch_logits(spec, theta, ds))
+    H, aux = M._forward(spec, theta, ds.inputs(spec))
+    G = -M.softmax_rows(H)
     G[np.arange(len(ds)), ds.nexts] += 1.0
-    return M.grad_from_logit_grads(spec, theta, ds, G)
+    return M.grad_from_logit_grads(spec, theta, G, aux)
 
 
 def npo_value(spec, s, theta, base_theta, beta):
@@ -148,9 +148,14 @@ def npo_grad(spec, s, theta, base_theta, beta):
 # kernel losses._label_rows: 1 - p_y is formed as exp(logsumexp(h
 # without y) - logsumexp(h)), a sum of positive terms.
 
+def _rows(h):
+    """h as a float matrix of logit rows (one row for a 1-d h)."""
+    return np.atleast_2d(np.asarray(h, dtype=float))
+
+
 def ll_value_rows(H, y):
     """Row-wise log softmax(h)_y."""
-    H = L._rows(H)
+    H = _rows(H)
     return M.log_softmax_rows(H)[np.arange(len(H)), y]
 
 
@@ -160,7 +165,7 @@ def ll_grad_rows(H, y):
     The y entry is assembled as exp(log(1 - p_y)) = 1 - p_y computed in
     log space, so it stays exact when p_y saturates toward 1.
     """
-    H = L._rows(H)
+    H = _rows(H)
     return _ll_grad(H, y, L._log_complement_rows(H, y))
 
 
@@ -180,7 +185,7 @@ def nll_grad_rows(H, y):
 
 def nlul_value_rows(H, y):
     """Row-wise -log(1 - p_y) with p_y clamped to at most 1 - CLAMP_EPS."""
-    return np.minimum(-L._log_complement_rows(L._rows(H), y),
+    return np.minimum(-L._log_complement_rows(_rows(H), y),
                       -np.log(L.CLAMP_EPS))
 
 
@@ -191,7 +196,7 @@ def nlul_grad_rows(H, y):
     entry reduces to exactly p_y (the weight cancels the complementary
     mass), so the gradient never underflows at memorized points.
     """
-    H = L._rows(H)
+    H = _rows(H)
     log1mp = L._log_complement_rows(H, y)
     log1mp_c = np.maximum(log1mp, np.log(L.CLAMP_EPS))
     w = np.exp(ll_value_rows(H, y) - log1mp_c)

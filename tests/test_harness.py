@@ -421,13 +421,12 @@ class TestDynamicsDriver:
         assert len(calls) == 2
         kind = L.LossKind("npo", beta=0.1)
         fresh = []
+        pairs = L.npo_pairs(setup.spec, setup.d_f, setup.theta0)
         O.mt_run_batched(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
                          dataclasses.replace(setup.base_cfg, loss=kind),
                          callback=lambda t, th, te: fresh.append(linalg.norm(
-                             L.batch_grad(kind, setup.spec, th, setup.d_f,
-                                          base_theta=setup.theta0))))
-        g0 = L.batch_grad(kind, setup.spec, setup.theta0, setup.d_f,
-                          base_theta=setup.theta0)
+                             L.batch_grad(kind, setup.spec, th, pairs))))
+        g0 = L.batch_grad(kind, setup.spec, setup.theta0, pairs)
         assert result["series"]["npo"]["loss_grad_norm"] == [linalg.norm(g0)] + fresh
 
     def test_target_epochs_rejected_before_training(self, monkeypatch):

@@ -73,13 +73,15 @@ class TestRowIdentities:
             entropy = -np.sum(P * np.log(P), axis=1)
             expected = np.log(V) - entropy
             uniform = np.zeros_like(H)
-            err = np.max(np.abs(L.it_value_rows(H, uniform) - expected))
+            vals = L._it_terms(H, M.log_softmax_rows(uniform), False)[0]
+            err = np.max(np.abs(vals - expected))
             assert err <= 1e-10
 
     def test_it_value_zero_at_teacher(self):
         rng = np.random.default_rng(43)
         H, _ = random_rows(rng)
-        np.testing.assert_allclose(L.it_value_rows(H, H.copy()), 0.0, atol=1e-14)
+        np.testing.assert_allclose(
+            L._it_terms(H, M.log_softmax_rows(H.copy()), False)[0], 0.0, atol=1e-14)
 
 
 class TestNluLStability:
@@ -153,11 +155,10 @@ class TestBatchInterface:
         kind = L.LossKind("npo", beta=0.3)
         theta = rng.standard_normal(16) * 0.5
         base = rng.standard_normal(16) * 0.5
-        batch = M.dataset_from_sequences([[0, 1, 2, 3], [3, 2, 1]], 1)
-        g = L.batch_grad(kind, spec, theta, batch, base_theta=base)
+        batch = L.npo_pairs(spec, [[0, 1, 2, 3], [3, 2, 1]], base)
+        g = L.batch_grad(kind, spec, theta, batch)
         fd = central_difference_gradient(
-            lambda th: L.batch_loss(kind, spec, th, batch, base_theta=base),
-            theta)
+            lambda th: L.batch_loss(kind, spec, th, batch), theta)
         assert relative_error(g, fd) < 1e-6
 
     def test_nll_of_flat_logits_is_log_vocab(self):
@@ -175,17 +176,20 @@ class TestBatchInterface:
             L.batch_loss(L.LossKind("nll"), spec, np.zeros(25), empty)
 
     def test_npo_requires_base_model(self):
+        """npo takes the base model's values from an npo_pairs batch; a
+        list of sequences or a plain dataset of them carries none."""
         spec = bigram_spec()
-        batch = M.dataset_from_sequences([[0, 1, 2]], 1)
-        with pytest.raises(ValueError, match="base_theta"):
-            L.batch_loss(L.LossKind("npo"), spec, np.zeros(25), batch)
+        seqs = [[0, 1, 2], [3, 4]]
+        for batch in (seqs, M.dataset_from_sequences(seqs, 1)):
+            for fn in (L.batch_loss, L.batch_grad, L.batch_value_and_grad):
+                with pytest.raises(ValueError, match="npo_pairs"):
+                    fn(L.LossKind("npo"), spec, np.zeros(25), batch)
 
     def test_npo_requires_sequences(self):
         spec = bigram_spec()
         rows_only = random_batch(np.random.default_rng(51), spec)
         with pytest.raises(ValueError, match="sequences"):
-            L.batch_grad(L.LossKind("npo"), spec, np.zeros(25), rows_only,
-                         base_theta=np.zeros(25))
+            L.npo_pairs(spec, rows_only, np.zeros(25))
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="tag"):
@@ -328,15 +332,14 @@ class TestFusedValueAndGrad:
             seqs = M.dataset_from_sequences(
                 [np.array(s) % V for s in ([0, 1, 2, 3], [4, 2], [3, 3, 1])],
                 spec.context_len)
+            seqs = L.npo_pairs(spec, seqs, base)
             for kind in loss_kinds(spec, rng):
                 batch = seqs if kind.tag == "npo" else pairs
-                value, grad = L.batch_value_and_grad(kind, spec, theta, batch,
-                                                     base_theta=base)
+                value, grad = L.batch_value_and_grad(kind, spec, theta, batch)
                 assert np.isfinite(value) and np.all(np.isfinite(grad))
-                assert value == L.batch_loss(kind, spec, theta, batch,
-                                             base_theta=base)
+                assert value == L.batch_loss(kind, spec, theta, batch)
                 np.testing.assert_array_equal(
-                    grad, L.batch_grad(kind, spec, theta, batch, base_theta=base))
+                    grad, L.batch_grad(kind, spec, theta, batch))
 
 
 class TestStackedParameters:
@@ -359,20 +362,16 @@ class TestStackedParameters:
         pairs.nexts[:4] = 0
         H = M.batch_logits(spec, stack[0, 1], pairs)
         assert (H[:4, 0] - np.delete(H[:4], 0, axis=1).max(axis=1) >= 800).all()
-        seqs = M.dataset_from_sequences([[0, 1, 2, 3], [4, 2], [3, 3, 1, 0]],
-                                        spec.context_len)
+        seqs = L.npo_pairs(spec, M.dataset_from_sequences(
+            [[0, 1, 2, 3], [4, 2], [3, 3, 1, 0]], spec.context_len), base)
         for kind in loss_kinds(spec, rng):
             batch = seqs if kind.tag == "npo" else pairs
-            values, grads = L.batch_value_and_grad(kind, spec, stack, batch,
-                                                   base_theta=base)
+            values, grads = L.batch_value_and_grad(kind, spec, stack, batch)
             assert values.shape == (2, 3) and grads.shape == stack.shape
-            assert same_bits(values, L.batch_loss(kind, spec, stack, batch,
-                                                  base_theta=base))
-            assert same_bits(grads, L.batch_grad(kind, spec, stack, batch,
-                                                 base_theta=base))
+            assert same_bits(values, L.batch_loss(kind, spec, stack, batch))
+            assert same_bits(grads, L.batch_grad(kind, spec, stack, batch))
             for i in np.ndindex(2, 3):
-                v, g = L.batch_value_and_grad(kind, spec, stack[i], batch,
-                                              base_theta=base)
+                v, g = L.batch_value_and_grad(kind, spec, stack[i], batch)
                 assert same_bits(values[i], v) and same_bits(grads[i], g)
 
 
@@ -395,7 +394,8 @@ class TestBatchMean:
             batch = random_batch(rng, spec, n=13)
             H = M.batch_logits(spec, theta, batch)
             if tag == "it":
-                vals = L.it_value_rows(H, np.zeros_like(H))
+                vals = L._it_terms(H, M.log_softmax_rows(np.zeros_like(H)),
+                                   False)[0]
             else:
                 vals = L._label_rows(kind, H, batch.nexts, True, False)[0]
             assert L.batch_loss(kind, spec, theta, batch) == float(np.mean(vals))
@@ -419,10 +419,10 @@ class TestBatchedNpo:
                              for s in self.SEQS])
             grad = np.mean([npo_grad(spec, s, theta, base, beta)
                             for s in self.SEQS], axis=0)
-            for batch in (M.dataset_from_sequences(self.SEQS, spec.context_len),
-                          self.SEQS):
-                v, g = L.batch_value_and_grad(kind, spec, theta, batch,
-                                              base_theta=base)
+            for seqs in (M.dataset_from_sequences(self.SEQS, spec.context_len),
+                         self.SEQS):
+                v, g = L.batch_value_and_grad(kind, spec, theta,
+                                              L.npo_pairs(spec, seqs, base))
                 assert v == pytest.approx(value, rel=1e-12)
                 assert relative_error(g, grad) <= 1e-12
 

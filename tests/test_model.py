@@ -150,11 +150,8 @@ class TestPreparedInputs:
             assert same_bits(M.batch_logits(spec, theta, batch), H_raw)
             assert same_bits(M.batch_logits(spec, theta, batch.contexts), H_raw)
             G = rng.standard_normal(H.shape)
-            g_raw = raw_backprop(spec, theta, batch.contexts, G, aux=aux_raw)
-            assert same_bits(M.grad_from_logit_grads(spec, theta, batch, G, aux=aux),
-                             g_raw)
-            assert same_bits(M.grad_from_logit_grads(spec, theta, batch.contexts, G),
-                             g_raw)
+            assert same_bits(M.grad_from_logit_grads(spec, theta, G, aux),
+                             raw_backprop(spec, theta, G, aux_raw))
             v = rng.standard_normal(M.param_count(spec))
             assert same_bits(M.logit_jvp(spec, theta, batch, v),
                              M.logit_jvp(spec, theta, batch.contexts, v))
@@ -199,8 +196,9 @@ class TestPreparedInputs:
         assert (M.model_inputs(bigram_spec(2), [[0]]) @ table)[0, 0] == 0.0
 
     def test_bad_ids_fail_at_first_use_with_the_same_message(self):
-        """Each bad dataset fails at validate_dataset, at a loss and at
-        every later use, and nothing is kept from the failed check."""
+        """Each bad dataset fails at its preparation (inputs), at a loss
+        and at every later use, and nothing is kept from the failed
+        check."""
         nll = L.LossKind("nll")
         cases = [
             (bigram_spec(), [[0], [5]], [1, 2], "out of vocabulary \\(V=5\\)"),
@@ -214,7 +212,7 @@ class TestPreparedInputs:
         for spec, ctx, nxt, match in cases:
             ds = M.TokenDataset(np.array(ctx), np.array(nxt))
             theta = np.zeros(M.param_count(spec))
-            for use in (lambda: M.validate_dataset(spec, ds),
+            for use in (lambda: ds.inputs(spec),
                         lambda: L.batch_loss(nll, spec, theta, ds),
                         lambda: ds.subset(np.arange(len(ds))).inputs(spec),
                         lambda: M.batch_logits(spec, theta, ds)):
@@ -257,7 +255,8 @@ class TestDerivatives:
             def f(th):
                 return float(np.sum(W * M.batch_logits(spec, th, batch.contexts)))
 
-            g = M.grad_from_logit_grads(spec, theta, batch.contexts, W)
+            _, aux = M._forward(spec, theta, batch.inputs(spec))
+            g = M.grad_from_logit_grads(spec, theta, W, aux)
             assert relative_error(g, central_difference_gradient(f, theta)) < 1e-7
 
 
@@ -326,7 +325,20 @@ class TestDatasets:
         ds = M.dataset_from_sequences([[1, 2, 3, 4]], context_len=1)
         sub = ds.subset(np.array([0, 2]))
         np.testing.assert_array_equal(sub.nexts, [2, 4])
-        assert sub.sequences == []
+        assert sub.sequences == [] and sub.base_logprob is None
+
+    def test_subset_keeps_the_sequences_it_names(self):
+        """With seqs, the subset keeps those sequences and their base
+        log-probabilities, in the order given."""
+        seqs = [[1, 2, 3], [4, 0]]
+        ds = M.dataset_from_sequences(seqs, context_len=1)
+        ds.base_logprob = np.array([-1.5, -2.5])
+        sub = ds.subset(np.array([2, 0, 1]), np.array([1, 0]))
+        np.testing.assert_array_equal(sub.nexts, [0, 2, 3])
+        assert [list(s) for s in sub.sequences] == [[4, 0], [1, 2, 3]]
+        np.testing.assert_array_equal(sub.base_logprob, [-2.5, -1.5])
+        plain = M.dataset_from_sequences(seqs, context_len=1)
+        assert plain.subset(np.array([0]), np.array([1])).base_logprob is None
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -343,11 +355,11 @@ class TestDatasets:
         with pytest.raises(ValueError, match="tokens"):
             M.load_jsonl_dataset(str(path), context_len=1)
 
-    def test_validate_dataset_rejects_out_of_vocab(self):
+    def test_inputs_reject_out_of_vocab(self):
         spec = bigram_spec(3)
         ds = M.dataset_from_sequences([[0, 1, 5]], context_len=1)
         with pytest.raises(ValueError, match="vocabulary"):
-            M.validate_dataset(spec, ds)
+            ds.inputs(spec)
 
 
 class TestGreedyContinuation:

@@ -1,5 +1,9 @@
-"""The package's export list and the README's library quick start."""
+"""The package's export list, the names the benchmark traces and the
+README's library quick start."""
 
+import ast
+import importlib
+import inspect
 import os
 import re
 import types
@@ -24,7 +28,11 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     """Only tests called the per-sequence npo functions, the log-space row
     losses and the bigram curvature blocks; the first two are the tests'
     oracles (conftest) for batched npo and the one-pass label kernel, not
-    package API, and the dense assembly covers the bigram."""
+    package API, and the dense assembly covers the bigram.  The kernels
+    take what their callers prepared: npo's base values come with the
+    batch (losses.npo_pairs), backprop takes its forward pass's aux state,
+    and the wrappers over prepared datasets and over the it row kernel
+    are gone."""
     for name in ("npo_value", "npo_weight", "npo_grad", "ll_value_rows",
                  "ll_grad_rows", "nll_value_rows", "nll_grad_rows",
                  "nlul_value_rows", "nlul_grad_rows", "_ll_grad"):
@@ -32,6 +40,55 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     assert not hasattr(model, "grad_sequence_logprob")
     assert not hasattr(curvature, "bigram_gnh_blocks")
     assert "bigram_gnh_blocks" not in mtunlearn.__all__
+    for module, name in ((model, "validate_dataset"), (losses, "it_value_rows"),
+                         (losses, "it_rows"), (losses, "_rows")):
+        assert not hasattr(module, name) and name not in mtunlearn.__all__
+    assert not hasattr(model.TokenDataset, "_take")
+    for fn in (losses.batch_loss, losses.batch_grad, losses.batch_value_and_grad):
+        assert "base_theta" not in inspect.signature(fn).parameters
+    params = inspect.signature(model.grad_from_logit_grads).parameters
+    assert list(params) == ["spec", "theta", "G", "aux"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench")
+
+
+def _perfbench_constants(filename):
+    """Module-level constants and class attributes holding literals in a
+    perfbench source file, read without importing it."""
+    with open(os.path.join(PERFBENCH, filename), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                isinstance(node.targets[0], ast.Name):
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                continue
+            found.setdefault(node.targets[0].id, []).append(value)
+    return found
+
+
+def test_the_traced_benchmark_finds_the_layers_it_depends_on():
+    """The tracer skips a function the package no longer has and reports 0
+    calls for it, so a removed or renamed layer would silently break the
+    traced benchmark: its step count (the optimizer drivers of
+    STEP_FUNCTIONS) and the workloads' reach checks (per-layer counts that
+    must be above 0) must find every function they name."""
+    tracer = _perfbench_constants("tracer.py")
+    (layers,), (step_functions,) = tracer["LAYERS"], tracer["STEP_FUNCTIONS"]
+    module_of = {fname: mod for mod, fname in layers}
+    needed = {(module_of[f], f) for f in step_functions}
+    for reaches in _perfbench_constants("workloads.py")["reaches"]:
+        needed.update(tuple(r.split(".")[:2]) for r in reaches)
+    assert {("model", "sequence_logprob"), ("curvature", "bigram_damped_solve"),
+            ("divergence", "damped_grad")} <= needed
+    for mod, fname in sorted(needed):
+        module = importlib.import_module(f"mtunlearn.{mod}")
+        assert callable(getattr(module, fname, None)), f"{mod}.{fname}"
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
