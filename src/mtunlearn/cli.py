@@ -22,6 +22,7 @@ to completion and failed, 2 configuration error, 3 training failure,
 """
 
 import argparse
+import ctypes
 import inspect
 import json
 import os
@@ -154,17 +155,21 @@ def _load_config(path_arg, out_dir):
 
 
 def _resolve_seed(args):
-    """--seed, else MTUNLEARN_SEED, else None (config seeds apply)."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MTUNLEARN_SEED")
-    if env is None or env == "":
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"MTUNLEARN_SEED must be an integer, got {env!r}") \
-            from exc
+    """--seed, else MTUNLEARN_SEED, else None (config seeds apply); a
+    negative seed is a ConfigError naming the flag or variable."""
+    seed, what = args.seed, "--seed"
+    if seed is None:
+        env, what = os.environ.get("MTUNLEARN_SEED"), "MTUNLEARN_SEED"
+        if env is None or env == "":
+            return None
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"MTUNLEARN_SEED must be an integer, got {env!r}") \
+                from exc
+    if seed < 0:
+        raise ConfigError(f"{what} must be nonnegative, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +571,30 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameter for the size of free memory at the top of the
+# heap above which free() returns it to the system.
+_M_TRIM_THRESHOLD = -1
+
+
+def _keep_freed_heap():
+    """Let the C allocator keep up to 64 MB of freed heap for reuse.
+
+    A lockstep step of `unlearn` allocates and frees several hundred KB of
+    stacked temporaries.  At glibc's default (128 KB) the heap shrinks
+    after every step and the next step faults the pages back in: one
+    `unlearn` of perfbench's unlearn-mlp config took 44 000 minor page
+    faults, against 5 700 with this setting.  Peak memory is unchanged.
+    Without a mallopt (a C library other than glibc) nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None):
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

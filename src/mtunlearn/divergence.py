@@ -37,10 +37,11 @@ DIVERGENCE_TAGS = ("kl", "qkl", "bregman")
 CURVATURE_SCALE = {"kl": 1.0, "qkl": 2.0, "bregman": 1.0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class DivergenceKind:
     """Divergence selector plus damping strength lam >= 0: the lam of
-    D_lam, from which an optimizer run derives its reference damping."""
+    D_lam, from which an optimizer run derives its reference damping.
+    Frozen, so that equal kinds hash alike."""
 
     tag: str
     lam: float

@@ -83,6 +83,8 @@ class CorpusSpec:
         if self.generator == "patterned":
             if not (1 <= self.period <= self.vocab_size):
                 raise ValueError("period must lie in [1, vocab_size]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def n_forget(self):
@@ -255,6 +257,8 @@ def build_target(spec, datasets, epochs: int, seed: int, lr=0.5, momentum=0.9,
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if not 0 < lr < np.inf:
         raise ConfigError(f"lr must be positive and finite, got {lr}")
     if not 0 <= momentum < 1:
@@ -393,6 +397,8 @@ class LemmaFamily:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def lemma_instance(family):
@@ -717,24 +723,79 @@ class MethodSpec:
                              f"only, not {self.optimizer!r}")
 
 
-def _run_method(method, cfg, spec, theta, d_f, d_pt, stop_rule):
-    """One optimizer run (single round) of method with config cfg; returns
-    its Trajectory."""
+def _stop_callback(stop_rule, spec, d_f, d_pt):
+    """The run callback of a stop rule on forget split d_f (None without a
+    rule)."""
+    if stop_rule is None:
+        return None
+    ds = d_f if stop_rule.metric == "nll_forget" else d_pt
 
-    callback = None
-    if stop_rule is not None:
-        def callback(t, th, teacher):
-            if t % stop_rule.check_every != 0:
-                return False
-            ds = d_f if stop_rule.metric == "nll_forget" else d_pt
-            return stop_rule.triggered(Lmod.batch_loss(_NLL, spec, th, ds))
+    def callback(t, th, teacher):
+        return t % stop_rule.check_every == 0 and \
+            stop_rule.triggered(Lmod.batch_loss(_NLL, spec, th, ds))
+    return callback
 
-    if method.optimizer == "mt":
-        return O.mt_run(spec, theta, d_f, d_pt, cfg, callback=callback)
-    if method.optimizer == "mt-batched":
-        return O.mt_run_batched(spec, theta, d_f, d_pt, cfg, callback=callback)
-    return O.baseline_run(method.optimizer, spec, theta, d_f, d_pt, cfg,
-                          adam_params=method.adam, callback=callback)
+
+def _batch_stream(method):
+    """What fixes a single-round batched method's batches: its loss, seed
+    and batch sizes (None for any other method)."""
+    c = method.config
+    if method.rounds != 1 or method.optimizer in ("mt", "noop"):
+        return None
+    return c.loss, c.seed, c.batch_forget, c.batch_pretrain
+
+
+def _lockstep_groups(methods):
+    """The methods in run groups, in order of first member: methods with
+    equal _batch_stream draw the same batches and share a group; every
+    other method is a group of its own."""
+    groups = []
+    for m in methods:
+        key = _batch_stream(m)
+        for g in groups:
+            if key is not None and key == _batch_stream(g[0]):
+                g.append(m)
+                break
+        else:
+            groups.append([m])
+    return groups
+
+
+def _run_group(group, spec, theta, d_f, d_pt, stop_rule):
+    """{name: (trajectories of the completed rounds, the TrainingError that
+    ended the next round or None)} of a group.  Several methods run in one
+    lockstep call; a single method runs its rounds one after another, each
+    on its own part of the forget sequences."""
+    if len(group) > 1:
+        d_f1 = M.dataset_from_sequences(d_f.sequences, spec.context_len)
+        callback = _stop_callback(stop_rule, spec, d_f1, d_pt)
+        outs = O.lockstep_runs(spec, theta, d_f1, d_pt,
+                               [(m.optimizer, m.config, m.adam, callback)
+                                for m in group])
+        return {m.name: ([], out) if isinstance(out, TrainingError)
+                else ([out], None) for m, out in zip(group, outs)}
+    (method,), trajectories = group, []
+    rounds = np.array_split(np.arange(len(d_f.sequences)), method.rounds)
+    for k, idx in enumerate(rounds if method.optimizer != "noop" else ()):
+        d_fk = M.dataset_from_sequences([d_f.sequences[i] for i in idx],
+                                        spec.context_len)
+        cfg = replace(method.config, seed=method.config.seed + k)
+        callback = _stop_callback(stop_rule, spec, d_fk, d_pt)
+        try:
+            if method.optimizer == "mt":
+                traj = O.mt_run(spec, theta, d_fk, d_pt, cfg, callback=callback)
+            elif method.optimizer == "mt-batched":
+                traj = O.mt_run_batched(spec, theta, d_fk, d_pt, cfg,
+                                        callback=callback)
+            else:
+                traj = O.baseline_run(method.optimizer, spec, theta, d_fk, d_pt,
+                                      cfg, adam_params=method.adam,
+                                      callback=callback)
+        except TrainingError as exc:
+            return {method.name: (trajectories, exc)}
+        trajectories.append(traj)
+        theta = traj.final_theta
+    return {method.name: (trajectories, None)}
 
 
 def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
@@ -747,7 +808,9 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
     round trajectories}.  drift is the increase in pretrain NLL.  A
     method whose run diverges is reported as a failed row rather than
     aborting the experiment.  Methods need unique names, and at most one
-    round per forget sequence.
+    round per forget sequence.  Single-round batched methods that draw
+    the same batches (_lockstep_groups) run in one lockstep call
+    (optimizer.lockstep_runs), each bit for bit as it runs alone.
     """
     if not methods:
         raise ConfigError("methods must list at least one method")
@@ -761,26 +824,18 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
                               f"sequences (each round needs at least one)")
     before = memorization_report(spec, theta_target, (d_f, d_pt),
                                  prompt_len, completion_len)
+    outcomes = {}
+    for group in _lockstep_groups(methods):
+        outcomes.update(_run_group(group, spec, theta_target, d_f, d_pt,
+                                   stop_rule))
     rows, thetas, trajectories = [], {}, {}
     for method in methods:
-        status, steps = "ok", 0
-        trajectories[method.name] = []
-        theta = np.asarray(theta_target, dtype=float).copy()
-        if method.optimizer != "noop":
-            groups = np.array_split(np.arange(len(d_f.sequences)), method.rounds)
-            try:
-                for k, idx in enumerate(groups):
-                    round_seqs = [d_f.sequences[i] for i in idx]
-                    d_fk = M.dataset_from_sequences(round_seqs, spec.context_len)
-                    cfg_k = replace(method.config, seed=method.config.seed + k)
-                    traj = _run_method(method, cfg_k, spec, theta, d_fk, d_pt,
-                                       stop_rule)
-                    trajectories[method.name].append(traj)
-                    theta = traj.final_theta
-                    steps += len(traj) - 1
-            except TrainingError as exc:
-                status = f"diverged: {exc}"
-        if status == "ok":
+        done, error = outcomes[method.name]
+        trajectories[method.name] = done
+        status = "ok" if error is None else f"diverged: {error}"
+        if error is None:
+            theta = done[-1].final_theta if done else \
+                np.array(theta_target, dtype=float)
             after = memorization_report(spec, theta, (d_f, d_pt),
                                         prompt_len, completion_len)
             after_d = after.as_dict()
@@ -790,7 +845,8 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
             after_d = {k: float("nan") for k in before.as_dict()}
             drift = float("nan")
         rows.append({"name": method.name, "optimizer": method.optimizer,
-                     "rounds": method.rounds, "steps": steps,
+                     "rounds": method.rounds,
+                     "steps": sum(len(t) - 1 for t in done),
                      "exact_match_before": before.exact_match_rate,
                      "exact_match_after": after_d["exact_match_rate"],
                      "lcs_before": before.lcs_ratio,

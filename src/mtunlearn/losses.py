@@ -84,6 +84,8 @@ class LossKind:
     def __post_init__(self):
         if self.tag not in LOSS_TAGS:
             raise ValueError(f"unknown loss tag: {self.tag!r}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.tag == "npo" and not self.beta > 0:
             raise ValueError("npo requires beta > 0")
 
@@ -172,6 +174,10 @@ def _npo_terms(kind, spec, theta, batch, value, grad):
         raise ValueError("npo needs a batch carrying the base model's "
                          "log-probabilities; build the forget set with npo_pairs")
     ds, starts = M.sequence_pairs(spec, batch)
+    if np.shape(lb) != starts.shape:
+        raise ValueError(f"base_logprob has shape {np.shape(lb)} for "
+                         f"{len(starts)} sequences; build the forget set "
+                         f"with npo_pairs")
     H, aux = M._forward(spec, theta, ds.inputs(spec))
     lt = M.segment_logprob(H, ds, starts)
     v = g = None

@@ -31,11 +31,16 @@ the divergence term (cfg.divergence.lam):
 where grad L is evaluated at theta_t by default and at theta_{t-1} with
 ngd_run's grad_lag.
 
-mt_ngd_deviations runs many unclipped full-batch mean-teacher runs and
-their references in lockstep on one stack of parameter vectors, bit for
-bit mt_run and ngd_run, and returns only the largest gap between them.
+Every run goes through one loop (_run), which advances a list of runs
+that see the same data in lockstep on one stack of parameter vectors:
+mt_run, mt_run_batched, ngd_run and baseline_run give it one run, and
+lockstep_runs several that share a batch stream, each bit for bit the
+run alone.  mt_ngd_deviations runs many unclipped full-batch
+mean-teacher runs and their references in lockstep, bit for bit mt_run
+and ngd_run, and returns only the largest gap between them.
 """
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -66,8 +71,8 @@ class MTConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
         if not self.eta * self.kappa < 1.0:
@@ -83,6 +88,8 @@ class MTConfig:
             raise ValueError("clip must be nonnegative (0 disables)")
         if self.batch_forget < 1 or self.batch_pretrain < 1:
             raise ValueError("batch sizes must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -142,33 +149,65 @@ def _check_finite(theta, t):
         raise TrainingError(f"non-finite parameters at step {t}")
 
 
-def _evaluate(cfg, spec, theta, teacher, fb, pb, value, grad):
-    """(loss value, damped divergence value, objective gradient) at theta;
-    a part not asked for is None, and value-and-gradient takes one
-    forward pass per argument.  The objective is alpha L(theta) +
-    D_lam(theta, teacher); without a teacher it is L alone and the
-    divergence is NaN."""
+def _stack(arrays):
+    """The kernels' argument for these rows: a single row alone, as a 1-d
+    vector (the arithmetic of a solo run), else their stack."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _split(x, n):
+    """The per-row entries of a kernel result for n rows passed as by
+    _stack; n Nones for a result not asked for."""
+    if x is None:
+        return [None] * n
+    return [x] if n == 1 else list(x)
+
+
+def _evaluate(spec, rows, fb, pb, value, grad):
+    """(loss values, damped divergence values, objective gradients) of the
+    runs `rows` at their iterates, one list entry per run; a part not
+    asked for is None, and value-and-gradient takes one forward pass per
+    argument.  A run's objective is alpha L(theta) + D_lam(theta,
+    teacher); without a teacher it is L alone and the divergence is NaN.
+    One stacked loss call serves every run and one stacked divergence call
+    each distinct divergence kind, so every run's results are bit for bit
+    those of a call with that run alone."""
+    n = len(rows)
     loss = div = g = None
-    weight = 1.0
-    if teacher is None:
-        div = float("nan")
-    else:
-        weight = cfg.alpha
-        kind = cfg.divergence
+    kind = rows[0].cfg.loss
+    th = _stack([r.theta for r in rows])
+    loss_grad = grad and any(r.teacher is None or r.cfg.alpha != 0.0 for r in rows)
+    if value and loss_grad:
+        loss, g = Lmod.batch_value_and_grad(kind, spec, th, fb)
+    elif loss_grad:
+        g = Lmod.batch_grad(kind, spec, th, fb)
+    elif value:
+        loss = Lmod.batch_loss(kind, spec, th, fb)
+    if value:
+        loss, div = _split(loss, n), [float("nan")] * n
+    if grad:
+        g = _split(g, n)
+    kinds = {}
+    for i, r in enumerate(rows):
+        if r.teacher is not None:
+            kinds.setdefault(r.cfg.divergence, []).append(i)
+    for dk, idx in kinds.items():
+        m = len(idx)
+        th_k = th if m == n else _stack([rows[i].theta for i in idx])
+        te_k = _stack([rows[i].teacher for i in idx])
+        v = gd = None
         if value and grad:
-            div, g = Dmod.damped_value_and_grad(kind, spec, theta, teacher, pb)
+            v, gd = Dmod.damped_value_and_grad(dk, spec, th_k, te_k, pb)
         elif grad:
-            g = Dmod.damped_grad(kind, spec, theta, teacher, pb)
+            gd = Dmod.damped_grad(dk, spec, th_k, te_k, pb)
         else:
-            div = Dmod.damped_value(kind, spec, theta, teacher, pb)
-    if grad and weight != 0.0:
-        if value:
-            loss, g_loss = Lmod.batch_value_and_grad(cfg.loss, spec, theta, fb)
-        else:
-            g_loss = Lmod.batch_grad(cfg.loss, spec, theta, fb)
-        g = g_loss if g is None else g + weight * g_loss
-    if value and loss is None:
-        loss = Lmod.batch_loss(cfg.loss, spec, theta, fb)
+            v = Dmod.damped_value(dk, spec, th_k, te_k, pb)
+        for i, vi, gi in zip(idx, _split(v, m), _split(gd, m)):
+            if value:
+                div[i] = vi
+            if grad:
+                a = rows[i].cfg.alpha
+                g[i] = gi if a == 0.0 else gi + a * g[i]
     return loss, div, g
 
 
@@ -220,14 +259,15 @@ class AdamParams:
     warmup: bool = True
 
     def __post_init__(self):
-        if not self.lr >= 0:
-            raise ValueError("lr must be nonnegative (0 uses the config eta)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be nonnegative and finite (0 uses the "
+                             "config eta)")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
             raise ValueError("betas must be two numbers in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be nonnegative and finite")
 
 
 def _warmup_lr(base_lr, t, warmup):
@@ -333,8 +373,52 @@ class _DampedNGD:
                 linalg.norm(step_g), 1.0)
 
 
-def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
-    """The optimizer loop every run shares.
+class _Row:
+    """One run of the loop: its config, update rule and callback, its
+    iterate, teacher and objective gradient, and its record.  outcome is
+    None while the run is live, then its Trajectory or the TrainingError
+    that ended it.  Each step makes new iterate and teacher arrays, so a
+    callback may keep the ones it is given."""
+
+    def __init__(self, cfg, rule, callback, theta):
+        self.cfg, self.rule, self.callback = cfg, rule, callback
+        self.theta = theta
+        self.teacher = theta if rule.has_teacher else None
+        self.g, self.grad_norm, self.clip = None, 0.0, 1.0
+        self.traj, self.outcome = Trajectory(), None
+
+    def step(self, t):
+        theta, rate, self.grad_norm, self.clip = self.rule(t, self.theta, self.g)
+        try:
+            _check_finite(theta, t)
+        except TrainingError as exc:
+            self.outcome = exc
+            return
+        self.theta = theta
+        if rate:
+            self.teacher = (1.0 - rate) * self.teacher + rate * theta
+
+    def record(self, t, loss, div, g):
+        """Append row t and keep g for step t + 1; True when the run ends
+        here, at its horizon or because its callback (from t = 1) says so."""
+        self.traj.append(t, self.grad_norm, loss, div, self.clip,
+                         None if self.teacher is None
+                         else linalg.norm(self.theta - self.teacher))
+        self.g = g
+        stop = t > 0 and self.callback is not None and \
+            self.callback(t, self.theta, self.teacher)
+        if not (stop or t == self.cfg.T):
+            return False
+        self.traj.final_theta = self.theta.copy()
+        self.traj.final_teacher = None if self.teacher is None else self.teacher.copy()
+        self.outcome = self.traj
+        return True
+
+
+def _run(spec, theta0, d_f, d_pt, runs):
+    """The optimizer loop every run shares.  `runs` is a list of (cfg,
+    rule, callback); they advance in lockstep from theta0, and the loop
+    returns per run its Trajectory or the TrainingError that ended it.
 
     Row t records the state after step t where step t + 1's gradient is
     taken, so one value-and-gradient evaluation serves both (values only
@@ -346,37 +430,71 @@ def _run(spec, theta0, d_f, d_pt, cfg, rule, callback):
     step t >= 1 with the iterate and the teacher (None for a run without
     one); the loop never writes into either array, so a callback may keep
     them.  A truthy return stops the run early.
+
+    The runs share the rule's batched mode and the loss, and batched runs
+    the seed and batch sizes, so that they see the same data: one draw per
+    step serves all.  Each step evaluates the live runs together (see
+    _evaluate), then takes each run's update rule, finiteness check,
+    teacher update, record and callback on that run alone, so every run is
+    bit for bit the run alone.  A run leaves when its T ends, its callback
+    stops it or its iterate turns non-finite; the others go on.
     """
+    cfg, rule, _ = runs[0]
+    batched = rule.batched
+    shared = ("loss", "seed", "batch_forget", "batch_pretrain") if batched \
+        else ("loss",)
+    for c, r, _ in runs[1:]:
+        if r.batched != batched:
+            raise ValueError("runs mix batched and full-batch update rules")
+        for name in shared:
+            if getattr(c, name) != getattr(cfg, name):
+                raise ValueError(f"runs differ in {name}; lockstep runs share "
+                                 f"their data")
     theta = np.asarray(theta0, dtype=float).copy()
     if cfg.loss.tag == "npo":
         d_f = Lmod.npo_pairs(spec, d_f, theta)
-    teacher = theta.copy() if rule.has_teacher else None
-    batched = rule.batched
     sampler = _BatchSampler(spec, cfg, d_f, d_pt) if batched else None
-    fb, pb = d_f, d_pt
-    traj = Trajectory()
-    loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb,
-                             True, not batched and cfg.T > 0)
-    traj.append(0, 0.0, loss, div, 1.0, None if teacher is None else 0.0)
-    if batched and cfg.T > 0:
-        fb, pb = sampler.draw()
-        g = _evaluate(cfg, spec, theta, teacher, fb, pb, False, True)[2]
-    for t in range(1, cfg.T + 1):
-        theta, rate, grad_norm, l = rule(t, theta, g)
-        _check_finite(theta, t)
-        if rate:
-            teacher = (1.0 - rate) * teacher + rate * theta
-        if batched:
-            fb, pb = sampler.draw()
-        loss, div, g = _evaluate(cfg, spec, theta, teacher, fb, pb,
-                                 True, t < cfg.T)
-        traj.append(t, grad_norm, loss, div, l,
-                    None if teacher is None else linalg.norm(theta - teacher))
-        if callback is not None and callback(t, theta, teacher):
+    rows = [_Row(c, r, cb, theta) for c, r, cb in runs]
+    live, fb, pb = rows, d_f, d_pt
+    for t in itertools.count():
+        if t:
+            for r in live:
+                r.step(t)
+            live = [r for r in live if r.outcome is None]
+            if not live:
+                break
+            if batched:
+                fb, pb = sampler.draw()
+        loss, div, g = _evaluate(spec, live, fb, pb, True, (t > 0 or not batched)
+                                 and any(t < r.cfg.T for r in live))
+        live = [r for r, *e in zip(live, loss, div, g or [None] * len(live))
+                if not r.record(t, *e)]
+        if not live:
             break
-    traj.final_theta = theta.copy()
-    traj.final_teacher = None if teacher is None else teacher.copy()
-    return traj
+        if t == 0 and batched:
+            fb, pb = sampler.draw()
+            for r, g in zip(live, _evaluate(spec, live, fb, pb, False, True)[2]):
+                r.g = g
+    return [r.outcome for r in rows]
+
+
+def _solo(spec, theta0, d_f, d_pt, cfg, rule, callback):
+    """One run of the loop: its Trajectory, or its TrainingError raised."""
+    out, = _run(spec, theta0, d_f, d_pt, [(cfg, rule, callback)])
+    if isinstance(out, TrainingError):
+        raise out
+    return out
+
+
+def _rule(optimizer, cfg, adam_params=None):
+    """The update rule of an optimizer: "mt", "mt-batched",
+    "momentum-sgd" or "adamw"."""
+    if optimizer == "adamw":
+        return _AdamW(cfg, adam_params or AdamParams())
+    if optimizer not in ("mt", "mt-batched", "momentum-sgd"):
+        raise ValueError(f"unknown optimizer: {optimizer!r}")
+    return _ClippedVelocity(cfg, 0.0 if optimizer == "momentum-sgd" else cfg.kappa,
+                            batched=optimizer != "mt")
 
 
 def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None):
@@ -386,8 +504,7 @@ def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None):
     callback observes each step and can stop the run early as in
     mt_run_batched.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg,
-                _ClippedVelocity(cfg, cfg.kappa, batched=False), callback)
+    return _solo(spec, theta0, d_f, d_pt, cfg, _rule("mt", cfg), callback)
 
 
 def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
@@ -398,8 +515,7 @@ def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
     callback(t, theta, teacher), if given, is invoked after each recorded
     step; a truthy return stops the run early.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg,
-                _ClippedVelocity(cfg, cfg.kappa, batched=True), callback)
+    return _solo(spec, theta0, d_f, d_pt, cfg, _rule("mt-batched", cfg), callback)
 
 
 def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None, grad_lag=False):
@@ -411,8 +527,8 @@ def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None, grad_lag=False):
     It has no teacher: callback(t, theta, None) observes each iterate as
     in mt_run, and the divergence column is NaN.
     """
-    return _run(spec, theta0, d_f, d_pt, cfg,
-                _DampedNGD(spec, d_pt, cfg, grad_lag), callback)
+    return _solo(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg, grad_lag),
+                 callback)
 
 
 def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
@@ -501,10 +617,22 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
     callback(t, theta, teacher) observes and can stop either just as in
     that run.
     """
-    if kind == "momentum-sgd":
-        rule = _ClippedVelocity(cfg, 0.0, batched=True)
-    elif kind == "adamw":
-        rule = _AdamW(cfg, adam_params or AdamParams())
-    else:
+    if kind not in ("momentum-sgd", "adamw"):
         raise ValueError(f"unknown baseline kind: {kind!r}")
-    return _run(spec, theta0, d_f, d_pt, cfg, rule, callback)
+    return _solo(spec, theta0, d_f, d_pt, cfg, _rule(kind, cfg, adam_params),
+                 callback)
+
+
+def lockstep_runs(spec, theta0, d_f, d_pt, runs):
+    """Several runs from theta0 advanced in lockstep on one stack of
+    parameter vectors.  `runs` is a list of (optimizer, cfg, adam_params,
+    callback), with optimizer "mt", "mt-batched", "momentum-sgd" or
+    "adamw", adam_params used by "adamw" only (None for the defaults) and
+    callback as in mt_run_batched.  The runs must share full-batch or
+    batched mode and the loss, and batched runs the seed and batch sizes,
+    so that one draw per step serves all; anything else may differ.
+    Returns per run its Trajectory, or the TrainingError that ended it
+    (the other runs go on); each is bit for bit the run alone.
+    """
+    return _run(spec, theta0, d_f, d_pt,
+                [(cfg, _rule(opt, cfg, ap), cb) for opt, cfg, ap, cb in runs])

@@ -1,5 +1,8 @@
 """Shared numerical helpers for the test suite."""
 
+import json
+import os
+
 import numpy as np
 
 from mtunlearn import losses as L
@@ -95,6 +98,29 @@ def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and \
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def artifact_mismatches(d1, d2):
+    """How two output directories differ, as a list of messages (empty
+    when they agree): the same file names, every file byte-equal, and
+    manifest.json equal once its duration_s is dropped."""
+    names1, names2 = sorted(os.listdir(d1)), sorted(os.listdir(d2))
+    if names1 != names2:
+        return [f"file sets differ: {names1} against {names2}"]
+    bad = []
+    for name in names1:
+        with open(os.path.join(d1, name), "rb") as f1, \
+                open(os.path.join(d2, name), "rb") as f2:
+            b1, b2 = f1.read(), f2.read()
+        if name == "manifest.json":
+            m1, m2 = json.loads(b1), json.loads(b2)
+            m1.pop("duration_s")
+            m2.pop("duration_s")
+            if m1 != m2:
+                bad.append("manifest differs")
+        elif b1 != b2:
+            bad.append(f"{name} differs")
+    return bad
 
 
 def observed_run(run, spec, theta0, d_f, d_pt, cfg, **kw):

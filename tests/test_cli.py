@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from mtunlearn import artifacts as A
-from mtunlearn import cli
+from mtunlearn import cli, harness
 from mtunlearn import optimizer as O
 from mtunlearn.cli import main
 from mtunlearn.errors import TrainingError
+
+from conftest import artifact_mismatches
 
 
 @pytest.fixture(autouse=True)
@@ -140,6 +142,31 @@ class TestConfigErrors:
         path = write_cfg(tmp_path, {"mus": [0.0], "lams": [1.0], "T": 10})
         assert main(["verify", "lemma", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command,source", [
+        (["train-target"], "flag"), (["verify", "lemma"], "env"),
+        (["verify", "theorem1"], "flag"), (["unlearn"], "env")])
+    def test_negative_seed_exits_2_naming_its_source(
+            self, tmp_path, trained_dir, monkeypatch, capsys, command, source):
+        if command[0] == "train-target":
+            cfg = [write_cfg(tmp_path, target_cfg())]
+        elif command[0] == "unlearn":
+            ucfg = unlearn_cfg()
+            ucfg["target"] = os.path.join(trained_dir, "target.npy")
+            cfg = [write_cfg(tmp_path, ucfg)]
+        else:
+            cfg = []
+        args = command + cfg + ["--out", str(tmp_path)]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("MTUNLEARN_SEED", "-2")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        want = "--seed must be nonnegative, got -1" if source == "flag" \
+            else "MTUNLEARN_SEED must be nonnegative, got -2"
+        assert want in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "results.json")
+
     def test_duplicate_method_names(self, tmp_path, trained_dir):
         cfg = unlearn_cfg([mt_method("same"), mt_method("same", seed=43)])
         cfg["target"] = os.path.join(trained_dir, "target.npy")
@@ -258,6 +285,7 @@ def adamw_method(**adam):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 # (command, top-level config fields replaced, exit code, text in the message)
 SCHEMA_CASES = [
@@ -301,6 +329,22 @@ SCHEMA_CASES = [
                  2, "methods[0]", id="adam-on-mt-batched"),
     pytest.param("unlearn", {"methods": [adamw_method(lr=0.01)]}, 0, "",
                  id="valid-adamw"),
+    # Negative seeds, which numpy's generator would reject mid-run.
+    pytest.param("train-target", {"corpus": dict(target_cfg()["corpus"], seed=-1)},
+                 2, "seed must be nonnegative", id="corpus-negative-seed"),
+    pytest.param("train-target", {"train": dict(target_cfg()["train"], seed=-1)},
+                 2, "seed must be nonnegative", id="train-negative-seed"),
+    pytest.param("unlearn", {"methods": [mt_method(seed=-1)]}, 2,
+                 "seed must be nonnegative", id="mt-negative-seed"),
+    # Non-finite settings, which once ran (or blamed another field).
+    *[pytest.param("unlearn", {"methods": [adamw_method(**{field: INF})]}, 2,
+                   f"{field} must be", id=f"adam-infinite-{field}")
+      for field in ("lr", "eps", "weight_decay")],
+    pytest.param("unlearn", {"methods": [dict(
+        mt_method(), loss={"loss": "npo", "beta": INF})]}, 2,
+                 "beta must be finite", id="npo-infinite-beta"),
+    pytest.param("unlearn", {"methods": [mt_method(eta=INF, kappa=0.0)]}, 2,
+                 "eta must be positive and finite", id="mt-infinite-eta"),
     # Settings the library no longer has: the clip formula and the nlul
     # clamp are fixed, so the fields are unknown.
     pytest.param("unlearn", {"methods": [mt_method(clip_formula="alg2")]}, 2,
@@ -610,6 +654,44 @@ class TestUnlearn:
                          if f.startswith(("trajectory_", "unlearned_")))
         assert written == ["trajectory_split_round1.csv"]
 
+    def test_grouped_methods_write_what_they_write_alone(self, tmp_path,
+                                                         trained_dir,
+                                                         monkeypatch):
+        """Methods that draw the same batches run in one lockstep group,
+        one of them diverging: every artifact is byte-identical to the run
+        with each method alone, and the diverged row reports the same
+        status and steps."""
+        methods = [mt_method("kl", T=40),
+                   dict(mt_method("qkl", T=30, eta=0.03, alpha=0.3),
+                        divergence={"divergence": "qkl", "lambda": 0.2}),
+                   dict(mt_method("sgd", T=50, clip=0.0), optimizer="momentum-sgd"),
+                   adamw_method(lr=0.01),
+                   mt_method("explode", eta=1e160, kappa=0.0, mu=0.0, clip=0.0,
+                             T=20)]
+        cfg = unlearn_cfg(methods)
+        cfg["target"] = os.path.join(trained_dir, "target.npy")
+        path = write_cfg(tmp_path, cfg)
+        grouped, alone = str(tmp_path / "grouped"), str(tmp_path / "alone")
+        run, sizes = O.lockstep_runs, []
+
+        def counted(*args):
+            sizes.append(len(args[-1]))
+            return run(*args)
+
+        monkeypatch.setattr(O, "lockstep_runs", counted)
+        with np.errstate(all="ignore"):
+            assert main(["unlearn", path, "--out", grouped]) == 0
+            monkeypatch.setattr(harness, "_lockstep_groups",
+                                lambda ms: [[m] for m in ms])
+            assert main(["unlearn", path, "--out", alone]) == 0
+        assert sizes == [5]
+        assert artifact_mismatches(grouped, alone) == []
+        rows = {r["name"]: r for r in A.read_results_json(grouped)["rows"]}
+        assert rows["explode"]["status"].startswith("diverged: non-finite")
+        assert rows["explode"]["steps"] == 0
+        assert [rows[n]["steps"] for n in ("kl", "qkl", "sgd", "adamw")] == \
+            [40, 30, 50, 80]
+
     def test_jsonl_data_sections_resolve_against_out(self, tmp_path,
                                                      trained_dir):
         out = str(tmp_path)
@@ -675,3 +757,19 @@ class TestVerifyAndReport:
             a = open(os.path.join(out1, fname), "rb").read()
             b = open(os.path.join(out2, fname), "rb").read()
             assert a == b, fname
+
+
+def test_heap_trim_threshold_is_set_where_the_c_library_has_mallopt(monkeypatch):
+    calls = []
+
+    class Glibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Glibc())
+    cli._keep_freed_heap()
+    assert calls == [(-1, 64 << 20)]
+    # Elsewhere nothing is set, and nothing fails.
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._keep_freed_heap()

@@ -558,6 +558,59 @@ class TestUnlearnExperiment:
         assert "explode" not in result["thetas"]
 
 
+def solo_groups(monkeypatch):
+    """Run every method of an unlearn experiment alone."""
+    monkeypatch.setattr(Hn, "_lockstep_groups", lambda methods: [[m] for m in methods])
+
+
+class TestLockstepGroups:
+    def test_methods_that_draw_the_same_batches_share_a_group(self):
+        qkl = Dv.DivergenceKind("qkl", 0.1)
+        methods = [
+            Hn.MethodSpec("a", "mt-batched", quick_config()),
+            Hn.MethodSpec("seed", "mt-batched", quick_config(seed=43)),
+            Hn.MethodSpec("b", "adamw", quick_config(eta=0.01, T=30, alpha=0.2)),
+            Hn.MethodSpec("rounds", "mt-batched", quick_config(), rounds=2),
+            Hn.MethodSpec("full", "mt", quick_config()),
+            Hn.MethodSpec("skip", "noop"),
+            Hn.MethodSpec("c", "momentum-sgd", quick_config(divergence=qkl, clip=0.0)),
+            Hn.MethodSpec("batch", "mt-batched", quick_config(batch_forget=4)),
+            Hn.MethodSpec("loss", "mt-batched", quick_config(loss=L.LossKind("ll"))),
+            Hn.MethodSpec("seed2", "adamw", quick_config(seed=43)),
+        ]
+        assert [[m.name for m in g] for g in Hn._lockstep_groups(methods)] == [
+            ["a", "b", "c"], ["seed", "seed2"], ["rounds"], ["full"], ["skip"],
+            ["batch"], ["loss"]]
+
+    def test_a_stop_rule_retires_group_rows_at_different_steps(
+            self, bigram_testbed, monkeypatch):
+        """Each row of a group stops at its own step (or at T), and the
+        experiment equals the one running every method alone."""
+        s = bigram_testbed
+        methods = [
+            Hn.MethodSpec("fast", "mt-batched", quick_config(eta=0.2, kappa=0.2, T=150)),
+            Hn.MethodSpec("slow", "mt-batched", quick_config(
+                T=150, divergence=Dv.DivergenceKind("qkl", 0.1))),
+            Hn.MethodSpec("sgd", "momentum-sgd", quick_config(T=150)),
+            Hn.MethodSpec("adamw", "adamw", quick_config(T=150),
+                          adam=O.AdamParams(lr=0.05))]
+        rule = Hn.StopRule("nll_forget", 0.1, "geq", check_every=5)
+        assert len(Hn._lockstep_groups(methods)) == 1
+        grouped = Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt,
+                                        methods, stop_rule=rule)
+        solo_groups(monkeypatch)
+        alone = Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt,
+                                      methods, stop_rule=rule)
+        assert [r["steps"] for r in grouped["rows"]] == [60, 140, 150, 150]
+        assert grouped["rows"] == alone["rows"]
+        for m in methods:
+            assert grouped["thetas"][m.name].tobytes() == \
+                alone["thetas"][m.name].tobytes()
+            (a,), (b,) = grouped["trajectories"][m.name], alone["trajectories"][m.name]
+            assert (a.loss_values, a.divergence_values, a.gaps) == \
+                (b.loss_values, b.divergence_values, b.gaps)
+
+
 class TestRenderTables:
     def test_lemma_and_quadratic_tables(self, tmp_path):
         out = str(tmp_path)

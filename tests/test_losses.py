@@ -185,6 +185,18 @@ class TestBatchInterface:
                 with pytest.raises(ValueError, match="npo_pairs"):
                     fn(L.LossKind("npo"), spec, np.zeros(25), batch)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_npo_base_values_must_match_the_sequences(self, n):
+        """One base value per sequence: a one-entry array would broadcast
+        over a 3-sequence batch, and a two-entry one would not broadcast."""
+        spec = bigram_spec()
+        pairs = L.npo_pairs(spec, [[0, 1, 2], [3, 4], [1, 3, 0, 2]], np.zeros(25))
+        bad = M.TokenDataset(pairs.contexts, pairs.nexts, pairs.sequences,
+                             pairs.base_logprob[:n])
+        for fn in (L.batch_loss, L.batch_grad, L.batch_value_and_grad):
+            with pytest.raises(ValueError, match="base_logprob.*npo_pairs"):
+                fn(L.LossKind("npo"), spec, np.zeros(25), bad)
+
     def test_npo_requires_sequences(self):
         spec = bigram_spec()
         rows_only = random_batch(np.random.default_rng(51), spec)

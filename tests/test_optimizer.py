@@ -803,3 +803,142 @@ class TestLockstep:
             with pytest.raises(TrainingError) as lockstep:
                 O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [cfg])
         assert str(lockstep.value) == str(run.value)
+
+
+# A lockstep group: one draw stream (seed, batch sizes, loss), with every
+# other setting different per row.
+GROUP = [
+    ("mt-batched", dict(T=7)),
+    ("mt-batched", dict(T=5, eta=0.03, alpha=0.3, kappa=0.5, clip=0.2,
+                        divergence=Dv.DivergenceKind("qkl", 0.3))),
+    ("momentum-sgd", dict(T=4, eta=0.04, mu=0.5, clip=0.0)),
+    ("adamw", dict(T=6, alpha=0.8, divergence=Dv.DivergenceKind("kl", 0.1))),
+]
+GROUP_ADAM = O.AdamParams(lr=0.01)
+
+
+def group_configs(loss, **shared):
+    return [base_config(**dict(loss=loss, clip=0.5, batch_forget=3,
+                               batch_pretrain=4, seed=21) | kw | shared)
+            for _, kw in GROUP]
+
+
+def solo_run(opt, spec, theta0, d_f, d_pt, cfg, **kw):
+    if opt == "adamw":
+        kw["adam_params"] = GROUP_ADAM
+    return RUNS[opt](spec, theta0, d_f, d_pt, cfg, **kw)
+
+
+def lockstep_group(spec, theta0, d_f, d_pt, cfgs, callbacks=None):
+    callbacks = callbacks or [None] * len(cfgs)
+    return O.lockstep_runs(spec, theta0, d_f, d_pt, [
+        (opt, cfg, GROUP_ADAM if opt == "adamw" else None, cb)
+        for (opt, _), cfg, cb in zip(GROUP, cfgs, callbacks)])
+
+
+def recorder():
+    """A callback keeping every (theta, teacher) it is given, as given and
+    as copied at the call."""
+    kept, copies = [], []
+
+    def callback(t, theta, teacher):
+        kept.append((theta, teacher))
+        copies.append((theta.copy(), teacher.copy()))
+    return callback, kept, copies
+
+
+TRAJECTORY_COLUMNS = ("ts", "grad_norms", "loss_values", "divergence_values",
+                      "clip_scales", "gaps")
+
+
+class TestLockstepRuns:
+    """lockstep_runs advances runs that share a batch stream on one stack;
+    each row is bit for bit its run alone."""
+
+    @pytest.mark.parametrize("loss", [L.LossKind("nlul"), L.LossKind("npo", beta=0.5)],
+                             ids=["nlul", "npo"])
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_rows_are_their_solo_runs(self, kind, loss):
+        spec = SPECS[kind]
+        d_f, d_pt = sequence_data(spec, 5)
+        theta0 = M.init_params(spec, 3)
+        cfgs = group_configs(loss)
+        solos = [observed_run(functools.partial(solo_run, opt), spec, theta0,
+                              d_f, d_pt, cfg) for (opt, _), cfg in zip(GROUP, cfgs)]
+        recorders = [recorder() for _ in GROUP]
+        trajs = lockstep_group(spec, theta0, d_f, d_pt, cfgs,
+                               [cb for cb, _, _ in recorders])
+        for traj, (solo, thetas, teachers), (_, kept, copies), cfg in zip(
+                trajs, solos, recorders, cfgs):
+            assert len(traj) == cfg.T + 1
+            for name in TRAJECTORY_COLUMNS:
+                assert same_bits(getattr(traj, name), getattr(solo, name)), name
+            assert same_bits(traj.final_theta, solo.final_theta)
+            assert same_bits(traj.final_teacher, solo.final_teacher)
+            assert all(same_bits(a, b) and same_bits(c, d) for (a, c), b, d in
+                       zip(copies, thetas[1:], teachers[1:]))
+            # The loop never writes into an array it gave a callback.
+            assert all(same_bits(a, b) and same_bits(c, d)
+                       for (a, c), (b, d) in zip(kept, copies))
+
+    def test_a_diverging_row_leaves_alone(self):
+        """A row driven non-finite ends with its solo run's error; its
+        group-mates are still their solo runs."""
+        spec = SPECS["mlp"]
+        d_f, d_pt = sequence_data(spec, 5)
+        theta0 = M.init_params(spec, 3)
+        cfgs = group_configs(L.LossKind("nlul"))
+        cfgs[1] = dataclasses.replace(cfgs[1], eta=1e160, kappa=0.0, mu=0.0,
+                                      clip=0.0)
+        with np.errstate(all="ignore"):
+            outs = lockstep_group(spec, theta0, d_f, d_pt, cfgs)
+            with pytest.raises(TrainingError) as solo:
+                solo_run(GROUP[1][0], spec, theta0, d_f, d_pt, cfgs[1])
+        assert isinstance(outs[1], TrainingError)
+        assert str(outs[1]) == str(solo.value)
+        for i in (0, 2, 3):
+            alone = solo_run(GROUP[i][0], spec, theta0, d_f, d_pt, cfgs[i])
+            assert same_bits(outs[i].final_theta, alone.final_theta)
+            assert same_bits(outs[i].loss_values, alone.loss_values)
+
+    def test_callbacks_retire_rows_at_different_steps(self):
+        spec = SPECS["mlp"]
+        d_f, d_pt = sequence_data(spec, 5)
+        theta0 = M.init_params(spec, 3)
+        cfgs = group_configs(L.LossKind("nlul"), T=7)
+        stops = (2, 6, 1, 4)
+
+        def stop_at(n):
+            return lambda t, theta, teacher: t == n
+
+        trajs = lockstep_group(spec, theta0, d_f, d_pt, cfgs,
+                               [stop_at(n) for n in stops])
+        for (opt, _), cfg, n, traj in zip(GROUP, cfgs, stops, trajs):
+            alone = solo_run(opt, spec, theta0, d_f, d_pt, cfg,
+                             callback=stop_at(n))
+            assert traj.ts == list(range(n + 1))
+            for name in TRAJECTORY_COLUMNS:
+                assert same_bits(getattr(traj, name), getattr(alone, name))
+            assert same_bits(traj.final_theta, alone.final_theta)
+
+    def test_runs_must_share_their_data(self):
+        spec = SPECS["bigram"]
+        d_f, d_pt = sequence_data(spec, 5)
+        theta0 = M.init_params(spec, 3)
+        cfg = base_config(batch_forget=3, batch_pretrain=3, seed=4)
+        for kw, field in ((dict(seed=5), "seed"), (dict(batch_forget=2), "batch_forget"),
+                          (dict(batch_pretrain=2), "batch_pretrain"),
+                          (dict(loss=L.LossKind("nlul")), "loss")):
+            with pytest.raises(ValueError, match=f"differ in {field};"):
+                O.lockstep_runs(spec, theta0, d_f, d_pt, [
+                    ("mt-batched", cfg, None, None),
+                    ("adamw", dataclasses.replace(cfg, **kw), None, None)])
+        with pytest.raises(ValueError, match="mix batched and full-batch"):
+            O.lockstep_runs(spec, theta0, d_f, d_pt, [
+                ("mt-batched", cfg, None, None), ("mt", cfg, None, None)])
+        # Full-batch runs draw nothing, so only the loss must agree.
+        mt = [dataclasses.replace(cfg, seed=s, eta=e) for s, e in ((1, 0.05), (2, 0.02))]
+        for traj, c in zip(O.lockstep_runs(spec, theta0, d_f, d_pt,
+                                           [("mt", c, None, None) for c in mt]), mt):
+            assert same_bits(traj.final_theta,
+                             O.mt_run(spec, theta0, d_f, d_pt, c).final_theta)
