@@ -20,7 +20,8 @@ reproducible bit for bit.  Four checks are provided:
                               unlearning losses at a memorized point.
 
 plus `unlearn_experiment`, which runs full unlearning methods against a
-memorized target and reports memorization and collateral-damage metrics.
+memorized target (methods that draw the same batches in one lockstep
+loop) and reports memorization and collateral-damage metrics.
 """
 
 import warnings
