@@ -20,8 +20,10 @@ reproducible bit for bit.  Four checks are provided:
                               unlearning losses at a memorized point.
 
 plus `unlearn_experiment`, which runs full unlearning methods against a
-memorized target (methods that draw the same batches in one lockstep
-loop) and reports memorization and collateral-damage metrics.
+memorized target and reports memorization and collateral-damage
+metrics.  The dynamics study and the unlearning experiment hand their
+runs to optimizer.lockstep_runs, which advances the runs that draw the
+same data in lockstep.
 """
 
 import warnings
@@ -592,6 +594,8 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
         kinds = {tag: Lmod.LossKind(tag, beta=beta) for tag in loss_tags}
     except ValueError as exc:
         raise ConfigError(f"invalid loss_tags or beta: {exc}") from exc
+    if len(kinds) != len(loss_tags):
+        raise ConfigError(f"loss_tags repeats a loss: {list(loss_tags)}")
     if setup is None:
         setup = default_dynamics_setup()
     spec, theta0 = setup.spec, setup.theta0
@@ -606,35 +610,17 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
             f"target is not saturated on the forget set: min p_y = "
             f"{min_p:.4f} < {saturation_min}; train the target longer")
 
-    nll0 = Lmod.batch_loss(_NLL, spec, theta0, d_f)
-    # Each loss's gradient is observed on the forget set; npo's carries the
-    # base log-probabilities, computed once since theta0 is fixed.
-    observed = {tag: Lmod.npo_pairs(spec, d_f, theta0) if tag == "npo" else d_f
-                for tag in loss_tags}
-    # The imitation loss also reports its value, the KL to its teacher, on
-    # the same forget set: one value-and-gradient call gives both.
-    kl0, grad_norm0 = None, {}
-    for tag in loss_tags:
+    def observer(tag):
+        """Start tag's series with its row 0 at theta0 and return the run
+        callback that appends a row per step.  The loss gradient is taken
+        on the forget set, npo's carrying base log-probabilities computed
+        once (theta0 is fixed); for it one value-and-gradient call also
+        gives the KL to the teacher."""
+        kind = kinds[tag]
+        forget = Lmod.npo_pairs(spec, d_f, theta0) if tag == "npo" else d_f
+        entry = series[tag] = {"t": [], "nll_forget": [], "loss_grad_norm": []}
         if tag == "it":
-            kl0, g = Lmod.batch_value_and_grad(kinds[tag], spec, theta0,
-                                               observed[tag])
-        else:
-            g = Lmod.batch_grad(kinds[tag], spec, theta0, observed[tag])
-        grad_norm0[tag] = linalg.norm(g)
-    ratios = {}
-    if "nlul" in grad_norm0:
-        for other in ("ll", "npo", "it"):
-            if other in grad_norm0 and grad_norm0[other] > 0:
-                ratios[f"nlul_over_{other}"] = grad_norm0["nlul"] / grad_norm0[other]
-
-    series, delta_nll = {}, {}
-    for tag in loss_tags:
-        kind, forget = kinds[tag], observed[tag]
-        # Row 0 is theta0, where nll0 and grad_norm0 were just computed.
-        entry = {"t": [0], "nll_forget": [nll0],
-                 "loss_grad_norm": [grad_norm0[tag]]}
-        if tag == "it":
-            entry["kl_to_teacher"] = [kl0]
+            entry["kl_to_teacher"] = []
 
         def observe(t, th, teacher):
             entry["t"].append(t)
@@ -645,12 +631,25 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
             else:
                 g = Lmod.batch_grad(kind, spec, th, forget)
             entry["loss_grad_norm"].append(linalg.norm(g))
+        observe(0, theta0, None)
+        return observe
 
-        O.mt_run_batched(spec, theta0, d_f, d_pt,
-                         replace(setup.base_cfg, loss=kind),
-                         callback=observe)
-        series[tag] = entry
-        delta_nll[tag] = entry["nll_forget"][-1] - nll0
+    series = {}
+    runs = [("mt-batched", replace(setup.base_cfg, loss=kinds[tag]), None,
+             observer(tag)) for tag in loss_tags]
+    nll0 = series[loss_tags[0]]["nll_forget"][0]
+    grad_norm0 = {tag: series[tag]["loss_grad_norm"][0] for tag in loss_tags}
+    ratios = {}
+    if "nlul" in grad_norm0:
+        for other in ("ll", "npo", "it"):
+            if other in grad_norm0 and grad_norm0[other] > 0:
+                ratios[f"nlul_over_{other}"] = grad_norm0["nlul"] / grad_norm0[other]
+    # The runs draw one batch stream (npo its own, of whole sequences), so
+    # they advance in lockstep; the first run that diverged is raised.
+    for out in O.lockstep_runs(spec, theta0, d_f, d_pt, runs):
+        if isinstance(out, TrainingError):
+            raise out
+    delta_nll = {tag: series[tag]["nll_forget"][-1] - nll0 for tag in loss_tags}
 
     passed = None
     if "nlul" in loss_tags and "ll" in loss_tags:
@@ -737,66 +736,16 @@ def _stop_callback(stop_rule, spec, d_f, d_pt):
     return callback
 
 
-def _batch_stream(method):
-    """What fixes a single-round batched method's batches: its loss, seed
-    and batch sizes (None for any other method)."""
-    c = method.config
-    if method.rounds != 1 or method.optimizer in ("mt", "noop"):
-        return None
-    return c.loss, c.seed, c.batch_forget, c.batch_pretrain
-
-
-def _lockstep_groups(methods):
-    """The methods in run groups, in order of first member: methods with
-    equal _batch_stream draw the same batches and share a group; every
-    other method is a group of its own."""
-    groups = []
-    for m in methods:
-        key = _batch_stream(m)
-        for g in groups:
-            if key is not None and key == _batch_stream(g[0]):
-                g.append(m)
-                break
-        else:
-            groups.append([m])
-    return groups
-
-
-def _run_group(group, spec, theta, d_f, d_pt, stop_rule):
-    """{name: (trajectories of the completed rounds, the TrainingError that
-    ended the next round or None)} of a group.  Several methods run in one
-    lockstep call; a single method runs its rounds one after another, each
-    on its own part of the forget sequences."""
-    if len(group) > 1:
-        d_f1 = M.dataset_from_sequences(d_f.sequences, spec.context_len)
-        callback = _stop_callback(stop_rule, spec, d_f1, d_pt)
-        outs = O.lockstep_runs(spec, theta, d_f1, d_pt,
-                               [(m.optimizer, m.config, m.adam, callback)
-                                for m in group])
-        return {m.name: ([], out) if isinstance(out, TrainingError)
-                else ([out], None) for m, out in zip(group, outs)}
-    (method,), trajectories = group, []
-    rounds = np.array_split(np.arange(len(d_f.sequences)), method.rounds)
-    for k, idx in enumerate(rounds if method.optimizer != "noop" else ()):
-        d_fk = M.dataset_from_sequences([d_f.sequences[i] for i in idx],
-                                        spec.context_len)
-        cfg = replace(method.config, seed=method.config.seed + k)
-        callback = _stop_callback(stop_rule, spec, d_fk, d_pt)
-        try:
-            if method.optimizer == "mt":
-                traj = O.mt_run(spec, theta, d_fk, d_pt, cfg, callback=callback)
-            elif method.optimizer == "mt-batched":
-                traj = O.mt_run_batched(spec, theta, d_fk, d_pt, cfg,
-                                        callback=callback)
-            else:
-                traj = O.baseline_run(method.optimizer, spec, theta, d_fk, d_pt,
-                                      cfg, adam_params=method.adam,
-                                      callback=callback)
-        except TrainingError as exc:
-            return {method.name: (trajectories, exc)}
-        trajectories.append(traj)
-        theta = traj.final_theta
-    return {method.name: (trajectories, None)}
+def _run_round(methods, k, idx, spec, theta, d_f, d_pt, stop_rule):
+    """Round k of the methods, on the forget sequences idx and from theta,
+    in one lockstep_runs call: per method its Trajectory or the
+    TrainingError that ended it."""
+    d_fk = M.dataset_from_sequences([d_f.sequences[i] for i in idx],
+                                    spec.context_len)
+    callback = _stop_callback(stop_rule, spec, d_fk, d_pt)
+    return O.lockstep_runs(spec, theta, d_fk, d_pt, [
+        (m.optimizer, replace(m.config, seed=m.config.seed + k), m.adam, callback)
+        for m in methods])
 
 
 def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
@@ -809,29 +758,45 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
     round trajectories}.  drift is the increase in pretrain NLL.  A
     method whose run diverges is reported as a failed row rather than
     aborting the experiment.  Methods need unique names, and at most one
-    round per forget sequence.  Single-round batched methods that draw
-    the same batches (_lockstep_groups) run in one lockstep call
-    (optimizer.lockstep_runs), each bit for bit as it runs alone.
+    round per forget sequence.  Every single-round method runs in one
+    optimizer.lockstep_runs call, which advances the methods that draw the
+    same data in lockstep; a multi-round method makes one call per round,
+    each on its own part of the forget sequences and from the previous
+    round's parameters.  Each method is bit for bit its run alone.
     """
     if not methods:
         raise ConfigError("methods must list at least one method")
-    names = [m.name for m in methods]
+    names, n = [m.name for m in methods], len(d_f.sequences)
     for i, m in enumerate(methods):
         if names.index(m.name) != i:
             raise ConfigError(f"methods[{i}] repeats the method name {m.name!r}")
-        if m.rounds > len(d_f.sequences):
+        if m.rounds > n:
             raise ConfigError(f"field 'rounds' of methods[{i}] is {m.rounds}, "
-                              f"above the {len(d_f.sequences)} forget "
-                              f"sequences (each round needs at least one)")
+                              f"above the {n} forget sequences (each round "
+                              f"needs at least one)")
     before = memorization_report(spec, theta_target, (d_f, d_pt),
                                  prompt_len, completion_len)
-    outcomes = {}
-    for group in _lockstep_groups(methods):
-        outcomes.update(_run_group(group, spec, theta_target, d_f, d_pt,
-                                   stop_rule))
+    # Per method: the outcomes of its rounds, up to the first TrainingError.
+    outcomes = {m.name: [] for m in methods}
+    single = [m for m in methods if m.rounds == 1 and m.optimizer != "noop"]
+    if single:
+        for m, out in zip(single, _run_round(single, 0, range(n), spec, theta_target,
+                                             d_f, d_pt, stop_rule)):
+            outcomes[m.name].append(out)
+    for m in methods:
+        theta = theta_target
+        for k, idx in enumerate(np.array_split(np.arange(n), m.rounds)
+                                if m.rounds > 1 and m.optimizer != "noop" else ()):
+            out, = _run_round([m], k, idx, spec, theta, d_f, d_pt, stop_rule)
+            outcomes[m.name].append(out)
+            if isinstance(out, TrainingError):
+                break
+            theta = out.final_theta
     rows, thetas, trajectories = [], {}, {}
     for method in methods:
-        done, error = outcomes[method.name]
+        done = [o for o in outcomes[method.name] if not isinstance(o, TrainingError)]
+        error = None if len(done) == len(outcomes[method.name]) \
+            else outcomes[method.name][-1]
         trajectories[method.name] = done
         status = "ok" if error is None else f"diverged: {error}"
         if error is None:

@@ -360,8 +360,14 @@ def logit_jvp(spec, theta, data, v):
 def _exp_rows(H):
     """Z = h - max h, E = exp(Z) and S = sum_j E_j (kept as a column) per
     row, over the last axis of H: the one exp pass behind every
-    softmax-based row quantity."""
-    Z = H - H.max(axis=-1, keepdims=True)
+    softmax-based row quantity.  The row max is taken down the columns of
+    a contiguous transposed copy, which numpy reduces faster than along
+    short rows; max is exact, so only the sign of a max that ties +0.0
+    with -0.0 can differ, and Z - log S, the only use of Z, then does not
+    (such a row has S >= 2)."""
+    V = H.shape[-1]
+    m = np.ascontiguousarray(H.reshape(-1, V).T).max(axis=0)
+    Z = H - m.reshape(H.shape[:-1] + (1,))
     E = np.exp(Z)
     return Z, E, E.sum(axis=-1, keepdims=True)
 

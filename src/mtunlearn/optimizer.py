@@ -32,12 +32,13 @@ where grad L is evaluated at theta_t by default and at theta_{t-1} with
 ngd_run's grad_lag.
 
 Every run goes through one loop (_run), which advances a list of runs
-that see the same data in lockstep on one stack of parameter vectors:
+that draw the same data in lockstep on one stack of parameter vectors:
 mt_run, mt_run_batched, ngd_run and baseline_run give it one run, and
-lockstep_runs several that share a batch stream, each bit for bit the
-run alone.  mt_ngd_deviations runs many unclipped full-batch
-mean-teacher runs and their references in lockstep, bit for bit mt_run
-and ngd_run, and returns only the largest gap between them.
+lockstep_runs any list of runs, partitioned by the data they draw (the
+one lockstep rule), each bit for bit the run alone.
+mt_ngd_deviations runs many unclipped full-batch mean-teacher runs and
+their references in lockstep, bit for bit mt_run and ngd_run, and
+returns only the largest gap between them.
 """
 
 import itertools
@@ -163,35 +164,51 @@ def _split(x, n):
     return [x] if n == 1 else list(x)
 
 
-def _evaluate(spec, rows, fb, pb, value, grad):
+def _plan(rows):
+    """The kernel calls that evaluate these rows: per distinct loss kind
+    the kind, its rows' indices and whether any of them needs the loss
+    gradient; per distinct divergence kind of the rows with a teacher the
+    kind and its rows' indices.  A LossKind holds its teacher's arrays and
+    cannot key a dict, so a row's loss is keyed by the first equal one."""
+    kinds = [r.cfg.loss for r in rows]
+    by_loss, by_div = {}, {}
+    for i, r in enumerate(rows):
+        by_loss.setdefault(kinds.index(r.cfg.loss), []).append(i)
+        if r.teacher is not None:
+            by_div.setdefault(r.cfg.divergence, []).append(i)
+    return ([(rows[idx[0]].cfg.loss, idx,
+              any(rows[i].teacher is None or rows[i].cfg.alpha != 0.0 for i in idx))
+             for idx in by_loss.values()], list(by_div.items()))
+
+
+def _evaluate(spec, rows, plan, fb, pb, value, grad):
     """(loss values, damped divergence values, objective gradients) of the
     runs `rows` at their iterates, one list entry per run; a part not
     asked for is None, and value-and-gradient takes one forward pass per
     argument.  A run's objective is alpha L(theta) + D_lam(theta,
     teacher); without a teacher it is L alone and the divergence is NaN.
-    One stacked loss call serves every run and one stacked divergence call
-    each distinct divergence kind, so every run's results are bit for bit
-    those of a call with that run alone."""
+    Following _plan(rows), one stacked loss call serves each distinct loss
+    kind and one stacked divergence call each distinct divergence kind, so
+    every run's results are bit for bit those of a call with that run
+    alone."""
     n = len(rows)
-    loss = div = g = None
-    kind = rows[0].cfg.loss
+    loss, div, g = [None] * n, [float("nan")] * n, [None] * n
     th = _stack([r.theta for r in rows])
-    loss_grad = grad and any(r.teacher is None or r.cfg.alpha != 0.0 for r in rows)
-    if value and loss_grad:
-        loss, g = Lmod.batch_value_and_grad(kind, spec, th, fb)
-    elif loss_grad:
-        g = Lmod.batch_grad(kind, spec, th, fb)
-    elif value:
-        loss = Lmod.batch_loss(kind, spec, th, fb)
-    if value:
-        loss, div = _split(loss, n), [float("nan")] * n
-    if grad:
-        g = _split(g, n)
-    kinds = {}
-    for i, r in enumerate(rows):
-        if r.teacher is not None:
-            kinds.setdefault(r.cfg.divergence, []).append(i)
-    for dk, idx in kinds.items():
+    losses, divergences = plan
+    for kind, idx, loss_grad in losses:
+        m = len(idx)
+        th_k = th if m == n else _stack([rows[i].theta for i in idx])
+        v = gl = None
+        if grad and loss_grad:
+            if value:
+                v, gl = Lmod.batch_value_and_grad(kind, spec, th_k, fb)
+            else:
+                gl = Lmod.batch_grad(kind, spec, th_k, fb)
+        elif value:
+            v = Lmod.batch_loss(kind, spec, th_k, fb)
+        for i, vi, gi in zip(idx, _split(v, m), _split(gl, m)):
+            loss[i], g[i] = vi, gi
+    for dk, idx in divergences:
         m = len(idx)
         th_k = th if m == n else _stack([rows[i].theta for i in idx])
         te_k = _stack([rows[i].teacher for i in idx])
@@ -203,8 +220,7 @@ def _evaluate(spec, rows, fb, pb, value, grad):
         else:
             v = Dmod.damped_value(dk, spec, th_k, te_k, pb)
         for i, vi, gi in zip(idx, _split(v, m), _split(gd, m)):
-            if value:
-                div[i] = vi
+            div[i] = vi
             if grad:
                 a = rows[i].cfg.alpha
                 g[i] = gi if a == 0.0 else gi + a * g[i]
@@ -431,9 +447,8 @@ def _run(spec, theta0, d_f, d_pt, runs):
     one); the loop never writes into either array, so a callback may keep
     them.  A truthy return stops the run early.
 
-    The runs share the rule's batched mode and the loss, and batched runs
-    the seed and batch sizes, so that they see the same data: one draw per
-    step serves all.  Each step evaluates the live runs together (see
+    The runs draw the same data (see lockstep_runs), so one draw per step
+    serves all.  Each step evaluates the live runs together (see
     _evaluate), then takes each run's update rule, finiteness check,
     teacher update, record and callback on that run alone, so every run is
     bit for bit the run alone.  A run leaves when its T ends, its callback
@@ -441,21 +456,20 @@ def _run(spec, theta0, d_f, d_pt, runs):
     """
     cfg, rule, _ = runs[0]
     batched = rule.batched
-    shared = ("loss", "seed", "batch_forget", "batch_pretrain") if batched \
-        else ("loss",)
-    for c, r, _ in runs[1:]:
-        if r.batched != batched:
-            raise ValueError("runs mix batched and full-batch update rules")
-        for name in shared:
-            if getattr(c, name) != getattr(cfg, name):
-                raise ValueError(f"runs differ in {name}; lockstep runs share "
-                                 f"their data")
     theta = np.asarray(theta0, dtype=float).copy()
     if cfg.loss.tag == "npo":
         d_f = Lmod.npo_pairs(spec, d_f, theta)
     sampler = _BatchSampler(spec, cfg, d_f, d_pt) if batched else None
     rows = [_Row(c, r, cb, theta) for c, r, cb in runs]
-    live, fb, pb = rows, d_f, d_pt
+    live, fb, pb, plans = rows, d_f, d_pt, {}
+
+    def evaluate(value, grad):
+        """_evaluate on the live rows and the current batches, planned once
+        per live set: rows only leave, so their number names the set."""
+        if len(live) not in plans:
+            plans[len(live)] = _plan(live)
+        return _evaluate(spec, live, plans[len(live)], fb, pb, value, grad)
+
     for t in itertools.count():
         if t:
             for r in live:
@@ -465,15 +479,14 @@ def _run(spec, theta0, d_f, d_pt, runs):
                 break
             if batched:
                 fb, pb = sampler.draw()
-        loss, div, g = _evaluate(spec, live, fb, pb, True, (t > 0 or not batched)
-                                 and any(t < r.cfg.T for r in live))
-        live = [r for r, *e in zip(live, loss, div, g or [None] * len(live))
-                if not r.record(t, *e)]
+        loss, div, g = evaluate(True, (t > 0 or not batched)
+                                and any(t < r.cfg.T for r in live))
+        live = [r for r, *e in zip(live, loss, div, g) if not r.record(t, *e)]
         if not live:
             break
         if t == 0 and batched:
             fb, pb = sampler.draw()
-            for r, g in zip(live, _evaluate(spec, live, fb, pb, False, True)[2]):
+            for r, g in zip(live, evaluate(False, True)[2]):
                 r.g = g
     return [r.outcome for r in rows]
 
@@ -624,15 +637,28 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
 
 
 def lockstep_runs(spec, theta0, d_f, d_pt, runs):
-    """Several runs from theta0 advanced in lockstep on one stack of
-    parameter vectors.  `runs` is a list of (optimizer, cfg, adam_params,
-    callback), with optimizer "mt", "mt-batched", "momentum-sgd" or
-    "adamw", adam_params used by "adamw" only (None for the defaults) and
-    callback as in mt_run_batched.  The runs must share full-batch or
-    batched mode and the loss, and batched runs the seed and batch sizes,
-    so that one draw per step serves all; anything else may differ.
-    Returns per run its Trajectory, or the TrainingError that ended it
-    (the other runs go on); each is bit for bit the run alone.
+    """Any number of runs from theta0, those that draw the same data
+    advanced in lockstep on one stack of parameter vectors.  `runs` is a
+    list of (optimizer, cfg, adam_params, callback), with optimizer "mt",
+    "mt-batched", "momentum-sgd" or "adamw", adam_params used by "adamw"
+    only (None for the defaults) and callback as in mt_run_batched.
+
+    The runs are partitioned by the data they draw, which is what
+    _BatchSampler and _run's npo expansion read: full batch or batched,
+    npo's sequence set or the plain forget set, and for batched runs the
+    seed and both batch sizes.  Each partition is one loop (_run);
+    within it losses, divergences, update rules and every other setting
+    may differ.  Returns per run, in input order, its Trajectory or the
+    TrainingError that ended it (the other runs go on); each is bit for
+    bit the run alone.
     """
-    return _run(spec, theta0, d_f, d_pt,
-                [(cfg, _rule(opt, cfg, ap), cb) for opt, cfg, ap, cb in runs])
+    rows = [(cfg, _rule(opt, cfg, ap), cb) for opt, cfg, ap, cb in runs]
+    parts = {}
+    for i, (c, rule, _) in enumerate(rows):
+        draws = (c.seed, c.batch_forget, c.batch_pretrain) if rule.batched else ()
+        parts.setdefault((rule.batched, c.loss.tag == "npo") + draws, []).append(i)
+    out = [None] * len(rows)
+    for idx in parts.values():
+        for i, o in zip(idx, _run(spec, theta0, d_f, d_pt, [rows[i] for i in idx])):
+            out[i] = o
+    return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtunlearn import artifacts as A
-from mtunlearn import cli, harness
+from mtunlearn import cli
 from mtunlearn import optimizer as O
 from mtunlearn.cli import main
 from mtunlearn.errors import TrainingError
@@ -128,6 +128,9 @@ class TestConfigErrors:
         # alpha = 1 once ran every trajectory and then died in np.polyfit.
         ("theorem1", {"alphas": [1.0, 0.5], "t_gamma": 0.01}, "alphas must be"),
         ("theorem1", {"alphas": [0.1, 0.1]}, "alphas must be a strictly"),
+        # A repeated loss would run twice and be reported once.
+        ("dynamics", {"loss_tags": ["ll", "nlul", "ll"], "target_epochs": 1},
+         "loss_tags repeats a loss"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):
@@ -634,15 +637,15 @@ class TestUnlearn:
                                                      trained_dir, monkeypatch):
         """A 2-round method whose second round diverges writes its first
         round's trajectory as _round1, and no parameters."""
-        run, calls = O.mt_run_batched, []
+        run, calls = O.lockstep_runs, []
 
-        def diverge_in_round_two(*args, **kw):
+        def diverge_in_round_two(*args):
             calls.append(1)
             if len(calls) == 2:
-                raise TrainingError("non-finite parameters at step 1")
-            return run(*args, **kw)
+                return [TrainingError("non-finite parameters at step 1")]
+            return run(*args)
 
-        monkeypatch.setattr(O, "mt_run_batched", diverge_in_round_two)
+        monkeypatch.setattr(O, "lockstep_runs", diverge_in_round_two)
         out = str(tmp_path)
         cfg = unlearn_cfg([dict(mt_method("split", T=10), rounds=2)])
         cfg["target"] = os.path.join(trained_dir, "target.npy")
@@ -658,39 +661,43 @@ class TestUnlearn:
                                                          trained_dir,
                                                          monkeypatch):
         """Methods that draw the same batches run in one lockstep group,
-        one of them diverging: every artifact is byte-identical to the run
-        with each method alone, and the diverged row reports the same
-        status and steps."""
+        with two losses and one of them diverging: every artifact is
+        byte-identical to the run with each method alone, and the diverged
+        row reports the same status and steps."""
         methods = [mt_method("kl", T=40),
                    dict(mt_method("qkl", T=30, eta=0.03, alpha=0.3),
                         divergence={"divergence": "qkl", "lambda": 0.2}),
                    dict(mt_method("sgd", T=50, clip=0.0), optimizer="momentum-sgd"),
                    adamw_method(lr=0.01),
                    mt_method("explode", eta=1e160, kappa=0.0, mu=0.0, clip=0.0,
-                             T=20)]
+                             T=20),
+                   dict(mt_method("ll", T=25), loss={"loss": "ll"})]
         cfg = unlearn_cfg(methods)
         cfg["target"] = os.path.join(trained_dir, "target.npy")
         path = write_cfg(tmp_path, cfg)
         grouped, alone = str(tmp_path / "grouped"), str(tmp_path / "alone")
-        run, sizes = O.lockstep_runs, []
+        run, lockstep, sizes = O._run, O.lockstep_runs, []
 
         def counted(*args):
             sizes.append(len(args[-1]))
             return run(*args)
 
-        monkeypatch.setattr(O, "lockstep_runs", counted)
+        def each_alone(spec, theta0, d_f, d_pt, runs):
+            return [lockstep(spec, theta0, d_f, d_pt, [r])[0] for r in runs]
+
         with np.errstate(all="ignore"):
-            assert main(["unlearn", path, "--out", grouped]) == 0
-            monkeypatch.setattr(harness, "_lockstep_groups",
-                                lambda ms: [[m] for m in ms])
+            with monkeypatch.context() as mp:
+                mp.setattr(O, "_run", counted)
+                assert main(["unlearn", path, "--out", grouped]) == 0
+            monkeypatch.setattr(O, "lockstep_runs", each_alone)
             assert main(["unlearn", path, "--out", alone]) == 0
-        assert sizes == [5]
+        assert sizes == [6]
         assert artifact_mismatches(grouped, alone) == []
         rows = {r["name"]: r for r in A.read_results_json(grouped)["rows"]}
         assert rows["explode"]["status"].startswith("diverged: non-finite")
         assert rows["explode"]["steps"] == 0
-        assert [rows[n]["steps"] for n in ("kl", "qkl", "sgd", "adamw")] == \
-            [40, 30, 50, 80]
+        assert [rows[n]["steps"] for n in ("kl", "qkl", "sgd", "adamw", "ll")] == \
+            [40, 30, 50, 80, 25]
 
     def test_jsonl_data_sections_resolve_against_out(self, tmp_path,
                                                      trained_dir):

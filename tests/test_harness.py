@@ -394,6 +394,7 @@ class TestDynamicsDriver:
         (dict(loss_tags=()), "loss_tags"),
         (dict(loss_tags=("nlul", "bogus")), "unknown loss tag"),
         (dict(loss_tags=("nlul", "npo"), beta=0.0), "beta > 0"),
+        (dict(loss_tags=("ll", "nlul", "ll")), "loss_tags repeats"),
     ])
     def test_losses_rejected_before_the_saturation_check(self, kw, text):
         # An unsaturated target: the study would otherwise fail on it.
@@ -428,6 +429,43 @@ class TestDynamicsDriver:
                              L.batch_grad(kind, setup.spec, th, pairs))))
         g0 = L.batch_grad(kind, setup.spec, setup.theta0, pairs)
         assert result["series"]["npo"]["loss_grad_norm"] == [linalg.norm(g0)] + fresh
+
+    def test_study_is_its_runs_alone(self):
+        """The study's lockstep equals one mt_run_batched run per loss with
+        the same observations, bit for bit, and raises a run's error."""
+        setup = Hn.default_dynamics_setup(seed=5, target_epochs=300)
+        setup = dataclasses.replace(
+            setup, base_cfg=dataclasses.replace(setup.base_cfg, T=30))
+        tags = ("ll", "npo", "nlul", "it")
+        result = Hn.gradient_dynamics_study(setup, loss_tags=tags)
+        s = setup
+        for tag in tags:
+            kind = L.LossKind(tag, beta=0.1)
+            forget = L.npo_pairs(s.spec, s.d_f, s.theta0) if tag == "npo" else s.d_f
+            seen = {"nll_forget": [], "loss_grad_norm": [], "kl_to_teacher": []}
+
+            def observe(t, th, teacher):
+                seen["nll_forget"].append(L.batch_loss(L.LossKind("nll"), s.spec,
+                                                       th, s.d_f))
+                v, g = L.batch_value_and_grad(kind, s.spec, th, forget)
+                seen["loss_grad_norm"].append(linalg.norm(g))
+                seen["kl_to_teacher"].append(v)
+
+            O.mt_run_batched(s.spec, s.theta0, s.d_f, s.d_pt,
+                             dataclasses.replace(s.base_cfg, loss=kind),
+                             callback=observe)
+            entry = result["series"][tag]
+            assert entry["t"] == list(range(31))
+            for name in ("nll_forget", "loss_grad_norm") + (
+                    ("kl_to_teacher",) if tag == "it" else ()):
+                assert entry[name][1:] == seen[name], (tag, name)
+            assert result["delta_nll"][tag] == \
+                seen["nll_forget"][-1] - result["nll_forget_initial"]
+        diverge = dataclasses.replace(setup, base_cfg=dataclasses.replace(
+            setup.base_cfg, eta=1e160, kappa=0.0, mu=0.0, clip=0.0))
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError, match="non-finite"):
+                Hn.gradient_dynamics_study(diverge, loss_tags=tags)
 
     def test_target_epochs_rejected_before_training(self, monkeypatch):
         forbid(monkeypatch, Hn, "build_target")
@@ -558,30 +596,20 @@ class TestUnlearnExperiment:
         assert "explode" not in result["thetas"]
 
 
-def solo_groups(monkeypatch):
-    """Run every method of an unlearn experiment alone."""
-    monkeypatch.setattr(Hn, "_lockstep_groups", lambda methods: [[m] for m in methods])
+def run_alone(monkeypatch):
+    """Make every lockstep_runs call run each of its runs alone; returns
+    the list of the runs each real call was given."""
+    real, calls = O.lockstep_runs, []
+
+    def alone(spec, theta0, d_f, d_pt, runs):
+        calls.append(runs)
+        return [real(spec, theta0, d_f, d_pt, [r])[0] for r in runs]
+
+    monkeypatch.setattr(O, "lockstep_runs", alone)
+    return calls
 
 
 class TestLockstepGroups:
-    def test_methods_that_draw_the_same_batches_share_a_group(self):
-        qkl = Dv.DivergenceKind("qkl", 0.1)
-        methods = [
-            Hn.MethodSpec("a", "mt-batched", quick_config()),
-            Hn.MethodSpec("seed", "mt-batched", quick_config(seed=43)),
-            Hn.MethodSpec("b", "adamw", quick_config(eta=0.01, T=30, alpha=0.2)),
-            Hn.MethodSpec("rounds", "mt-batched", quick_config(), rounds=2),
-            Hn.MethodSpec("full", "mt", quick_config()),
-            Hn.MethodSpec("skip", "noop"),
-            Hn.MethodSpec("c", "momentum-sgd", quick_config(divergence=qkl, clip=0.0)),
-            Hn.MethodSpec("batch", "mt-batched", quick_config(batch_forget=4)),
-            Hn.MethodSpec("loss", "mt-batched", quick_config(loss=L.LossKind("ll"))),
-            Hn.MethodSpec("seed2", "adamw", quick_config(seed=43)),
-        ]
-        assert [[m.name for m in g] for g in Hn._lockstep_groups(methods)] == [
-            ["a", "b", "c"], ["seed", "seed2"], ["rounds"], ["full"], ["skip"],
-            ["batch"], ["loss"]]
-
     def test_a_stop_rule_retires_group_rows_at_different_steps(
             self, bigram_testbed, monkeypatch):
         """Each row of a group stops at its own step (or at T), and the
@@ -595,10 +623,18 @@ class TestLockstepGroups:
             Hn.MethodSpec("adamw", "adamw", quick_config(T=150),
                           adam=O.AdamParams(lr=0.05))]
         rule = Hn.StopRule("nll_forget", 0.1, "geq", check_every=5)
-        assert len(Hn._lockstep_groups(methods)) == 1
-        grouped = Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt,
-                                        methods, stop_rule=rule)
-        solo_groups(monkeypatch)
+        loops, run = [], O._run
+
+        def spy(*args):
+            loops.append(len(args[-1]))
+            return run(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(O, "_run", spy)
+            grouped = Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt,
+                                            methods, stop_rule=rule)
+        assert loops == [4]
+        run_alone(monkeypatch)
         alone = Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt,
                                       methods, stop_rule=rule)
         assert [r["steps"] for r in grouped["rows"]] == [60, 140, 150, 150]
@@ -609,6 +645,26 @@ class TestLockstepGroups:
             (a,), (b,) = grouped["trajectories"][m.name], alone["trajectories"][m.name]
             assert (a.loss_values, a.divergence_values, a.gaps) == \
                 (b.loss_values, b.divergence_values, b.gaps)
+
+    def test_single_round_methods_share_one_call_and_rounds_call_alone(
+            self, bigram_testbed, monkeypatch):
+        """Every single-round method, full-batch and of any loss, goes to
+        one lockstep_runs call; a multi-round method makes one call per
+        round and the no-op none."""
+        s = bigram_testbed
+        methods = [
+            Hn.MethodSpec("a", "mt-batched", quick_config(T=5)),
+            Hn.MethodSpec("rounds", "mt-batched", quick_config(T=5), rounds=2),
+            Hn.MethodSpec("full", "mt", quick_config(T=5)),
+            Hn.MethodSpec("skip", "noop"),
+            Hn.MethodSpec("loss", "adamw", quick_config(T=5, loss=L.LossKind("ll"))),
+        ]
+        calls = run_alone(monkeypatch)
+        Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt, methods)
+        assert [[c.seed for _, c, _, _ in runs] for runs in calls] == [
+            [42, 42, 42], [42], [43]]
+        assert [[opt for opt, _, _, _ in runs] for runs in calls] == [
+            ["mt-batched", "mt", "adamw"], ["mt-batched"], ["mt-batched"]]
 
 
 class TestRenderTables:

@@ -376,3 +376,39 @@ class TestGreedyContinuation:
         spec = bigram_spec(4)
         theta = np.zeros(16)
         assert M.greedy_continuation(spec, theta, [2], 2) == [0, 0]
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5, 1e300])
+
+
+class TestExpRows:
+    @pytest.mark.parametrize("V", range(2, 34))
+    def test_row_max_is_the_reduction_along_the_rows(self, V):
+        """_exp_rows against Z = H - H.max(axis=-1, keepdims=True) on
+        stacks whose rows hold NaN, +-inf and +-0.0: E, S, Z and the
+        softmax and log-softmax agree in every bit, sign bits included,
+        except the sign of Z's zeros on a row whose max ties +0.0 with
+        -0.0.  The max's sign there is the reduction order's choice, and
+        Z - log S is the same in every bit."""
+        rng = np.random.default_rng(V)
+        for shape in ((V,), (1, V), (9, V), (3, 5, V)):
+            H = rng.standard_normal(shape)
+            special = rng.random(shape) < 0.5
+            H[special] = rng.choice(SPECIAL, special.sum())
+            zeros = H.reshape(-1, V)[::3]
+            zeros[:] = rng.choice([0.0, -0.0, -1.0], zeros.shape)
+            with np.errstate(invalid="ignore"):
+                Zr = H - H.max(axis=-1, keepdims=True)
+                Er = np.exp(Zr)
+                Sr = Er.sum(axis=-1, keepdims=True)
+                Z, E, S = M._exp_rows(H)
+                logsm = M.log_softmax_rows(H)
+                sm = M.softmax_rows(H)
+                assert same_bits(logsm, Zr - np.log(Sr))
+                assert same_bits(sm, Er / Sr)
+            assert same_bits(E, Er) and same_bits(S, Sr)
+            top = H == H.max(axis=-1, keepdims=True)
+            tie = ((top & (H == 0) & np.signbit(H)).any(-1)
+                   & (top & (H == 0) & ~np.signbit(H)).any(-1))
+            assert same_bits(Z[~tie], Zr[~tie])
+            np.testing.assert_array_equal(Z[tie], Zr[tie])

@@ -921,24 +921,98 @@ class TestLockstepRuns:
                 assert same_bits(getattr(traj, name), getattr(alone, name))
             assert same_bits(traj.final_theta, alone.final_theta)
 
-    def test_runs_must_share_their_data(self):
+    def test_runs_are_partitioned_by_the_data_they_draw(self, monkeypatch):
+        """Runs share a loop when they draw the same data: full batch or
+        batched, npo's sequence set or the plain forget set, and for
+        batched runs the seed and both batch sizes.  Losses, divergences,
+        update rules and every other setting may differ within one."""
         spec = SPECS["bigram"]
         d_f, d_pt = sequence_data(spec, 5)
         theta0 = M.init_params(spec, 3)
-        cfg = base_config(batch_forget=3, batch_pretrain=3, seed=4)
-        for kw, field in ((dict(seed=5), "seed"), (dict(batch_forget=2), "batch_forget"),
-                          (dict(batch_pretrain=2), "batch_pretrain"),
-                          (dict(loss=L.LossKind("nlul")), "loss")):
-            with pytest.raises(ValueError, match=f"differ in {field};"):
-                O.lockstep_runs(spec, theta0, d_f, d_pt, [
-                    ("mt-batched", cfg, None, None),
-                    ("adamw", dataclasses.replace(cfg, **kw), None, None)])
-        with pytest.raises(ValueError, match="mix batched and full-batch"):
-            O.lockstep_runs(spec, theta0, d_f, d_pt, [
-                ("mt-batched", cfg, None, None), ("mt", cfg, None, None)])
-        # Full-batch runs draw nothing, so only the loss must agree.
-        mt = [dataclasses.replace(cfg, seed=s, eta=e) for s, e in ((1, 0.05), (2, 0.02))]
-        for traj, c in zip(O.lockstep_runs(spec, theta0, d_f, d_pt,
-                                           [("mt", c, None, None) for c in mt]), mt):
-            assert same_bits(traj.final_theta,
-                             O.mt_run(spec, theta0, d_f, d_pt, c).final_theta)
+        qkl = Dv.DivergenceKind("qkl", 0.1)
+
+        def cfg(**kw):
+            return base_config(**dict(dict(T=2, batch_forget=3, batch_pretrain=3,
+                                           seed=4), **kw))
+
+        runs = {
+            "a": ("mt-batched", cfg()),
+            "seed": ("mt-batched", cfg(seed=5)),
+            "b": ("adamw", cfg(eta=0.01, alpha=0.2)),
+            "full": ("mt", cfg()),
+            "c": ("momentum-sgd", cfg(divergence=qkl, clip=0.0)),
+            "batch": ("mt-batched", cfg(batch_forget=2)),
+            "pretrain": ("mt-batched", cfg(batch_pretrain=2)),
+            "ll": ("mt-batched", cfg(loss=L.LossKind("ll"))),
+            "npo": ("mt-batched", cfg(loss=L.LossKind("npo", beta=0.5))),
+            "seed2": ("adamw", cfg(seed=5)),
+            "full-seed": ("mt", cfg(seed=5, eta=0.02, loss=L.LossKind("nlul"))),
+            "npo2": ("momentum-sgd", cfg(loss=L.LossKind("npo", beta=0.2))),
+            "full-npo": ("mt", cfg(loss=L.LossKind("npo", beta=0.5))),
+        }
+        names = {id(c): name for name, (_, c) in runs.items()}
+        loops, run = [], O._run
+
+        def spy(spec, theta0, d_f, d_pt, rows):
+            loops.append([names[id(c)] for c, _, _ in rows])
+            return run(spec, theta0, d_f, d_pt, rows)
+
+        monkeypatch.setattr(O, "_run", spy)
+        outs = O.lockstep_runs(spec, theta0, d_f, d_pt,
+                               [(opt, c, None, None) for opt, c in runs.values()])
+        assert loops == [["a", "b", "c", "ll"], ["seed", "seed2"],
+                         ["full", "full-seed"], ["batch"], ["pretrain"],
+                         ["npo", "npo2"], ["full-npo"]]
+        monkeypatch.setattr(O, "_run", run)
+        for (opt, c), out in zip(runs.values(), outs):
+            alone = RUNS[opt](spec, theta0, d_f, d_pt, c)
+            assert same_bits(out.final_theta, alone.final_theta)
+            assert same_bits(out.loss_values, alone.loss_values)
+
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_mixed_runs_are_their_solo_runs_in_input_order(self, kind):
+        """One call with every loss, full-batch and batched runs, three
+        partitions and a diverging row: each outcome, in input order, is
+        bit for bit the run alone, or its error."""
+        spec = SPECS[kind]
+        d_f, d_pt = sequence_data(spec, 5)
+        theta0 = M.init_params(spec, 3)
+        teacher = L.TeacherLogits(spec, M.init_params(spec, 9))
+        shared = dict(clip=0.5, batch_forget=3, batch_pretrain=4, seed=21)
+        runs = [
+            ("mt", base_config(T=5, loss=L.LossKind("ll"))),
+            ("mt-batched", base_config(T=7, loss=L.LossKind("nlul"), **shared)),
+            ("adamw", base_config(T=6, loss=L.LossKind("npo", beta=0.5), **shared)),
+            ("momentum-sgd", base_config(T=4, loss=L.LossKind("it", teacher=teacher),
+                                         **shared)),
+            ("mt", base_config(T=3, loss=L.LossKind("it"), alpha=0.0,
+                               divergence=Dv.DivergenceKind("qkl", 0.2))),
+            ("mt-batched", base_config(T=5, eta=1e160, kappa=0.0, mu=0.0,
+                                       **dict(shared, clip=0.0))),
+            ("mt-batched", base_config(T=6, loss=L.LossKind("npo", beta=0.2),
+                                       eta=0.03, **shared)),
+            ("adamw", base_config(T=5, **shared)),
+            ("mt", base_config(T=4, loss=L.LossKind("nlul"), eta=0.02)),
+        ]
+        recorders = [recorder() for _ in runs]
+        with np.errstate(all="ignore"):
+            outs = O.lockstep_runs(spec, theta0, d_f, d_pt, [
+                (opt, c, GROUP_ADAM if opt == "adamw" else None, cb)
+                for (opt, c), (cb, _, _) in zip(runs, recorders)])
+            for (opt, c), out, (_, _, copies) in zip(runs, outs, recorders):
+                try:
+                    solo, thetas, teachers = observed_run(
+                        functools.partial(solo_run, opt), spec, theta0, d_f,
+                        d_pt, c)
+                except TrainingError as exc:
+                    assert isinstance(out, TrainingError)
+                    assert str(out) == str(exc)
+                    continue
+                for name in TRAJECTORY_COLUMNS:
+                    assert same_bits(getattr(out, name), getattr(solo, name)), name
+                assert same_bits(out.final_theta, solo.final_theta)
+                assert same_bits(out.final_teacher, solo.final_teacher)
+                assert all(same_bits(a, b) and same_bits(e, f) for (a, e), b, f in
+                           zip(copies, thetas[1:], teachers[1:]))
+        assert [isinstance(o, TrainingError) for o in outs] == \
+            [i == 5 for i in range(len(runs))]
