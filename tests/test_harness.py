@@ -610,6 +610,43 @@ def run_alone(monkeypatch):
 
 
 class TestLockstepGroups:
+    def test_methods_that_draw_the_same_batches_share_a_group(
+            self, bigram_testbed, monkeypatch):
+        """The single-round methods that draw the same data run as one
+        loop, whatever their losses, divergences and update rules; each
+        round of a multi-round method is a loop of its own and the no-op
+        none."""
+        s = bigram_testbed
+        qkl = Dv.DivergenceKind("qkl", 0.1)
+        methods = [
+            Hn.MethodSpec("a", "mt-batched", quick_config()),
+            Hn.MethodSpec("seed", "mt-batched", quick_config(seed=43)),
+            Hn.MethodSpec("b", "adamw", quick_config(eta=0.01, alpha=0.2)),
+            Hn.MethodSpec("rounds", "mt-batched", quick_config(), rounds=2),
+            Hn.MethodSpec("full", "mt", quick_config()),
+            Hn.MethodSpec("skip", "noop"),
+            Hn.MethodSpec("c", "momentum-sgd", quick_config(divergence=qkl, clip=0.0)),
+            Hn.MethodSpec("batch", "mt-batched", quick_config(batch_forget=4)),
+            Hn.MethodSpec("loss", "mt-batched", quick_config(loss=L.LossKind("ll"))),
+            Hn.MethodSpec("npo", "mt-batched",
+                          quick_config(loss=L.LossKind("npo", beta=0.5))),
+            Hn.MethodSpec("seed2", "adamw", quick_config(seed=43)),
+        ]
+        # A distinct T per method names the rows each loop is given.
+        methods = [dataclasses.replace(m, config=dataclasses.replace(m.config, T=5 + i))
+                   if m.config is not None else m for i, m in enumerate(methods)]
+        name_of = {m.config.T: m.name for m in methods if m.config is not None}
+        loops, run = [], O._run
+
+        def spy(spec, theta0, d_f, d_pt, rows):
+            loops.append([name_of[c.T] for c, _, _ in rows])
+            return run(spec, theta0, d_f, d_pt, rows)
+
+        monkeypatch.setattr(O, "_run", spy)
+        Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt, methods)
+        assert loops == [["a", "b", "c", "loss"], ["seed", "seed2"], ["full"],
+                         ["batch"], ["npo"], ["rounds"], ["rounds"]]
+
     def test_a_stop_rule_retires_group_rows_at_different_steps(
             self, bigram_testbed, monkeypatch):
         """Each row of a group stops at its own step (or at T), and the

@@ -921,7 +921,7 @@ class TestLockstepRuns:
                 assert same_bits(getattr(traj, name), getattr(alone, name))
             assert same_bits(traj.final_theta, alone.final_theta)
 
-    def test_runs_are_partitioned_by_the_data_they_draw(self, monkeypatch):
+    def test_runs_must_share_their_data(self, monkeypatch):
         """Runs share a loop when they draw the same data: full batch or
         batched, npo's sequence set or the plain forget set, and for
         batched runs the seed and both batch sizes.  Losses, divergences,
