@@ -472,6 +472,8 @@ VERIFY_CHECKS = {
     "dynamics": (harness.default_dynamics_setup, harness.gradient_dynamics_study),
     "divergence-quadratic": (None, harness.verify_divergence_quadratic),
 }
+# Config field names of the verify parameters not named as their field.
+VERIFY_RENAME = {"lam": "lambda"}
 
 
 def cmd_verify(args):
@@ -484,10 +486,9 @@ def cmd_verify(args):
         cfg, cfg_path = _load_config(args.config, out)
         inputs.append(cfg_path)
     build, check = VERIFY_CHECKS[args.which]
-    rename = {"lam": "lambda"}
     kws = _read(dict(cfg), args.which,
                 *((check,) if build is None else (build, check)),
-                rename=rename, skip=("setup", "family"))
+                rename=VERIFY_RENAME, skip=("setup", "family"))
     seed = _resolve_seed(args)
     testbed = ()
     if build is not None:
@@ -496,7 +497,7 @@ def cmd_verify(args):
         seed = kws[0]["seed"]
         testbed = (_cfgval(lambda: build(**kws[0]), f"{args.which} settings"),)
     result = check(*testbed, **kws[-1])
-    resolved = {rename.get(k, k): v for kw in kws for k, v in kw.items()}
+    resolved = {VERIFY_RENAME.get(k, k): v for kw in kws for k, v in kw.items()}
     artifacts.write_results_json(out, result)
     harness.render_result_tables(result, out)
     artifacts.write_manifest(out, f"verify {args.which}", resolved,

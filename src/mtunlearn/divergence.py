@@ -10,7 +10,8 @@ unused), with exact gradients w.r.t. the first argument:
            through S as well (exact gradient of the written expression).
   bregman  L(theta) - L(theta_ref) - (theta - theta_ref)^T grad L(theta_ref)
            with L the batch nll loss of the bigram model, which is
-           convex in the logit table.
+           convex in the logit table; computed as its exact equal, the
+           reversed KL(softmax(h(theta_ref)) || softmax(h(theta))).
 
 The damped variant adds (lam/2) ||theta - theta_ref||^2, whose gradient
 contributes lam (theta - theta_ref).
@@ -50,7 +51,7 @@ class DivergenceKind:
         if self.tag not in DIVERGENCE_TAGS:
             raise ValueError(f"unknown divergence tag: {self.tag!r}")
         if not 0 <= self.lam < np.inf:
-            raise ValueError("lam must be finite and nonnegative")
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
 
 
 def _check_batch(batch):
@@ -59,15 +60,27 @@ def _check_batch(batch):
 
 
 def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
-    """Batch-mean kl or qkl value and gradient from one forward pass at
-    each point; a part not asked for is None."""
+    """Batch-mean value and gradient of the divergence `tag` from one
+    forward pass at each point; a part not asked for is None.
+
+    bregman is the mean row KL(p_ref || p): on the bigram the logits are
+    linear in theta and the label terms of the nll cancel, so the
+    convexity gap is that KL exactly, and its logit gradient is p - p_ref.
+    """
     _check_batch(batch)
+    if tag == "bregman" and spec.kind != M.BIGRAM:
+        raise ValueError("bregman divergence requires the bigram-softmax model "
+                         "(the wrapped nll loss must be convex in theta)")
     H, aux = M._forward(spec, theta, batch.inputs(spec))
     Href = M.batch_logits(spec, theta_ref, batch)
     if tag == "kl":
         vals, G = losses._it_terms(H, M.log_softmax_rows(Href), grad)
-    else:
+    elif tag == "qkl":
         vals, G = _qkl_terms(H, Href, value, grad)
+    else:
+        vals = losses._it_terms(Href, M.log_softmax_rows(H), False)[0] \
+            if value else None
+        G = M.softmax_rows(H) - M.softmax_rows(Href) if grad else None
     v = losses._batch_mean(vals) if value else None
     g = None
     if grad:
@@ -97,39 +110,14 @@ def _qkl_terms(H, Href, value, grad):
     return v, G
 
 
-_NLL = losses.LossKind("nll")
-
-
-def _bregman_terms(spec, theta, theta_ref, batch, value, grad):
-    """Bregman value and gradient of the batch nll loss from one forward
-    pass at each point; a part not asked for is None.  The gradient is
-    grad L(theta) - grad L(theta_ref)."""
-    _check_batch(batch)
-    if spec.kind != M.BIGRAM:
-        raise ValueError("bregman divergence requires the bigram-softmax model "
-                         "(the wrapped nll loss must be convex in theta)")
-    theta = np.asarray(theta, dtype=float)
-    theta_ref = np.asarray(theta_ref, dtype=float)
-    v, g = losses._loss_terms(_NLL, spec, theta, batch, value, grad)
-    v_ref, g_ref = losses._loss_terms(_NLL, spec, theta_ref, batch, value, True)
-    return (v - v_ref - linalg.dot(theta - theta_ref, g_ref) if value else None,
-            g - g_ref if grad else None)
-
-
-def _divergence_terms(kind, spec, theta, theta_ref, batch, value, grad):
-    if kind.tag == "bregman":
-        return _bregman_terms(spec, theta, theta_ref, batch, value, grad)
-    return _logit_terms(kind.tag, spec, theta, theta_ref, batch, value, grad)
-
-
 def divergence_value(kind, spec, theta, theta_ref, batch):
     """Raw divergence value D(theta, theta_ref) for the selected kind."""
-    return _divergence_terms(kind, spec, theta, theta_ref, batch, True, False)[0]
+    return _logit_terms(kind.tag, spec, theta, theta_ref, batch, True, False)[0]
 
 
 def _damped_terms(kind, spec, theta, theta_ref, batch, value, grad):
     """Damped divergence value and gradient; a part not asked for is None."""
-    v, g = _divergence_terms(kind, spec, theta, theta_ref, batch, value, grad)
+    v, g = _logit_terms(kind.tag, spec, theta, theta_ref, batch, value, grad)
     diff = np.asarray(theta, dtype=float) - np.asarray(theta_ref, dtype=float)
     if value:
         v = v + 0.5 * kind.lam * linalg.dot(diff, diff)

@@ -351,6 +351,8 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
                           "least two numbers in (0, 1)")
     if not 0 < t_gamma < np.inf:
         raise ConfigError("t_gamma must be positive and finite")
+    if not np.isfinite(slope_min):
+        raise ConfigError(f"slope_min must be finite, got {slope_min}")
     if setup is None:
         setup = default_theorem_setup()
     cfgs = [replace(setup.base_cfg, alpha=a) for a in alphas]
@@ -402,6 +404,12 @@ class LemmaFamily:
             raise ValueError("dim must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("eig_low", "eig_high"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError(f"noise_scale must be nonnegative and finite, "
+                             f"got {self.noise_scale}")
 
 
 def lemma_instance(family):
@@ -423,7 +431,7 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     "zero" injects no error, "const" injects a fresh random direction of
     fixed norm each step.  A cell passes when the measured distance to
     the exact solution stays at or below the bound at every step (up to a
-    relative slack of LEMMA_BOUND_RTOL).  Cells whose settings violate
+    relative slack of LEMMA_BOUND_RTOL); a NaN distance or bound fails it.  Cells whose settings violate
     the iteration's step-size precondition are skipped with a warning.
 
     max_ratio (measured distance over bound) is taken only at steps where
@@ -438,6 +446,11 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     if any(mode not in ("zero", "const") for mode in modes):
         raise ConfigError(f"unknown error mode in modes {list(modes)}; "
                           f"the modes are 'zero' and 'const'")
+    for name, values in (("mus", mus), ("lams", lams)):
+        if np.isnan(values).any():
+            raise ConfigError(f"{name} must not contain NaN, got {list(values)}")
+    if not step_scale > 0:
+        raise ConfigError(f"step_scale must be positive, got {step_scale}")
     family = family or LemmaFamily()
     H, g = lemma_instance(family)
     lam_max = float(np.linalg.eigvalsh(H)[-1])
@@ -477,15 +490,17 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
                 bounds = curvature.ihvp_error_bound(cfg, u0_dist, eps_norms)
                 slack = LEMMA_BOUND_RTOL * (1.0 + u0_dist)
                 margins = [b + slack - m for m, b in zip(trace, bounds)]
+                # np.min and np.max keep a NaN, where min and max may skip it.
+                min_margin = float(np.min(margins))
                 ratios = [m / b for m, b in zip(trace[1:], bounds[1:]) if b > slack]
                 floor_step = next((t for t, b in enumerate(bounds) if b <= slack),
                                   None)
                 rows.append({"mu": mu, "lam": lam, "mode": mode, "eta": eta,
                              "T": T, "u0_dist": u0_dist,
-                             "max_ratio": max(ratios) if ratios else 0.0,
+                             "max_ratio": float(np.max(ratios)) if ratios else 0.0,
                              "floor_step": floor_step,
-                             "min_margin": min(margins),
-                             "holds": bool(min(margins) >= 0.0),
+                             "min_margin": min_margin,
+                             "holds": bool(min_margin >= 0.0),
                              "status": "ok"})
     ran = [r for r in rows if r["status"] == "ok"]
     passed = bool(ran) and all(r["holds"] for r in ran)
@@ -498,19 +513,22 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
 # Proximity-term quadratic-order check
 # ---------------------------------------------------------------------------
 
-def _quadratic_check_setups():
-    out = []
-    for name, spec, seed in (
-            ("bigram-softmax", M.ModelSpec(M.BIGRAM, 5), 3),
-            ("mlp-1hidden", M.ModelSpec(M.MLP, 6, context_len=2, hidden_dim=4), 4)):
-        rng = np.random.default_rng(100 + seed)
-        seqs = [list(rng.integers(0, spec.vocab_size, 6)) for _ in range(4)]
-        batch = M.dataset_from_sequences(seqs, spec.context_len)
-        theta_ref = M.init_params(spec, seed)
-        d = rng.standard_normal(M.param_count(spec))
-        d /= np.linalg.norm(d)
-        out.append((name, spec, theta_ref, batch, d))
-    return out
+# The models of the divergence-quadratic check and their instance seeds.
+_QUADRATIC_CHECK_MODELS = (
+    ("bigram-softmax", M.ModelSpec(M.BIGRAM, 5), 3),
+    ("mlp-1hidden", M.ModelSpec(M.MLP, 6, context_len=2, hidden_dim=4), 4))
+
+
+def _quadratic_check_instance(spec, seed):
+    """(theta_ref, batch, d) of the divergence-quadratic check on `spec`:
+    theta_ref = init_params(spec, seed), and four sequences of six tokens
+    and a unit direction d drawn from default_rng(100 + seed)."""
+    rng = np.random.default_rng(100 + seed)
+    seqs = [list(rng.integers(0, spec.vocab_size, 6)) for _ in range(4)]
+    batch = M.dataset_from_sequences(seqs, spec.context_len)
+    theta_ref = M.init_params(spec, seed)
+    d = rng.standard_normal(M.param_count(spec))
+    return theta_ref, batch, d / np.linalg.norm(d)
 
 
 def verify_divergence_quadratic(t_values=(1e-2, 1e-3, 1e-4), decay_factor=0.1):
@@ -524,11 +542,16 @@ def verify_divergence_quadratic(t_values=(1e-2, 1e-3, 1e-4), decay_factor=0.1):
     leaves a 10x margin).  KL and quadratic-KL run on both model kinds;
     the Bregman term runs on the bigram model it is defined for.
     """
-    if len(t_values) < 2 or any(not t > 0 for t in t_values):
-        raise ConfigError("t_values must list at least two positive numbers")
+    if len(t_values) < 2 or any(not 0 < t < np.inf for t in t_values):
+        raise ConfigError("t_values must list at least two positive finite "
+                          "numbers")
+    if not 0 < decay_factor < np.inf:
+        raise ConfigError(f"decay_factor must be positive and finite, got "
+                          f"{decay_factor}")
     t_values = sorted(t_values, reverse=True)
     rows, passed = [], True
-    for name, spec, theta_ref, batch, d in _quadratic_check_setups():
+    for name, spec, seed in _QUADRATIC_CHECK_MODELS:
+        theta_ref, batch, d = _quadratic_check_instance(spec, seed)
         kinds = ["kl", "qkl"] + (["bregman"] if spec.kind == M.BIGRAM else [])
         for tag in kinds:
             kind = Dmod.DivergenceKind(tag, 0.0)
@@ -596,6 +619,10 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
         raise ConfigError(f"invalid loss_tags or beta: {exc}") from exc
     if len(kinds) != len(loss_tags):
         raise ConfigError(f"loss_tags repeats a loss: {list(loss_tags)}")
+    for name, v in (("saturation_min", saturation_min), ("ratio_min", ratio_min),
+                    ("raise_min", raise_min), ("hold_max", hold_max)):
+        if np.isnan(v):
+            raise ConfigError(f"{name} must be a number, got {v}")
     if setup is None:
         setup = default_dynamics_setup()
     spec, theta0 = setup.spec, setup.theta0

@@ -138,6 +138,21 @@ def observed_run(run, spec, theta0, d_f, d_pt, cfg, **kw):
     return traj, thetas, [teacher0] + teachers
 
 
+def bregman_oracle(spec, theta, theta_ref, batch):
+    """The nll Bregman divergence as written and its gradient, from the
+    public batch loss and gradient: L(theta) - L(theta_ref) -
+    <grad L(theta_ref), theta - theta_ref> and grad L(theta) -
+    grad L(theta_ref).  The oracle the divergence kernel's reversed-KL
+    form is pinned to; theta may be a stack (..., dim) against one
+    theta_ref."""
+    nll = L.LossKind("nll")
+    g_ref = L.batch_grad(nll, spec, theta_ref, batch)
+    value = L.batch_loss(nll, spec, theta, batch) \
+        - L.batch_loss(nll, spec, theta_ref, batch) \
+        - ((theta - theta_ref) * g_ref).sum(axis=-1)
+    return value, L.batch_grad(nll, spec, theta, batch) - g_ref
+
+
 # Per-sequence npo, the oracle for the batched npo loss.  With L the
 # sequence log-probability, npo(s) = (2/beta) softplus(beta (L_theta(s)
 # - L_base(s))), its weight w(s) = sigmoid(beta (L_theta - L_base)) and

@@ -1,6 +1,7 @@
 """End-to-end command-line flows, exit codes, and artifact reproducibility."""
 
 import functools
+import inspect
 import json
 import os
 
@@ -131,6 +132,15 @@ class TestConfigErrors:
         # A repeated loss would run twice and be reported once.
         ("dynamics", {"loss_tags": ["ll", "nlul", "ll"], "target_epochs": 1},
          "loss_tags repeats a loss"),
+        # A NaN noise scale once passed every cell.
+        ("lemma", {"noise_scale": float("nan"), "T": 5}, "noise_scale"),
+        ("lemma", {"eig_high": float("inf")}, "eig_high"),
+        ("lemma", {"step_scale": 0.0, "T": 5}, "step_scale"),
+        ("lemma", {"step_scale": -0.5, "T": 5}, "step_scale"),
+        ("theorem1", {"slope_min": float("inf")}, "slope_min"),
+        ("divergence-quadratic", {"decay_factor": 0.0}, "decay_factor"),
+        ("divergence-quadratic", {"t_values": [float("inf"), 1e-2]},
+         "t_values"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):
@@ -394,6 +404,38 @@ VERIFY_SCHEMA_CASES = [
     }.items()
     for kind, (fields, name) in zip(("unknown", "type", "entry"), cases)
 ]
+
+def float_settings():
+    """(check, field, NaN value) for every float setting of every verify
+    check, read from the signatures cmd_verify reads: NaN itself, or the
+    default list with its last entry NaN."""
+    for which, fns in sorted(cli.VERIFY_CHECKS.items()):
+        for fn in filter(None, fns):
+            for p in inspect.signature(fn).parameters.values():
+                typ = cli._config_type(p, p.default)
+                if typ is float:
+                    value = float("nan")
+                elif typ == [float]:
+                    value = list(p.default[:-1]) + [float("nan")]
+                else:
+                    continue
+                yield pytest.param(which, cli.VERIFY_RENAME.get(p.name, p.name),
+                                   value, id=f"{which}-{p.name}")
+
+
+class TestNaNSettings:
+    @pytest.mark.parametrize("check,field,value", float_settings())
+    def test_nan_exits_2_naming_the_field(self, tmp_path, capsys, check,
+                                          field, value):
+        # A one-epoch dynamics target: a setting is checked before the
+        # saturation guard, which would otherwise exit 5.
+        cfg = {"target_epochs": 1} if check == "dynamics" else {}
+        path = write_cfg(tmp_path, dict(cfg, **{field: value}))
+        assert main(["verify", check, path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "results.json")
+
 
 # The config each verify check records in its manifest when run without one.
 VERIFY_DEFAULTS = {

@@ -4,16 +4,19 @@ Conventions:
   kl(theta, theta_ref)  = mean_rows KL(p || p_ref)        (current first)
   qkl(theta, theta_ref) = mean_rows (h - h')^T S_h (h - h'), S from the
                           FIRST argument's softmax
-  bregman               = convexity gap of the mean NLL (bigram only)
+  bregman               = convexity gap of the mean NLL (bigram only),
+                          computed as mean_rows KL(p_ref || p)
   damped               += (lam / 2) ||theta - theta_ref||^2
 """
 
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, relative_error, same_bits
+from conftest import (bregman_oracle, central_difference_gradient,
+                      relative_error, same_bits)
 from mtunlearn import curvature
 from mtunlearn import divergence as D
+from mtunlearn import harness as Hn
 from mtunlearn import model as M
 
 
@@ -98,6 +101,40 @@ class TestValues:
         for lam in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lam"):
                 D.DivergenceKind("kl", lam)
+
+
+class TestBregmanKernel:
+    def test_matches_the_double_nll_oracle(self):
+        """On the divergence-quadratic check's bigram instances (seeds
+        0-99), three unit displacements each: value and gradient within
+        1e-12 relative of the double-nll form, for one point and for the
+        stack of the three."""
+        spec = bigram_spec()
+        kind = D.DivergenceKind("bregman", 0.0)
+        for seed in range(100):
+            ref, batch, d = Hn._quadratic_check_instance(spec, seed)
+            E = np.random.default_rng(seed).standard_normal((2, len(d)))
+            theta = ref + np.vstack([d, E / np.linalg.norm(E, axis=1)[:, None]])
+            v_or, g_or = bregman_oracle(spec, theta, ref, batch)
+            values, grads = D.damped_value_and_grad(kind, spec, theta, ref, batch)
+            for i in range(3):
+                v, g = D.damped_value_and_grad(kind, spec, theta[i], ref, batch)
+                for value, grad in ((v, g), (values[i], grads[i])):
+                    assert abs(value - v_or[i]) <= 1e-12 * abs(v_or[i])
+                    assert relative_error(grad, g_or[i]) <= 1e-12
+
+    def test_takes_no_nll_evaluation(self, monkeypatch):
+        """The value and gradient come from logits alone: no nll loss."""
+        def called(*args):
+            raise AssertionError("bregman evaluated an nll loss")
+
+        monkeypatch.setattr(D.losses, "_loss_terms", called)
+        rng = np.random.default_rng(70)
+        spec = bigram_spec()
+        batch = random_batch(rng, spec)
+        theta, ref = rng.standard_normal((2, 25))
+        D.damped_value_and_grad(D.DivergenceKind("bregman", 0.3), spec, theta,
+                                ref, batch)
 
 
 class TestGradients:

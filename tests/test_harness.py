@@ -252,6 +252,8 @@ class TestTheoremDriver:
         (dict(t_gamma=1e-9), "T=0"),
         (dict(alphas=(1.0, 0.5), t_gamma=0.01), "alphas"),
         (dict(alphas=(0.1, 0.1)), "alphas"),
+        (dict(slope_min=float("nan")), "slope_min"),
+        (dict(slope_min=float("inf")), "slope_min"),
     ])
     def test_arguments_rejected_before_any_run(self, bigram_testbed,
                                                monkeypatch, kw, field):
@@ -342,6 +344,33 @@ class TestLemmaDriver:
         with pytest.raises(ValueError, match="dim"):
             Hn.LemmaFamily(dim=0)
 
+    @pytest.mark.parametrize("kw,field", [
+        (dict(eig_low=float("nan")), "eig_low"),
+        (dict(eig_high=float("inf")), "eig_high"),
+        (dict(noise_scale=float("nan")), "noise_scale"),
+        (dict(noise_scale=-0.01), "noise_scale"),
+    ])
+    def test_family_rejects_values_it_cannot_draw_from(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            Hn.LemmaFamily(**kw)
+
+    def test_a_nan_distance_fails_its_cell(self, monkeypatch):
+        """A NaN after a finite first step: the margin and ratio reductions
+        must not skip it, as Python's min and max do."""
+        real = Hn.curvature.ihvp_momentum
+
+        def nan_at_step_3(H, g, cfg):
+            u, trace = real(H, g, cfg)
+            trace[3] = float("nan")
+            return u, trace
+
+        monkeypatch.setattr(Hn.curvature, "ihvp_momentum", nan_at_step_3)
+        result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=10)
+        assert result["passed"] is False
+        for r in result["rows"]:
+            assert r["status"] == "ok" and r["holds"] is False
+            assert np.isnan(r["min_margin"]) and np.isnan(r["max_ratio"])
+
     def test_unknown_error_mode_rejected(self):
         with pytest.raises(ValueError, match="error mode"):
             Hn.verify_lemma(mus=(0.0,), lams=(1.0,), modes=("ramp",), T=5)
@@ -352,6 +381,11 @@ class TestLemmaDriver:
         (dict(lams=()), "at least one"),
         (dict(modes=()), "at least one"),
         (dict(T=-1), "T must be nonnegative"),
+        (dict(step_scale=0.0), "step_scale"),
+        (dict(step_scale=-0.5), "step_scale"),
+        (dict(step_scale=float("nan")), "step_scale"),
+        (dict(mus=(0.0, float("nan"))), "mus"),
+        (dict(lams=(float("nan"),)), "lams"),
     ])
     def test_grid_rejected_before_the_first_cell(self, monkeypatch, kw, field):
         forbid(monkeypatch, Hn.curvature, "ihvp_momentum")
@@ -378,6 +412,28 @@ class TestQuadraticDriver:
             Hn.verify_divergence_quadratic(t_values=(1e-2, -1e-3))
         with pytest.raises(ConfigError, match="two positive"):
             Hn.verify_divergence_quadratic(t_values=(1e-2, float("nan")))
+        with pytest.raises(ConfigError, match="two positive finite"):
+            Hn.verify_divergence_quadratic(t_values=(float("inf"), 1e-2))
+
+    @pytest.mark.parametrize("decay_factor", [float("nan"), 0.0, -0.1,
+                                              float("inf")])
+    def test_decay_factor_validation(self, monkeypatch, decay_factor):
+        forbid(monkeypatch, Dv, "local_quadratic_residual")
+        with pytest.raises(ConfigError, match="decay_factor"):
+            Hn.verify_divergence_quadratic(decay_factor=decay_factor)
+
+    @pytest.mark.parametrize("seed", [13, 32, 60, 85, 98])
+    def test_bregman_decays_off_the_shipped_seed(self, seed):
+        """The check's three-point criterion on bigram instances where the
+        double-nll form of bregman sat on its roundoff floor (decay
+        ratios 0.11 to 0.32); the reversed-KL kernel clears it."""
+        spec = Hn._QUADRATIC_CHECK_MODELS[0][1]
+        theta_ref, batch, d = Hn._quadratic_check_instance(spec, seed)
+        kind = Dv.DivergenceKind("bregman", 0.0)
+        ratios = [Dv.local_quadratic_residual(kind, spec, theta_ref, d, t,
+                                              batch) / t ** 2
+                  for t in (1e-2, 1e-3, 1e-4)]
+        assert ratios[-1] <= 0.1 * ratios[0] + 1e-18
 
     def test_unreachable_decay_fails_the_check(self):
         result = Hn.verify_divergence_quadratic(decay_factor=1e-12)
@@ -395,6 +451,10 @@ class TestDynamicsDriver:
         (dict(loss_tags=("nlul", "bogus")), "unknown loss tag"),
         (dict(loss_tags=("nlul", "npo"), beta=0.0), "beta > 0"),
         (dict(loss_tags=("ll", "nlul", "ll")), "loss_tags repeats"),
+        (dict(saturation_min=float("nan")), "saturation_min"),
+        (dict(ratio_min=float("nan")), "ratio_min"),
+        (dict(raise_min=float("nan")), "raise_min"),
+        (dict(hold_max=float("nan")), "hold_max"),
     ])
     def test_losses_rejected_before_the_saturation_check(self, kw, text):
         # An unsaturated target: the study would otherwise fail on it.

@@ -506,12 +506,10 @@ class TestBaselines:
         # The teacher rate is 0: the divergence reference never leaves theta_0.
         np.testing.assert_array_equal(traj.final_teacher, self.theta0)
 
-    def test_adamw_matches_replay_with_staged_warmup(self):
-        """First 100 steps run at 10% of lr, the next 100 ramp linearly
-        to lr; bias-corrected moments, decoupled weight decay."""
-        ap = O.AdamParams(lr=0.02, betas=(0.9, 0.95), eps=1e-8,
-                          weight_decay=0.1, warmup=True)
-        cfg = base_config(T=210, batch_forget=2, batch_pretrain=2, seed=222)
+    def assert_adamw_replay(self, ap, T, lr_at):
+        """An adamw run equals its replay at every step: bias-corrected
+        moments, decoupled weight decay, learning rate lr_at(t)."""
+        cfg = base_config(T=T, batch_forget=2, batch_pretrain=2, seed=222)
         traj = O.baseline_run("adamw", self.spec, self.theta0, self.d_f,
                               self.d_pt, cfg, adam_params=ap)
         kind = cfg.divergence
@@ -521,25 +519,40 @@ class TestBaselines:
         v = np.zeros_like(self.theta0)
         assert_row(traj, 0, cfg, self.spec, theta, theta, self.d_f, self.d_pt)
         fb, pb = next(batches)
-        for t in range(1, 211):
+        for t in range(1, T + 1):
             g = Dv.damped_grad(kind, self.spec, theta, self.theta0, pb) \
                 + cfg.alpha * L.batch_grad(cfg.loss, self.spec, theta, fb)
-            if t <= 100:
-                lr_t = 0.1 * ap.lr
-            elif t <= 200:
-                lr_t = ap.lr * (0.1 + 0.9 * (t - 100) / 100.0)
-            else:
-                lr_t = ap.lr
             b1, b2 = ap.betas
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
-            theta = theta - lr_t * (m / (1.0 - b1 ** t)
-                                    / (np.sqrt(v / (1.0 - b2 ** t)) + ap.eps)
-                                    + ap.weight_decay * theta)
+            theta = theta - lr_at(t) * (m / (1.0 - b1 ** t)
+                                        / (np.sqrt(v / (1.0 - b2 ** t)) + ap.eps)
+                                        + ap.weight_decay * theta)
             fb, pb = next(batches)
             assert_row(traj, t, cfg, self.spec, theta, self.theta0, fb, pb)
         np.testing.assert_array_equal(traj.final_theta, theta)
-        assert traj.clip_scales[1:] == [1.0] * 210
+        assert traj.clip_scales[1:] == [1.0] * T
+
+    def test_adamw_matches_replay_with_staged_warmup(self):
+        """First 100 steps run at 10% of lr, the next 100 ramp linearly
+        to lr."""
+        ap = O.AdamParams(lr=0.02, betas=(0.9, 0.95), eps=1e-8,
+                          weight_decay=0.1, warmup=True)
+
+        def lr_at(t):
+            if t <= 100:
+                return 0.1 * ap.lr
+            if t <= 200:
+                return ap.lr * (0.1 + 0.9 * (t - 100) / 100.0)
+            return ap.lr
+
+        self.assert_adamw_replay(ap, 210, lr_at)
+
+    def test_adamw_matches_replay_without_warmup(self):
+        """warmup=False runs every step at lr."""
+        ap = O.AdamParams(lr=0.02, betas=(0.9, 0.95), eps=1e-8,
+                          weight_decay=0.1, warmup=False)
+        self.assert_adamw_replay(ap, 30, lambda t: ap.lr)
 
     def test_adamw_lr_falls_back_to_config_eta(self):
         cfg = base_config(T=3, seed=333)
