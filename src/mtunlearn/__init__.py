@@ -82,7 +82,7 @@ from .model import (
     greedy_continuation,
     init_params,
     load_jsonl_dataset,
-    logit_jacobian,
+    logit_jacobians,
     logits,
     param_count,
     sequence_logprob,
@@ -156,7 +156,7 @@ __all__ = [
     "greedy_continuation",
     "init_params",
     "load_jsonl_dataset",
-    "logit_jacobian",
+    "logit_jacobians",
     "logits",
     "param_count",
     "sequence_logprob",

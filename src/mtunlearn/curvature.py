@@ -23,17 +23,14 @@ from . import model as M
 MAX_DENSE_DIM = 4096
 
 
-def _sqrt_factor(p):
-    """B with B B^T = Diag(p) - p p^T, namely Diag(sqrt(p)) - p sqrt(p)^T."""
-    s = np.sqrt(p)
-    return np.diag(s) - np.outer(p, s)
-
-
 def assemble_gnh(spec, theta, batch):
     """Dense curvature matrix on the batch contexts at theta.
 
-    Exact symmetric PSD assembly; raises when dim(theta) exceeds the
-    dense limit (use a smaller model).
+    Exact symmetric PSD assembly F^T F: F stacks sqrt(count/N) B^T J over
+    the distinct contexts, with J their logit Jacobians (one backprop for
+    all of them) and B^T = Diag(sqrt p) - sqrt(p) p^T, so that
+    B B^T = Diag(p) - p p^T.  Raises when dim(theta) exceeds the dense
+    limit (use a smaller model).
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -42,16 +39,14 @@ def assemble_gnh(spec, theta, batch):
         raise ValueError(f"dim(theta)={dim} exceeds the dense assembly limit "
                          f"{MAX_DENSE_DIM}; use a smaller model")
     theta = np.asarray(theta, dtype=float)
-    N = len(batch)
-    H = np.zeros((dim, dim))
-    # Group identical contexts: they share J and S.  The bigram's J is the
-    # 0/1 selection of its table row.
+    # Group identical contexts: they share J and S.
     ctxs, counts = np.unique(batch.contexts, axis=0, return_counts=True)
     P = M.softmax_rows(M.batch_logits(spec, theta, ctxs))
-    for ctx, cnt, p in zip(ctxs, counts, P):
-        J = M.logit_jacobian(spec, theta, ctx)
-        Mfac = J @ _sqrt_factor(p)
-        H += (cnt / N) * (Mfac @ Mfac.T)
+    w = np.sqrt(counts / len(batch))[:, None] * np.sqrt(P)
+    Bt = w[:, :, None] * (np.eye(spec.vocab_size) - P[:, None, :])
+    F = (Bt @ M.logit_jacobians(spec, theta, ctxs)).reshape(-1, dim)
+    H = F.T @ F
+    del F  # not held beside H's symmetrised copy
     return 0.5 * (H + H.T)
 
 

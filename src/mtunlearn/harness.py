@@ -391,7 +391,8 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
 class LemmaFamily:
     """Random SPD instance family for the bound check: H = Q diag(e) Q^T
     with Q a seeded random orthogonal matrix and eigenvalues e drawn
-    uniformly from [eig_low, eig_high]; g standard normal."""
+    uniformly from [eig_low, eig_high], 0 < eig_low <= eig_high; g
+    standard normal."""
 
     dim: int = 8
     eig_low: float = 0.5
@@ -407,6 +408,11 @@ class LemmaFamily:
         for name in ("eig_low", "eig_high"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.eig_low > 0:
+            raise ValueError(f"eig_low must be positive (H is SPD), got {self.eig_low}")
+        if not self.eig_low <= self.eig_high:
+            raise ValueError(f"eig_high must be at least eig_low={self.eig_low}, "
+                             f"got {self.eig_high}")
         if not 0 <= self.noise_scale < np.inf:
             raise ValueError(f"noise_scale must be nonnegative and finite, "
                              f"got {self.noise_scale}")
@@ -425,7 +431,8 @@ def lemma_instance(family):
 def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
                  modes=("zero", "const"), T=400, step_scale=0.5):
     """Check the closed-form error bound of the damped momentum iteration
-    on a grid of momentum, damping, and error-injection settings.
+    on a grid of momentum (each in [0, 1)), damping (each positive and
+    finite), and error-injection settings.
 
     Per cell the step size is eta = step_scale / (lam_max(H) + lam); mode
     "zero" injects no error, "const" injects a fresh random direction of
@@ -446,9 +453,10 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     if any(mode not in ("zero", "const") for mode in modes):
         raise ConfigError(f"unknown error mode in modes {list(modes)}; "
                           f"the modes are 'zero' and 'const'")
-    for name, values in (("mus", mus), ("lams", lams)):
-        if np.isnan(values).any():
-            raise ConfigError(f"{name} must not contain NaN, got {list(values)}")
+    if not all(0 <= mu < 1 for mu in mus):
+        raise ConfigError(f"mus must lie in [0, 1), got {list(mus)}")
+    if not all(0 < lam < np.inf for lam in lams):
+        raise ConfigError(f"lams must be positive and finite, got {list(lams)}")
     if not step_scale > 0:
         raise ConfigError(f"step_scale must be positive, got {step_scale}")
     family = family or LemmaFamily()
@@ -623,6 +631,9 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
                     ("raise_min", raise_min), ("hold_max", hold_max)):
         if np.isnan(v):
             raise ConfigError(f"{name} must be a number, got {v}")
+    if saturation_min > 1:
+        raise ConfigError(f"saturation_min must be at most 1 (p_y never exceeds "
+                          f"1), got {saturation_min}")
     if setup is None:
         setup = default_dynamics_setup()
     spec, theta0 = setup.spec, setup.theta0

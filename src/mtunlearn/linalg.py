@@ -51,13 +51,14 @@ def norm(x):
     return np.sqrt(dot(x, x))
 
 
-def check_symmetric(A, atol=SYMMETRY_ATOL):
-    """Raise if A is not symmetric within |A_ij - A_ji| <= atol*max(1, |A_ij|)."""
+def check_symmetric(A):
+    """Raise if A is not symmetric within
+    |A_ij - A_ji| <= SYMMETRY_ATOL * max(1, |A_ij|)."""
     A = _as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix is not square: shape {A.shape}")
     scale = np.maximum(1.0, np.abs(A))
-    if not np.all(np.abs(A - A.T) <= atol * scale):
+    if not np.all(np.abs(A - A.T) <= SYMMETRY_ATOL * scale):
         worst = float(np.max(np.abs(A - A.T) / scale))
         raise ValueError(f"matrix is not symmetric: max scaled asymmetry {worst:.3e}")
     return A

@@ -267,7 +267,8 @@ def _forward(spec, theta, X):
     (X, hidden activations) for the MLP.  The bigram logits X @ table are
     the gathered table rows bit for bit, except that a -0.0 entry reads
     +0.0.  A stack of parameter vectors, theta of shape (..., dim), gives
-    H of shape (..., n, V), each slice bit for bit its row's logits.
+    H of shape (..., n, V), each slice bit for bit its row's logits;
+    inputs X with leading axes (..., n, D) give H and aux those axes.
     """
     if spec.kind == BIGRAM:
         V = spec.vocab_size
@@ -296,12 +297,14 @@ def grad_from_logit_grads(spec, theta, G, aux):
     and theta.  The bigram gradient X^T G equals np.add.at of G into the
     table rows bit for bit.  For a stack of parameter vectors (theta of
     shape (..., dim), G of shape (..., n, V)) it returns one gradient per
-    row, each bit for bit that row's own.
+    row, each bit for bit that row's own.  Likewise G of shape
+    (..., n, V) against aux whose leading axes broadcast with G's gives
+    one gradient per leading index (see logit_jacobians).
     """
     G = np.asarray(G, dtype=float)
     flat = G.shape[:-2] + (-1,)
     if spec.kind == BIGRAM:
-        return (aux.T @ G).reshape(flat)
+        return (aux.swapaxes(-1, -2) @ G).reshape(flat)
     X, A = aux
     _, _, W2, _ = _unpack_mlp(spec, theta)
     dW2 = G.swapaxes(-1, -2) @ A
@@ -313,29 +316,20 @@ def grad_from_logit_grads(spec, theta, G, aux):
                           axis=-1)
 
 
-def logit_jacobian(spec, theta, x):
-    """Exact Jacobian d h(x; theta) / d theta, shape (dim(theta), V).
+def logit_jacobians(spec, theta, data):
+    """Exact Jacobians d h(x_n; theta) / d theta of every context of data
+    (a TokenDataset or an array of contexts), shape (n, V, dim): row j of
+    slice n is the gradient of logit j at x_n.
 
-    For the bigram model this is a 0/1 selection matrix: one identity
-    block on the active table row, zeros elsewhere.
+    One forward pass and one backprop: each context is its own batch of
+    one, and the seeds are the V unit logit gradients.  For the bigram
+    model each slice is the 0/1 selection of the context's table row.
     """
-    x = np.asarray(x, dtype=int).reshape(1, -1)
-    X = model_inputs(spec, x)
+    X = model_inputs(spec, data)
     V = spec.vocab_size
-    dim = param_count(spec)
-    J = np.zeros((dim, V))
-    if spec.kind == BIGRAM:
-        row = int(x[0, -1])
-        for j in range(V):
-            J[row * V + j, j] = 1.0
-        return J
-    # Backprop of each logit coordinate: column j is the gradient of h_j.
-    _, aux = _forward(spec, theta, X)
-    for j in range(V):
-        G = np.zeros((1, V))
-        G[0, j] = 1.0
-        J[:, j] = grad_from_logit_grads(spec, theta, G, aux)
-    return J
+    _, aux = _forward(spec, theta, X[:, None, None])
+    seeds = np.broadcast_to(np.eye(V)[:, None], (len(X), V, 1, V))
+    return grad_from_logit_grads(spec, theta, seeds, aux)
 
 
 def logit_jvp(spec, theta, data, v):

@@ -35,22 +35,24 @@ def raw_forward(spec, theta, contexts):
     """The forward pass on raw context ids, as it ran before datasets kept
     their encoding: every call checks the ids and builds the one-hot
     matrix again, and the bigram gathers table rows.  Returns (H, aux)
-    with aux the context rows (bigram) or (X, hidden activations)."""
+    with aux the context rows (bigram) or (X, hidden activations).
+    Contexts with leading axes (..., n, width), as model.logit_jacobians
+    stacks them, give H and aux the same leading axes."""
     contexts = np.asarray(contexts, dtype=int)
     V = spec.vocab_size
     if contexts.size and (contexts.max() >= V or contexts.min() < M.PAD):
         raise ValueError(f"token id out of vocabulary (V={V})")
     if spec.kind == M.BIGRAM:
-        rows = contexts[:, -1]
+        rows = contexts[..., -1]
         if rows.size and rows.min() < 0:
             raise ValueError("bigram model requires a non-empty context")
         return theta.reshape(V, V)[rows], rows
-    n, width = contexts.shape
-    X = np.zeros((n, V * spec.context_len))
+    width = contexts.shape[-1]
+    X = np.zeros(contexts.shape[:-1] + (V * spec.context_len,))
     for j in range(width):
-        t = contexts[:, j]
+        t = contexts[..., j]
         m = t >= 0
-        X[np.nonzero(m)[0], (spec.context_len - width + j) * V + t[m]] = 1.0
+        X[np.nonzero(m) + ((spec.context_len - width + j) * V + t[m],)] = 1.0
     W1, b1, W2, b2 = M._unpack_mlp(spec, theta)
     A = np.tanh(X @ W1.T + b1)
     return A @ W2.T + b2, (X, A)
@@ -59,18 +61,24 @@ def raw_forward(spec, theta, contexts):
 def raw_backprop(spec, theta, G, aux):
     """Backprop matching raw_forward, from the aux state it returned:
     np.add.at into the bigram table rows, the same products as
-    model.grad_from_logit_grads for the MLP."""
+    model.grad_from_logit_grads for the MLP.  Seeds with leading axes
+    (..., n, V), broadcasting against those of aux, give one gradient
+    per leading index."""
     G = np.asarray(G, dtype=float)
+    flat = G.shape[:-2] + (-1,)
     if spec.kind == M.BIGRAM:
         V = spec.vocab_size
-        dW = np.zeros((V, V))
-        np.add.at(dW, aux, G)
-        return dW.ravel()
+        rows = np.broadcast_to(aux, G.shape[:-1])
+        dW = np.zeros(G.shape[:-2] + (V, V))
+        np.add.at(dW, tuple(np.indices(rows.shape)[:-1]) + (rows,), G)
+        return dW.reshape(flat)
     X, A = aux
     _, _, W2, _ = M._unpack_mlp(spec, theta)
     dZ = (G @ W2) * (1.0 - A * A)
-    return np.concatenate([(dZ.T @ X).ravel(), dZ.sum(axis=0),
-                           (G.T @ A).ravel(), G.sum(axis=0)])
+    return np.concatenate([(dZ.swapaxes(-1, -2) @ X).reshape(flat),
+                           dZ.sum(axis=-2),
+                           (G.swapaxes(-1, -2) @ A).reshape(flat),
+                           G.sum(axis=-2)], axis=-1)
 
 
 def use_raw_forward(monkeypatch):

@@ -68,12 +68,31 @@ class TestAssembly:
         batch = M.TokenDataset(ctx, rng.integers(0, 4, 8))
         H = np.zeros((M.param_count(spec),) * 2)
         P = M.softmax_rows(M.batch_logits(spec, theta, batch.contexts))
-        for c, p in zip(batch.contexts, P):
-            J = M.logit_jacobian(spec, theta, list(c))
+        for J, p in zip(M.logit_jacobians(spec, theta, batch), P):
             S = np.diag(p) - np.outer(p, p)
-            H += (J @ S @ J.T) / len(batch)
+            H += (J.T @ S @ J) / len(batch)
         np.testing.assert_allclose(curvature.assemble_gnh(spec, theta, batch),
                                    0.5 * (H + H.T), atol=1e-12)
+
+    @pytest.mark.parametrize("n_contexts", [3, 12])
+    def test_one_backprop_for_every_context(self, monkeypatch, n_contexts):
+        """Every Jacobian comes from one backprop, and the assembly makes
+        at most two forward passes, whatever the number of distinct
+        contexts."""
+        rng = np.random.default_rng(74)
+        spec = mlp_spec()
+        theta = rng.standard_normal(M.param_count(spec))
+        ctx = np.array([[a, b] for a in range(4) for b in range(4)])[:n_contexts]
+        ctx = np.concatenate([ctx, ctx[:2]])   # and repeats to group
+        batch = M.TokenDataset(ctx, rng.integers(0, 4, len(ctx)))
+        calls = {"_forward": 0, "grad_from_logit_grads": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(M, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(M, name, counted)
+        curvature.assemble_gnh(spec, theta, batch)
+        assert calls["grad_from_logit_grads"] == 1 and calls["_forward"] <= 2
 
     def test_bigram_matches_fisher_monte_carlo(self):
         """H equals the Fisher information: per visited row the covariance

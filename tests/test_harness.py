@@ -349,6 +349,9 @@ class TestLemmaDriver:
         (dict(eig_high=float("inf")), "eig_high"),
         (dict(noise_scale=float("nan")), "noise_scale"),
         (dict(noise_scale=-0.01), "noise_scale"),
+        (dict(eig_low=5.0, eig_high=0.5), "eig_high"),
+        (dict(eig_low=-3.0), "eig_low"),
+        (dict(eig_low=0.0), "eig_low"),
     ])
     def test_family_rejects_values_it_cannot_draw_from(self, kw, field):
         with pytest.raises(ValueError, match=field):
@@ -386,6 +389,11 @@ class TestLemmaDriver:
         (dict(step_scale=float("nan")), "step_scale"),
         (dict(mus=(0.0, float("nan"))), "mus"),
         (dict(lams=(float("nan"),)), "lams"),
+        (dict(mus=(1.0,)), "mus"),
+        (dict(mus=(0.5, -0.1)), "mus"),
+        (dict(lams=(-1.0,)), "lams"),
+        (dict(lams=(1.0, 0.0)), "lams"),
+        (dict(lams=(float("inf"),)), "lams"),
     ])
     def test_grid_rejected_before_the_first_cell(self, monkeypatch, kw, field):
         forbid(monkeypatch, Hn.curvature, "ihvp_momentum")
@@ -455,6 +463,7 @@ class TestDynamicsDriver:
         (dict(ratio_min=float("nan")), "ratio_min"),
         (dict(raise_min=float("nan")), "raise_min"),
         (dict(hold_max=float("nan")), "hold_max"),
+        (dict(saturation_min=1.5, loss_tags=("ll",)), "saturation_min"),
     ])
     def test_losses_rejected_before_the_saturation_check(self, kw, text):
         # An unsaturated target: the study would otherwise fail on it.

@@ -155,6 +155,11 @@ class TestPreparedInputs:
             v = rng.standard_normal(M.param_count(spec))
             assert same_bits(M.logit_jvp(spec, theta, batch, v),
                              M.logit_jvp(spec, theta, batch.contexts, v))
+            _, aux_raw = raw_forward(spec, theta, batch.contexts[:, None, None])
+            seeds = np.broadcast_to(np.eye(spec.vocab_size)[:, None],
+                                    (n, spec.vocab_size, 1, spec.vocab_size))
+            assert same_bits(M.logit_jacobians(spec, theta, batch),
+                             raw_backprop(spec, theta, seeds, aux_raw))
 
     @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec],
                              ids=["bigram", "mlp"])
@@ -222,27 +227,29 @@ class TestPreparedInputs:
 
 class TestDerivatives:
     def test_logit_jacobian_matches_finite_differences(self):
+        """One call gives the Jacobians of several contexts, PAD slots
+        included: slice r, row v is the gradient of logit v at context r."""
         rng = np.random.default_rng(20)
         for spec in (bigram_spec(4), mlp_spec(V=4, ctx=2, hid=3)):
             theta = rng.standard_normal(M.param_count(spec))
-            x = [1] if spec.kind == M.BIGRAM else [2, 1]
-            J = M.logit_jacobian(spec, theta, x)
-            assert J.shape == (M.param_count(spec), spec.vocab_size)
-            for v in range(spec.vocab_size):
-                fd = central_difference_gradient(
-                    lambda th, v=v: M.logits(spec, th, x)[v], theta)
-                assert relative_error(J[:, v], fd) < 1e-7
+            ctx = np.array([[M.PAD, 1], [2, 1], [0, 3], [M.PAD, 0], [3, 3]])
+            J = M.logit_jacobians(spec, theta, ctx)
+            assert J.shape == (len(ctx), spec.vocab_size, M.param_count(spec))
+            for r, x in enumerate(ctx):
+                for v in range(spec.vocab_size):
+                    fd = central_difference_gradient(
+                        lambda th, v=v: M.logits(spec, th, x)[v], theta)
+                    assert relative_error(J[r, v], fd) < 1e-7
 
     def test_logit_jvp_matches_jacobian_product(self):
         rng = np.random.default_rng(21)
-        spec = mlp_spec()
-        theta = rng.standard_normal(M.param_count(spec))
-        batch = random_batch(rng, spec, n=5)
-        v = rng.standard_normal(M.param_count(spec))
-        JV = M.logit_jvp(spec, theta, batch.contexts, v)
-        for r, c in enumerate(batch.contexts):
-            J = M.logit_jacobian(spec, theta, list(c))
-            np.testing.assert_allclose(JV[r], J.T @ v, rtol=1e-9, atol=1e-11)
+        for spec in (mlp_spec(), bigram_spec()):
+            theta = rng.standard_normal(M.param_count(spec))
+            batch = random_batch(rng, spec, n=5)
+            v = rng.standard_normal(M.param_count(spec))
+            JV = M.logit_jvp(spec, theta, batch.contexts, v)
+            np.testing.assert_allclose(JV, M.logit_jacobians(spec, theta, batch) @ v,
+                                       rtol=1e-9, atol=1e-11)
 
     def test_grad_from_logit_grads_matches_finite_differences(self):
         """Backprop of an arbitrary per-row logit-space gradient."""

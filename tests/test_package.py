@@ -9,7 +9,7 @@ import re
 import types
 
 import mtunlearn
-from mtunlearn import curvature, losses, model
+from mtunlearn import artifacts, curvature, losses, model
 
 
 def test_all_lists_every_public_name_once_and_each_resolves():
@@ -32,7 +32,8 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     take what their callers prepared: npo's base values come with the
     batch (losses.npo_pairs), backprop takes its forward pass's aux state,
     and the wrappers over prepared datasets and over the it row kernel
-    are gone."""
+    are gone, as are the per-context Jacobian and square-root factor the
+    dense assembly stacks now (model.logit_jacobians)."""
     for name in ("npo_value", "npo_weight", "npo_grad", "ll_value_rows",
                  "ll_grad_rows", "nll_value_rows", "nll_grad_rows",
                  "nlul_value_rows", "nlul_grad_rows", "_ll_grad"):
@@ -41,7 +42,8 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     assert not hasattr(curvature, "bigram_gnh_blocks")
     assert "bigram_gnh_blocks" not in mtunlearn.__all__
     for module, name in ((model, "validate_dataset"), (losses, "it_value_rows"),
-                         (losses, "it_rows"), (losses, "_rows")):
+                         (losses, "it_rows"), (losses, "_rows"),
+                         (model, "logit_jacobian"), (curvature, "_sqrt_factor")):
         assert not hasattr(module, name) and name not in mtunlearn.__all__
     assert not hasattr(model.TokenDataset, "_take")
     for fn in (losses.batch_loss, losses.batch_grad, losses.batch_value_and_grad):
@@ -89,6 +91,22 @@ def test_the_traced_benchmark_finds_the_layers_it_depends_on():
     for mod, fname in sorted(needed):
         module = importlib.import_module(f"mtunlearn.{mod}")
         assert callable(getattr(module, fname, None)), f"{mod}.{fname}"
+
+
+PYPROJECT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "pyproject.toml")
+
+
+def test_distribution_is_named_after_the_package():
+    """pip installs the distribution under the package's name, at the
+    version run manifests record.  Read with a regex: tomllib is not in
+    Python 3.10."""
+    with open(PYPROJECT, encoding="utf-8") as fh:
+        text = fh.read()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    fields = dict(re.findall(r'^(name|version) = "([^"]*)"$', project.group(1),
+                             re.M))
+    assert fields == {"name": "mtunlearn", "version": artifacts.TOOL_VERSION}
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
