@@ -58,7 +58,6 @@ from .harness import (
     gradient_dynamics_study,
     lcs_length,
     memorization_report,
-    render_result_tables,
     unlearn_experiment,
     verify_divergence_quadratic,
     verify_lemma,
@@ -136,7 +135,6 @@ __all__ = [
     "gradient_dynamics_study",
     "lcs_length",
     "memorization_report",
-    "render_result_tables",
     "unlearn_experiment",
     "verify_divergence_quadratic",
     "verify_lemma",

@@ -6,15 +6,17 @@ Subcommands:
   unlearn CONFIG        run unlearning methods against a trained target
   verify WHICH [CONFIG] run a verification suite (theorem1, lemma,
                         dynamics, divergence-quadratic)
-  report                re-render the CSV tables of an output directory
-                        from its results.json
+  report                re-render the CSV tables and summary of an output
+                        directory from its results.json, byte for byte
+                        as the command that wrote it
 
 Every command takes --out DIR; all artifacts are written there and every
 non-absolute path in a config resolves against it.  --seed (or the
 MTUNLEARN_SEED environment variable; the flag wins) overrides the
-command's primary seed.  Outputs are bitwise reproducible given the same
-resolved config and seed; only the manifest's duration field may differ
-between reruns.
+command's primary seed; report and verify divergence-quadratic have no
+seed, reject the flag and ignore the variable.  Outputs are bitwise
+reproducible given the same resolved config and seed; only the
+manifest's duration field may differ between reruns.
 
 Exit codes: 0 success (verification passed), 1 a verification suite ran
 to completion and failed, 2 configuration error, 3 training failure,
@@ -312,7 +314,7 @@ def _write_corpus_jsonl(out_dir, d_f, d_pt):
 
 
 # ---------------------------------------------------------------------------
-# Summary printing
+# Result documents
 # ---------------------------------------------------------------------------
 
 def _pf(flag):
@@ -321,55 +323,113 @@ def _pf(flag):
     return "PASS" if flag else "FAIL"
 
 
-def print_result_summary(result, verbose=False):
+def _table(name, header, rows):
+    """A CSV table whose columns are the rows' fields of the same names; a
+    field holding None is an empty cell."""
+    return (name, header, [["" if r[h] is None else r[h] for h in header]
+                           for r in rows])
+
+
+def result_outputs(result, verbose=False):
+    """The outputs of a result document, fresh or reloaded from its
+    results.json: its CSV tables as (file name, header, rows) and its
+    summary lines, with per-row detail when verbose.  Both are built in
+    memory, with one dispatch on the document's "check" field.  Tables
+    keyed by loss tag list the tags sorted, the order results.json keeps."""
     check = result.get("check")
+    lines = []
     if check == "theorem1":
+        tables = [_table("theorem1.csv", ["grad_lag", "alpha", "T", "gamma",
+                                          "lam_bar", "deviation"],
+                         result["rows"])]
         if verbose:
-            for r in result["rows"]:
-                print(f"  grad_lag={r['grad_lag']} alpha={r['alpha']:.4f} "
-                      f"T={r['T']} deviation={r['deviation']:.6e}")
+            lines += [f"  grad_lag={r['grad_lag']} alpha={r['alpha']:.4f} "
+                      f"T={r['T']} deviation={r['deviation']:.6e}"
+                      for r in result["rows"]]
         for key, label in (("lag_false", "grad at current iterate"),
                            ("lag_true", "grad at previous iterate")):
             s = result["summary"][key]
-            print(f"theorem1 [{label}]: slope={s['slope']:.3f} "
-                  f"monotone={s['monotone']}")
-        print(f"theorem1: {_pf(result['passed'])}")
+            lines.append(f"theorem1 [{label}]: slope={s['slope']:.3f} "
+                         f"monotone={s['monotone']}")
     elif check == "lemma":
         rows = result["rows"]
+        tables = [_table("lemma.csv", ["mu", "lam", "mode", "eta", "T",
+                                       "u0_dist", "max_ratio", "floor_step",
+                                       "min_margin", "holds", "status"], rows)]
         ok = sum(1 for r in rows if r["status"] == "ok" and r["holds"])
         ran = sum(1 for r in rows if r["status"] == "ok")
         if verbose:
-            for r in rows:
-                print(f"  mu={r['mu']} lam={r['lam']} mode={r['mode']}: "
+            lines += [f"  mu={r['mu']} lam={r['lam']} mode={r['mode']}: "
                       f"max_ratio={r['max_ratio']:.6f} "
-                      f"floor_step={r['floor_step']} status={r['status']}")
-        print(f"lemma: bound holds in {ok}/{ran} cells "
-              f"({result['n_skipped']} skipped)")
-        print(f"lemma: {_pf(result['passed'])}")
+                      f"floor_step={r['floor_step']} status={r['status']}"
+                      for r in rows]
+        lines.append(f"lemma: bound holds in {ok}/{ran} cells "
+                     f"({result['n_skipped']} skipped)")
     elif check == "divergence-quadratic":
+        tables = [_table("divergence_quadratic.csv",
+                         ["model", "kind", "t", "residual", "ratio"],
+                         result["rows"])]
         if verbose:
-            for r in result["rows"]:
-                print(f"  {r['model']} {r['kind']} t={r['t']:.0e}: "
-                      f"residual/t^2={r['ratio']:.6e}")
-        print(f"divergence-quadratic: {_pf(result['passed'])}")
+            lines += [f"  {r['model']} {r['kind']} t={r['t']:.0e}: "
+                      f"residual/t^2={r['ratio']:.6e}" for r in result["rows"]]
     elif check == "dynamics":
-        for key, val in sorted(result["ratios"].items()):
-            print(f"dynamics: grad norm ratio {key} = {val:.2f}")
-        for tag, val in sorted(result["delta_nll"].items()):
-            print(f"dynamics: delta forget NLL [{tag}] = {val:+.4f}")
-        print(f"dynamics: {_pf(result['passed'])}")
+        series, grad0 = result["series"], result["grad_norm0"]
+        rows = []
+        for tag in sorted(series):
+            entry = series[tag]
+            klv = entry.get("kl_to_teacher")
+            rows += [[tag, t, entry["nll_forget"][i], entry["loss_grad_norm"][i],
+                      "" if klv is None else klv[i]]
+                     for i, t in enumerate(entry["t"])]
+        tables = [("dynamics.csv", ["loss", "t", "nll_forget", "loss_grad_norm",
+                                    "kl_to_teacher"], rows),
+                  ("dynamics_summary.csv",
+                   ["loss", "grad_norm_initial", "delta_nll_forget"],
+                   [[tag, grad0[tag], result["delta_nll"][tag]]
+                    for tag in sorted(grad0)])]
+        lines += [f"dynamics: grad norm ratio {key} = {val:.2f}"
+                  for key, val in sorted(result["ratios"].items())]
+        lines += [f"dynamics: delta forget NLL [{tag}] = {val:+.4f}"
+                  for tag, val in sorted(result["delta_nll"].items())]
     elif check == "unlearn":
-        for r in result["rows"]:
-            print(f"{r['name']}: exact match "
-                  f"{r['exact_match_before']:.2f} -> {r['exact_match_after']:.2f}, "
-                  f"drift {r['drift']:+.4f}, steps {r['steps']}, {r['status']}")
+        tables = [_table("unlearn.csv", [
+            "name", "optimizer", "rounds", "steps", "exact_match_before",
+            "exact_match_after", "lcs_before", "lcs_after", "nll_forget_before",
+            "nll_forget_after", "nll_pretrain_before", "nll_pretrain_after",
+            "drift", "status"], result["rows"])]
+        lines += [f"{r['name']}: exact match {r['exact_match_before']:.2f} -> "
+                  f"{r['exact_match_after']:.2f}, drift {r['drift']:+.4f}, "
+                  f"steps {r['steps']}, {r['status']}" for r in result["rows"]]
     elif check == "train-target":
         rep = result["report"]
-        print(f"target: exact match {rep['exact_match_rate']:.3f}, "
-              f"forget NLL {rep['nll_forget']:.6f}, "
-              f"pretrain NLL {rep['nll_pretrain']:.6f}")
+        tables = [_table("target_report.csv", ["exact_match_rate", "lcs_ratio",
+                                               "nll_forget", "nll_pretrain"],
+                         [rep])]
+        lines.append(f"target: exact match {rep['exact_match_rate']:.3f}, "
+                     f"forget NLL {rep['nll_forget']:.6f}, "
+                     f"pretrain NLL {rep['nll_pretrain']:.6f}")
     else:
-        raise ValueError(f"cannot summarize result of kind {check!r}")
+        raise ValueError(f"cannot render result of kind {check!r}")
+    if check in VERIFY_CHECKS:
+        lines.append(f"{check}: {_pf(result['passed'])}")
+    return tables, lines
+
+
+def _write_tables(out_dir, tables):
+    for name, header, rows in tables:
+        artifacts.write_csv(os.path.join(out_dir, name), header, rows)
+
+
+def _finish(args, result, command, config, seed, t0, inputs):
+    """A command's shared tail: its results.json, tables and manifest, then
+    its summary printed.  The outputs are built before the first write."""
+    tables, lines = result_outputs(result, args.verbose)
+    artifacts.write_results_json(args.out, result)
+    _write_tables(args.out, tables)
+    artifacts.write_manifest(args.out, command, config, seed,
+                             time.perf_counter() - t0, input_paths=inputs)
+    for line in lines:
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +468,7 @@ def cmd_train_target(args):
               "n_forget_sequences": len(d_f.sequences),
               "n_pretrain_sequences": len(d_pt.sequences),
               "n_forget_pairs": len(d_f), "n_pretrain_pairs": len(d_pt)}
-    artifacts.write_results_json(out, result)
-    harness.render_result_tables(result, out)
-    artifacts.write_manifest(out, "train-target", raw, seed,
-                             time.perf_counter() - t0,
-                             input_paths=[cfg_path] + inputs)
-    print_result_summary(result, args.verbose)
+    _finish(args, result, "train-target", raw, seed, t0, [cfg_path] + inputs)
     if args.verbose:
         print(f"artifacts written to {out}")
     return 0
@@ -452,13 +507,9 @@ def cmd_unlearn(args):
             artifacts.write_trajectory_csv(os.path.join(out, fname), traj)
     result = {k: v for k, v in res.items()
               if k not in ("thetas", "trajectories")}
-    artifacts.write_results_json(out, result)
-    harness.render_result_tables(result, out)
-    seed_note = seed_override if seed_override is not None else -1
-    artifacts.write_manifest(out, "unlearn", raw, seed_note,
-                             time.perf_counter() - t0,
-                             input_paths=[cfg_path, target_path] + inputs)
-    print_result_summary(result, args.verbose)
+    _finish(args, result, "unlearn", raw,
+            -1 if seed_override is None else seed_override, t0,
+            [cfg_path, target_path] + inputs)
     return 0
 
 
@@ -489,21 +540,19 @@ def cmd_verify(args):
     kws = _read(dict(cfg), args.which,
                 *((check,) if build is None else (build, check)),
                 rename=VERIFY_RENAME, skip=("setup", "family"))
-    seed = _resolve_seed(args)
-    testbed = ()
+    testbed, seed = (), -1
     if build is not None:
-        if seed is not None:
-            kws[0]["seed"] = seed
+        override = _resolve_seed(args)
+        if override is not None:
+            kws[0]["seed"] = override
         seed = kws[0]["seed"]
         testbed = (_cfgval(lambda: build(**kws[0]), f"{args.which} settings"),)
+    elif args.seed is not None:
+        raise ConfigError(f"--seed does not apply to verify {args.which}, "
+                          f"which has no seed")
     result = check(*testbed, **kws[-1])
     resolved = {VERIFY_RENAME.get(k, k): v for kw in kws for k, v in kw.items()}
-    artifacts.write_results_json(out, result)
-    harness.render_result_tables(result, out)
-    artifacts.write_manifest(out, f"verify {args.which}", resolved,
-                             -1 if seed is None else seed,
-                             time.perf_counter() - t0, input_paths=inputs)
-    print_result_summary(result, args.verbose)
+    _finish(args, result, f"verify {args.which}", resolved, seed, t0, inputs)
     passed = result.get("passed")
     if passed is False:
         print("verification failed", file=sys.stderr)
@@ -517,15 +566,14 @@ def cmd_report(args):
         result = artifacts.read_results_json(args.out)
         if not isinstance(result, dict):
             raise TypeError("the document is not a JSON object")
-        # Build the tables, then summarise, then write: a malformed
-        # document changes no file.
-        tables = harness.result_tables(result)
-        print_result_summary(result, args.verbose)
-        for name, header, rows in tables:
-            artifacts.write_csv(os.path.join(args.out, name), header, rows)
+        # Built before the first write: a malformed document changes no file.
+        tables, lines = result_outputs(result, args.verbose)
     except (LookupError, TypeError, ValueError) as exc:
         raise MissingArtifactError(f"malformed results document {path}: "
                                    f"{type(exc).__name__}: {exc}") from exc
+    _write_tables(args.out, tables)
+    for line in lines:
+        print(line)
     if args.verbose:
         print(f"tables re-rendered in {args.out}")
     return 0
@@ -540,25 +588,26 @@ def build_parser():
     common.add_argument("--out", required=True,
                         help="output directory (config paths resolve "
                              "against it)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the command's primary seed (also "
-                             "settable via MTUNLEARN_SEED; the flag wins)")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="print per-row detail")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="override the command's primary seed (also "
+                             "settable via MTUNLEARN_SEED; the flag wins)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pt = sub.add_parser("train-target", parents=[common],
+    pt = sub.add_parser("train-target", parents=[seeded],
                         help="memorize a corpus into a target model")
     pt.add_argument("config", help="JSON config (model, corpus|data, train)")
     pt.set_defaults(func=cmd_train_target)
 
-    pu = sub.add_parser("unlearn", parents=[common],
+    pu = sub.add_parser("unlearn", parents=[seeded],
                         help="run unlearning methods against a target")
     pu.add_argument("config",
                     help="JSON config (model, target, corpus|data, methods)")
     pu.set_defaults(func=cmd_unlearn)
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify", parents=[seeded],
                         help="run a verification suite")
     pv.add_argument("which", choices=sorted(VERIFY_CHECKS),
                     help="which suite to run")
@@ -567,7 +616,8 @@ def build_parser():
     pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser("report", parents=[common],
-                        help="re-render tables from results.json")
+                        help="re-render tables and summary from "
+                             "results.json")
     pr.set_defaults(func=cmd_report)
     return parser
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import artifacts
 from . import curvature
 from . import divergence as Dmod
 from . import linalg
@@ -749,8 +748,7 @@ class MethodSpec:
     adam: O.AdamParams = None
 
     def __post_init__(self):
-        if self.optimizer not in ("mt", "mt-batched", "momentum-sgd",
-                                  "adamw", "noop"):
+        if self.optimizer not in O.OPTIMIZERS + ("noop",):
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
         if self.optimizer != "noop" and self.config is None:
             raise ValueError(f"method {self.name!r} needs a config")
@@ -903,69 +901,3 @@ def default_unlearn_setup(seed=7):
     ]
     return UnlearnSetup(spec=spec, theta0=theta0, d_f=d_f, d_pt=d_pt,
                         methods=methods, prompt_len=4, completion_len=4)
-
-
-# ---------------------------------------------------------------------------
-# Result rendering
-# ---------------------------------------------------------------------------
-
-def render_result_tables(result, out_dir):
-    """Write the CSV tables for a result document (fresh or reloaded from
-    its results.json).  Every table is built before the first is written,
-    so a malformed document leaves the directory as it was."""
-    for name, header, rows in result_tables(result):
-        artifacts.write_csv(f"{out_dir}/{name}", header, rows)
-
-
-def result_tables(result):
-    """(file name, header, rows) of each CSV table of a result document,
-    built in memory.  Dispatches on the document's "check" field."""
-    check = result.get("check")
-    if check == "theorem1":
-        return [("theorem1.csv",
-                 ["grad_lag", "alpha", "T", "gamma", "lam_bar", "deviation"],
-                 [[r["grad_lag"], r["alpha"], r["T"], r["gamma"], r["lam_bar"],
-                   r["deviation"]] for r in result["rows"]])]
-    if check == "lemma":
-        return [("lemma.csv",
-                 ["mu", "lam", "mode", "eta", "T", "u0_dist", "max_ratio",
-                  "floor_step", "min_margin", "holds", "status"],
-                 [[r["mu"], r["lam"], r["mode"], r["eta"], r["T"], r["u0_dist"],
-                   r["max_ratio"], "" if r["floor_step"] is None else r["floor_step"],
-                   r["min_margin"], r["holds"], r["status"]]
-                  for r in result["rows"]])]
-    if check == "divergence-quadratic":
-        return [("divergence_quadratic.csv",
-                 ["model", "kind", "t", "residual", "ratio"],
-                 [[r["model"], r["kind"], r["t"], r["residual"], r["ratio"]]
-                  for r in result["rows"]])]
-    if check == "dynamics":
-        rows = []
-        for tag, entry in result["series"].items():
-            klv = entry.get("kl_to_teacher")
-            for i, t in enumerate(entry["t"]):
-                rows.append([tag, t, entry["nll_forget"][i],
-                             entry["loss_grad_norm"][i],
-                             klv[i] if klv is not None else ""])
-        return [("dynamics.csv",
-                 ["loss", "t", "nll_forget", "loss_grad_norm", "kl_to_teacher"],
-                 rows),
-                ("dynamics_summary.csv",
-                 ["loss", "grad_norm_initial", "delta_nll_forget"],
-                 [[tag, result["grad_norm0"][tag], result["delta_nll"][tag]]
-                  for tag in result["grad_norm0"]])]
-    if check == "unlearn":
-        header = ["name", "optimizer", "rounds", "steps",
-                  "exact_match_before", "exact_match_after", "lcs_before",
-                  "lcs_after", "nll_forget_before", "nll_forget_after",
-                  "nll_pretrain_before", "nll_pretrain_after", "drift",
-                  "status"]
-        return [("unlearn.csv", header,
-                 [[r[h] for h in header] for r in result["rows"]])]
-    if check == "train-target":
-        rep = result["report"]
-        return [("target_report.csv",
-                 ["exact_match_rate", "lcs_ratio", "nll_forget", "nll_pretrain"],
-                 [[rep["exact_match_rate"], rep["lcs_ratio"], rep["nll_forget"],
-                   rep["nll_pretrain"]]])]
-    raise ValueError(f"cannot render result of kind {check!r}")

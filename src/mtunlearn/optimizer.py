@@ -499,13 +499,16 @@ def _solo(spec, theta0, d_f, d_pt, cfg, rule, callback):
     return out
 
 
+# The optimizers a run can use, each named after its update rule.
+OPTIMIZERS = ("mt", "mt-batched", "momentum-sgd", "adamw")
+
+
 def _rule(optimizer, cfg, adam_params=None):
-    """The update rule of an optimizer: "mt", "mt-batched",
-    "momentum-sgd" or "adamw"."""
+    """The update rule of an optimizer, one of OPTIMIZERS."""
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer: {optimizer!r}")
     if optimizer == "adamw":
         return _AdamW(cfg, adam_params or AdamParams())
-    if optimizer not in ("mt", "mt-batched", "momentum-sgd"):
-        raise ValueError(f"unknown optimizer: {optimizer!r}")
     return _ClippedVelocity(cfg, 0.0 if optimizer == "momentum-sgd" else cfg.kappa,
                             batched=optimizer != "mt")
 
@@ -639,9 +642,9 @@ def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
 def lockstep_runs(spec, theta0, d_f, d_pt, runs):
     """Any number of runs from theta0, those that draw the same data
     advanced in lockstep on one stack of parameter vectors.  `runs` is a
-    list of (optimizer, cfg, adam_params, callback), with optimizer "mt",
-    "mt-batched", "momentum-sgd" or "adamw", adam_params used by "adamw"
-    only (None for the defaults) and callback as in mt_run_batched.
+    list of (optimizer, cfg, adam_params, callback), with optimizer one of
+    OPTIMIZERS, adam_params used by "adamw" only (None for the defaults)
+    and callback as in mt_run_batched.
 
     The runs are partitioned by the data they draw, which is what
     _BatchSampler and _run's npo expansion read: full batch or batched,

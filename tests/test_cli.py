@@ -180,6 +180,23 @@ class TestConfigErrors:
         assert want in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "results.json")
 
+    @pytest.mark.parametrize("command", [["verify", "divergence-quadratic"],
+                                         ["report"]],
+                             ids=["divergence-quadratic", "report"])
+    def test_seed_flag_without_a_seed_exits_2_naming_it(self, tmp_path, capsys,
+                                                        command):
+        """verify divergence-quadratic and report have no seed, so a --seed
+        would do nothing: it is rejected before any file is written."""
+        args = command + ["--out", str(tmp_path), "--seed", "5"]
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse: the flag is not report's
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_duplicate_method_names(self, tmp_path, trained_dir):
         cfg = unlearn_cfg([mt_method("same"), mt_method("same", seed=43)])
         cfg["target"] = os.path.join(trained_dir, "target.npy")
@@ -495,6 +512,13 @@ class TestVerifySchema:
         assert len(stub_verify) == (1 if check == "divergence-quadratic" else 2)
 
 
+    def test_seed_variable_is_ignored_without_a_seed(self, tmp_path, monkeypatch,
+                                                     stub_verify):
+        monkeypatch.setenv("MTUNLEARN_SEED", "5")
+        assert main(["verify", "divergence-quadratic", "--out", str(tmp_path)]) == 0
+        assert A.read_manifest(str(tmp_path))["seed"] == -1
+
+
 class TestFailureExitCodes:
     def test_undertrained_target_exits_3(self, tmp_path, capsys):
         path = write_cfg(tmp_path, target_cfg(epochs=2))
@@ -767,7 +791,49 @@ class TestUnlearn:
         assert 0 < row["steps"] < 400
 
 
+# A small config of each verify check.
+SMALL_VERIFY = {
+    "theorem1": {"alphas": [0.1, 0.05], "t_gamma": 0.1},
+    "lemma": {"mus": [0.0], "lams": [1.0], "T": 20},
+    "dynamics": {"target_epochs": 800, "saturation_min": 0.5,
+                 "loss_tags": ["nlul", "ll"]},
+    "divergence-quadratic": {"t_values": [1e-2, 1e-3], "decay_factor": 0.2},
+}
+
+
 class TestVerifyAndReport:
+    @pytest.mark.parametrize("kind", ["train-target", "unlearn",
+                                      *sorted(SMALL_VERIFY)])
+    def test_report_reproduces_the_command(self, tmp_path, trained_dir, capsys,
+                                           kind):
+        """For every result kind, report rewrites each table the command
+        wrote byte for byte and prints the command's summary.  The
+        dynamics tables list their loss tags sorted, as results.json does,
+        although the check ran them in another order."""
+        out = str(tmp_path / "out")
+        if kind == "train-target":
+            command, cfg = ["train-target"], target_cfg()
+        elif kind == "unlearn":
+            command, cfg = ["unlearn"], unlearn_cfg()
+            cfg["target"] = os.path.join(trained_dir, "target.npy")
+        else:
+            command, cfg = ["verify", kind], SMALL_VERIFY[kind]
+        capsys.readouterr()
+        assert main(command + [write_cfg(tmp_path, cfg), "--out", out]) == 0
+        summary = capsys.readouterr().out
+        tables = {}
+        for name in os.listdir(out):
+            if name.endswith(".csv") and not name.startswith("trajectory_"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    tables[name] = fh.read()
+                os.remove(os.path.join(out, name))
+        assert tables
+        assert main(["report", "--out", out]) == 0
+        assert capsys.readouterr().out == summary
+        for name, data in tables.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                assert fh.read() == data, name
+
     def test_lemma_artifacts_and_report_rerender(self, tmp_path):
         out = str(tmp_path)
         path = write_cfg(tmp_path, {"mus": [0.0], "lams": [1.0], "T": 50})

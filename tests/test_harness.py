@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mtunlearn import cli
 from mtunlearn import divergence as Dv
 from mtunlearn import harness as Hn
 from mtunlearn import linalg
@@ -776,9 +777,9 @@ class TestLockstepGroups:
 class TestRenderTables:
     def test_lemma_and_quadratic_tables(self, tmp_path):
         out = str(tmp_path)
-        Hn.render_result_tables(Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=20),
-                                out)
-        Hn.render_result_tables(Hn.verify_divergence_quadratic(), out)
+        for result in (Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=20),
+                       Hn.verify_divergence_quadratic()):
+            cli._write_tables(out, cli.result_outputs(result)[0])
         assert os.path.exists(os.path.join(out, "lemma.csv"))
         assert os.path.exists(os.path.join(out, "divergence_quadratic.csv"))
         with open(os.path.join(out, "lemma.csv")) as fh:
@@ -790,14 +791,14 @@ class TestRenderTables:
         result = {"check": "train-target",
                   "report": {"exact_match_rate": 1.0, "lcs_ratio": 1.0,
                              "nll_forget": 0.01, "nll_pretrain": 0.02}}
-        Hn.render_result_tables(result, str(tmp_path))
+        cli._write_tables(str(tmp_path), cli.result_outputs(result)[0])
         with open(os.path.join(str(tmp_path), "target_report.csv")) as fh:
             assert fh.readline().startswith("exact_match_rate,")
             assert fh.readline().strip() == "1.0,1.0,0.01,0.02"
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cannot render"):
-            Hn.render_result_tables({"check": "mystery"}, str(tmp_path))
+            cli.result_outputs({"check": "mystery"})
 
 
 class TestDefaultSetups:

@@ -41,7 +41,7 @@ IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
     with tempfile.TemporaryDirectory() as out:
         result = Hn.unlearn_experiment(spec, theta, d_f, d_pt,
                                        [Hn.MethodSpec("mt", "mt-batched", cfg)])
-        Hn.render_result_tables(result, out)
+        mtunlearn.cli._write_tables(out, mtunlearn.cli.result_outputs(result)[0])
         A.write_trajectory_csv(out + "/trajectory.csv",
                                result["trajectories"]["mt"][0])
         A.save_params(out + "/mt.npy", result["thetas"]["mt"])

@@ -9,7 +9,7 @@ import re
 import types
 
 import mtunlearn
-from mtunlearn import artifacts, curvature, losses, model
+from mtunlearn import artifacts, cli, curvature, harness, losses, model
 
 
 def test_all_lists_every_public_name_once_and_each_resolves():
@@ -33,7 +33,9 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     batch (losses.npo_pairs), backprop takes its forward pass's aux state,
     and the wrappers over prepared datasets and over the it row kernel
     are gone, as are the per-context Jacobian and square-root factor the
-    dense assembly stacks now (model.logit_jacobians)."""
+    dense assembly stacks now (model.logit_jacobians).  A result
+    document's tables and summary are built in one place
+    (cli.result_outputs)."""
     for name in ("npo_value", "npo_weight", "npo_grad", "ll_value_rows",
                  "ll_grad_rows", "nll_value_rows", "nll_grad_rows",
                  "nlul_value_rows", "nlul_grad_rows", "_ll_grad"):
@@ -43,7 +45,9 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     assert "bigram_gnh_blocks" not in mtunlearn.__all__
     for module, name in ((model, "validate_dataset"), (losses, "it_value_rows"),
                          (losses, "it_rows"), (losses, "_rows"),
-                         (model, "logit_jacobian"), (curvature, "_sqrt_factor")):
+                         (model, "logit_jacobian"), (curvature, "_sqrt_factor"),
+                         (harness, "render_result_tables"),
+                         (harness, "result_tables"), (cli, "print_result_summary")):
         assert not hasattr(module, name) and name not in mtunlearn.__all__
     assert not hasattr(model.TokenDataset, "_take")
     for fn in (losses.batch_loss, losses.batch_grad, losses.batch_value_and_grad):
