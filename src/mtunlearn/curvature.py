@@ -69,13 +69,14 @@ def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
     over the leading axes (one damping per row); each row's solution is
     bit for bit that of a call with the row alone.
     """
-    if not np.all(np.asarray(lam_prime) > 0):
+    lam = np.asarray(lam_prime, dtype=float)
+    if not (lam > 0).all():
         raise ValueError("lam_prime must be positive")
+    if lam.ndim:
+        lam = lam[..., None, None]
     V = spec.vocab_size
     theta = np.asarray(theta, dtype=float)
     lead = theta.shape[:-1]
-    lam = lam_prime if np.ndim(lam_prime) == 0 else \
-        np.asarray(lam_prime, dtype=float)[..., None, None]
     table = theta.reshape(lead + (V, V))
     rows, c = pretrain_batch.last_token_weights(spec)
     P = M.softmax_rows(table[..., rows, :])
@@ -85,7 +86,7 @@ def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
     Dg = G[..., rows, :] / D
     Dp = P / D
     den = lam * Dp.sum(axis=-1, keepdims=True)
-    if not np.all(den > 0):
+    if not (den > 0).all():
         raise ValueError("damped bigram block is not positive definite "
                          f"(Sherman-Morrison denominator {float(den.min()):.3e})")
     X[..., rows, :] = Dg + (c * (P * Dg).sum(axis=-1, keepdims=True) / den) * Dp

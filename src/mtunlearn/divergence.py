@@ -61,8 +61,13 @@ def _check_batch(batch):
 
 def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
     """Batch-mean value and gradient of the divergence `tag` from one
-    forward pass at each point; a part not asked for is None.
+    forward pass over the stack [theta, theta_ref] (a reference that
+    broadcasts against a stack of theta is broadcast first) and one exp
+    pass over its logits; a part not asked for is None.  The two points
+    share only the leading stack axis, so each logit row is bit for bit
+    that of a forward pass at its point alone.
 
+    kl is the mean row KL(p || p_ref), in the it loss's row kernel.
     bregman is the mean row KL(p_ref || p): on the bigram the logits are
     linear in theta and the label terms of the nll cancel, so the
     convexity gap is that KL exactly, and its logit gradient is p - p_ref.
@@ -71,34 +76,40 @@ def _logit_terms(tag, spec, theta, theta_ref, batch, value, grad):
     if tag == "bregman" and spec.kind != M.BIGRAM:
         raise ValueError("bregman divergence requires the bigram-softmax model "
                          "(the wrapped nll loss must be convex in theta)")
-    H, aux = M._forward(spec, theta, batch.inputs(spec))
-    Href = M.batch_logits(spec, theta_ref, batch)
-    if tag == "kl":
-        vals, G = losses._it_terms(H, M.log_softmax_rows(Href), grad)
-    elif tag == "qkl":
-        vals, G = _qkl_terms(H, Href, value, grad)
+    theta = np.asarray(theta, dtype=float)
+    theta_ref = np.asarray(theta_ref, dtype=float)
+    if theta.shape != theta_ref.shape:
+        theta, theta_ref = np.broadcast_arrays(theta, theta_ref)
+    H, aux = M._forward(spec, np.array([theta, theta_ref]), batch.inputs(spec))
+    Z, E, S = M._exp_rows(H)
+    P = E / S
+    if tag == "qkl":
+        vals, G = _qkl_terms(H[0] - H[1], P[0], value, grad)
     else:
-        vals = losses._it_terms(Href, M.log_softmax_rows(H), False)[0] \
-            if value else None
-        G = M.softmax_rows(H) - M.softmax_rows(Href) if grad else None
+        L = Z - np.log(S)
+        if tag == "kl":
+            vals, G = losses._kl_rows(P[0], L[0], L[1], grad)
+        else:
+            vals = losses._kl_rows(P[1], L[1], L[0], False)[0] if value else None
+            G = P[0] - P[1] if grad else None
     v = losses._batch_mean(vals) if value else None
     g = None
     if grad:
+        aux = aux if spec.kind == M.BIGRAM else (aux[0], aux[1][0])
         g = M.grad_from_logit_grads(spec, theta, G / len(batch), aux)
     return v, g
 
 
-def _qkl_terms(H, Href, value, grad):
+def _qkl_terms(D, P, value, grad):
     """Per-row quadratic form d^T S(h) d = sum_j p_j d_j^2 - (p^T d)^2 and,
-    if grad, its exact logit-space gradient, from one softmax.
+    if grad, its exact logit-space gradient, from the logit difference
+    d = h - h' and p = softmax(h).
 
-    With d = h - h', p = softmax(h), m1 = p^T d, m2 = p^T d^2, the
-    product rule over both d and S(h) gives
+    With m1 = p^T d, m2 = p^T d^2, the product rule over both d and S(h)
+    gives
 
       dQKL/dh = p * (2d - 2 m1 + d^2 - m2 - 2 m1 d + 2 m1^2).
     """
-    P = M.softmax_rows(H)
-    D = H - Href
     PD = P * D
     m1 = PD.sum(axis=-1, keepdims=True)
     m2 = (PD * D).sum(axis=-1, keepdims=True)
@@ -138,7 +149,7 @@ def damped_grad(kind, spec, theta, theta_ref, batch):
 
 
 def damped_value_and_grad(kind, spec, theta, theta_ref, batch):
-    """(damped_value, damped_grad) from one forward pass at each point;
+    """(damped_value, damped_grad) from one forward pass over both points;
     bitwise equal to the two separate calls."""
     return _damped_terms(kind, spec, theta, theta_ref, batch, True, True)
 

@@ -50,6 +50,11 @@ LEMMA_FAMILY_SEED = 14
 LEMMA_NOISE_SEED_OFFSET = 7000
 LEMMA_BOUND_RTOL = 1e-12
 
+# The dynamics study evaluates its runs' iterates in stacks of this many
+# steps.  One stack of a whole 500-step run is slower, and holds about
+# 4 MB of iterates and gradients at once.
+OBSERVE_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -547,11 +552,16 @@ def verify_divergence_quadratic(t_values=(1e-2, 1e-3, 1e-4), decay_factor=0.1):
     requires the ratio at the smallest t to be at most decay_factor times
     the ratio at the largest t (decay_factor 0.1 over a 100x range of t
     leaves a 10x margin).  KL and quadratic-KL run on both model kinds;
-    the Bregman term runs on the bigram model it is defined for.
+    the Bregman term runs on the bigram model it is defined for.  At
+    least two of t_values must differ: a ratio cannot decay between equal
+    sizes.
     """
     if len(t_values) < 2 or any(not 0 < t < np.inf for t in t_values):
         raise ConfigError("t_values must list at least two positive finite "
                           "numbers")
+    if len(set(t_values)) < 2:
+        raise ConfigError(f"t_values must hold at least two distinct sizes, "
+                          f"got {list(t_values)}")
     if not 0 < decay_factor < np.inf:
         raise ConfigError(f"decay_factor must be positive and finite, got "
                           f"{decay_factor}")
@@ -649,29 +659,46 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
 
     def observer(tag):
         """Start tag's series with its row 0 at theta0 and return the run
-        callback that appends a row per step.  The loss gradient is taken
-        on the forget set, npo's carrying base log-probabilities computed
-        once (theta0 is fixed); for it one value-and-gradient call also
-        gives the KL to the teacher."""
+        callback, which keeps each step's (t, theta).  Every
+        OBSERVE_CHUNK steps, and once more when the runs are over (see
+        flushes), the kept iterates are stacked and evaluated with one
+        call per quantity, each row bit for bit its own call.  The loss
+        gradient is taken on the forget set, npo's carrying base
+        log-probabilities computed once (theta0 is fixed); for it one
+        value-and-gradient call also gives the KL to the teacher."""
         kind = kinds[tag]
         forget = Lmod.npo_pairs(spec, d_f, theta0) if tag == "npo" else d_f
         entry = series[tag] = {"t": [], "nll_forget": [], "loss_grad_norm": []}
         if tag == "it":
             entry["kl_to_teacher"] = []
+        kept = []
 
-        def observe(t, th, teacher):
-            entry["t"].append(t)
-            entry["nll_forget"].append(Lmod.batch_loss(_NLL, spec, th, d_f))
+        def append(ts, th):
+            entry["t"].extend(ts)
+            entry["nll_forget"].extend(np.atleast_1d(
+                Lmod.batch_loss(_NLL, spec, th, d_f)).tolist())
             if tag == "it":
                 kl, g = Lmod.batch_value_and_grad(kind, spec, th, forget)
-                entry["kl_to_teacher"].append(kl)
+                entry["kl_to_teacher"].extend(np.atleast_1d(kl).tolist())
             else:
                 g = Lmod.batch_grad(kind, spec, th, forget)
-            entry["loss_grad_norm"].append(linalg.norm(g))
-        observe(0, theta0, None)
+            entry["loss_grad_norm"].extend(np.atleast_1d(linalg.norm(g)).tolist())
+
+        def flush():
+            if kept:
+                ts, ths = zip(*kept)
+                append(ts, np.stack(ths))
+                kept.clear()
+
+        def observe(t, th, teacher):
+            kept.append((t, th))
+            if len(kept) == OBSERVE_CHUNK:
+                flush()
+        append([0], theta0)
+        flushes.append(flush)
         return observe
 
-    series = {}
+    series, flushes = {}, []
     runs = [("mt-batched", replace(setup.base_cfg, loss=kinds[tag]), None,
              observer(tag)) for tag in loss_tags]
     nll0 = series[loss_tags[0]]["nll_forget"][0]
@@ -686,6 +713,8 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     for out in O.lockstep_runs(spec, theta0, d_f, d_pt, runs):
         if isinstance(out, TrainingError):
             raise out
+    for flush in flushes:
+        flush()
     delta_nll = {tag: series[tag]["nll_forget"][-1] - nll0 for tag in loss_tags}
 
     passed = None

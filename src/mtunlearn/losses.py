@@ -141,8 +141,14 @@ def _it_terms(H, log_q, grad):
     from softmax_rows and log_softmax_rows.  Rows run over the last axis
     of H, so a stack of logit matrices works row by row."""
     Z, E, S = M._exp_rows(H)
-    P = E / S
-    R = Z - np.log(S) - log_q
+    return _kl_rows(E / S, Z - np.log(S), log_q, grad)
+
+
+def _kl_rows(P, log_p, log_q, grad):
+    """Row-wise KL(p || q) = sum_j p_j (log p_j - log q_j) over the last
+    axis and, if grad, its gradient in the logits of p, p * (r - KL) with
+    r = log p - log q."""
+    R = log_p - log_q
     v = (P * R).sum(axis=-1)
     return v, (P * (R - v[..., None]) if grad else None)
 

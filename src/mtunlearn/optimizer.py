@@ -499,6 +499,10 @@ def _solo(spec, theta0, d_f, d_pt, cfg, rule, callback):
     return out
 
 
+# mt_ngd_deviations takes the norms of its gaps in stacks of this many
+# steps.
+DEVIATION_CHUNK = 16
+
 # The optimizers a run can use, each named after its update rule.
 OPTIMIZERS = ("mt", "mt-batched", "momentum-sgd", "adamw")
 
@@ -599,16 +603,26 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
     g_lag = g[:, 2]
     rate = cfg.eta * cfg.kappa
     dev = np.zeros((len(cfgs), 2))
+    # The references' step gradients, and the gaps of the steps not yet
+    # folded into dev: they are folded every DEVIATION_CHUNK steps and
+    # before a config leaves.
+    step_g = np.empty((len(cfgs), 2, len(theta0)))
+    gaps = np.empty((DEVIATION_CHUNK,) + step_g.shape)
+    k = 0
     j = sum(n > 0 for n in T)
     for t in range(1, T[0] + 1):
         new = np.empty((j,) + th.shape[1:])
         # With the clip off l = 1, and 1.0 * g is g.
         new[:, 0], vel = _velocity_step(cfg, th[:j, 0], vel[:j], g_mt[:j])
-        step_g = np.stack([g[:j, 1], g_lag[:j]], axis=1)
+        step_g[:j, 0], step_g[:j, 1] = g[:j, 1], g_lag[:j]
         new[:, 1:] = th[:j, 1:] - gamma[:j] * _damped_solve(
-            spec, th[:j, 1:], d_pt, lam_bar[:j], step_g)
+            spec, th[:j, 1:], d_pt, lam_bar[:j], step_g[:j])
         _check_finite(new, t)
-        dev[:j] = np.maximum(dev[:j], linalg.norm(new[:, :1] - new[:, 1:]))
+        np.subtract(new[:, :1], new[:, 1:], out=gaps[k, :j])
+        k += 1
+        if k == DEVIATION_CHUNK or T[j - 1] == t:
+            dev[:j] = np.maximum(dev[:j], linalg.norm(gaps[:k, :j]).max(axis=0))
+            k = 0
         while j and T[j - 1] == t:
             j -= 1
         if rate:

@@ -37,7 +37,9 @@ def raw_forward(spec, theta, contexts):
     matrix again, and the bigram gathers table rows.  Returns (H, aux)
     with aux the context rows (bigram) or (X, hidden activations).
     Contexts with leading axes (..., n, width), as model.logit_jacobians
-    stacks them, give H and aux the same leading axes."""
+    stacks them, give H and aux the same leading axes; so does a stack of
+    parameter vectors (..., dim), as the divergences forward their two
+    points, against 2-d contexts."""
     contexts = np.asarray(contexts, dtype=int)
     V = spec.vocab_size
     if contexts.size and (contexts.max() >= V or contexts.min() < M.PAD):
@@ -46,7 +48,7 @@ def raw_forward(spec, theta, contexts):
         rows = contexts[..., -1]
         if rows.size and rows.min() < 0:
             raise ValueError("bigram model requires a non-empty context")
-        return theta.reshape(V, V)[rows], rows
+        return theta.reshape(theta.shape[:-1] + (V, V))[..., rows, :], rows
     width = contexts.shape[-1]
     X = np.zeros(contexts.shape[:-1] + (V * spec.context_len,))
     for j in range(width):
@@ -54,16 +56,16 @@ def raw_forward(spec, theta, contexts):
         m = t >= 0
         X[np.nonzero(m) + ((spec.context_len - width + j) * V + t[m],)] = 1.0
     W1, b1, W2, b2 = M._unpack_mlp(spec, theta)
-    A = np.tanh(X @ W1.T + b1)
-    return A @ W2.T + b2, (X, A)
+    A = np.tanh(X @ W1.swapaxes(-1, -2) + b1)
+    return A @ W2.swapaxes(-1, -2) + b2, (X, A)
 
 
 def raw_backprop(spec, theta, G, aux):
     """Backprop matching raw_forward, from the aux state it returned:
     np.add.at into the bigram table rows, the same products as
     model.grad_from_logit_grads for the MLP.  Seeds with leading axes
-    (..., n, V), broadcasting against those of aux, give one gradient
-    per leading index."""
+    (..., n, V), broadcasting against those of aux (and of a stack of
+    parameter vectors), give one gradient per leading index."""
     G = np.asarray(G, dtype=float)
     flat = G.shape[:-2] + (-1,)
     if spec.kind == M.BIGRAM:
@@ -79,6 +81,31 @@ def raw_backprop(spec, theta, G, aux):
                            dZ.sum(axis=-2),
                            (G.swapaxes(-1, -2) @ A).reshape(flat),
                            G.sum(axis=-2)], axis=-1)
+
+
+def momentum_error_trace(H, g, eta, mu, lam, eps):
+    """The exact error ||u_t - u*||, t = 0..T, of the damped momentum
+    iteration curvature.ihvp_momentum runs, with eps the (T, dim) errors
+    it injects (zeros for none).
+
+    With e_t = u_t - u* and u* = -(H + lam I)^-1 g, the iteration reads
+    e_{t+1} = e_t - eta (H + lam I) e_t - eta eps_t + mu (e_t - e_{t-1}).
+    H is symmetric, so in its eigenbasis each mode i follows one scalar
+    recurrence,
+
+        e_{t+1,i} = (1 + mu - eta (h_i + lam)) e_{t,i} - mu e_{t-1,i}
+                    - eta eps_{t,i},
+
+    from e_0 = e_{-1} = -u* (u_0 = u_{-1} = 0), and the eigenbasis
+    keeps norms."""
+    h, Q = np.linalg.eigh(H)
+    e = e_prev = (Q.T @ g) / (h + lam)
+    a = 1.0 + mu - eta * (h + lam)
+    trace = [np.linalg.norm(e)]
+    for eps_t in np.asarray(eps, dtype=float) @ Q:
+        e, e_prev = a * e - mu * e_prev - eta * eps_t, e
+        trace.append(np.linalg.norm(e))
+    return np.array(trace)
 
 
 def use_raw_forward(monkeypatch):

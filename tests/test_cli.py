@@ -29,6 +29,13 @@ def write_cfg(directory, obj, name="cfg.json"):
     return path
 
 
+def read_bytes(*path):
+    """The bytes of the file at os.path.join(*path), read through `with`
+    so that the file is closed."""
+    with open(os.path.join(*path), "rb") as fh:
+        return fh.read()
+
+
 def target_cfg(epochs=400, **corpus_kw):
     corpus = dict(vocab_size=8, n_sequences=4, seq_len=12, period=2, seed=11)
     corpus.update(corpus_kw)
@@ -141,6 +148,8 @@ class TestConfigErrors:
         ("divergence-quadratic", {"decay_factor": 0.0}, "decay_factor"),
         ("divergence-quadratic", {"t_values": [float("inf"), 1e-2]},
          "t_values"),
+        # Equal sizes once ran the check and reported it failed.
+        ("divergence-quadratic", {"t_values": [0.01, 0.01]}, "t_values"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):
@@ -660,8 +669,8 @@ class TestTrainTarget:
         assert main(["train-target", cfg, "--out", out2]) == 0
         for fname in ("target.npy", "forget.jsonl", "pretrain.jsonl",
                       "results.json", "target_report.csv"):
-            a = open(os.path.join(trained_dir, fname), "rb").read()
-            b = open(os.path.join(out2, fname), "rb").read()
+            a = read_bytes(trained_dir, fname)
+            b = read_bytes(out2, fname)
             assert a == b, fname
         m1 = A.read_manifest(trained_dir)
         m2 = A.read_manifest(out2)
@@ -839,10 +848,10 @@ class TestVerifyAndReport:
         path = write_cfg(tmp_path, {"mus": [0.0], "lams": [1.0], "T": 50})
         assert main(["verify", "lemma", path, "--out", out]) == 0
         table = os.path.join(out, "lemma.csv")
-        original = open(table, "rb").read()
+        original = read_bytes(table)
         os.remove(table)
         assert main(["report", "--out", out]) == 0
-        assert open(table, "rb").read() == original
+        assert read_bytes(table) == original
 
     def test_seed_flag_beats_environment(self, tmp_path, monkeypatch):
         out1 = str(tmp_path / "flag")
@@ -869,8 +878,8 @@ class TestVerifyAndReport:
         assert main(["verify", "divergence-quadratic", cfg, "--out", out1]) == 0
         assert main(["verify", "divergence-quadratic", cfg, "--out", out2]) == 0
         for fname in ("results.json", "divergence_quadratic.csv"):
-            a = open(os.path.join(out1, fname), "rb").read()
-            b = open(os.path.join(out2, fname), "rb").read()
+            a = read_bytes(out1, fname)
+            b = read_bytes(out2, fname)
             assert a == b, fname
 
 

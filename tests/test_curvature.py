@@ -1,12 +1,13 @@
 """Curvature assembly, damped solves, and the momentum iteration bound."""
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import relative_error, same_bits
-from mtunlearn import curvature, linalg
+from conftest import momentum_error_trace, relative_error, same_bits
+from mtunlearn import curvature, harness, linalg
 from mtunlearn import model as M
 
 
@@ -297,3 +298,55 @@ class TestMomentumIteration:
         with pytest.raises(ValueError, match="lam"):
             curvature.IHVPConfig(eta=0.1, mu=0.5, lam=0.0, T=5)
 
+
+
+def lemma_grid_gap(family, mode):
+    """The largest |trace_t - exact_t| / (1 + ||u_0 - u*||) of
+    curvature.ihvp_momentum against conftest.momentum_error_trace over
+    verify_lemma's shipped grid of mu, lam and T and its step sizes, on
+    one instance of the family.  Mode "const" injects verify_lemma's
+    noise: a fresh random direction of norm noise_scale per step."""
+    grid = {k: p.default for k, p in
+            inspect.signature(harness.verify_lemma).parameters.items()}
+    H, g = harness.lemma_instance(family)
+    lam_max = float(np.linalg.eigvalsh(H)[-1])
+    eps = np.zeros((grid["T"], family.dim))
+    if mode == "const":
+        rng = np.random.default_rng(harness.LEMMA_NOISE_SEED_OFFSET + family.seed)
+        for e in eps:
+            e[:] = rng.standard_normal(family.dim)
+            e *= family.noise_scale / np.linalg.norm(e)
+    worst = 0.0
+    for mu in grid["mus"]:
+        for lam in grid["lams"]:
+            eta = grid["step_scale"] / (lam_max + lam)
+            cfg = curvature.IHVPConfig(
+                eta=eta, mu=mu, lam=lam, T=grid["T"],
+                error_injection=(lambda t: eps[t - 1]) if mode == "const" else None)
+            _, trace = curvature.ihvp_momentum(H, g, cfg)
+            exact = momentum_error_trace(H, g, eta, mu, lam, eps)
+            worst = max(worst, float(np.max(np.abs(np.array(trace) - exact)))
+                        / (1.0 + exact[0]))
+    return worst
+
+
+class TestMomentumOracle:
+    """The momentum iteration against the exact per-eigenmode recurrence
+    of its error.  A bound check cannot see an iteration that converges
+    faster than it should; this pin can."""
+
+    @pytest.mark.parametrize("mode", ["zero", "const"])
+    @pytest.mark.parametrize("seed", list(range(8)) + [harness.LEMMA_FAMILY_SEED])
+    def test_trace_is_the_exact_error(self, seed, mode):
+        assert lemma_grid_gap(harness.LemmaFamily(seed=seed), mode) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["zero", "const"])
+    def test_rejects_the_exact_solve(self, monkeypatch, mode):
+        """Mutant: every step lands on u* (verify lemma's bound holds for
+        it on every cell)."""
+        def exact_solve(H, g, cfg):
+            ustar = -np.linalg.solve(H + cfg.lam * np.eye(len(g)), g)
+            return ustar, [float(np.linalg.norm(ustar))] + [0.0] * cfg.T
+
+        monkeypatch.setattr(curvature, "ihvp_momentum", exact_solve)
+        assert lemma_grid_gap(harness.LemmaFamily(), mode) > 1e-12

@@ -17,6 +17,7 @@ from conftest import (bregman_oracle, central_difference_gradient,
 from mtunlearn import curvature
 from mtunlearn import divergence as D
 from mtunlearn import harness as Hn
+from mtunlearn import losses as L
 from mtunlearn import model as M
 
 
@@ -191,15 +192,15 @@ class TestFusedValueAndGrad:
         Dd = H - Href
         m1 = (P * Dd).sum(axis=1)
         m2 = (P * Dd * Dd).sum(axis=1)
-        v, g = D._qkl_terms(H, Href, True, True)
+        v, g = D._qkl_terms(Dd, M.softmax_rows(H), True, True)
         np.testing.assert_array_equal(v, m2 - m1 * m1)
         P = M.softmax_rows(H)
         m1 = (P * Dd).sum(axis=1, keepdims=True)
         m2 = (P * Dd * Dd).sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(
             g, P * (2.0 * Dd - 2.0 * m1 + Dd * Dd - m2 - 2.0 * m1 * Dd + 2.0 * m1 * m1))
-        assert D._qkl_terms(H, Href, False, True)[0] is None
-        np.testing.assert_array_equal(D._qkl_terms(H, Href, True, False)[0], v)
+        assert D._qkl_terms(Dd, P, False, True)[0] is None
+        np.testing.assert_array_equal(D._qkl_terms(Dd, P, True, False)[0], v)
 
 
 class TestStackedParameters:
@@ -224,6 +225,45 @@ class TestStackedParameters:
                 assert same_bits(values[i], v) and same_bits(grads[i], g)
                 assert same_bits(raw[i], D.divergence_value(kind, spec, theta[i],
                                                             ref[i], batch))
+
+
+def two_pass_terms(tag, spec, theta, ref, batch):
+    """The divergence's raw value and gradient as computed with a forward
+    pass and an exp pass at each point: softmax and log-softmax of each
+    logit matrix, the row formula, one backprop at theta."""
+    H, aux = M._forward(spec, theta, batch.inputs(spec))
+    Href = M.batch_logits(spec, ref, batch)
+    if tag == "kl":
+        vals, G = L._it_terms(H, M.log_softmax_rows(Href), True)
+    elif tag == "qkl":
+        vals, G = D._qkl_terms(H - Href, M.softmax_rows(H), True, True)
+    else:
+        vals = L._it_terms(Href, M.log_softmax_rows(H), False)[0]
+        G = M.softmax_rows(H) - M.softmax_rows(Href)
+    return (L._batch_mean(vals),
+            M.grad_from_logit_grads(spec, theta, G / len(batch), aux))
+
+
+class TestOneForwardPass:
+    @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
+    def test_stacked_points_are_bitwise_the_two_pass_formulas(self, tag):
+        """One forward and one exp pass over [theta, theta_ref] against a
+        pass at each point: one point, a stack of points, and a stack
+        against one reference (broadcast first)."""
+        rng = np.random.default_rng(69)
+        kind = D.DivergenceKind(tag, 0.0)
+        makers = (bigram_spec,) if tag == "bregman" else (bigram_spec, mlp_spec)
+        for spec in (make() for make in makers):
+            dim = M.param_count(spec)
+            batch = random_batch(rng, spec)
+            for shape, ref_shape in (((dim,), (dim,)), ((3, dim), (3, dim)),
+                                     ((3, dim), (dim,))):
+                theta = rng.standard_normal(shape)
+                ref = rng.standard_normal(ref_shape)
+                v, g = D._logit_terms(tag, spec, theta, ref, batch, True, True)
+                want = two_pass_terms(tag, spec, theta,
+                                      np.broadcast_to(ref, shape), batch)
+                assert same_bits(v, want[0]) and same_bits(g, want[1])
 
 
 class TestLocalQuadratic:

@@ -414,6 +414,17 @@ class TestQuadraticDriver:
                           ("mlp-1hidden", "qkl")}
         assert len(result["rows"]) == 5 * 3
 
+    @pytest.mark.parametrize("factor", [1.001, 0.999])
+    @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
+    def test_rejects_a_curvature_scale_off_by_a_tenth_of_a_percent(
+            self, monkeypatch, tag, factor):
+        """Mutants of the second-order coefficient, one divergence at a
+        time: the unpatched check passes (test_full_run_passes), and each
+        of these fails."""
+        monkeypatch.setitem(Dv.CURVATURE_SCALE, tag,
+                            Dv.CURVATURE_SCALE[tag] * factor)
+        assert Hn.verify_divergence_quadratic()["passed"] is False
+
     def test_t_values_validation(self):
         with pytest.raises(ValueError, match="two positive"):
             Hn.verify_divergence_quadratic(t_values=(1e-2,))
@@ -423,6 +434,9 @@ class TestQuadraticDriver:
             Hn.verify_divergence_quadratic(t_values=(1e-2, float("nan")))
         with pytest.raises(ConfigError, match="two positive finite"):
             Hn.verify_divergence_quadratic(t_values=(float("inf"), 1e-2))
+        # Equal sizes give equal ratios, which no instance can see decay.
+        with pytest.raises(ConfigError, match="t_values must hold at least two distinct"):
+            Hn.verify_divergence_quadratic(t_values=(1e-2, 1e-2))
 
     @pytest.mark.parametrize("decay_factor", [float("nan"), 0.0, -0.1,
                                               float("inf")])
