@@ -355,16 +355,13 @@ def result_outputs(result, verbose=False):
         rows = result["rows"]
         tables = [_table("lemma.csv", ["mu", "lam", "mode", "eta", "T",
                                        "u0_dist", "max_ratio", "floor_step",
-                                       "min_margin", "holds", "status"], rows)]
-        ok = sum(1 for r in rows if r["status"] == "ok" and r["holds"])
-        ran = sum(1 for r in rows if r["status"] == "ok")
+                                       "min_margin", "holds"], rows)]
         if verbose:
             lines += [f"  mu={r['mu']} lam={r['lam']} mode={r['mode']}: "
                       f"max_ratio={r['max_ratio']:.6f} "
-                      f"floor_step={r['floor_step']} status={r['status']}"
-                      for r in rows]
-        lines.append(f"lemma: bound holds in {ok}/{ran} cells "
-                     f"({result['n_skipped']} skipped)")
+                      f"floor_step={r['floor_step']}" for r in rows]
+        lines.append(f"lemma: bound holds in "
+                     f"{sum(r['holds'] for r in rows)}/{len(rows)} cells")
     elif check == "divergence-quadratic":
         tables = [_table("divergence_quadratic.csv",
                          ["model", "kind", "t", "residual", "ratio"],

@@ -101,15 +101,12 @@ class IHVPConfig:
     mu: momentum in [0, 1).
     lam: damping > 0.
     T: number of iterations.
-    error_injection: optional callable t -> vector giving the per-step
-    perturbation eps_t (t = 1..T); None means eps = 0.
     """
 
     eta: float
     mu: float
     lam: float
     T: int
-    error_injection: object = None
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -122,7 +119,7 @@ class IHVPConfig:
             raise ValueError("T must be nonnegative")
 
 
-def ihvp_momentum(H, g, cfg):
+def ihvp_momentum(H, g, cfg, eps=None):
     """Damped momentum iteration toward u* = -(H + lam I)^{-1} g.
 
     Starting from u_0 = u_{-1} = 0, iterate
@@ -130,12 +127,18 @@ def ihvp_momentum(H, g, cfg):
         u_{t+1} = u_t - (eta g + eta (H + lam I) u_t + eta eps_t)
                   + mu (u_t - u_{t-1}),
 
+    with eps the (T, dim) perturbations eps_1..eps_T (None means zeros),
     and return (u_T, trace) where trace[t] = ||u_t - u*|| for t = 0..T.
-    Raises when the step size violates eta < 1/(lam_max(H) + lam).
+    Raises when the step size violates eta < 1/(lam_max(H) + lam) or eps
+    has another shape.
     """
     H = linalg.check_symmetric(np.asarray(H, dtype=float))
     g = np.asarray(g, dtype=float)
     dim = len(g)
+    eps = np.zeros((cfg.T, dim)) if eps is None else np.asarray(eps, dtype=float)
+    if eps.shape != (cfg.T, dim):
+        raise ValueError(f"eps must have shape (T, dim) = {(cfg.T, dim)}, "
+                         f"got {eps.shape}")
     Hl = H + cfg.lam * np.eye(dim)
     lam_max = float(np.linalg.eigvalsh(H)[-1])
     if not cfg.eta < 1.0 / (lam_max + cfg.lam):
@@ -145,11 +148,8 @@ def ihvp_momentum(H, g, cfg):
     u_prev = np.zeros(dim)
     u = np.zeros(dim)
     trace = [float(np.linalg.norm(u - ustar))]
-    for t in range(1, cfg.T + 1):
-        eps = np.zeros(dim)
-        if cfg.error_injection is not None:
-            eps = np.asarray(cfg.error_injection(t), dtype=float)
-        u_new = u - (cfg.eta * g + cfg.eta * (Hl @ u) + cfg.eta * eps) + cfg.mu * (u - u_prev)
+    for eps_t in eps:
+        u_new = u - (cfg.eta * g + cfg.eta * (Hl @ u) + cfg.eta * eps_t) + cfg.mu * (u - u_prev)
         u_prev, u = u, u_new
         trace.append(float(np.linalg.norm(u - ustar)))
     return u, trace

@@ -150,6 +150,14 @@ class TestConfigErrors:
          "t_values"),
         # Equal sizes once ran the check and reported it failed.
         ("divergence-quadratic", {"t_values": [0.01, 0.01]}, "t_values"),
+        # These two once died in a traceback: 1/gamma with gamma = 0, and
+        # an overflowing t^2.
+        ("theorem1", {"kappa": 0.0}, "kappa"),
+        ("divergence-quadratic", {"t_values": [1e200, 1e-4]}, "t_values"),
+        # A step at or above 1/(lam_max + lam) once skipped every cell
+        # and blamed the bound.
+        ("lemma", {"step_scale": 1.0, "T": 5}, "step_scale"),
+        ("lemma", {"step_scale": 1.5, "T": 5}, "step_scale"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):

@@ -259,19 +259,15 @@ class TestMomentumIteration:
         with pytest.raises(ValueError, match="step size"):
             curvature.ihvp_momentum(H, g, cfg)
 
-    def test_error_injection_is_consumed_per_step(self):
+    def test_rejects_perturbations_of_another_shape(self):
+        """eps holds one perturbation per step: exactly (T, dim), here
+        (7, 6); the flattened (42,) is refused too."""
         rng = np.random.default_rng(79)
         H, g = spd_instance(rng)
-        calls = []
-
-        def inject(t):
-            calls.append(t)
-            return np.zeros(len(g))
-
-        cfg = curvature.IHVPConfig(eta=0.05, mu=0.5, lam=0.5, T=7,
-                                   error_injection=inject)
-        curvature.ihvp_momentum(H, g, cfg)
-        assert calls == list(range(1, 8))
+        cfg = curvature.IHVPConfig(eta=0.05, mu=0.5, lam=0.5, T=7)
+        for shape in [(6, 6), (8, 6), (7, 5), (7,), (42,)]:
+            with pytest.raises(ValueError, match=r"eps must have shape \(T, dim\)"):
+                curvature.ihvp_momentum(H, g, cfg, np.zeros(shape))
 
     def test_bound_formula_hand_values(self):
         """mu = 0, eta = 0.1, lam = 1: rate = 1 - min(1, 0.1) = 0.9 and
@@ -320,10 +316,8 @@ def lemma_grid_gap(family, mode):
     for mu in grid["mus"]:
         for lam in grid["lams"]:
             eta = grid["step_scale"] / (lam_max + lam)
-            cfg = curvature.IHVPConfig(
-                eta=eta, mu=mu, lam=lam, T=grid["T"],
-                error_injection=(lambda t: eps[t - 1]) if mode == "const" else None)
-            _, trace = curvature.ihvp_momentum(H, g, cfg)
+            cfg = curvature.IHVPConfig(eta=eta, mu=mu, lam=lam, T=grid["T"])
+            _, trace = curvature.ihvp_momentum(H, g, cfg, eps)
             exact = momentum_error_trace(H, g, eta, mu, lam, eps)
             worst = max(worst, float(np.max(np.abs(np.array(trace) - exact)))
                         / (1.0 + exact[0]))
@@ -344,7 +338,7 @@ class TestMomentumOracle:
     def test_rejects_the_exact_solve(self, monkeypatch, mode):
         """Mutant: every step lands on u* (verify lemma's bound holds for
         it on every cell)."""
-        def exact_solve(H, g, cfg):
+        def exact_solve(H, g, cfg, eps=None):
             ustar = -np.linalg.solve(H + cfg.lam * np.eye(len(g)), g)
             return ustar, [float(np.linalg.norm(ustar))] + [0.0] * cfg.T
 

@@ -255,12 +255,22 @@ class TestTheoremDriver:
         (dict(alphas=(0.1, 0.1)), "alphas"),
         (dict(slope_min=float("nan")), "slope_min"),
         (dict(slope_min=float("inf")), "slope_min"),
+        # kappa = 0 gives gamma = 0, and 1e-320 underflows it to 0: no horizon.
+        (dict(kappa=0.0), "kappa"),
+        (dict(kappa=1e-320), "kappa"),
     ])
     def test_arguments_rejected_before_any_run(self, bigram_testbed,
                                                monkeypatch, kw, field):
+        """kappa is a setting of the testbed's base run, the rest are
+        arguments of the check."""
+        kw = dict(kw)
+        setup = bigram_testbed
+        if "kappa" in kw:
+            setup = dataclasses.replace(setup, base_cfg=dataclasses.replace(
+                setup.base_cfg, kappa=kw.pop("kappa")))
         forbid(monkeypatch, O, "mt_ngd_deviations")
         with pytest.raises(ConfigError, match=field):
-            Hn.verify_theorem1(bigram_testbed, **kw)
+            Hn.verify_theorem1(setup, **kw)
 
     def test_setup_checks_its_config_before_training(self, monkeypatch):
         forbid(monkeypatch, Hn, "build_target")
@@ -312,10 +322,10 @@ class TestTheoremDriver:
 class TestLemmaDriver:
     def test_small_grid_holds(self):
         result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=50)
-        assert result["passed"] is True and result["n_skipped"] == 0
+        assert result["passed"] is True
         assert len(result["rows"]) == 2
         for r in result["rows"]:
-            assert r["status"] == "ok" and r["holds"]
+            assert r["holds"]
             assert r["max_ratio"] <= 1.0 + 1e-9
             assert r["min_margin"] >= 0.0
 
@@ -334,12 +344,28 @@ class TestLemmaDriver:
         for r in result["rows"]:
             assert r["holds"] and 0.8 < r["max_ratio"] < 1.0
 
-    def test_oversized_step_cells_are_skipped_with_warning(self):
-        with pytest.warns(UserWarning, match="skipping"):
-            result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=10,
-                                     step_scale=1.5)
-        assert result["n_skipped"] == 2 and result["passed"] is False
-        assert all(r["status"] == "skipped" for r in result["rows"])
+    @pytest.mark.parametrize("step_scale", [1.5, 1.0, np.nextafter(1.0, 0.0)])
+    def test_a_step_is_rejected_up_front_or_every_cell_runs(
+            self, monkeypatch, step_scale):
+        """Over 30 families, a step_scale either exits naming step_scale
+        before the first ihvp_momentum call or runs the whole 18-cell grid.
+        The check is the iteration's own eta < 1/(lam_max + lam): just
+        below 1 rounding rejects 19 of the families, where step_scale < 1
+        would pass all 30 into cells the iteration refuses."""
+        rejected = 0
+        for seed in range(30):
+            family = Hn.LemmaFamily(seed=seed)
+            try:
+                result = Hn.verify_lemma(family, T=10, step_scale=step_scale)
+            except ConfigError:
+                with monkeypatch.context() as m:
+                    forbid(m, Hn.curvature, "ihvp_momentum")
+                    with pytest.raises(ConfigError, match="step_scale"):
+                        Hn.verify_lemma(family, T=10, step_scale=step_scale)
+                rejected += 1
+            else:
+                assert len(result["rows"]) == 18
+        assert rejected == (30 if step_scale >= 1.0 else 19)
 
     def test_family_needs_a_dimension(self):
         with pytest.raises(ValueError, match="dim"):
@@ -363,8 +389,8 @@ class TestLemmaDriver:
         must not skip it, as Python's min and max do."""
         real = Hn.curvature.ihvp_momentum
 
-        def nan_at_step_3(H, g, cfg):
-            u, trace = real(H, g, cfg)
+        def nan_at_step_3(H, g, cfg, eps=None):
+            u, trace = real(H, g, cfg, eps)
             trace[3] = float("nan")
             return u, trace
 
@@ -372,7 +398,7 @@ class TestLemmaDriver:
         result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=10)
         assert result["passed"] is False
         for r in result["rows"]:
-            assert r["status"] == "ok" and r["holds"] is False
+            assert r["holds"] is False
             assert np.isnan(r["min_margin"]) and np.isnan(r["max_ratio"])
 
     def test_unknown_error_mode_rejected(self):
@@ -437,6 +463,9 @@ class TestQuadraticDriver:
         # Equal sizes give equal ratios, which no instance can see decay.
         with pytest.raises(ConfigError, match="t_values must hold at least two distinct"):
             Hn.verify_divergence_quadratic(t_values=(1e-2, 1e-2))
+        # 1e200 ** 2 overflows where the check divides by t^2; 1e150 runs.
+        with pytest.raises(ConfigError, match="t_values entries must have a finite square"):
+            Hn.verify_divergence_quadratic(t_values=(1e200, 1e-4))
 
     @pytest.mark.parametrize("decay_factor", [float("nan"), 0.0, -0.1,
                                               float("inf")])
@@ -799,7 +828,7 @@ class TestRenderTables:
         with open(os.path.join(out, "lemma.csv")) as fh:
             assert fh.readline().strip() == ("mu,lam,mode,eta,T,u0_dist,"
                                              "max_ratio,floor_step,min_margin,"
-                                             "holds,status")
+                                             "holds")
 
     def test_target_report_table(self, tmp_path):
         result = {"check": "train-target",
