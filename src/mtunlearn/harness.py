@@ -365,7 +365,12 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
         # underflows to 0 for a tiny kappa.
         raise ConfigError(f"kappa={setup.base_cfg.kappa} gives a reference "
                           f"step gamma of 0; kappa must be positive")
-    Ts = [int(round(t_gamma / d.gamma)) for d in derived]
+    steps = [t_gamma / d.gamma for d in derived]
+    if not np.isfinite(steps[-1]):
+        # The last alpha has the longest horizon.
+        raise ConfigError(f"horizon t_gamma={t_gamma} gives an infinite T "
+                          f"at alpha={alphas[-1]}")
+    Ts = [int(round(n)) for n in steps]
     if Ts[0] < 1:
         # The first alpha has the shortest horizon.
         raise ConfigError(f"horizon t_gamma={t_gamma} gives T=0 at "

@@ -4,12 +4,6 @@ All operations are pure functions on numpy arrays.  Vectors are 1-d float
 arrays, matrices are 2-d row-major float arrays; `dot` and `norm` also
 take stacks of vectors and give one result per row.  Every public
 operation validates shapes and returns finite results or raises.
-
-scipy.linalg is imported on the first solve_spd call, not with the
-package: only the dense curvature oracle, the MLP route of ngd_run and
-verify lemma factorise a matrix, and loading scipy (with numpy.testing,
-unittest, email and socket behind it) would slow the start of every
-other command.
 """
 
 import math
@@ -65,20 +59,18 @@ def check_symmetric(A):
 
 
 def solve_spd(A, b):
-    """Solve A x = b for symmetric positive-definite A via Cholesky.
-
-    The factorization failure signal is surfaced (naming the offending
-    pivot) rather than silently falling back to a pseudo-inverse: a
-    non-SPD system here indicates a bug upstream and must be visible.
-    """
+    """Solve A x = b for symmetric positive-definite A via Cholesky.  A
+    non-SPD A raises, never falls back to a pseudo-inverse: it indicates
+    a bug upstream and must be visible."""
     A = check_symmetric(_as_matrix(A))
     b = _as_vector(b)
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, b has length {len(b)}")
-    import scipy.linalg
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side is not finite")
     try:
-        c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=True)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), b, check_finite=True)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 

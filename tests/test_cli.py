@@ -158,6 +158,8 @@ class TestConfigErrors:
         # and blamed the bound.
         ("lemma", {"step_scale": 1.0, "T": 5}, "step_scale"),
         ("lemma", {"step_scale": 1.5, "T": 5}, "step_scale"),
+        # t_gamma / gamma overflowed to inf and died converting it to int.
+        ("theorem1", {"t_gamma": 1e308}, "t_gamma"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):

@@ -258,6 +258,8 @@ class TestTheoremDriver:
         # kappa = 0 gives gamma = 0, and 1e-320 underflows it to 0: no horizon.
         (dict(kappa=0.0), "kappa"),
         (dict(kappa=1e-320), "kappa"),
+        # t_gamma / gamma overflows to inf: no horizon T.
+        (dict(t_gamma=1e308), "t_gamma"),
     ])
     def test_arguments_rejected_before_any_run(self, bigram_testbed,
                                                monkeypatch, kw, field):

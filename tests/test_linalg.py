@@ -1,62 +1,16 @@
 """Dense linear-algebra kernel: SPD solves and spectrum bounds."""
 
+import ast
+import glob
 import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
 from mtunlearn import linalg
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-
-# Runs in a fresh interpreter: importing the package and the command line,
-# then a small target, unlearning and artifact run, must not load scipy;
-# the first dense solve loads it and still reports a non-SPD matrix.
-IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
-    import dataclasses, sys, tempfile
-    import numpy as np
-
-    def scipy_modules():
-        return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-
-    import mtunlearn
-    import mtunlearn.cli
-    assert not scipy_modules(), scipy_modules()
-    from mtunlearn import artifacts as A, divergence as Dv, harness as Hn
-    from mtunlearn import linalg, losses as L, model as M, optimizer as O
-
-    spec = M.ModelSpec(M.BIGRAM, 8)
-    corpus = Hn.CorpusSpec(vocab_size=8, n_sequences=4, seq_len=12, seed=11)
-    d_f, d_pt = Hn.corpus_datasets(spec, corpus)
-    theta = Hn.build_target(spec, (d_f, d_pt), epochs=200, seed=11)
-    cfg = O.MTConfig(eta=0.05, kappa=0.5, alpha=0.5, mu=0.9, T=10,
-                     loss=L.LossKind("nlul"), divergence=Dv.DivergenceKind("kl", 0.1),
-                     clip=1.0, batch_forget=2, batch_pretrain=4)
-    O.mt_run_batched(spec, theta, d_f, d_pt, cfg)
-    O.mt_run_batched(spec, theta, d_f, d_pt,
-                     dataclasses.replace(cfg, loss=L.LossKind("npo", beta=0.5)))
-    with tempfile.TemporaryDirectory() as out:
-        result = Hn.unlearn_experiment(spec, theta, d_f, d_pt,
-                                       [Hn.MethodSpec("mt", "mt-batched", cfg)])
-        mtunlearn.cli._write_tables(out, mtunlearn.cli.result_outputs(result)[0])
-        A.write_trajectory_csv(out + "/trajectory.csv",
-                               result["trajectories"]["mt"][0])
-        A.save_params(out + "/mt.npy", result["thetas"]["mt"])
-        A.write_results_json(out, {"check": "unlearn"})
-        A.write_manifest(out, "unlearn", {}, 0, 0.0)
-    assert not scipy_modules(), scipy_modules()
-
-    x = linalg.solve_spd(np.array([[4.0, 1.0], [1.0, 3.0]]), np.ones(2))
-    assert np.allclose(x, [2.0 / 11.0, 3.0 / 11.0])
-    try:
-        linalg.solve_spd(np.diag([1.0, -1.0]), np.ones(2))
-        raise SystemExit("non-SPD matrix accepted")
-    except ValueError as exc:
-        assert "matrix is not positive definite" in str(exc), exc
-""")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "mtunlearn")
 
 
 def random_spd(rng, n, eig_low=0.5, eig_high=4.0):
@@ -92,14 +46,38 @@ class TestSolveSpd:
         with pytest.raises(ValueError, match="mismatch"):
             linalg.solve_spd(np.eye(3), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_nonfinite_right_hand_side(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            linalg.solve_spd(np.eye(2), np.array([1.0, bad]))
 
-class TestLazyScipy:
-    def test_scipy_is_loaded_only_by_the_first_dense_solve(self):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
+
+class TestNumpyOnly:
+    def test_no_module_imports_scipy(self):
+        """numpy is the package's only runtime dependency: no module, at
+        any depth (a function-level import included), imports scipy."""
+        paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+        assert paths, PACKAGE
+        offenders = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [(os.path.basename(path), node.lineno, name)
+                              for name in names if name.split(".")[0] == "scipy"]
+        assert not offenders, offenders
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["dependencies"] == ["numpy>=1.24"]
 
 
 class TestCheckSymmetric:
