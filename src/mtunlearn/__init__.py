@@ -7,7 +7,8 @@ The package provides:
 - losses: unlearning losses (nll, ll, nlul, it, npo) with exact gradients
 - divergence: proximity terms (kl, qkl, bregman) and their damped forms
 - curvature: Gauss-Newton Hessian assembly, the closed-form bigram damped
-  solve, and the damped momentum iteration with its error bound
+  solve, and the exact error of the damped momentum iteration (per
+  eigenmode, a grid of cells at once) with its closed-form bound
 - optimizer: the mean-teacher proximal update (full-batch and batched),
   its damped natural-gradient reference, and baselines
 - harness: verification testbeds (trajectory approximation, momentum
@@ -19,11 +20,10 @@ The package provides:
 
 from .artifacts import TOOL_VERSION
 from .curvature import (
-    IHVPConfig,
     assemble_gnh,
     bigram_damped_solve,
     ihvp_error_bound,
-    ihvp_momentum,
+    momentum_error_traces,
 )
 from .divergence import (
     CURVATURE_SCALE,
@@ -102,11 +102,10 @@ __version__ = TOOL_VERSION
 __all__ = [
     "TOOL_VERSION",
     "__version__",
-    "IHVPConfig",
     "assemble_gnh",
     "bigram_damped_solve",
     "ihvp_error_bound",
-    "ihvp_momentum",
+    "momentum_error_traces",
     "CURVATURE_SCALE",
     "DIVERGENCE_TAGS",
     "DivergenceKind",

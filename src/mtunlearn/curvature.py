@@ -1,6 +1,7 @@
 """Exact curvature machinery: Gauss-Newton matrix assembly, damped
-natural-gradient solves, and the damped momentum iteration that tracks
-inverse-curvature-vector products.
+natural-gradient solves, and the exact error of the damped momentum
+iteration that tracks inverse-curvature-vector products (one eigh of H
+gives every cell's error, mode by mode) with its closed-form bound.
 
 The curvature matrix of a softmax model on a batch is
 
@@ -13,11 +14,8 @@ semi-definite in floating point).  For the bigram model H is block
 diagonal over table rows, which the solver exploits.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import linalg
 from . import model as M
 
 MAX_DENSE_DIM = 4096
@@ -93,69 +91,40 @@ def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
     return X.reshape(lead + (-1,))
 
 
-@dataclass
-class IHVPConfig:
-    """Damped momentum iteration settings.
+def momentum_error_traces(H, g, etas, mus, lams, noise, noisy):
+    """Exact error ||u_t - u*||, t = 0..T, of the damped momentum iteration
+    toward u* = -(H + lam I)^-1 g on a grid of cells, shape (cells, T + 1).
 
-    eta: step size (must satisfy eta < 1/(max eigenvalue of H + lam)).
-    mu: momentum in [0, 1).
-    lam: damping > 0.
-    T: number of iterations.
-    """
-
-    eta: float
-    mu: float
-    lam: float
-    T: int
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not (0.0 <= self.mu < 1.0):
-            raise ValueError("mu must lie in [0, 1)")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.T < 0:
-            raise ValueError("T must be nonnegative")
-
-
-def ihvp_momentum(H, g, cfg, eps=None):
-    """Damped momentum iteration toward u* = -(H + lam I)^{-1} g.
-
-    Starting from u_0 = u_{-1} = 0, iterate
+    Cell c runs, from u_0 = u_{-1} = 0,
 
         u_{t+1} = u_t - (eta g + eta (H + lam I) u_t + eta eps_t)
-                  + mu (u_t - u_{t-1}),
+                  + mu (u_t - u_{t-1})
 
-    with eps the (T, dim) perturbations eps_1..eps_T (None means zeros),
-    and return (u_T, trace) where trace[t] = ||u_t - u*|| for t = 0..T.
-    Raises when the step size violates eta < 1/(lam_max(H) + lam) or eps
-    has another shape.
+    with (eta, mu, lam) = (etas[c], mus[c], lams[c]), and eps_t the t-th
+    row of the shared (T, dim) noise when noisy[c] holds, else zero.
+    H is symmetric, so in its eigenbasis (one eigh for every cell) the
+    error e_t = u_t - u* follows one scalar recurrence per mode i,
+
+        e_{t+1,i} = (1 + mu - eta (h_i + lam)) e_{t,i} - mu e_{t-1,i}
+                    - eta (Q^T eps_t)_i,
+
+    from e_0 = e_{-1} = -u*, and the eigenbasis keeps norms.
     """
-    H = linalg.check_symmetric(np.asarray(H, dtype=float))
-    g = np.asarray(g, dtype=float)
-    dim = len(g)
-    eps = np.zeros((cfg.T, dim)) if eps is None else np.asarray(eps, dtype=float)
-    if eps.shape != (cfg.T, dim):
-        raise ValueError(f"eps must have shape (T, dim) = {(cfg.T, dim)}, "
-                         f"got {eps.shape}")
-    Hl = H + cfg.lam * np.eye(dim)
-    lam_max = float(np.linalg.eigvalsh(H)[-1])
-    if not cfg.eta < 1.0 / (lam_max + cfg.lam):
-        raise ValueError(f"step size eta={cfg.eta} violates eta < 1/(lam_max + lam) "
-                         f"= {1.0 / (lam_max + cfg.lam):.6g}")
-    ustar = -linalg.solve_spd(Hl, g)
-    u_prev = np.zeros(dim)
-    u = np.zeros(dim)
-    trace = [float(np.linalg.norm(u - ustar))]
-    for eps_t in eps:
-        u_new = u - (cfg.eta * g + cfg.eta * (Hl @ u) + cfg.eta * eps_t) + cfg.mu * (u - u_prev)
-        u_prev, u = u, u_new
-        trace.append(float(np.linalg.norm(u - ustar)))
-    return u, trace
+    h, Q = np.linalg.eigh(H)
+    etas, mus, lams = (np.asarray(x, dtype=float)[:, None]
+                       for x in (etas, mus, lams))
+    e = e_prev = (Q.T @ g) / (h + lams)
+    a = 1.0 + mus - etas * (h + lams)
+    gain = etas * np.asarray(noisy, dtype=float)[:, None]
+    traces = np.empty((len(e), len(noise) + 1))
+    traces[:, 0] = np.linalg.norm(e, axis=1)
+    for t, eps_t in enumerate(np.asarray(noise, dtype=float) @ Q, 1):
+        e, e_prev = a * e - mus * e_prev - gain * eps_t, e
+        traces[:, t] = np.linalg.norm(e, axis=1)
+    return traces
 
 
-def ihvp_error_bound(cfg, u0_dist, eps_norms):
+def ihvp_error_bound(eta, mu, lam, u0_dist, eps_norms):
     """Closed-form per-step bound on ||u_t - u*|| for the momentum iteration:
 
         rate^t * ||u_0 - u*|| + sqrt(2) * max(eta/(1-sqrt(mu)),
@@ -165,13 +134,12 @@ def ihvp_error_bound(cfg, u0_dist, eps_norms):
     list of bounds for t = 0..T (the t = 0 entry is u0_dist itself).
     eps_norms holds ||eps_t|| for t = 1..T.
     """
-    rate = 1.0 - min(1.0 - np.sqrt(cfg.mu), cfg.eta * cfg.lam / (1.0 - cfg.mu))
-    coef = np.sqrt(2.0) * max(cfg.eta / (1.0 - np.sqrt(cfg.mu)),
-                              (1.0 - cfg.mu) / cfg.lam)
+    rate = 1.0 - min(1.0 - np.sqrt(mu), eta * lam / (1.0 - mu))
+    coef = np.sqrt(2.0) * max(eta / (1.0 - np.sqrt(mu)), (1.0 - mu) / lam)
     bounds = [u0_dist]
     running_max = 0.0
-    for t in range(1, cfg.T + 1):
-        running_max = max(running_max, eps_norms[t - 1])
+    for t, eps_norm in enumerate(eps_norms, 1):
+        running_max = max(running_max, eps_norm)
         bounds.append(rate ** t * u0_dist + coef * running_max)
     return bounds
 

@@ -451,18 +451,20 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     must meet the iteration's precondition eta < 1/(lam_max(H) + lam) for
     every lam before any cell runs; mode "zero" injects no error, "const"
     injects a fresh random direction of fixed norm each step (one draw of
-    T directions, shared by every cell).  A cell passes when the measured
-    distance to the exact solution stays at or below the bound at every
-    step (up to a relative slack of LEMMA_BOUND_RTOL); a NaN distance or
-    bound fails it.
+    T >= 1 directions, shared by every cell).  The measured distance to
+    the exact solution is the iteration's exact error, every cell's from
+    one eigendecomposition of H (curvature.momentum_error_traces).  A cell
+    passes when it stays at or below the bound at every step (up to a
+    relative slack of LEMMA_BOUND_RTOL); a NaN distance or bound fails it.
 
     max_ratio (measured distance over bound) is taken only at steps where
     the bound exceeds that slack: below it both sides are roundoff, and
     their ratio says nothing.  floor_step is the first step where the
     bound is at or below the slack (None if it never gets there).
     """
-    if T < 0:
-        raise ConfigError(f"T must be nonnegative, got {T}")
+    if not T >= 1:
+        raise ConfigError(f"T must be at least 1 (a check of no step measures "
+                          f"nothing), got {T}")
     if min(len(mus), len(lams), len(modes)) < 1:
         raise ConfigError("mus, lams and modes must each list at least one value")
     if any(mode not in ("zero", "const") for mode in modes):
@@ -477,7 +479,8 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     family = family or LemmaFamily()
     H, g = lemma_instance(family)
     lam_max = float(np.linalg.eigvalsh(H)[-1])
-    # The inequality curvature.ihvp_momentum checks, in its arithmetic.
+    # The iteration's precondition eta < 1/(lam_max + lam), in the
+    # arithmetic of the eta each cell runs with.
     for lam in lams:
         if not step_scale / (lam_max + lam) < 1.0 / (lam_max + lam):
             raise ConfigError(f"step_scale={step_scale} gives a step size at "
@@ -486,31 +489,29 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
         .standard_normal((T, family.dim))
     for e in noise:
         e *= family.noise_scale / np.linalg.norm(e)
-    errors = {"zero": (None, [0.0] * T),
-              "const": (noise, [float(np.linalg.norm(e)) for e in noise])}
+    eps_norms = {"zero": [0.0] * T,
+                 "const": [float(np.linalg.norm(e)) for e in noise]}
+    cells = [(mu, lam, step_scale / (lam_max + lam), mode)
+             for mu in mus for lam in lams for mode in modes]
+    mu_c, lam_c, eta_c, mode_c = zip(*cells)
+    traces = curvature.momentum_error_traces(
+        H, g, eta_c, mu_c, lam_c, noise, [m == "const" for m in mode_c])
     rows = []
-    for mu in mus:
-        for lam in lams:
-            eta = step_scale / (lam_max + lam)
-            for mode in modes:
-                eps, eps_norms = errors[mode]
-                cfg = curvature.IHVPConfig(eta=eta, mu=mu, lam=lam, T=T)
-                _, trace = curvature.ihvp_momentum(H, g, cfg, eps)
-                u0_dist = trace[0]
-                bounds = curvature.ihvp_error_bound(cfg, u0_dist, eps_norms)
-                slack = LEMMA_BOUND_RTOL * (1.0 + u0_dist)
-                margins = [b + slack - m for m, b in zip(trace, bounds)]
-                # np.min and np.max keep a NaN, where min and max may skip it.
-                min_margin = float(np.min(margins))
-                ratios = [m / b for m, b in zip(trace[1:], bounds[1:]) if b > slack]
-                floor_step = next((t for t, b in enumerate(bounds) if b <= slack),
-                                  None)
-                rows.append({"mu": mu, "lam": lam, "mode": mode, "eta": eta,
-                             "T": T, "u0_dist": u0_dist,
-                             "max_ratio": float(np.max(ratios)) if ratios else 0.0,
-                             "floor_step": floor_step,
-                             "min_margin": min_margin,
-                             "holds": bool(min_margin >= 0.0)})
+    for (mu, lam, eta, mode), trace in zip(cells, traces):
+        u0_dist = float(trace[0])
+        bounds = curvature.ihvp_error_bound(eta, mu, lam, u0_dist, eps_norms[mode])
+        slack = LEMMA_BOUND_RTOL * (1.0 + u0_dist)
+        margins = [b + slack - m for m, b in zip(trace, bounds)]
+        # np.min and np.max keep a NaN, where min and max may skip it.
+        min_margin = float(np.min(margins))
+        ratios = [m / b for m, b in zip(trace[1:], bounds[1:]) if b > slack]
+        floor_step = next((t for t, b in enumerate(bounds) if b <= slack), None)
+        rows.append({"mu": mu, "lam": lam, "mode": mode, "eta": eta,
+                     "T": T, "u0_dist": u0_dist,
+                     "max_ratio": float(np.max(ratios)) if ratios else 0.0,
+                     "floor_step": floor_step,
+                     "min_margin": min_margin,
+                     "holds": bool(min_margin >= 0.0)})
     return {"check": "lemma", "family_seed": family.seed, "T": T,
             "step_scale": step_scale, "rows": rows,
             "passed": all(r["holds"] for r in rows)}
@@ -554,9 +555,9 @@ def verify_divergence_quadratic(t_values=(1e-2, 1e-3, 1e-4), decay_factor=0.1):
     if len(t_values) < 2 or any(not 0 < t < np.inf for t in t_values):
         raise ConfigError("t_values must list at least two positive finite "
                           "numbers")
-    if any(not t * t < np.inf for t in t_values):
-        raise ConfigError(f"t_values entries must have a finite square (the "
-                          f"check divides by t^2), got {list(t_values)}")
+    if any(not 0 < t * t < np.inf for t in t_values):
+        raise ConfigError(f"t_values entries must have a finite square above "
+                          f"zero (the check divides by t^2), got {list(t_values)}")
     if len(set(t_values)) < 2:
         raise ConfigError(f"t_values must hold at least two distinct sizes, "
                           f"got {list(t_values)}")

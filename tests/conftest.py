@@ -83,29 +83,27 @@ def raw_backprop(spec, theta, G, aux):
                            G.sum(axis=-2)], axis=-1)
 
 
-def momentum_error_trace(H, g, eta, mu, lam, eps):
-    """The exact error ||u_t - u*||, t = 0..T, of the damped momentum
-    iteration curvature.ihvp_momentum runs, with eps the (T, dim) errors
-    it injects (zeros for none).
+def momentum_iteration(H, g, eta, mu, lam, eps):
+    """The damped momentum iteration toward u* = -(H + lam I)^-1 g, run
+    step by step: from u_0 = u_{-1} = 0,
 
-    With e_t = u_t - u* and u* = -(H + lam I)^-1 g, the iteration reads
-    e_{t+1} = e_t - eta (H + lam I) e_t - eta eps_t + mu (e_t - e_{t-1}).
-    H is symmetric, so in its eigenbasis each mode i follows one scalar
-    recurrence,
+        u_{t+1} = u_t - (eta g + eta (H + lam I) u_t + eta eps_t)
+                  + mu (u_t - u_{t-1}),
 
-        e_{t+1,i} = (1 + mu - eta (h_i + lam)) e_{t,i} - mu e_{t-1,i}
-                    - eta eps_{t,i},
-
-    from e_0 = e_{-1} = -u* (u_0 = u_{-1} = 0), and the eigenbasis
-    keeps norms."""
-    h, Q = np.linalg.eigh(H)
-    e = e_prev = (Q.T @ g) / (h + lam)
-    a = 1.0 + mu - eta * (h + lam)
-    trace = [np.linalg.norm(e)]
-    for eps_t in np.asarray(eps, dtype=float) @ Q:
-        e, e_prev = a * e - mu * e_prev - eta * eps_t, e
-        trace.append(np.linalg.norm(e))
-    return np.array(trace)
+    with eps the (T, dim) errors it injects (zeros for none).  Returns
+    (u_T, trace) with trace[t] = ||u_t - u*|| for t = 0..T: the oracle
+    curvature.momentum_error_traces is pinned to."""
+    g = np.asarray(g, dtype=float)
+    Hl = H + lam * np.eye(len(g))
+    ustar = -np.linalg.solve(Hl, g)
+    u_prev = np.zeros(len(g))
+    u = np.zeros(len(g))
+    trace = [float(np.linalg.norm(u - ustar))]
+    for eps_t in np.asarray(eps, dtype=float):
+        u_new = u - (eta * g + eta * (Hl @ u) + eta * eps_t) + mu * (u - u_prev)
+        u_prev, u = u, u_new
+        trace.append(float(np.linalg.norm(u - ustar)))
+    return u, trace
 
 
 def use_raw_forward(monkeypatch):

@@ -131,7 +131,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("check,fields,text", [
         ("lemma", {"T": -1, "mus": [0.0], "lams": [1.0]},
-         "T must be nonnegative"),
+         "T must be at least 1"),
         ("dynamics", {"target_epochs": 0}, "target_epochs must be at least 1"),
         # alpha = 1 once ran every trajectory and then died in np.polyfit.
         ("theorem1", {"alphas": [1.0, 0.5], "t_gamma": 0.01}, "alphas must be"),
@@ -160,6 +160,11 @@ class TestConfigErrors:
         ("lemma", {"step_scale": 1.5, "T": 5}, "step_scale"),
         # t_gamma / gamma overflowed to inf and died converting it to int.
         ("theorem1", {"t_gamma": 1e308}, "t_gamma"),
+        # T = 0 once reported a pass with no step measured.
+        ("lemma", {"T": 0}, "T must be at least 1"),
+        # A square underflowing to 0 died in ZeroDivisionError.
+        ("divergence-quadratic", {"t_values": [1e-2, 5e-324]}, "t_values"),
+        ("divergence-quadratic", {"t_values": [1e-200, 1e-100]}, "t_values"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):

@@ -1,4 +1,5 @@
-"""Curvature assembly, damped solves, and the momentum iteration bound."""
+"""Curvature assembly, damped solves, and the momentum iteration's exact
+error and bound."""
 
 import inspect
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import momentum_error_trace, relative_error, same_bits
+from conftest import momentum_iteration, relative_error, same_bits
 from mtunlearn import curvature, harness, linalg
 from mtunlearn import model as M
 
@@ -238,96 +239,78 @@ class TestClosedFormBigramSolve:
 
 class TestMomentumIteration:
     def test_converges_to_damped_inverse_product(self):
+        """Without injected error every cell's trace starts at ||u*|| and
+        falls to roundoff, the row's length is T + 1, and a grid row is
+        the trace of the same cell run alone."""
         rng = np.random.default_rng(77)
         H, g = spd_instance(rng)
-        lam = 1.0
         lam_max = float(np.linalg.eigvalsh(H)[-1])
-        cfg = curvature.IHVPConfig(eta=0.5 / (lam_max + lam), mu=0.8,
-                                   lam=lam, T=400)
-        u, trace = curvature.ihvp_momentum(H, g, cfg)
-        ustar = -np.linalg.solve(H + lam * np.eye(len(g)), g)
-        np.testing.assert_allclose(u, ustar, atol=1e-10)
-        assert trace[-1] < 1e-10 < trace[0]
-        assert len(trace) == cfg.T + 1
-
-    def test_rejects_too_large_step(self):
-        rng = np.random.default_rng(78)
-        H, g = spd_instance(rng)
-        lam_max = float(np.linalg.eigvalsh(H)[-1])
-        cfg = curvature.IHVPConfig(eta=1.1 / (lam_max + 0.1), mu=0.0,
-                                   lam=0.1, T=10)
-        with pytest.raises(ValueError, match="step size"):
-            curvature.ihvp_momentum(H, g, cfg)
-
-    def test_rejects_perturbations_of_another_shape(self):
-        """eps holds one perturbation per step: exactly (T, dim), here
-        (7, 6); the flattened (42,) is refused too."""
-        rng = np.random.default_rng(79)
-        H, g = spd_instance(rng)
-        cfg = curvature.IHVPConfig(eta=0.05, mu=0.5, lam=0.5, T=7)
-        for shape in [(6, 6), (8, 6), (7, 5), (7,), (42,)]:
-            with pytest.raises(ValueError, match=r"eps must have shape \(T, dim\)"):
-                curvature.ihvp_momentum(H, g, cfg, np.zeros(shape))
+        lams = np.array([1.0, 0.1])
+        etas, mus = 0.5 / (lam_max + lams), np.array([0.8, 0.5])
+        noise = np.zeros((400, len(g)))
+        traces = curvature.momentum_error_traces(H, g, etas, mus, lams, noise,
+                                                 [False, False])
+        assert traces.shape == (2, 401)
+        for c, lam in enumerate(lams):
+            ustar = -np.linalg.solve(H + lam * np.eye(len(g)), g)
+            assert traces[c, 0] == pytest.approx(np.linalg.norm(ustar), rel=1e-13)
+            assert traces[c, -1] < 1e-10 < traces[c, 0]
+            alone = curvature.momentum_error_traces(
+                H, g, etas[c:c + 1], mus[c:c + 1], lams[c:c + 1], noise, [False])
+            np.testing.assert_allclose(alone[0], traces[c], rtol=1e-14, atol=0)
 
     def test_bound_formula_hand_values(self):
         """mu = 0, eta = 0.1, lam = 1: rate = 1 - min(1, 0.1) = 0.9 and
         coef = sqrt(2) max(0.1, 1) = sqrt(2)."""
-        cfg = curvature.IHVPConfig(eta=0.1, mu=0.0, lam=1.0, T=2)
-        bounds = curvature.ihvp_error_bound(cfg, 2.0, [0.3, 0.1])
+        bounds = curvature.ihvp_error_bound(0.1, 0.0, 1.0, 2.0, [0.3, 0.1])
+        assert len(bounds) == 3
         assert bounds[0] == pytest.approx(2.0)
         assert bounds[1] == pytest.approx(0.9 * 2.0 + np.sqrt(2.0) * 0.3)
         assert bounds[2] == pytest.approx(0.81 * 2.0 + np.sqrt(2.0) * 0.3)
 
     def test_bound_running_max_is_monotone_in_errors(self):
-        cfg = curvature.IHVPConfig(eta=0.1, mu=0.5, lam=1.0, T=3)
-        b_small = curvature.ihvp_error_bound(cfg, 1.0, [0.0, 0.0, 0.0])
-        b_big = curvature.ihvp_error_bound(cfg, 1.0, [0.0, 0.5, 0.0])
+        b_small = curvature.ihvp_error_bound(0.1, 0.5, 1.0, 1.0, [0.0, 0.0, 0.0])
+        b_big = curvature.ihvp_error_bound(0.1, 0.5, 1.0, 1.0, [0.0, 0.5, 0.0])
         assert b_big[1] == b_small[1]
         assert b_big[2] > b_small[2]
         assert b_big[3] > b_small[3]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="eta"):
-            curvature.IHVPConfig(eta=0.0, mu=0.5, lam=1.0, T=5)
-        with pytest.raises(ValueError, match="mu"):
-            curvature.IHVPConfig(eta=0.1, mu=1.0, lam=1.0, T=5)
-        with pytest.raises(ValueError, match="lam"):
-            curvature.IHVPConfig(eta=0.1, mu=0.5, lam=0.0, T=5)
-
-
 
 def lemma_grid_gap(family, mode):
     """The largest |trace_t - exact_t| / (1 + ||u_0 - u*||) of
-    curvature.ihvp_momentum against conftest.momentum_error_trace over
-    verify_lemma's shipped grid of mu, lam and T and its step sizes, on
+    curvature.momentum_error_traces, in one call over verify_lemma's
+    shipped grid of mu, lam and T and its step sizes, against the
+    step-by-step iteration (conftest.momentum_iteration) of each cell, on
     one instance of the family.  Mode "const" injects verify_lemma's
     noise: a fresh random direction of norm noise_scale per step."""
     grid = {k: p.default for k, p in
             inspect.signature(harness.verify_lemma).parameters.items()}
     H, g = harness.lemma_instance(family)
     lam_max = float(np.linalg.eigvalsh(H)[-1])
-    eps = np.zeros((grid["T"], family.dim))
-    if mode == "const":
-        rng = np.random.default_rng(harness.LEMMA_NOISE_SEED_OFFSET + family.seed)
-        for e in eps:
-            e[:] = rng.standard_normal(family.dim)
-            e *= family.noise_scale / np.linalg.norm(e)
+    noise = np.zeros((grid["T"], family.dim))
+    rng = np.random.default_rng(harness.LEMMA_NOISE_SEED_OFFSET + family.seed)
+    for e in noise:
+        e[:] = rng.standard_normal(family.dim)
+        e *= family.noise_scale / np.linalg.norm(e)
+    eps = noise if mode == "const" else np.zeros_like(noise)
+    cells = [(grid["step_scale"] / (lam_max + lam), mu, lam)
+             for mu in grid["mus"] for lam in grid["lams"]]
+    etas, mus, lams = (np.array(c) for c in zip(*cells))
+    traces = curvature.momentum_error_traces(
+        H, g, etas, mus, lams, noise, [mode == "const"] * len(cells))
+    assert traces.shape == (len(cells), grid["T"] + 1)
     worst = 0.0
-    for mu in grid["mus"]:
-        for lam in grid["lams"]:
-            eta = grid["step_scale"] / (lam_max + lam)
-            cfg = curvature.IHVPConfig(eta=eta, mu=mu, lam=lam, T=grid["T"])
-            _, trace = curvature.ihvp_momentum(H, g, cfg, eps)
-            exact = momentum_error_trace(H, g, eta, mu, lam, eps)
-            worst = max(worst, float(np.max(np.abs(np.array(trace) - exact)))
-                        / (1.0 + exact[0]))
+    for (eta, mu, lam), trace in zip(cells, traces):
+        exact = np.array(momentum_iteration(H, g, eta, mu, lam, eps)[1])
+        worst = max(worst, float(np.max(np.abs(trace - exact)))
+                    / (1.0 + exact[0]))
     return worst
 
 
 class TestMomentumOracle:
-    """The momentum iteration against the exact per-eigenmode recurrence
-    of its error.  A bound check cannot see an iteration that converges
-    faster than it should; this pin can."""
+    """The exact per-eigenmode error against the momentum iteration run
+    step by step.  A bound check cannot see an error trace that falls
+    faster than the iteration's; this pin can."""
 
     @pytest.mark.parametrize("mode", ["zero", "const"])
     @pytest.mark.parametrize("seed", list(range(8)) + [harness.LEMMA_FAMILY_SEED])
@@ -338,9 +321,11 @@ class TestMomentumOracle:
     def test_rejects_the_exact_solve(self, monkeypatch, mode):
         """Mutant: every step lands on u* (verify lemma's bound holds for
         it on every cell)."""
-        def exact_solve(H, g, cfg, eps=None):
-            ustar = -np.linalg.solve(H + cfg.lam * np.eye(len(g)), g)
-            return ustar, [float(np.linalg.norm(ustar))] + [0.0] * cfg.T
+        def exact_solve(H, g, etas, mus, lams, noise, noisy):
+            traces = np.zeros((len(lams), len(noise) + 1))
+            traces[:, 0] = [np.linalg.norm(np.linalg.solve(
+                H + lam * np.eye(len(g)), g)) for lam in lams]
+            return traces
 
-        monkeypatch.setattr(curvature, "ihvp_momentum", exact_solve)
+        monkeypatch.setattr(curvature, "momentum_error_traces", exact_solve)
         assert lemma_grid_gap(harness.LemmaFamily(), mode) > 1e-12

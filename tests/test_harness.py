@@ -346,14 +346,30 @@ class TestLemmaDriver:
         for r in result["rows"]:
             assert r["holds"] and 0.8 < r["max_ratio"] < 1.0
 
+    def test_one_eigendecomposition_and_no_dense_solve(self, monkeypatch):
+        """At the defaults every cell's error comes from one eigh of H;
+        u* is never solved for densely."""
+        forbid(monkeypatch, linalg, "solve_spd")
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(args)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        result = Hn.verify_lemma()
+        assert len(result["rows"]) == 18 and result["passed"] is True
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("step_scale", [1.5, 1.0, np.nextafter(1.0, 0.0)])
     def test_a_step_is_rejected_up_front_or_every_cell_runs(
             self, monkeypatch, step_scale):
         """Over 30 families, a step_scale either exits naming step_scale
-        before the first ihvp_momentum call or runs the whole 18-cell grid.
+        before the error traces are taken or runs the whole 18-cell grid.
         The check is the iteration's own eta < 1/(lam_max + lam): just
         below 1 rounding rejects 19 of the families, where step_scale < 1
-        would pass all 30 into cells the iteration refuses."""
+        would pass all 30 into cells that break the precondition."""
         rejected = 0
         for seed in range(30):
             family = Hn.LemmaFamily(seed=seed)
@@ -361,7 +377,7 @@ class TestLemmaDriver:
                 result = Hn.verify_lemma(family, T=10, step_scale=step_scale)
             except ConfigError:
                 with monkeypatch.context() as m:
-                    forbid(m, Hn.curvature, "ihvp_momentum")
+                    forbid(m, Hn.curvature, "momentum_error_traces")
                     with pytest.raises(ConfigError, match="step_scale"):
                         Hn.verify_lemma(family, T=10, step_scale=step_scale)
                 rejected += 1
@@ -389,14 +405,14 @@ class TestLemmaDriver:
     def test_a_nan_distance_fails_its_cell(self, monkeypatch):
         """A NaN after a finite first step: the margin and ratio reductions
         must not skip it, as Python's min and max do."""
-        real = Hn.curvature.ihvp_momentum
+        real = Hn.curvature.momentum_error_traces
 
-        def nan_at_step_3(H, g, cfg, eps=None):
-            u, trace = real(H, g, cfg, eps)
-            trace[3] = float("nan")
-            return u, trace
+        def nan_at_step_3(*args):
+            traces = real(*args)
+            traces[:, 3] = float("nan")
+            return traces
 
-        monkeypatch.setattr(Hn.curvature, "ihvp_momentum", nan_at_step_3)
+        monkeypatch.setattr(Hn.curvature, "momentum_error_traces", nan_at_step_3)
         result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=10)
         assert result["passed"] is False
         for r in result["rows"]:
@@ -412,7 +428,7 @@ class TestLemmaDriver:
         (dict(mus=()), "at least one"),
         (dict(lams=()), "at least one"),
         (dict(modes=()), "at least one"),
-        (dict(T=-1), "T must be nonnegative"),
+        (dict(T=-1), "T must be at least"),
         (dict(step_scale=0.0), "step_scale"),
         (dict(step_scale=-0.5), "step_scale"),
         (dict(step_scale=float("nan")), "step_scale"),
@@ -423,9 +439,11 @@ class TestLemmaDriver:
         (dict(lams=(-1.0,)), "lams"),
         (dict(lams=(1.0, 0.0)), "lams"),
         (dict(lams=(float("inf"),)), "lams"),
+        # T = 0 once reported a pass with no step measured.
+        (dict(T=0), "T must be at least"),
     ])
     def test_grid_rejected_before_the_first_cell(self, monkeypatch, kw, field):
-        forbid(monkeypatch, Hn.curvature, "ihvp_momentum")
+        forbid(monkeypatch, Hn.curvature, "momentum_error_traces")
         grid = dict(mus=(0.0,), lams=(1.0,), T=5)
         grid.update(kw)
         with pytest.raises(ConfigError, match=field):
@@ -468,6 +486,10 @@ class TestQuadraticDriver:
         # 1e200 ** 2 overflows where the check divides by t^2; 1e150 runs.
         with pytest.raises(ConfigError, match="t_values entries must have a finite square"):
             Hn.verify_divergence_quadratic(t_values=(1e200, 1e-4))
+        # A square that underflows to 0 once died dividing by it.
+        for t_values in [(1e-2, 5e-324), (1e-200, 1e-100)]:
+            with pytest.raises(ConfigError, match="finite square above zero"):
+                Hn.verify_divergence_quadratic(t_values=t_values)
 
     @pytest.mark.parametrize("decay_factor", [float("nan"), 0.0, -0.1,
                                               float("inf")])

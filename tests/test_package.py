@@ -33,7 +33,9 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     batch (losses.npo_pairs), backprop takes its forward pass's aux state,
     and the wrappers over prepared datasets and over the it row kernel
     are gone, as are the per-context Jacobian and square-root factor the
-    dense assembly stacks now (model.logit_jacobians).  A result
+    dense assembly stacks now (model.logit_jacobians).  The step-by-step
+    momentum iteration is the tests' oracle (conftest.momentum_iteration)
+    for the exact per-eigenmode error verify lemma measures.  A result
     document's tables and summary are built in one place
     (cli.result_outputs)."""
     for name in ("npo_value", "npo_weight", "npo_grad", "ll_value_rows",
@@ -41,8 +43,8 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
                  "nlul_value_rows", "nlul_grad_rows", "_ll_grad"):
         assert not hasattr(losses, name) and name not in mtunlearn.__all__
     assert not hasattr(model, "grad_sequence_logprob")
-    assert not hasattr(curvature, "bigram_gnh_blocks")
-    assert "bigram_gnh_blocks" not in mtunlearn.__all__
+    for name in ("bigram_gnh_blocks", "ihvp_momentum", "IHVPConfig"):
+        assert not hasattr(curvature, name) and name not in mtunlearn.__all__
     for module, name in ((model, "validate_dataset"), (losses, "it_value_rows"),
                          (losses, "it_rows"), (losses, "_rows"),
                          (model, "logit_jacobian"), (curvature, "_sqrt_factor"),
