@@ -82,7 +82,6 @@ from .model import (
     init_params,
     load_jsonl_dataset,
     logit_jacobians,
-    logits,
     param_count,
     sequence_logprob,
 )
@@ -154,7 +153,6 @@ __all__ = [
     "init_params",
     "load_jsonl_dataset",
     "logit_jacobians",
-    "logits",
     "param_count",
     "sequence_logprob",
     "AdamParams",

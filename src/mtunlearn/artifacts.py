@@ -132,12 +132,21 @@ def write_manifest(out_dir, command, config, seed, duration_s, input_paths=()):
     return manifest
 
 
-def read_manifest(out_dir):
-    path = os.path.join(out_dir, MANIFEST_NAME)
+def _read_json(out_dir, name, what):
+    """The JSON document `name` in out_dir; a missing or unreadable file
+    raises MissingArtifactError (`what` names it when missing)."""
+    path = os.path.join(out_dir, name)
     if not os.path.exists(path):
-        raise MissingArtifactError(f"no manifest found in {out_dir}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        raise MissingArtifactError(f"no {what} found in {out_dir}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MissingArtifactError(f"cannot read {path}: {exc}") from exc
+
+
+def read_manifest(out_dir):
+    return _read_json(out_dir, MANIFEST_NAME, "manifest")
 
 
 def write_results_json(out_dir, results):
@@ -151,8 +160,4 @@ def write_results_json(out_dir, results):
 
 
 def read_results_json(out_dir):
-    path = os.path.join(out_dir, "results.json")
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"no results.json found in {out_dir}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _read_json(out_dir, "results.json", "results.json")

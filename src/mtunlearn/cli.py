@@ -142,15 +142,41 @@ def _resolve(path, out_dir):
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
 
 
+def _out_dir(args):
+    """The --out directory, created if missing; a path that cannot be made
+    a directory (a file, or a file on its path) is a ConfigError naming
+    the flag."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out} is not a usable directory: "
+                          f"{exc}") from exc
+    return args.out
+
+
 def _load_config(path_arg, out_dir):
+    """The config object at path_arg and its resolved path.  A file that
+    is missing, unreadable, not UTF-8 JSON or not an object, and a key
+    given twice in any object of it, are ConfigErrors naming the file."""
     path = _resolve(path_arg, out_dir)
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+    def unique_keys(pairs):
+        obj = {}
+        for k, v in pairs:
+            if k in obj:
+                raise ConfigError(f"key {k!r} is given twice in {path}")
+            obj[k] = v
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config root in {path} must be an object")
     return cfg, path
@@ -202,13 +228,17 @@ def _parse_data(spec, cfg, out_dir):
     for p in (fpath, ppath):
         if not os.path.exists(p):
             raise MissingArtifactError(f"data file not found: {p}")
-    d_f = _cfgval(lambda: M.load_jsonl_dataset(fpath, spec.context_len),
-                  "forget data")
-    d_pt = _cfgval(lambda: M.load_jsonl_dataset(ppath, spec.context_len),
-                   "pretrain data")
-    for name, ds in (("forget", d_f), ("pretrain", d_pt)):
-        _cfgval(lambda ds=ds: ds.inputs(spec), f"{name} data")
-    return d_f, d_pt, None, [fpath, ppath]
+    datasets = []
+    for name, p in (("forget", fpath), ("pretrain", ppath)):
+        try:
+            ds = _cfgval(lambda: M.load_jsonl_dataset(p, spec.context_len),
+                         f"{name} data")
+        except OSError as exc:
+            raise MissingArtifactError(f"cannot read data file {p}: {exc}") \
+                from exc
+        _cfgval(lambda: ds.inputs(spec), f"{name} data")
+        datasets.append(ds)
+    return (*datasets, None, [fpath, ppath])
 
 
 def _parse_report(cfg):
@@ -435,8 +465,7 @@ def _finish(args, result, command, config, seed, t0, inputs):
 
 def cmd_train_target(args):
     t0 = time.perf_counter()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
     raw, cfg_path = _load_config(args.config, out)
     cfg = dict(raw)
     spec = _parse_model(cfg)
@@ -447,10 +476,8 @@ def cmd_train_target(args):
                defaults={"seed": 0})[0]
     lens = _parse_report(cfg)
     _done(cfg, "config")
-    # The memorization gate decodes every sequence, the report the forget ones.
-    decoded = d_f.sequences + d_pt.sequences \
-        if kw["require_exact_match"] > 0 else d_f.sequences
-    _cfgval(lambda: harness.report_lengths(decoded, **lens), "section 'report'")
+    _cfgval(lambda: harness.report_lengths(d_f.sequences, **lens),
+            "section 'report'")
     override = _resolve_seed(args)
     if override is not None:
         kw["seed"] = override
@@ -473,8 +500,7 @@ def cmd_train_target(args):
 
 def cmd_unlearn(args):
     t0 = time.perf_counter()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
     raw, cfg_path = _load_config(args.config, out)
     cfg = dict(raw)
     spec = _parse_model(cfg)
@@ -526,8 +552,7 @@ VERIFY_RENAME = {"lam": "lambda"}
 
 def cmd_verify(args):
     t0 = time.perf_counter()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
     inputs = []
     cfg = {}
     if args.config is not None:

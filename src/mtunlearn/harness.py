@@ -26,7 +26,7 @@ runs to optimizer.lockstep_runs, which advances the runs that draw the
 same data in lockstep.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -183,10 +183,7 @@ class MemorizationReport:
     nll_pretrain: float
 
     def as_dict(self):
-        return {"exact_match_rate": self.exact_match_rate,
-                "lcs_ratio": self.lcs_ratio,
-                "nll_forget": self.nll_forget,
-                "nll_pretrain": self.nll_pretrain}
+        return asdict(self)
 
 
 def lcs_length(a, b):
@@ -204,20 +201,20 @@ def lcs_length(a, b):
 
 def report_lengths(sequences, prompt_len: int = None, completion_len: int = None):
     """(prompt_len, completion_len) for decoding the given sequences; each
-    defaults to an even split of the shortest one.  Raises ValueError
+    defaults to an even split of the shortest one.  Raises ConfigError
     unless both are >= 1 and together fit in the shortest sequence."""
     if not sequences:
-        raise ValueError("forget dataset must carry whole sequences")
+        raise ConfigError("forget dataset must carry whole sequences")
     seq_len = min(len(s) for s in sequences)
     if prompt_len is None:
         prompt_len = seq_len // 2
     if completion_len is None:
         completion_len = seq_len - prompt_len
     if prompt_len < 1 or completion_len < 1:
-        raise ValueError(f"prompt_len ({prompt_len}) and completion_len "
+        raise ConfigError(f"prompt_len ({prompt_len}) and completion_len "
                          f"({completion_len}) must be positive")
     if prompt_len + completion_len > seq_len:
-        raise ValueError(f"prompt_len + completion_len ({prompt_len} + "
+        raise ConfigError(f"prompt_len + completion_len ({prompt_len} + "
                          f"{completion_len}) exceeds the shortest sequence "
                          f"({seq_len} tokens)")
     return prompt_len, completion_len
@@ -226,21 +223,27 @@ def report_lengths(sequences, prompt_len: int = None, completion_len: int = None
 _NLL = Lmod.LossKind("nll")
 
 
+def _decode(spec, theta, sequences, prompt_len, completion_len):
+    """(decoded, true) completions of all sequences, from one greedy decode."""
+    S = np.array([s[:prompt_len + completion_len] for s in sequences], dtype=int)
+    prompts, truth = S[:, :prompt_len], S[:, prompt_len:]
+    return M.greedy_continuation(spec, theta, prompts, completion_len), truth
+
+
 def memorization_report(spec, theta, datasets, prompt_len=None, completion_len=None):
-    """Evaluate memorization of the forget split and likelihood of both
-    splits.  datasets is the (forget, pretrain) TokenDataset pair;
-    prompt/completion lengths default to an even split of the sequence
-    length."""
+    """Evaluate memorization of the forget split (one batched greedy
+    decode) and likelihood of both splits.  datasets is the (forget,
+    pretrain) TokenDataset pair; prompt/completion lengths default to an
+    even split of the sequence length."""
     d_f, d_pt = datasets
     prompt_len, completion_len = report_lengths(d_f.sequences, prompt_len,
                                                 completion_len)
+    decoded, truth = _decode(spec, theta, d_f.sequences, prompt_len,
+                             completion_len)
     hits, lcs_sum = 0, 0.0
-    for s in d_f.sequences:
-        s = [int(t) for t in s]
-        out = M.greedy_continuation(spec, theta, s[:prompt_len], completion_len)
-        truth = s[prompt_len:prompt_len + completion_len]
-        hits += int(out == truth)
-        lcs_sum += lcs_length(out, truth) / completion_len
+    for out, true in zip(decoded.tolist(), truth.tolist()):
+        hits += int(out == true)
+        lcs_sum += lcs_length(out, true) / completion_len
     n = len(d_f.sequences)
     return MemorizationReport(
         exact_match_rate=hits / n,
@@ -256,10 +259,11 @@ def build_target(spec, datasets, epochs: int, seed: int, lr=0.5, momentum=0.9,
     `datasets` with full-batch momentum SGD on the mean NLL and return the
     trained parameter vector.
 
-    epochs counts raw full-batch steps.  After training, greedy decoding
-    over all sequences must reach require_exact_match (set it to 0 to
-    skip the gate); failure raises TrainingError since an unmemorized
-    target makes the downstream checks meaningless.
+    epochs counts raw full-batch steps.  After training, one batched greedy
+    decode of all sequences must reach an exact match of require_exact_match
+    (0 skips the gate); failure raises TrainingError since an unmemorized
+    target makes the downstream checks meaningless.  Every argument, the
+    gate's report_lengths over all sequences too, is checked up front.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
@@ -273,8 +277,10 @@ def build_target(spec, datasets, epochs: int, seed: int, lr=0.5, momentum=0.9,
         raise ConfigError(f"require_exact_match must lie in [0, 1], got "
                           f"{require_exact_match}")
     d_f, d_pt = datasets
-    d_all = M.dataset_from_sequences(d_f.sequences + d_pt.sequences,
-                                     spec.context_len)
+    seqs = d_f.sequences + d_pt.sequences
+    if require_exact_match > 0:
+        lens = report_lengths(seqs, prompt_len, completion_len)
+    d_all = M.dataset_from_sequences(seqs, spec.context_len)
     theta = M.init_params(spec, seed)
     vel = np.zeros_like(theta)
     for t in range(1, epochs + 1):
@@ -285,12 +291,12 @@ def build_target(spec, datasets, epochs: int, seed: int, lr=0.5, momentum=0.9,
             raise TrainingError(f"non-finite parameters at step {t}; "
                                 f"reduce lr={lr}")
     if require_exact_match > 0:
-        rep = memorization_report(spec, theta, (d_all, d_all),
-                                  prompt_len, completion_len)
-        if rep.exact_match_rate < require_exact_match:
+        decoded, truth = _decode(spec, theta, seqs, *lens)
+        rate = np.all(decoded == truth, axis=1).sum() / len(seqs)
+        if rate < require_exact_match:
             raise TrainingError(
                 f"target memorization too weak: exact match "
-                f"{rep.exact_match_rate:.3f} < {require_exact_match}; "
+                f"{rate:.3f} < {require_exact_match}; "
                 f"increase epochs or model capacity")
     return theta
 

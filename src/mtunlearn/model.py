@@ -284,12 +284,6 @@ def batch_logits(spec, theta, data):
     return H
 
 
-def logits(spec, theta, x):
-    """Logit vector (V,) for a single context x (list of token ids)."""
-    x = np.asarray(x, dtype=int).reshape(1, -1)
-    return batch_logits(spec, theta, x)[0]
-
-
 def grad_from_logit_grads(spec, theta, G, aux):
     """Backprop: gradient w.r.t. theta of sum_n <G[n], h(x_n; theta)>.
 
@@ -425,19 +419,20 @@ def sequence_logprob(spec, theta, s):
     return float(L[np.arange(len(ds.nexts)), ds.nexts].sum())
 
 
-def greedy_continuation(spec, theta, prompt, n_steps):
-    """Greedy decode: repeatedly append argmax-logit tokens to the prompt.
-
-    Ties break toward the lowest token id (np.argmax convention), so the
-    decode is fully deterministic.
-    """
-    cur = [int(t) for t in prompt]
-    out = []
-    for _ in range(n_steps):
-        c = cur[-spec.context_len:]
-        c = [PAD] * (spec.context_len - len(c)) + c
-        h = logits(spec, theta, c)
-        nxt = int(np.argmax(h))
-        out.append(nxt)
-        cur.append(nxt)
-    return out
+def greedy_continuation(spec, theta, prompts, n_steps):
+    """Greedy decode of the (n, k) int array of prompts, k >= 1: returns
+    the (n, n_steps) decoded tokens.  Each step makes one batch_logits
+    call on every row's last context_len tokens (left-padded with PAD) and
+    appends each row's argmax; ties break toward the lowest token id
+    (np.argmax convention), so the decode is fully deterministic."""
+    prompts = np.asarray(prompts, dtype=int)
+    if prompts.ndim != 2 or prompts.shape[1] < 1:
+        raise ValueError("prompts must be an (n, k) array with k >= 1")
+    n, k = prompts.shape
+    C = spec.context_len
+    buf = np.full((n, C + k + n_steps), PAD)
+    buf[:, C:C + k] = prompts
+    for t in range(k, k + n_steps):
+        H = batch_logits(spec, theta, buf[:, t:C + t])
+        buf[:, C + t] = np.argmax(H, axis=1)
+    return buf[:, C + k:]

@@ -106,6 +106,23 @@ def momentum_iteration(H, g, eta, mu, lam, eps):
     return u, trace
 
 
+def greedy_oracle(spec, theta, prompt, n_steps):
+    """Greedy decode of one prompt, one single-context forward pass per
+    token: the last context_len tokens, left-padded with PAD, and the
+    argmax of their logits (ties to the lowest id) appended.  Returns the
+    decoded tokens as a list; the oracle model.greedy_continuation's
+    batched decode is pinned to."""
+    cur = [int(t) for t in prompt]
+    out = []
+    for _ in range(n_steps):
+        c = cur[-spec.context_len:]
+        c = [M.PAD] * (spec.context_len - len(c)) + c
+        nxt = int(np.argmax(M.batch_logits(spec, theta, np.array([c]))[0]))
+        out.append(nxt)
+        cur.append(nxt)
+    return out
+
+
 def use_raw_forward(monkeypatch):
     """Route every model evaluation through raw_forward/raw_backprop on
     raw context ids: datasets keep no encoding, and the bigram curvature

@@ -174,6 +174,56 @@ class TestConfigErrors:
         assert text in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "results.json")
 
+    @pytest.mark.parametrize("case", [
+        "config-is-a-directory", "config-not-utf8", "repeated-key",
+        "repeated-nested-key", "out-is-a-file", "file-on-out-path"])
+    def test_unusable_config_or_out_exits_2_naming_it(self, tmp_path, capsys,
+                                                      case):
+        """Each once ended in a traceback (exit 1), or, for a key given
+        twice, ran silently with the last value."""
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        command, text = ["verify", "lemma"], str(cfg)
+        if case == "config-is-a-directory":
+            cfg.mkdir()
+        elif case == "config-not-utf8":
+            cfg.write_bytes(b'{"T": 5, "note": "\xff"}')
+        elif case == "repeated-key":
+            cfg.write_text('{"T": 5, "T": 6}')
+            text = "'T' is given twice"
+        elif case == "repeated-nested-key":
+            body = json.dumps(target_cfg())
+            cfg.write_text(body.replace('"vocab_size": 8,',
+                                        '"vocab_size": 8, "vocab_size": 9,', 1))
+            command, text = ["train-target"], "'vocab_size' is given twice"
+        else:
+            cfg.write_text("{}")
+            out = cfg if case == "out-is-a-file" else cfg / "out"
+            text = f"--out {out}"
+        assert main(command + [str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert text in err and "Traceback" not in err
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("gate,code", [(0.9, 2), (0.0, 0)])
+    def test_gate_lengths_must_fit_every_pretrain_sequence(
+            self, tmp_path, capsys, gate, code):
+        """The memorization gate decodes both splits: lengths that fit the
+        forget sequences but not a 4-token pretrain one exit 2 before
+        training, unless the gate is off."""
+        (tmp_path / "forget.jsonl").write_text('{"tokens": [0, 1, 2, 3, 0, 1]}\n')
+        (tmp_path / "pretrain.jsonl").write_text('{"tokens": [4, 5, 6, 7]}\n')
+        cfg = target_cfg()
+        del cfg["corpus"]
+        cfg["data"] = {"forget": "forget.jsonl", "pretrain": "pretrain.jsonl"}
+        cfg["train"]["require_exact_match"] = gate
+        cfg["report"] = {"prompt_len": 3, "completion_len": 3}
+        assert main(["train-target", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert ("exceeds the shortest sequence (4 tokens)" in err) == (code == 2)
+        assert (tmp_path / "target.npy").exists() == (code == 0)
+
     def test_bad_seed_environment_value(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MTUNLEARN_SEED", "lots")
         path = write_cfg(tmp_path, {"mus": [0.0], "lams": [1.0], "T": 10})
@@ -643,6 +693,30 @@ class TestFailureExitCodes:
         cfg["data"] = {"forget": "f.jsonl", "pretrain": "p.jsonl"}
         path = write_cfg(tmp_path, cfg)
         assert main(["train-target", path, "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("command", ["train-target", "unlearn"])
+    def test_data_path_that_is_a_directory_exits_4(self, tmp_path, trained_dir,
+                                                   capsys, command):
+        (tmp_path / "forget.jsonl").mkdir()
+        (tmp_path / "pretrain.jsonl").write_text('{"tokens": [4, 5, 6, 7]}\n')
+        if command == "train-target":
+            cfg = target_cfg()
+        else:
+            cfg = unlearn_cfg()
+            cfg["target"] = os.path.join(trained_dir, "target.npy")
+        del cfg["corpus"]
+        cfg["data"] = {"forget": "forget.jsonl", "pretrain": "pretrain.jsonl"}
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"cannot read data file {tmp_path / 'forget.jsonl'}" in err
+        assert "Traceback" not in err
+
+    def test_results_document_that_is_a_directory_exits_4(self, tmp_path, capsys):
+        (tmp_path / "results.json").mkdir()
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'results.json'}" in err
+        assert "Traceback" not in err
 
     def test_unsaturated_dynamics_target_exits_5(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {"target_epochs": 25})

@@ -216,6 +216,44 @@ class TestBuildTarget:
         with pytest.raises(ConfigError, match=field):
             Hn.build_target(spec, data, **args)
 
+    @pytest.mark.parametrize("lens,text", [
+        (dict(prompt_len=4, completion_len=3), "exceeds"),
+        (dict(prompt_len=7), r"completion_len \(-1\)"),
+        (dict(completion_len=0), "positive"),
+    ])
+    def test_report_lengths_rejected_before_training(self, monkeypatch, lens,
+                                                     text):
+        """The gate decodes every sequence, so its lengths must fit the
+        shortest of both splits (here a 6-token pretrain sequence), and are
+        checked before the first epoch."""
+        forbid(monkeypatch, L, "batch_grad")
+        spec = M.ModelSpec(M.BIGRAM, 8)
+        d_f = M.dataset_from_sequences([[0, 1] * 6], 1)
+        d_pt = M.dataset_from_sequences([[2, 3] * 3], 1)
+        with pytest.raises(ConfigError, match=text):
+            Hn.build_target(spec, (d_f, d_pt), epochs=10, seed=9, **lens)
+
+    def test_gate_decodes_once_and_scores_only_exact_match(self, monkeypatch):
+        """One batched decode of all sequences, no LCS and no NLL; the
+        report makes one decode of the forget split."""
+        calls = []
+        decode = M.greedy_continuation
+
+        def spy(spec, theta, prompts, n_steps):
+            calls.append(prompts.shape)
+            return decode(spec, theta, prompts, n_steps)
+
+        monkeypatch.setattr(M, "greedy_continuation", spy)
+        spec = M.ModelSpec(M.BIGRAM, 8)
+        data = Hn.corpus_datasets(spec, Hn.CorpusSpec(8, 4, 12, seed=9))
+        with monkeypatch.context() as m:
+            forbid(m, Hn, "lcs_length")
+            forbid(m, L, "batch_loss")
+            theta = Hn.build_target(spec, data, epochs=400, seed=9)
+        assert calls == [(4, 6)]
+        Hn.memorization_report(spec, theta, data, prompt_len=5)
+        assert calls == [(4, 6), (2, 5)]
+
     def test_runaway_learning_rate_is_loud(self):
         """A two-token random corpus shares contexts across sequences, so
         gradients never vanish and near-critical momentum at an absurd

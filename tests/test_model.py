@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (central_difference_gradient, grad_sequence_logprob,
-                      raw_backprop, raw_forward, relative_error, same_bits)
+                      greedy_oracle, raw_backprop, raw_forward, relative_error,
+                      same_bits)
 from mtunlearn import losses as L
 from mtunlearn import model as M
 
@@ -90,7 +91,7 @@ class TestForward:
         spec = bigram_spec(4)
         theta = rng.standard_normal(16)
         for r in range(4):
-            np.testing.assert_array_equal(M.logits(spec, theta, [r]),
+            np.testing.assert_array_equal(M.batch_logits(spec, theta, [[r]])[0],
                                           theta[4 * r:4 * r + 4])
 
     def test_mlp_logits_match_independent_oracle(self):
@@ -120,7 +121,7 @@ class TestForward:
         rng = np.random.default_rng(12)
         spec = mlp_spec()
         theta = rng.standard_normal(M.param_count(spec))
-        h_pad = M.logits(spec, theta, [M.PAD, 3])
+        h_pad = M.batch_logits(spec, theta, np.array([[M.PAD, 3]]))[0]
         h_oracle = mlp_logits_oracle(spec, theta, [[M.PAD, 3]])[0]
         np.testing.assert_allclose(h_pad, h_oracle, rtol=1e-12)
 
@@ -238,7 +239,8 @@ class TestDerivatives:
             for r, x in enumerate(ctx):
                 for v in range(spec.vocab_size):
                     fd = central_difference_gradient(
-                        lambda th, v=v: M.logits(spec, th, x)[v], theta)
+                        lambda th, v=v: M.batch_logits(spec, th, x[None])[0, v],
+                        theta)
                     assert relative_error(J[r, v], fd) < 1e-7
 
     def test_logit_jvp_matches_jacobian_product(self):
@@ -278,7 +280,7 @@ class TestSequences:
         for t in range(1, len(s)):
             c = s[max(0, t - 2):t]
             c = [M.PAD] * (2 - len(c)) + list(c)
-            h = M.logits(spec, theta, c)
+            h = M.batch_logits(spec, theta, np.array([c]))[0]
             manual += h[s[t]] - np.log(np.sum(np.exp(h)))
         assert lp == pytest.approx(manual, rel=1e-10)
 
@@ -377,12 +379,55 @@ class TestGreedyContinuation:
         theta[0 * 3 + 1] = 5.0
         theta[1 * 3 + 2] = 5.0
         theta[2 * 3 + 0] = 5.0
-        assert M.greedy_continuation(spec, theta, [0], 4) == [1, 2, 0, 1]
+        out = M.greedy_continuation(spec, theta, [[0], [2]], 4)
+        assert out.dtype.kind == "i"
+        assert out.tolist() == [[1, 2, 0, 1], [0, 1, 2, 0]]
 
     def test_tie_breaks_to_lowest_token(self):
         spec = bigram_spec(4)
         theta = np.zeros(16)
-        assert M.greedy_continuation(spec, theta, [2], 2) == [0, 0]
+        assert M.greedy_continuation(spec, theta, [[2]], 2).tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("spec", [bigram_spec(7), mlp_spec(V=7, ctx=4, hid=5)],
+                             ids=["bigram", "mlp"])
+    def test_batched_decode_is_the_per_prompt_decode(self, spec):
+        """Token for token the per-prompt oracle, for one-token prompts and
+        for prompts shorter than the context (PAD-filled rows), as long
+        as it and longer."""
+        rng = np.random.default_rng(40)
+        for k in (1, 2, 4, 6):
+            theta = rng.standard_normal(M.param_count(spec)) * 3
+            prompts = rng.integers(0, spec.vocab_size, (9, k))
+            out = M.greedy_continuation(spec, theta, prompts, 6)
+            assert out.shape == (9, 6)
+            assert out.tolist() == [greedy_oracle(spec, theta, p, 6)
+                                    for p in prompts]
+
+    @pytest.mark.parametrize("spec", [bigram_spec(5), mlp_spec(V=5, ctx=3, hid=4)],
+                             ids=["bigram", "mlp"])
+    def test_exact_ties_go_to_the_lowest_id(self, spec):
+        """Every row's logits tie exactly between tokens 1 and 3 (the
+        bigram table rows, and the MLP's b2 with W2 = 0): every decoded
+        token is 1, in the batch as in the oracle."""
+        theta = np.zeros(M.param_count(spec))
+        lead = np.array([0.0, 2.5, -1.0, 2.5, 0.5])
+        if spec.kind == M.BIGRAM:
+            theta[:] = np.tile(lead, 5)
+        else:
+            lay = M.param_layout(spec)
+            theta[lay["W1"][0]:lay["b1"][1]] = 0.7
+            theta[lay["b2"][0]:lay["b2"][1]] = lead
+        prompts = np.array([[0], [4], [2]])
+        out = M.greedy_continuation(spec, theta, prompts, 3)
+        assert out.tolist() == [[1, 1, 1]] * 3
+        assert out.tolist() == [greedy_oracle(spec, theta, p, 3) for p in prompts]
+
+    @pytest.mark.parametrize("prompts", [np.zeros((3, 0), dtype=int),
+                                         np.zeros(3, dtype=int)],
+                             ids=["empty", "1-d"])
+    def test_prompts_must_be_a_matrix_of_at_least_one_token(self, prompts):
+        with pytest.raises(ValueError, match="k >= 1"):
+            M.greedy_continuation(bigram_spec(), np.zeros(25), prompts, 2)
 
 
 SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5, 1e300])

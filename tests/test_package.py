@@ -37,7 +37,9 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     momentum iteration is the tests' oracle (conftest.momentum_iteration)
     for the exact per-eigenmode error verify lemma measures.  A result
     document's tables and summary are built in one place
-    (cli.result_outputs)."""
+    (cli.result_outputs).  Greedy decoding takes a matrix of prompts, so
+    the single-context logits went with the per-prompt decode, which is
+    the tests' oracle (conftest.greedy_oracle)."""
     for name in ("npo_value", "npo_weight", "npo_grad", "ll_value_rows",
                  "ll_grad_rows", "nll_value_rows", "nll_grad_rows",
                  "nlul_value_rows", "nlul_grad_rows", "_ll_grad"):
@@ -49,7 +51,8 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
                          (losses, "it_rows"), (losses, "_rows"),
                          (model, "logit_jacobian"), (curvature, "_sqrt_factor"),
                          (harness, "render_result_tables"),
-                         (harness, "result_tables"), (cli, "print_result_summary")):
+                         (harness, "result_tables"), (cli, "print_result_summary"),
+                         (model, "logits")):
         assert not hasattr(module, name) and name not in mtunlearn.__all__
     assert not hasattr(model.TokenDataset, "_take")
     for fn in (losses.batch_loss, losses.batch_grad, losses.batch_value_and_grad):
@@ -97,6 +100,22 @@ def test_the_traced_benchmark_finds_the_layers_it_depends_on():
     for mod, fname in sorted(needed):
         module = importlib.import_module(f"mtunlearn.{mod}")
         assert callable(getattr(module, fname, None)), f"{mod}.{fname}"
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """requires-python is >=3.10, so no file under src/ or tests/ may use
+    syntax a later Python added (a `type` statement, PEP 695 generics,
+    and the like)."""
+    paths = [os.path.join(d, f) for top in ("src", "tests")
+             for d, _, files in os.walk(os.path.join(ROOT, top))
+             for f in files if f.endswith(".py")]
+    assert len(paths) > 20
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), path, feature_version=(3, 10))
 
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
