@@ -63,15 +63,13 @@ def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
     dense oracle this matches.
 
     theta and g may be stacks of parameter vectors (..., V*V), solved row
-    by row in the same operations, with lam_prime a number or an array
-    over the leading axes (one damping per row); each row's solution is
-    bit for bit that of a call with the row alone.
+    by row in the same operations with the one damping lam_prime, a
+    positive number; each row's solution is bit for bit that of a call
+    with the row alone.
     """
-    lam = np.asarray(lam_prime, dtype=float)
-    if not (lam > 0).all():
-        raise ValueError("lam_prime must be positive")
-    if lam.ndim:
-        lam = lam[..., None, None]
+    if np.ndim(lam_prime) or not lam_prime > 0:
+        raise ValueError(f"lam_prime must be one positive number, got {lam_prime!r}")
+    lam = float(lam_prime)
     V = spec.vocab_size
     theta = np.asarray(theta, dtype=float)
     lead = theta.shape[:-1]

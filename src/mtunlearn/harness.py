@@ -346,11 +346,12 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
     a reference is max_t ||theta_mt(t) - theta_ngd(t)||; all runs, per
     alpha the mean teacher and the reference under both
     gradient-evaluation conventions, advance in one lockstep loop
-    (optimizer.mt_ngd_deviations), bit for bit the separate mt_run and
-    ngd_run.  The check passes when, for both conventions, the deviation
-    decreases monotonically in alpha and its log-log slope against
-    alpha * log(1/alpha) is at least slope_min (slope 1 would be exact
-    proportionality to the predicted rate).  alphas must decrease
+    (optimizer.mt_ngd_deviations on the base config and the alpha and T
+    grids, every reference with the base config's one lam_bar), bit for
+    bit the separate mt_run and ngd_run.  The check passes when, for both
+    conventions, the deviation decreases monotonically in alpha and its
+    log-log slope against alpha * log(1/alpha) is at least slope_min
+    (slope 1 would be exact proportionality to the predicted rate).  alphas must decrease
     strictly within (0, 1), where log(alpha log(1/alpha)) is finite.
     """
     alphas = list(alphas)
@@ -364,8 +365,8 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
         raise ConfigError(f"slope_min must be finite, got {slope_min}")
     if setup is None:
         setup = default_theorem_setup()
-    cfgs = [replace(setup.base_cfg, alpha=a) for a in alphas]
-    derived = [O.DerivedNGDParams.from_config(cfg) for cfg in cfgs]
+    derived = [O.DerivedNGDParams.from_config(replace(setup.base_cfg, alpha=a))
+               for a in alphas]
     if not all(d.gamma > 0 for d in derived):
         # gamma = kappa alpha eta / (1 - kappa eta) is 0 at kappa = 0, and
         # underflows to 0 for a tiny kappa.
@@ -382,7 +383,7 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
         raise ConfigError(f"horizon t_gamma={t_gamma} gives T=0 at "
                           f"alpha={alphas[0]}")
     devs = O.mt_ngd_deviations(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
-                               [replace(cfg, T=T) for cfg, T in zip(cfgs, Ts)])
+                               setup.base_cfg, alphas, Ts)
     lag_rows = {lag: [{"grad_lag": lag, "alpha": a, "T": T, "gamma": d.gamma,
                        "lam_bar": d.lam_bar, "deviation": float(dev[int(lag)])}
                       for a, T, d, dev in zip(alphas, Ts, derived, devs)]
@@ -827,12 +828,13 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
     final parameters per method, "trajectories": per-method list of
     round trajectories}.  drift is the increase in pretrain NLL.  A
     method whose run diverges is reported as a failed row rather than
-    aborting the experiment.  Methods need unique names, and at most one
-    round per forget sequence.  Every single-round method runs in one
-    optimizer.lockstep_runs call, which advances the methods that draw the
-    same data in lockstep; a multi-round method makes one call per round,
-    each on its own part of the forget sequences and from the previous
-    round's parameters.  Each method is bit for bit its run alone.
+    aborting the experiment.  Methods need unique names, at most one
+    round per forget sequence, and the bigram model for a bregman
+    divergence.  Every single-round method runs in one
+    optimizer.lockstep_runs call, which advances the methods that draw
+    the same data in lockstep; a multi-round method makes one call per
+    round, each on its own part of the forget sequences and from the
+    previous round's parameters.  Each method is bit for bit its run alone.
     """
     if not methods:
         raise ConfigError("methods must list at least one method")
@@ -844,6 +846,10 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
             raise ConfigError(f"field 'rounds' of methods[{i}] is {m.rounds}, "
                               f"above the {n} forget sequences (each round "
                               f"needs at least one)")
+        if m.optimizer != "noop" and m.config.divergence.tag == "bregman" \
+                and spec.kind != M.BIGRAM:
+            raise ConfigError(f"methods[{i}] uses divergence 'bregman', which "
+                              f"requires the {M.BIGRAM} model, not {spec.kind}")
     before = memorization_report(spec, theta_target, (d_f, d_pt),
                                  prompt_len, completion_len)
     # Per method: the outcomes of its rounds, up to the first TrainingError.

@@ -184,15 +184,19 @@ def dataset_from_sequences(sequences, context_len):
 def load_jsonl_dataset(path, context_len):
     """Load sequences from a JSON-lines file of {"tokens": [int, ...]} records.
 
-    Raises ValueError naming path:line for a line that is not valid JSON,
-    a record that is not an object, or one whose tokens are not a list of
-    at least 2 token ids (booleans and floats are not ids), and naming the
-    path for a file with no sequences.
+    Raises ValueError naming path:line for a line that is not valid UTF-8
+    or not valid JSON, a record that is not an object, or one whose tokens
+    are not a list of at least 2 token ids (booleans and floats are not
+    ids), and naming the path for a file with no sequences.  Lines end at
+    LF, CRLF or CR, as in a text-mode read.
     """
     seqs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8: {exc}") from None
             if not line:
                 continue
             try:

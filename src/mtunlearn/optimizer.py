@@ -32,17 +32,19 @@ where grad L is evaluated at theta_t by default and at theta_{t-1} with
 ngd_run's grad_lag.
 
 Every run goes through one loop (_run), which advances a list of runs
-that draw the same data in lockstep on one stack of parameter vectors:
-mt_run, mt_run_batched, ngd_run and baseline_run give it one run, and
-lockstep_runs any list of runs, partitioned by the data they draw (the
-one lockstep rule), each bit for bit the run alone.
-mt_ngd_deviations runs many unclipped full-batch mean-teacher runs and
-their references in lockstep, bit for bit mt_run and ngd_run, and
-returns only the largest gap between them.
+that draw the same data in lockstep on one stack of parameter vectors
+(a stack of one row for a solo run): mt_run, mt_run_batched, ngd_run
+and baseline_run give it one run, and lockstep_runs any list of runs,
+partitioned by the data they draw (the one lockstep rule), each bit for
+bit the run alone.  mt_ngd_deviations runs one unclipped full-batch
+config's mean-teacher runs and references over a grid of loss weights
+and horizons in lockstep, bit for bit mt_run and ngd_run, and returns
+only the largest gap between them; every reference shares the one
+damping lam_bar.
 """
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,20 +152,6 @@ def _check_finite(theta, t):
         raise TrainingError(f"non-finite parameters at step {t}")
 
 
-def _stack(arrays):
-    """The kernels' argument for these rows: a single row alone, as a 1-d
-    vector (the arithmetic of a solo run), else their stack."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _split(x, n):
-    """The per-row entries of a kernel result for n rows passed as by
-    _stack; n Nones for a result not asked for."""
-    if x is None:
-        return [None] * n
-    return [x] if n == 1 else list(x)
-
-
 def _plan(rows):
     """The kernel calls that evaluate these rows: per distinct loss kind
     the kind, its rows' indices and whether any of them needs the loss
@@ -187,17 +175,17 @@ def _evaluate(spec, rows, plan, fb, pb, value, grad):
     asked for is None, and value-and-gradient takes one forward pass per
     argument.  A run's objective is alpha L(theta) + D_lam(theta,
     teacher); without a teacher it is L alone and the divergence is NaN.
-    Following _plan(rows), one stacked loss call serves each distinct loss
-    kind and one stacked divergence call each distinct divergence kind, so
-    every run's results are bit for bit those of a call with that run
-    alone."""
+    The kernels always get the (n, dim) stack of the rows' iterates, or
+    of a kind's subset of them: following _plan(rows), one stacked loss
+    call serves each distinct loss kind and one stacked divergence call
+    each distinct divergence kind, and a run's results are its row of
+    each, bit for bit those of a call with that run alone."""
     n = len(rows)
     loss, div, g = [None] * n, [float("nan")] * n, [None] * n
-    th = _stack([r.theta for r in rows])
+    th = np.stack([r.theta for r in rows])
     losses, divergences = plan
     for kind, idx, loss_grad in losses:
-        m = len(idx)
-        th_k = th if m == n else _stack([rows[i].theta for i in idx])
+        th_k = th if len(idx) == n else th[idx]
         v = gl = None
         if grad and loss_grad:
             if value:
@@ -206,12 +194,12 @@ def _evaluate(spec, rows, plan, fb, pb, value, grad):
                 gl = Lmod.batch_grad(kind, spec, th_k, fb)
         elif value:
             v = Lmod.batch_loss(kind, spec, th_k, fb)
-        for i, vi, gi in zip(idx, _split(v, m), _split(gl, m)):
-            loss[i], g[i] = vi, gi
+        for j, i in enumerate(idx):
+            loss[i] = None if v is None else v[j]
+            g[i] = None if gl is None else gl[j]
     for dk, idx in divergences:
-        m = len(idx)
-        th_k = th if m == n else _stack([rows[i].theta for i in idx])
-        te_k = _stack([rows[i].teacher for i in idx])
+        th_k = th if len(idx) == n else th[idx]
+        te_k = np.stack([rows[i].teacher for i in idx])
         v = gd = None
         if value and grad:
             v, gd = Dmod.damped_value_and_grad(dk, spec, th_k, te_k, pb)
@@ -219,11 +207,11 @@ def _evaluate(spec, rows, plan, fb, pb, value, grad):
             gd = Dmod.damped_grad(dk, spec, th_k, te_k, pb)
         else:
             v = Dmod.damped_value(dk, spec, th_k, te_k, pb)
-        for i, vi, gi in zip(idx, _split(v, m), _split(gd, m)):
-            div[i] = vi
+        for j, i in enumerate(idx):
+            div[i] = None if v is None else v[j]
             if grad:
                 a = rows[i].cfg.alpha
-                g[i] = gi if a == 0.0 else gi + a * g[i]
+                g[i] = gd[j] if a == 0.0 else gd[j] + a * g[i]
     return loss, div, g
 
 
@@ -355,15 +343,15 @@ class _AdamW:
 def _damped_solve(spec, theta, d_pt, lam_bar, g):
     """(H(theta) + lam_bar I)^{-1} g with H on the pretrain data: the
     bigram model on the closed-form block solve, other models on the dense
-    assembly.  A stack of parameter vectors (..., dim), with lam_bar a
-    number or one per row, is solved row by row: the bigram in one call,
-    other models in a loop."""
+    assembly.  A stack of parameter vectors (..., dim) is solved row by
+    row with the one damping lam_bar: the bigram in one call, other models
+    in a loop."""
     if spec.kind == M.BIGRAM:
         return curvature.bigram_damped_solve(spec, theta, d_pt, lam_bar, g)
     if theta.ndim > 1:
-        dim, lams = theta.shape[-1], np.broadcast_to(lam_bar, theta.shape[:-1])
-        return np.array([_damped_solve(spec, th, d_pt, lam, gi) for th, lam, gi in
-                         zip(theta.reshape(-1, dim), lams.ravel(), g.reshape(-1, dim))]
+        dim = theta.shape[-1]
+        return np.array([_damped_solve(spec, th, d_pt, lam_bar, gi) for th, gi in
+                         zip(theta.reshape(-1, dim), g.reshape(-1, dim))]
                         ).reshape(theta.shape)
     H = curvature.assemble_gnh(spec, theta, d_pt)
     return linalg.solve_spd(H + lam_bar * np.eye(len(theta)), g)
@@ -448,11 +436,12 @@ def _run(spec, theta0, d_f, d_pt, runs):
     them.  A truthy return stops the run early.
 
     The runs draw the same data (see lockstep_runs), so one draw per step
-    serves all.  Each step evaluates the live runs together (see
-    _evaluate), then takes each run's update rule, finiteness check,
-    teacher update, record and callback on that run alone, so every run is
-    bit for bit the run alone.  A run leaves when its T ends, its callback
-    stops it or its iterate turns non-finite; the others go on.
+    serves all.  Each step evaluates the live runs together on the stack
+    of their iterates, one row each, a solo run included (see _evaluate),
+    then takes each run's update rule, finiteness check, teacher update,
+    record and callback on that run alone, so every run is bit for bit
+    the run alone.  A run leaves when its T ends, its callback stops it
+    or its iterate turns non-finite; the others go on.
     """
     cfg, rule, _ = runs[0]
     batched = rule.batched
@@ -551,39 +540,39 @@ def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None, grad_lag=False):
                  callback)
 
 
-def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
+def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts):
     """The largest gap max_t ||theta_mt(t) - theta_ngd(t)|| between mt_run
-    and ngd_run from theta0, for each config and both gradient conventions
-    of the reference: an array of shape (len(cfgs), 2) whose columns are
-    grad_lag False and True.
+    and ngd_run from theta0, for each loss weight alphas[i] (> 0) with
+    horizon Ts[i] and both gradient conventions of the reference: an
+    array of shape (len(alphas), 2) whose columns are grad_lag False and
+    True.  Run i is cfg with alpha alphas[i] and T Ts[i]; cfg must not
+    clip (ValueError).
 
-    The configs differ only in alpha (> 0) and T, and do not clip;
-    anything else raises ValueError naming the field.  All 3 len(cfgs)
-    runs advance in lockstep on one stack of parameter vectors, ordered by
-    horizon, longest first, so that a run leaves the active prefix when
-    its horizon ends.  Each step takes the velocity step of every mean
-    teacher, both references' damped steps in one solve, one forget-loss
-    gradient over the stack and one divergence gradient over the mean
-    teachers.  Every row is bit for bit its own mt_run or ngd_run; the
-    iterates are not kept, and the Trajectory records, which the gap does
-    not need, are not computed.
+    Only the reference step gamma = kappa alpha eta / (1 - kappa eta)
+    depends on alpha: every reference solves with the one damping lam_bar
+    of cfg.  All 3 len(alphas) runs advance in lockstep on one stack of
+    parameter vectors, ordered by horizon, longest first, so that a run
+    leaves the active prefix when its horizon ends.  Each step takes the
+    velocity step of every mean teacher, both references' damped steps in
+    one solve, one forget-loss gradient over the stack and one divergence
+    gradient over the mean teachers.  Every row is bit for bit its own
+    mt_run or ngd_run; the iterates are not kept, and the Trajectory
+    records, which the gap does not need, are not computed.
     """
-    if not all(c.alpha > 0 for c in cfgs):
+    if len(alphas) != len(Ts):
+        raise ValueError("alphas and Ts must have the same length")
+    if not all(a > 0 for a in alphas):
         raise ValueError("every alpha must be positive")
-    cfg = cfgs[0]
-    for f in fields(MTConfig):
-        if f.name not in ("alpha", "T") and any(
-                getattr(c, f.name) != getattr(cfg, f.name) for c in cfgs):
-            raise ValueError(f"configs differ in {f.name}; only alpha and T may")
     if cfg.clip > 0:
         raise ValueError("clip must be 0: the lockstep runs do not clip")
     theta0 = np.asarray(theta0, dtype=float)
-    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].T)
-    T = [cfgs[i].T for i in order]
-    derived = [DerivedNGDParams.from_config(cfgs[i]) for i in order]
-    alpha = np.array([cfgs[i].alpha for i in order])[:, None]
-    gamma = np.array([d.gamma for d in derived])[:, None, None]
-    lam_bar = np.array([d.lam_bar for d in derived])[:, None]
+    order = sorted(range(len(Ts)), key=lambda i: -Ts[i])
+    T = [Ts[i] for i in order]
+    alpha = np.array([alphas[i] for i in order])[:, None]
+    # replace checks each alpha and T as a run's config would.
+    gamma = np.array([DerivedNGDParams.from_config(
+        replace(cfg, alpha=alphas[i], T=Ts[i])).gamma for i in order])[:, None, None]
+    lam_bar = DerivedNGDParams.from_config(cfg).lam_bar
     if cfg.loss.tag == "npo":
         d_f = Lmod.npo_pairs(spec, d_f, theta0)
 
@@ -595,18 +584,18 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
         return g, (Dmod.damped_grad(cfg.divergence, spec, th[:, 0], teacher, d_pt)
                    + alpha[:len(th)] * g[:, 0])
 
-    # Rows per config: mean teacher, reference, lagged reference.
-    th = np.tile(theta0, (len(cfgs), 3, 1))
+    # Rows per alpha: mean teacher, reference, lagged reference.
+    th = np.tile(theta0, (len(T), 3, 1))
     teacher = th[:, 0]
     vel = np.zeros_like(teacher)
     g, g_mt = gradients(th, teacher)
     g_lag = g[:, 2]
     rate = cfg.eta * cfg.kappa
-    dev = np.zeros((len(cfgs), 2))
+    dev = np.zeros((len(T), 2))
     # The references' step gradients, and the gaps of the steps not yet
     # folded into dev: they are folded every DEVIATION_CHUNK steps and
-    # before a config leaves.
-    step_g = np.empty((len(cfgs), 2, len(theta0)))
+    # before an alpha's runs leave.
+    step_g = np.empty((len(T), 2, len(theta0)))
     gaps = np.empty((DEVIATION_CHUNK,) + step_g.shape)
     k = 0
     j = sum(n > 0 for n in T)
@@ -616,7 +605,7 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs):
         new[:, 0], vel = _velocity_step(cfg, th[:j, 0], vel[:j], g_mt[:j])
         step_g[:j, 0], step_g[:j, 1] = g[:j, 1], g_lag[:j]
         new[:, 1:] = th[:j, 1:] - gamma[:j] * _damped_solve(
-            spec, th[:j, 1:], d_pt, lam_bar[:j], step_g[:j])
+            spec, th[:j, 1:], d_pt, lam_bar, step_g[:j])
         _check_finite(new, t)
         np.subtract(new[:, :1], new[:, 1:], out=gaps[k, :j])
         k += 1

@@ -10,6 +10,7 @@ import pytest
 
 from mtunlearn import artifacts as A
 from mtunlearn import cli
+from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.cli import main
 from mtunlearn.errors import TrainingError
@@ -319,6 +320,27 @@ class TestConfigErrors:
         assert "'rounds'" in err and "methods[1]" in err
         assert "Traceback" not in err
 
+    def test_bregman_on_an_mlp_exits_2_naming_the_method(self, tmp_path, capsys):
+        """The bregman divergence needs the bigram model: an MLP method
+        that asks for it is a config error, reported before any run."""
+        model = {"kind": "mlp-1hidden", "vocab_size": 8, "context_len": 2,
+                 "hidden_dim": 4}
+        spec = M.ModelSpec(M.MLP, 8, 2, 4)
+        A.save_params(str(tmp_path / "target.npy"),
+                      np.zeros(M.param_count(spec)))
+        method = mt_method("breg", T=5)
+        method["divergence"] = {"divergence": "bregman", "lambda": 0.1}
+        cfg = unlearn_cfg([{"name": "skip", "optimizer": "noop"}, method])
+        cfg["model"] = model
+        cfg["target"] = str(tmp_path / "target.npy")
+        path = write_cfg(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["unlearn", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "methods[1]" in err and "'bregman'" in err
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
+
 
     @pytest.mark.parametrize("command", ["train-target", "unlearn"])
     @pytest.mark.parametrize("bad,text", [
@@ -332,8 +354,9 @@ class TestConfigErrors:
         (("pretrain", '{"tokens": [true, false]}\n'), "'tokens' must be"),
         (("forget", '{"tokens": [0, 1] "x": 2}\n'), ":1: invalid JSON"),
         (("pretrain", '{"tokens": [4, 5]}\n{"tokens": [6]}\n'), ":2: a sequence needs"),
+        (("forget", b'{"tokens": [0, 1]}\n{"tokens": [2, 3\xff]}\n'), ":2: not valid UTF-8"),
     ], ids=["empty-forget", "blank-pretrain", "not-object", "null", "nested",
-            "overflow", "fraction", "bool", "not-json", "one-token"])
+            "overflow", "fraction", "bool", "not-json", "one-token", "not-utf8"])
     def test_malformed_jsonl_exits_2_naming_the_file(
             self, tmp_path, trained_dir, capsys, command, bad, text):
         files = {"forget": '{"tokens": [0, 1, 2, 3]}\n',
@@ -341,7 +364,8 @@ class TestConfigErrors:
         split, content = bad
         files[split] = content
         for name, body in files.items():
-            (tmp_path / f"{name}.jsonl").write_text(body)
+            body = body if isinstance(body, bytes) else body.encode()
+            (tmp_path / f"{name}.jsonl").write_bytes(body)
         if command == "train-target":
             cfg = target_cfg()
         else:

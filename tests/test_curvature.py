@@ -204,26 +204,23 @@ class TestClosedFormBigramSolve:
         np.testing.assert_array_equal(x.reshape(4, 4)[[0, 2]],
                                       g.reshape(4, 4)[[0, 2]] / 0.5)
 
-    def test_stacks_solve_each_row_with_its_own_damping(self):
-        """A (2, 3) stack, with one damping for all rows and with one per
-        row, against one call per row; a non-positive damping in any row
-        is rejected."""
+    def test_stacks_solve_every_row_with_one_damping(self):
+        """A (2, 3) stack and a one-row stack against one call per row;
+        a damping that is an array or not positive is rejected."""
         rng = np.random.default_rng(12)
         spec = bigram_spec(5)
         batch = random_batch(rng, spec, n=9)
-        theta = rng.standard_normal((2, 3, 25)) * 3.0
-        g = rng.standard_normal(theta.shape)
-        lams = rng.uniform(0.1, 2.0, (2, 3))
-        for lam in (0.7, lams, lams[:, :1]):
-            x = curvature.bigram_damped_solve(spec, theta, batch, lam, g)
+        for lead in ((2, 3), (1,)):
+            theta = rng.standard_normal(lead + (25,)) * 3.0
+            g = rng.standard_normal(theta.shape)
+            x = curvature.bigram_damped_solve(spec, theta, batch, 0.7, g)
             assert x.shape == theta.shape
-            per_row = np.broadcast_to(lam, (2, 3))
-            for i in np.ndindex(2, 3):
+            for i in np.ndindex(*lead):
                 assert same_bits(x[i], curvature.bigram_damped_solve(
-                    spec, theta[i], batch, float(per_row[i]), g[i]))
-        lams[1, 2] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            curvature.bigram_damped_solve(spec, theta, batch, lams, g)
+                    spec, theta[i], batch, 0.7, g[i]))
+        for lam in (0.0, np.full(lead, 0.7), np.full((2, 3), 0.7)):
+            with pytest.raises(ValueError, match="lam_prime must be one positive"):
+                curvature.bigram_damped_solve(spec, theta, batch, lam, g)
 
     def test_rejects_nonpositive_damping_and_non_finite_tables(self):
         spec = bigram_spec(4)

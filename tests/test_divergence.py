@@ -206,23 +206,30 @@ class TestFusedValueAndGrad:
 class TestStackedParameters:
     @pytest.mark.parametrize("tag", ["kl", "qkl", "bregman"])
     def test_each_row_is_bitwise_its_own_call(self, tag):
-        """Stacks of (2, 3) points and references against one call per
-        row: raw and damped values and gradients."""
+        """Stacks of (2, 3) points and references, and one-row stacks,
+        against one call per row: raw and damped values and gradients,
+        each of damped_value, damped_grad and damped_value_and_grad."""
         rng = np.random.default_rng(68)
         kind = D.DivergenceKind(tag, 0.3)
         makers = (bigram_spec,) if tag == "bregman" else (bigram_spec, mlp_spec)
-        for spec in (make() for make in makers):
-            theta = rng.standard_normal((2, 3, M.param_count(spec)))
+        for spec, lead in ((make(), lead) for make in makers
+                           for lead in ((2, 3), (1,))):
+            theta = rng.standard_normal(lead + (M.param_count(spec),))
             ref = rng.standard_normal(theta.shape)
             batch = random_batch(rng, spec)
             values, grads = D.damped_value_and_grad(kind, spec, theta, ref, batch)
             raw = D.divergence_value(kind, spec, theta, ref, batch)
-            assert values.shape == raw.shape == (2, 3)
-            assert same_bits(values, D.damped_value(kind, spec, theta, ref, batch))
-            assert same_bits(grads, D.damped_grad(kind, spec, theta, ref, batch))
-            for i in np.ndindex(2, 3):
+            assert values.shape == raw.shape == lead
+            value = D.damped_value(kind, spec, theta, ref, batch)
+            grad = D.damped_grad(kind, spec, theta, ref, batch)
+            assert same_bits(values, value) and same_bits(grads, grad)
+            for i in np.ndindex(lead):
                 v, g = D.damped_value_and_grad(kind, spec, theta[i], ref[i], batch)
                 assert same_bits(values[i], v) and same_bits(grads[i], g)
+                assert same_bits(value[i], D.damped_value(kind, spec, theta[i],
+                                                          ref[i], batch))
+                assert same_bits(grad[i], D.damped_grad(kind, spec, theta[i],
+                                                        ref[i], batch))
                 assert same_bits(raw[i], D.divergence_value(kind, spec, theta[i],
                                                             ref[i], batch))
 

@@ -746,6 +746,17 @@ class TestUnlearnExperiment:
         with pytest.raises(ConfigError, match=text):
             Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt, methods)
 
+    def test_bregman_on_an_mlp_rejected_before_any_run(self, monkeypatch):
+        forbid(monkeypatch, Hn, "memorization_report")
+        forbid(monkeypatch, O, "lockstep_runs")
+        spec = M.ModelSpec(M.MLP, 8, context_len=2, hidden_dim=4)
+        d_f, d_pt = Hn.corpus_datasets(spec, Hn.CorpusSpec(8, 4, 12, seed=9))
+        methods = [Hn.MethodSpec("skip", "noop"),
+                   Hn.MethodSpec("breg", "mt-batched", quick_config(
+                       divergence=Dv.DivergenceKind("bregman", 0.1)))]
+        with pytest.raises(ConfigError, match=r"methods\[1\] uses divergence 'bregman'"):
+            Hn.unlearn_experiment(spec, M.init_params(spec, 0), d_f, d_pt, methods)
+
     def test_trajectories_keep_no_per_step_arrays(self, bigram_testbed):
         s = bigram_testbed
         methods = [Hn.MethodSpec(opt, opt, quick_config(T=20))

@@ -357,10 +357,11 @@ class TestFusedValueAndGrad:
 class TestStackedParameters:
     @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
     def test_each_row_is_bitwise_its_own_call(self, make_spec):
-        """A (2, 3, dim) stack of parameter vectors against one call per
-        row, for every loss; one row's logits let the labels of token 0
-        lead by at least 800, so nlul takes its log-space complement
-        there."""
+        """A (2, 3, dim) stack of parameter vectors and a one-row stack
+        against one call per row, for every loss and each of batch_loss,
+        batch_grad and batch_value_and_grad; one row's logits let the
+        labels of token 0 lead by at least 800, so nlul takes its
+        log-space complement there."""
         rng = np.random.default_rng(60)
         spec = make_spec()
         dim = M.param_count(spec)
@@ -378,13 +379,17 @@ class TestStackedParameters:
             [[0, 1, 2, 3], [4, 2], [3, 3, 1, 0]], spec.context_len), base)
         for kind in loss_kinds(spec, rng):
             batch = seqs if kind.tag == "npo" else pairs
-            values, grads = L.batch_value_and_grad(kind, spec, stack, batch)
-            assert values.shape == (2, 3) and grads.shape == stack.shape
-            assert same_bits(values, L.batch_loss(kind, spec, stack, batch))
-            assert same_bits(grads, L.batch_grad(kind, spec, stack, batch))
-            for i in np.ndindex(2, 3):
-                v, g = L.batch_value_and_grad(kind, spec, stack[i], batch)
-                assert same_bits(values[i], v) and same_bits(grads[i], g)
+            for st in (stack, stack[0, 1:2].copy()):
+                values, grads = L.batch_value_and_grad(kind, spec, st, batch)
+                assert values.shape == st.shape[:-1] and grads.shape == st.shape
+                loss, grad = (L.batch_loss(kind, spec, st, batch),
+                              L.batch_grad(kind, spec, st, batch))
+                assert same_bits(values, loss) and same_bits(grads, grad)
+                for i in np.ndindex(st.shape[:-1]):
+                    v, g = L.batch_value_and_grad(kind, spec, st[i], batch)
+                    assert same_bits(values[i], v) and same_bits(grads[i], g)
+                    assert same_bits(loss[i], L.batch_loss(kind, spec, st[i], batch))
+                    assert same_bits(grad[i], L.batch_grad(kind, spec, st[i], batch))
 
 
 class TestBatchMean:

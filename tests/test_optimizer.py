@@ -746,12 +746,13 @@ class TestLockstep:
         spec = SPECS[kind]
         d_f, d_pt = sequence_data(spec, 5)
         theta0 = M.init_params(spec, 3)
-        cfgs = [base_config(alpha=a, T=T, **LOCKSTEP_CASES[case])
-                for a, T in ((0.5, 3), (0.2, 7), (0.3, 5))]
+        cfg = base_config(**LOCKSTEP_CASES[case])
+        alphas, Ts = (0.5, 0.2, 0.3), (3, 7, 5)
+        cfgs = [dataclasses.replace(cfg, alpha=a, T=T) for a, T in zip(alphas, Ts)]
         runs = []
-        for cfg in cfgs:
-            runs.append([observed_run(O.mt_run, spec, theta0, d_f, d_pt, cfg)[1]]
-                        + [observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg,
+        for c in cfgs:
+            runs.append([observed_run(O.mt_run, spec, theta0, d_f, d_pt, c)[1]]
+                        + [observed_run(O.ngd_run, spec, theta0, d_f, d_pt, c,
                                         grad_lag=lag)[1]
                            for lag in (False, True)])
         stacks = []
@@ -762,7 +763,7 @@ class TestLockstep:
             check(theta, t)
 
         monkeypatch.setattr(O, "_check_finite", record)
-        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfgs)
+        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts)
         assert len(stacks) == 7
         for t, stack in enumerate(stacks, start=1):
             active = [i for i in (1, 2, 0) if cfgs[i].T >= t]
@@ -779,30 +780,19 @@ class TestLockstep:
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 9)
-        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt,
-                                   [base_config(T=0), base_config(alpha=0.2, T=2)])
+        cfg = base_config()
+        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, [0.5, 0.2], [0, 2])
         assert devs[0].tolist() == [0.0, 0.0] and (devs[1] > 0).all()
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [base_config(alpha=0.0)])
-        # Only alpha and T may differ from the first config, and a clipped
-        # mt_run is not what the lockstep computes.
-        for kw, field in ((dict(eta=0.04), "eta"), (dict(seed=3), "seed"),
-                          (dict(loss=L.LossKind("nlul")), "loss"),
-                          (dict(divergence=Dv.DivergenceKind("kl", 0.2)),
-                           "divergence")):
-            with pytest.raises(ValueError, match=f"differ in {field};"):
-                O.mt_ngd_deviations(spec, theta0, d_f, d_pt,
-                                    [base_config(), base_config(alpha=0.2, **kw)])
+        for alphas, Ts, match in (([0.0], [4], "alpha must be positive"),
+                                  ([1.5], [4], "alpha must lie"),
+                                  ([0.5], [-1], "T must be nonnegative"),
+                                  ([0.5, 0.2], [4], "same length")):
+            with pytest.raises(ValueError, match=match):
+                O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts)
+        # A clipped mt_run is not what the lockstep computes.
         with pytest.raises(ValueError, match="clip"):
-            O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [base_config(clip=0.5)])
-        # it teachers compare by parameter values, not by identity.
-        def it(theta):
-            return base_config(T=2, loss=L.LossKind(
-                "it", teacher=L.TeacherLogits(spec, theta.copy())))
-        O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [it(theta0), it(theta0)])
-        with pytest.raises(ValueError, match="differ in loss;"):
-            O.mt_ngd_deviations(spec, theta0, d_f, d_pt,
-                                [it(theta0), it(theta0 + 1.0)])
+            O.mt_ngd_deviations(spec, theta0, d_f, d_pt, base_config(clip=0.5),
+                                [0.5], [4])
 
     def test_divergent_step_size_fails_at_the_runs_step(self):
         rng = np.random.default_rng(95)
@@ -814,7 +804,8 @@ class TestLockstep:
             with pytest.raises(TrainingError, match="non-finite") as run:
                 O.mt_run(spec, theta0, d_f, d_pt, cfg)
             with pytest.raises(TrainingError) as lockstep:
-                O.mt_ngd_deviations(spec, theta0, d_f, d_pt, [cfg])
+                O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, [cfg.alpha],
+                                    [cfg.T])
         assert str(lockstep.value) == str(run.value)
 
 
