@@ -2,13 +2,14 @@
 
 The package provides:
 
-- linalg: symmetry checks and dense symmetric solves
+- linalg: per-step dot products and norms, one per row of a stack
 - model: bigram softmax and one-hidden-layer MLP token models
 - losses: unlearning losses (nll, ll, nlul, it, npo) with exact gradients
 - divergence: proximity terms (kl, qkl, bregman) and their damped forms
-- curvature: Gauss-Newton Hessian assembly, the closed-form bigram damped
-  solve, and the exact error of the damped momentum iteration (per
-  eigenmode, a grid of cells at once) with its closed-form bound
+- curvature: the Gauss-Newton curvature factor, the damped solve through
+  the Gram matrix of its rows, the closed-form bigram damped solve, and the
+  exact error of the damped momentum iteration (per eigenmode, a grid of
+  cells at once) with its closed-form bound
 - optimizer: the mean-teacher proximal update (full-batch and batched),
   its damped natural-gradient reference, and baselines
 - harness: verification testbeds (trajectory approximation, momentum
@@ -20,8 +21,8 @@ The package provides:
 
 from .artifacts import TOOL_VERSION
 from .curvature import (
-    assemble_gnh,
     bigram_damped_solve,
+    gnh_damped_solve,
     ihvp_error_bound,
     momentum_error_traces,
 )
@@ -63,7 +64,6 @@ from .harness import (
     verify_lemma,
     verify_theorem1,
 )
-from .linalg import solve_spd
 from .losses import (
     LOSS_TAGS,
     LossKind,
@@ -101,8 +101,8 @@ __version__ = TOOL_VERSION
 __all__ = [
     "TOOL_VERSION",
     "__version__",
-    "assemble_gnh",
     "bigram_damped_solve",
+    "gnh_damped_solve",
     "ihvp_error_bound",
     "momentum_error_traces",
     "CURVATURE_SCALE",
@@ -137,7 +137,6 @@ __all__ = [
     "verify_divergence_quadratic",
     "verify_lemma",
     "verify_theorem1",
-    "solve_spd",
     "LOSS_TAGS",
     "LossKind",
     "TeacherLogits",

@@ -1,51 +1,85 @@
-"""Exact curvature machinery: Gauss-Newton matrix assembly, damped
+"""Exact curvature machinery: the Gauss-Newton curvature factor, damped
 natural-gradient solves, and the exact error of the damped momentum
 iteration that tracks inverse-curvature-vector products (one eigh of H
 gives every cell's error, mode by mode) with its closed-form bound.
 
 The curvature matrix of a softmax model on a batch is
 
-    H(theta) = (1/N) sum_x J(x) S(h(x)) J(x)^T,
-    S(h) = Diag(p) - p p^T,  p = softmax(h),
+    H(theta) = (1/N) sum_x J(x)^T S(h(x)) J(x) = F^T F,
+    S(h) = Diag(p) - p p^T = B B^T,  p = softmax(h),
 
-assembled densely and exactly (no factored approximations beyond the
-algebraic identity S = B B^T used to keep the sum positive
-semi-definite in floating point).  For the bigram model H is block
-diagonal over table rows, which the solver exploits.
+with J(x) the (V, dim) logit Jacobian and F the stack of
+sqrt(count/N) B^T J over the distinct contexts.  The damped solve goes
+through the Gram matrix F F^T of F's rows and never forms H.  For the
+bigram model H is block diagonal over table rows, and its damped solve
+is in closed form.
 """
 
 import numpy as np
 
 from . import model as M
 
+# Most rows of the curvature factor, the side of the Gram matrix a damped
+# solve factors.
 MAX_DENSE_DIM = 4096
 
 
-def assemble_gnh(spec, theta, batch):
-    """Dense curvature matrix on the batch contexts at theta.
-
-    Exact symmetric PSD assembly F^T F: F stacks sqrt(count/N) B^T J over
-    the distinct contexts, with J their logit Jacobians (one backprop for
+def gnh_factor(spec, theta, batch):
+    """Curvature factor F on the batch contexts at theta, H = F^T F: the
+    stack of sqrt(count/N) B^T J over the distinct contexts, shape
+    (contexts * V, dim), with J their logit Jacobians (one backprop for
     all of them) and B^T = Diag(sqrt p) - sqrt(p) p^T, so that
-    B B^T = Diag(p) - p p^T.  Raises when dim(theta) exceeds the dense
-    limit (use a smaller model).
+    B B^T = Diag(p) - p p^T.  A stack of parameter vectors (..., dim)
+    gives (..., contexts * V, dim), each slice bit for bit its row's F.
+    More than MAX_DENSE_DIM rows raise before the backprop.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    dim = M.param_count(spec)
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dim(theta)={dim} exceeds the dense assembly limit "
-                         f"{MAX_DENSE_DIM}; use a smaller model")
     theta = np.asarray(theta, dtype=float)
     # Group identical contexts: they share J and S.
     ctxs, counts = np.unique(batch.contexts, axis=0, return_counts=True)
+    r = len(ctxs) * spec.vocab_size
+    if r > MAX_DENSE_DIM:
+        raise ValueError(f"the curvature factor would have {r} rows, above the "
+                         f"limit {MAX_DENSE_DIM}; use fewer distinct contexts")
     P = M.softmax_rows(M.batch_logits(spec, theta, ctxs))
     w = np.sqrt(counts / len(batch))[:, None] * np.sqrt(P)
-    Bt = w[:, :, None] * (np.eye(spec.vocab_size) - P[:, None, :])
-    F = (Bt @ M.logit_jacobians(spec, theta, ctxs)).reshape(-1, dim)
-    H = F.T @ F
-    del F  # not held beside H's symmetrised copy
-    return 0.5 * (H + H.T)
+    Bt = w[..., None] * (np.eye(spec.vocab_size) - P[..., None, :])
+    F = Bt @ M.logit_jacobians(spec, theta, ctxs)
+    return F.reshape(theta.shape[:-1] + (-1, theta.shape[-1]))
+
+
+def _damping(lam_prime):
+    if np.ndim(lam_prime) or not lam_prime > 0:
+        raise ValueError(f"lam_prime must be one positive number, got {lam_prime!r}")
+    return float(lam_prime)
+
+
+def gnh_damped_solve(spec, theta, batch, lam_prime, g):
+    """Solve (H(theta) + lam' I) x = g through the factor F of gnh_factor
+    (H = F^T F, F of shape (r, dim)) by the Woodbury identity
+
+        x = (g - F^T (lam' I + F F^T)^-1 F g) / lam',
+
+    with one Cholesky of the r x r Gram matrix.  A matrix that is not
+    positive definite raises.
+
+    theta and g may be stacks of parameter vectors (..., dim), solved in
+    the same batched operations with the one damping lam_prime, a
+    positive number; each row's solution is bit for bit that of a call
+    with the row alone.
+    """
+    lam = _damping(lam_prime)
+    F = gnh_factor(spec, theta, batch)
+    Ft = F.swapaxes(-1, -2)
+    g = np.asarray(g, dtype=float)[..., None]
+    try:
+        L = np.linalg.cholesky(F @ Ft + lam * np.eye(F.shape[-2]))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"damped curvature is not positive definite: {exc}") from exc
+    # numpy has no triangular solve; solve runs LU on each factor.
+    x = np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, F @ g))
+    return ((g - Ft @ x) / lam)[..., 0]
 
 
 def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
@@ -59,17 +93,14 @@ def bigram_damped_solve(spec, theta, pretrain_batch, lam_prime, g):
 
     and rows never visited scale by 1/lam'.  The denominator is
     lam' sum_i p_i / (c p_i + lam') > 0 in exact arithmetic; a value that
-    is not positive raises.  assemble_gnh plus linalg.solve_spd is the
-    dense oracle this matches.
+    is not positive raises.
 
     theta and g may be stacks of parameter vectors (..., V*V), solved row
     by row in the same operations with the one damping lam_prime, a
     positive number; each row's solution is bit for bit that of a call
     with the row alone.
     """
-    if np.ndim(lam_prime) or not lam_prime > 0:
-        raise ValueError(f"lam_prime must be one positive number, got {lam_prime!r}")
-    lam = float(lam_prime)
+    lam = _damping(lam_prime)
     V = spec.vocab_size
     theta = np.asarray(theta, dtype=float)
     lead = theta.shape[:-1]

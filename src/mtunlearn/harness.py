@@ -336,6 +336,11 @@ def default_theorem_setup(seed=11, eta=5e-4, kappa=10.0, lam=0.5, mu=0.9):
                       base_cfg=base_cfg)
 
 
+# Longest horizon verify_theorem1 runs, about 200 times the default's
+# 4 776 steps.
+MAX_THEOREM_STEPS = 1_000_000
+
+
 def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
                     t_gamma=0.3, slope_min=0.8):
     """Compare the full-batch mean-teacher run against the damped
@@ -352,7 +357,8 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
     conventions, the deviation decreases monotonically in alpha and its
     log-log slope against alpha * log(1/alpha) is at least slope_min
     (slope 1 would be exact proportionality to the predicted rate).  alphas must decrease
-    strictly within (0, 1), where log(alpha log(1/alpha)) is finite.
+    strictly within (0, 1), where log(alpha log(1/alpha)) is finite, and
+    the longest horizon may not exceed MAX_THEOREM_STEPS.
     """
     alphas = list(alphas)
     if len(alphas) < 2 or any(not (0 < a < 1) for a in alphas) \
@@ -373,10 +379,12 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
         raise ConfigError(f"kappa={setup.base_cfg.kappa} gives a reference "
                           f"step gamma of 0; kappa must be positive")
     steps = [t_gamma / d.gamma for d in derived]
-    if not np.isfinite(steps[-1]):
-        # The last alpha has the longest horizon.
-        raise ConfigError(f"horizon t_gamma={t_gamma} gives an infinite T "
-                          f"at alpha={alphas[-1]}")
+    # The last alpha has the longest horizon.
+    T_max = round(steps[-1]) if np.isfinite(steps[-1]) else np.inf
+    if T_max > MAX_THEOREM_STEPS:
+        raise ConfigError(f"horizon t_gamma={t_gamma} gives T={T_max:.7g} "
+                          f"steps at alpha={alphas[-1]}, above the cap of "
+                          f"{MAX_THEOREM_STEPS}")
     Ts = [int(round(n)) for n in steps]
     if Ts[0] < 1:
         # The first alpha has the shortest horizon.

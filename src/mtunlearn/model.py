@@ -321,12 +321,17 @@ def logit_jacobians(spec, theta, data):
 
     One forward pass and one backprop: each context is its own batch of
     one, and the seeds are the V unit logit gradients.  For the bigram
-    model each slice is the 0/1 selection of the context's table row.
+    model each slice is the 0/1 selection of the context's table row.  A
+    stack of parameter vectors (..., dim) gives (..., n, V, dim), each
+    slice bit for bit its row's Jacobians.
     """
     X = model_inputs(spec, data)
     V = spec.vocab_size
+    lead = theta.shape[:-1]
+    if lead:
+        theta = theta[..., None, None, :]
     _, aux = _forward(spec, theta, X[:, None, None])
-    seeds = np.broadcast_to(np.eye(V)[:, None], (len(X), V, 1, V))
+    seeds = np.broadcast_to(np.eye(V)[:, None], lead + (len(X), V, 1, V))
     return grad_from_logit_grads(spec, theta, seeds, aux)
 
 

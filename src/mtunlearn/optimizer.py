@@ -342,19 +342,13 @@ class _AdamW:
 
 def _damped_solve(spec, theta, d_pt, lam_bar, g):
     """(H(theta) + lam_bar I)^{-1} g with H on the pretrain data: the
-    bigram model on the closed-form block solve, other models on the dense
-    assembly.  A stack of parameter vectors (..., dim) is solved row by
-    row with the one damping lam_bar: the bigram in one call, other models
-    in a loop."""
-    if spec.kind == M.BIGRAM:
-        return curvature.bigram_damped_solve(spec, theta, d_pt, lam_bar, g)
-    if theta.ndim > 1:
-        dim = theta.shape[-1]
-        return np.array([_damped_solve(spec, th, d_pt, lam_bar, gi) for th, gi in
-                         zip(theta.reshape(-1, dim), g.reshape(-1, dim))]
-                        ).reshape(theta.shape)
-    H = curvature.assemble_gnh(spec, theta, d_pt)
-    return linalg.solve_spd(H + lam_bar * np.eye(len(theta)), g)
+    bigram model on the closed-form block solve, other models through
+    the curvature factor (curvature.gnh_damped_solve).  A stack of
+    parameter vectors (..., dim) is solved in one call with the one
+    damping lam_bar, each row bit for bit its one-row call."""
+    solve = (curvature.bigram_damped_solve if spec.kind == M.BIGRAM
+             else curvature.gnh_damped_solve)
+    return solve(spec, theta, d_pt, lam_bar, g)
 
 
 class _DampedNGD:
@@ -531,7 +525,8 @@ def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None, grad_lag=False):
     """Damped natural-gradient reference trajectory (full batch).
 
     Uses the derived constants gamma and lam_bar; the bigram model runs
-    on the block-diagonal solver, other models on the dense assembly.
+    on the block-diagonal solver, other models on the solve through the
+    curvature factor (see _damped_solve).
     With grad_lag each step uses the gradient at the previous iterate.
     It has no teacher: callback(t, theta, None) observes each iterate as
     in mt_run, and the divergence column is NaN.

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from mtunlearn import curvature as C
 from mtunlearn import losses as L
 from mtunlearn import model as M
 
@@ -81,6 +82,51 @@ def raw_backprop(spec, theta, G, aux):
                            dZ.sum(axis=-2),
                            (G.swapaxes(-1, -2) @ A).reshape(flat),
                            G.sum(axis=-2)], axis=-1)
+
+
+# The dense curvature pair, the oracle every damped solve is pinned to:
+# H = F^T F formed from curvature.gnh_factor, and a checked Cholesky
+# solve.  At small damping it is itself only good to about cond * eps.
+
+SYMMETRY_ATOL = 1e-12
+
+
+def assemble_gnh(spec, theta, batch):
+    """The dense curvature matrix F^T F of curvature.gnh_factor, symmetrised
+    so that it is symmetric in floating point."""
+    F = C.gnh_factor(spec, theta, batch)
+    H = F.T @ F
+    return 0.5 * (H + H.T)
+
+
+def check_symmetric(A):
+    """Raise if A is not a square matrix symmetric within
+    |A_ij - A_ji| <= SYMMETRY_ATOL * max(1, |A_ij|)."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix is not square: shape {A.shape}")
+    scale = np.maximum(1.0, np.abs(A))
+    if not np.all(np.abs(A - A.T) <= SYMMETRY_ATOL * scale):
+        worst = float(np.max(np.abs(A - A.T) / scale))
+        raise ValueError(f"matrix is not symmetric: max scaled asymmetry {worst:.3e}")
+    return A
+
+
+def solve_spd(A, b):
+    """Solve A x = b for symmetric positive-definite A via Cholesky.  A
+    non-SPD A raises, never falls back to a pseudo-inverse, so an oracle
+    answer always comes from the matrix it was given."""
+    A = check_symmetric(A)
+    b = np.asarray(b, dtype=float)
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"dimension mismatch: A is {A.shape}, b is {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side is not finite")
+    try:
+        chol = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"matrix is not positive definite: {exc}") from exc
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
 def momentum_iteration(H, g, eta, mu, lam, eps):

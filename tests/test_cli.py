@@ -166,6 +166,9 @@ class TestConfigErrors:
         # A square underflowing to 0 died in ZeroDivisionError.
         ("divergence-quadratic", {"t_values": [1e-2, 5e-324]}, "t_values"),
         ("divergence-quadratic", {"t_values": [1e-200, 1e-100]}, "t_values"),
+        # Finite horizons past the step cap once ran without bound.
+        ("theorem1", {"t_gamma": 1e18}, "t_gamma=1e+18"),
+        ("theorem1", {"alphas": [1e-200, 1e-300]}, "alpha=1e-300"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):

@@ -12,9 +12,8 @@ Conventions:
 import numpy as np
 import pytest
 
-from conftest import (bregman_oracle, central_difference_gradient,
+from conftest import (assemble_gnh, bregman_oracle, central_difference_gradient,
                       relative_error, same_bits)
-from mtunlearn import curvature
 from mtunlearn import divergence as D
 from mtunlearn import harness as Hn
 from mtunlearn import losses as L
@@ -296,7 +295,7 @@ class TestLocalQuadratic:
             theta_ref = M.init_params(spec, 5)
             batch = random_batch(rng, spec)
             d = rng.standard_normal(M.param_count(spec))
-            H = curvature.assemble_gnh(spec, theta_ref, batch)
+            H = assemble_gnh(spec, theta_ref, batch)
             assert D.curvature_quadratic_form(spec, theta_ref, batch, d) == \
                 pytest.approx(float(d @ H @ d), rel=1e-9)
 

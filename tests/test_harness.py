@@ -15,7 +15,7 @@ from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.errors import ConfigError, PreconditionError, TrainingError
 
-from conftest import observed_run
+from conftest import assemble_gnh, observed_run, solve_spd
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,37 @@ def bigram_testbed():
     """Small memorized bigram target shared by the experiment tests."""
     setup = Hn.default_theorem_setup(seed=11)
     return setup
+
+
+@pytest.fixture(scope="module")
+def mlp_testbed():
+    """Theorem1 on an MLP whose curvature couples contexts: V = 8, context
+    2, hidden 8 (dim 208) on the default testbed's corpus at seed 11, a
+    400-epoch target without the memorization gate, and the default base
+    config.  Its pretrain factor has 48 rows."""
+    base = Hn.default_theorem_setup(seed=11)
+    corpus = Hn.CorpusSpec(vocab_size=8, n_sequences=4, seq_len=12,
+                           forget_fraction=0.5, generator="patterned",
+                           period=2, seed=11)
+    spec = M.ModelSpec(M.MLP, 8, context_len=2, hidden_dim=8)
+    d_f, d_pt = Hn.corpus_datasets(spec, corpus)
+    theta0 = Hn.build_target(spec, (d_f, d_pt), epochs=400, seed=11,
+                             require_exact_match=0)
+    return Hn.CheckSetup(spec=spec, theta0=theta0, d_f=d_f, d_pt=d_pt,
+                         base_cfg=base.base_cfg)
+
+
+# The MLP check at a third of the default horizon (T = 199 to 1 592).
+MLP_T_GAMMA = 0.1
+
+
+@pytest.fixture(scope="module")
+def mlp_theorem1(mlp_testbed):
+    return Hn.verify_theorem1(mlp_testbed, t_gamma=MLP_T_GAMMA)
+
+
+def deviations(result):
+    return [r["deviation"] for r in result["rows"]]
 
 
 def forbid(monkeypatch, module, name):
@@ -298,6 +329,9 @@ class TestTheoremDriver:
         (dict(kappa=1e-320), "kappa"),
         # t_gamma / gamma overflows to inf: no horizon T.
         (dict(t_gamma=1e308), "t_gamma"),
+        # Finite horizons past the step cap.
+        (dict(t_gamma=1e18), "t_gamma"),
+        (dict(alphas=(1e-200, 1e-300)), "alpha=1e-300"),
     ])
     def test_arguments_rejected_before_any_run(self, bigram_testbed,
                                                monkeypatch, kw, field):
@@ -311,6 +345,21 @@ class TestTheoremDriver:
         forbid(monkeypatch, O, "mt_ngd_deviations")
         with pytest.raises(ConfigError, match=field):
             Hn.verify_theorem1(setup, **kw)
+
+    def test_the_step_cap_bounds_the_longest_horizon(self, bigram_testbed,
+                                                     monkeypatch):
+        """A grid runs when its longest T equals MAX_THEOREM_STEPS and is
+        rejected, naming t_gamma and the smallest alpha, one step above."""
+        alphas = (0.2, 0.1)
+        T = Hn.verify_theorem1(bigram_testbed, alphas=alphas,
+                               t_gamma=0.05)["rows"][1]["T"]
+        monkeypatch.setattr(Hn, "MAX_THEOREM_STEPS", T)
+        Hn.verify_theorem1(bigram_testbed, alphas=alphas, t_gamma=0.05)
+        monkeypatch.setattr(Hn, "MAX_THEOREM_STEPS", T - 1)
+        forbid(monkeypatch, O, "mt_ngd_deviations")
+        with pytest.raises(ConfigError, match=f"t_gamma=0.05 gives T={T} steps "
+                                              f"at alpha=0.1, above the cap"):
+            Hn.verify_theorem1(bigram_testbed, alphas=alphas, t_gamma=0.05)
 
     def test_setup_checks_its_config_before_training(self, monkeypatch):
         forbid(monkeypatch, Hn, "build_target")
@@ -359,6 +408,51 @@ class TestTheoremDriver:
             assert type(row["deviation"]) is float and row["deviation"] == dev
 
 
+class TestTheoremOnTheMLP:
+    def test_passes_where_the_curvature_couples_contexts(self, mlp_testbed,
+                                                         mlp_theorem1):
+        assert M.param_count(mlp_testbed.spec) == 208
+        assert mlp_theorem1["passed"] is True
+        for entry in mlp_theorem1["summary"].values():
+            assert entry["monotone"] and entry["slope"] > 1.2
+
+    def test_deviations_equal_the_dense_path(self, mlp_testbed, monkeypatch):
+        """At a short horizon (T = 4 to 32) every deviation is within
+        1e-10 relative of the run whose reference solves each row with
+        the dense oracle."""
+        result = Hn.verify_theorem1(mlp_testbed, t_gamma=0.002)
+
+        def dense_solve(spec, theta, d_pt, lam_bar, g):
+            dim = theta.shape[-1]
+            return np.reshape([solve_spd(assemble_gnh(spec, th, d_pt)
+                                         + lam_bar * np.eye(dim), gi)
+                               for th, gi in zip(theta.reshape(-1, dim),
+                                                 g.reshape(-1, dim))],
+                              theta.shape)
+
+        monkeypatch.setattr(O, "_damped_solve", dense_solve)
+        dense = Hn.verify_theorem1(mlp_testbed, t_gamma=0.002)
+        np.testing.assert_allclose(deviations(result), deviations(dense),
+                                   rtol=1e-10, atol=0)
+
+    def test_the_reference_without_curvature_moves_every_deviation(
+            self, mlp_testbed, mlp_theorem1, bigram_testbed, monkeypatch):
+        """The mutant reference g / lam_bar (no H) moves every MLP deviation
+        by more than 1e-4 relative (3.9e-4 to 2.0e-3 here), while on the
+        default bigram testbed, whose pretrain curvature is zero on every
+        row the forget gradient touches, it leaves all of them bit for bit
+        unchanged.  The slope criterion passes the mutant on both."""
+        bigram = Hn.verify_theorem1(bigram_testbed, t_gamma=MLP_T_GAMMA)
+        monkeypatch.setattr(O, "_damped_solve",
+                            lambda spec, theta, d_pt, lam_bar, g: g / lam_bar)
+        mutant = Hn.verify_theorem1(mlp_testbed, t_gamma=MLP_T_GAMMA)
+        moved = np.abs(np.subtract(deviations(mutant), deviations(mlp_theorem1)))
+        assert np.all(moved > 1e-4 * np.array(deviations(mlp_theorem1)))
+        bigram_mutant = Hn.verify_theorem1(bigram_testbed, t_gamma=MLP_T_GAMMA)
+        assert deviations(bigram_mutant) == deviations(bigram)
+        assert mutant["passed"] and bigram_mutant["passed"]
+
+
 class TestLemmaDriver:
     def test_small_grid_holds(self):
         result = Hn.verify_lemma(mus=(0.0,), lams=(1.0,), T=50)
@@ -387,7 +481,8 @@ class TestLemmaDriver:
     def test_one_eigendecomposition_and_no_dense_solve(self, monkeypatch):
         """At the defaults every cell's error comes from one eigh of H;
         u* is never solved for densely."""
-        forbid(monkeypatch, linalg, "solve_spd")
+        forbid(monkeypatch, np.linalg, "cholesky")
+        forbid(monkeypatch, np.linalg, "solve")
         calls = []
         real_eigh = np.linalg.eigh
 

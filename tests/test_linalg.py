@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernel: SPD solves and spectrum bounds."""
+"""The per-step vector kernels, numpy as the only runtime dependency, and
+the checks of the tests' dense SPD oracle (conftest.solve_spd)."""
 
 import ast
 import glob
@@ -7,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import check_symmetric, solve_spd
 from mtunlearn import linalg
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -22,12 +24,15 @@ def random_spd(rng, n, eig_low=0.5, eig_high=4.0):
 
 
 class TestSolveSpd:
+    """The tests' dense oracle (conftest.solve_spd), not package code: its
+    answers and rejections."""
+
     def test_matches_reference_solve(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             A = random_spd(rng, 8)
             b = rng.standard_normal(8)
-            x = linalg.solve_spd(A, b)
+            x = solve_spd(A, b)
             np.testing.assert_allclose(x, np.linalg.solve(A, b),
                                        rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(A @ x, b, rtol=1e-9, atol=1e-11)
@@ -35,21 +40,21 @@ class TestSolveSpd:
     def test_rejects_asymmetric(self):
         A = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            linalg.solve_spd(A, np.ones(2))
+            solve_spd(A, np.ones(2))
 
     def test_rejects_indefinite(self):
         A = np.diag([1.0, -1.0])
         with pytest.raises(ValueError, match="positive definite"):
-            linalg.solve_spd(A, np.ones(2))
+            solve_spd(A, np.ones(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            linalg.solve_spd(np.eye(3), np.ones(2))
+            solve_spd(np.eye(3), np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_nonfinite_right_hand_side(self, bad):
         with pytest.raises(ValueError, match="not finite"):
-            linalg.solve_spd(np.eye(2), np.array([1.0, bad]))
+            solve_spd(np.eye(2), np.array([1.0, bad]))
 
 
 class TestNumpyOnly:
@@ -81,16 +86,19 @@ class TestNumpyOnly:
 
 
 class TestCheckSymmetric:
+    """The symmetry check of the tests' dense oracle
+    (conftest.check_symmetric), not package code."""
+
     def test_accepts_tiny_asymmetry(self):
         A = np.eye(3)
         A[0, 1] = 1e-14
-        linalg.check_symmetric(A)
+        check_symmetric(A)
 
     def test_rejects_visible_asymmetry(self):
         A = np.eye(3)
         A[0, 1] = 1e-6
         with pytest.raises(ValueError, match="asymmetry"):
-            linalg.check_symmetric(A)
+            check_symmetric(A)
 
 
 class TestNorm:

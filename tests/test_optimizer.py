@@ -13,7 +13,8 @@ from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.errors import TrainingError
 
-from conftest import observed_run, same_bits, use_raw_forward
+from conftest import (assemble_gnh, observed_run, relative_error, same_bits,
+                      solve_spd, use_raw_forward)
 
 
 def make_data(rng, V=6, n=8, context_len=1):
@@ -419,8 +420,8 @@ class TestReferenceRun:
                                               d_pt, cfg)
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
-        H = curvature.assemble_gnh(spec, theta0, d_pt)
-        step = linalg.solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
+        H = assemble_gnh(spec, theta0, d_pt)
+        step = solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
         np.testing.assert_allclose(thetas[1], theta0 - d.gamma * step,
                                    rtol=1e-9, atol=1e-13)
         assert traj.final_teacher is None and teachers == [None, None]
@@ -428,6 +429,8 @@ class TestReferenceRun:
         assert traj.gaps == [None, None]
 
     def test_mlp_route_matches_dense_solve(self):
+        """The MLP reference steps through the curvature factor's solve,
+        bit for bit, and that step is the dense oracle's within 1e-12."""
         rng = np.random.default_rng(98)
         spec = M.ModelSpec(M.MLP, 5, context_len=2, hidden_dim=3)
         d_f, d_pt = make_data(rng, V=5, context_len=2)
@@ -436,9 +439,31 @@ class TestReferenceRun:
         _, thetas, _ = observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg)
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
-        H = curvature.assemble_gnh(spec, theta0, d_pt)
-        step = linalg.solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
+        step = curvature.gnh_damped_solve(spec, theta0, d_pt, d.lam_bar, g)
         np.testing.assert_array_equal(thetas[1], theta0 - d.gamma * step)
+        H = assemble_gnh(spec, theta0, d_pt)
+        dense = solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
+        assert relative_error(step, dense) <= 1e-12
+
+    def test_mlp_solve_factors_the_gram_matrix_once(self, monkeypatch):
+        """A (2, 3) stack of MLP rows takes one batched Cholesky, of the
+        r x r Gram matrix of the factor's 20 rows, and no factorisation
+        reaches the dim x dim (43 x 43) system."""
+        spec = M.ModelSpec(M.MLP, 4, context_len=2, hidden_dim=3)
+        ctx = np.array([[a, b] for a in range(4) for b in range(4)])[:5]
+        d_pt = M.TokenDataset(ctx, np.zeros(len(ctx), dtype=int))
+        rng = np.random.default_rng(101)
+        theta = rng.standard_normal((2, 3, M.param_count(spec)))
+        g = rng.standard_normal(theta.shape)
+        shapes = {"cholesky": [], "solve": []}
+        for name in shapes:
+            def spy(a, *args, name=name, real=getattr(np.linalg, name)):
+                shapes[name].append(a.shape)
+                return real(a, *args)
+            monkeypatch.setattr(np.linalg, name, spy)
+        O._damped_solve(spec, theta, d_pt, 0.5, g)
+        assert shapes["cholesky"] == [(2, 3, 20, 20)]
+        assert shapes["solve"] == [(2, 3, 20, 20)] * 2
 
     def test_gradient_lag_matters_only_after_first_step(self):
         rng = np.random.default_rng(99)

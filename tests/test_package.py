@@ -9,7 +9,7 @@ import re
 import types
 
 import mtunlearn
-from mtunlearn import artifacts, cli, curvature, harness, losses, model
+from mtunlearn import artifacts, cli, curvature, harness, linalg, losses, model
 
 
 def test_all_lists_every_public_name_once_and_each_resolves():
@@ -60,6 +60,30 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     params = inspect.signature(model.grad_from_logit_grads).parameters
     assert list(params) == ["spec", "theta", "G", "aux"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+
+def test_the_dense_curvature_pair_lives_in_the_tests():
+    """The damped solves go through the curvature factor (the Gram matrix
+    of its rows), so the dense F^T F assembly and the checked SPD solve are the
+    tests' oracle (conftest.assemble_gnh, conftest.solve_spd), with the
+    symmetry check and shape helpers they used: no module defines or
+    exports them, and no source under src/ names them."""
+    gone = {linalg: ("solve_spd", "check_symmetric", "SYMMETRY_ATOL",
+                     "_as_matrix", "_as_vector"),
+            curvature: ("assemble_gnh",)}
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name) and name not in mtunlearn.__all__
+    src = os.path.dirname(mtunlearn.__file__)
+    for fname in sorted(os.listdir(src)):
+        if fname.endswith(".py"):
+            with open(os.path.join(src, fname), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            # Names, attributes, imported and defined names.
+            named = {getattr(n, key) for n in ast.walk(tree)
+                     for key in ("id", "attr", "name", "asname")
+                     if isinstance(getattr(n, key, None), str)}
+            assert not named & {"solve_spd", "check_symmetric", "assemble_gnh"}, fname
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
