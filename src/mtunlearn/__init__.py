@@ -10,8 +10,9 @@ The package provides:
   the Gram matrix of its rows, the closed-form bigram damped solve, and the
   exact error of the damped momentum iteration (per eigenmode, a grid of
   cells at once) with its closed-form bound
-- optimizer: the mean-teacher proximal update (full-batch and batched),
-  its damped natural-gradient reference, and baselines
+- optimizer: the mean-teacher proximal update (full-batch and batched)
+  and its baselines, all run through lockstep_runs, and the gap of the
+  mean teacher to its damped natural-gradient reference
 - harness: verification testbeds (trajectory approximation, momentum
   iteration error bound, gradient dynamics, quadratic-order proximity
   checks) and end-to-end unlearning experiments
@@ -90,10 +91,7 @@ from .optimizer import (
     DerivedNGDParams,
     MTConfig,
     Trajectory,
-    baseline_run,
-    mt_run,
-    mt_run_batched,
-    ngd_run,
+    lockstep_runs,
 )
 
 __version__ = TOOL_VERSION
@@ -158,8 +156,5 @@ __all__ = [
     "DerivedNGDParams",
     "MTConfig",
     "Trajectory",
-    "baseline_run",
-    "mt_run",
-    "mt_run_batched",
-    "ngd_run",
+    "lockstep_runs",
 ]

@@ -47,15 +47,12 @@ def write_csv(path, header, rows):
 def write_trajectory_csv(path, traj):
     """Trajectory export with columns t, grad_norm, loss, divergence,
     clip_scale and gap (the teacher-student distance ||theta_t -
-    theta'_t||, an empty cell for a run without a teacher).  Row t's loss
-    and divergence are taken where step t + 1's gradient is: see
-    optimizer.Trajectory."""
+    theta'_t||).  Row t's loss and divergence are taken where step t + 1's
+    gradient is: see optimizer.Trajectory."""
     header = ["t", "grad_norm", "loss", "divergence", "clip_scale", "gap"]
-    rows = [[t, traj.grad_norms[i], traj.loss_values[i],
-             traj.divergence_values[i], traj.clip_scales[i],
-             "" if traj.gaps[i] is None else traj.gaps[i]]
-            for i, t in enumerate(traj.ts)]
-    write_csv(path, header, rows)
+    write_csv(path, header, zip(traj.ts, traj.grad_norms, traj.loss_values,
+                                traj.divergence_values, traj.clip_scales,
+                                traj.gaps))
 
 
 def save_params(path, theta):

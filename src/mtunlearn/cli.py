@@ -220,7 +220,10 @@ def _parse_data(spec, cfg, out_dir):
                           "(generated) or 'data' (JSONL files)")
     if corpus_d is not None:
         corpus = _construct(corpus_d, "corpus", harness.CorpusSpec)
-        d_f, d_pt = harness.corpus_datasets(spec, corpus)
+        d_f, d_pt = _cfgval(lambda: harness.corpus_datasets(spec, corpus),
+                           "section 'corpus'")
+        for ds in (d_f, d_pt):
+            _cfgval(lambda: ds.inputs(spec), "section 'corpus'")
         return d_f, d_pt, corpus, []
     fpath = _resolve(_take(data_d, "forget", "data", str), out_dir)
     ppath = _resolve(_take(data_d, "pretrain", "data", str), out_dir)
@@ -513,6 +516,9 @@ def cmd_unlearn(args):
     seed_override = _resolve_seed(args)
     methods = [_parse_method(mj, i, spec, out, seed_override)
                for i, mj in enumerate(methods_j)]
+    # Rounds are checked against the forget sequences before
+    # _check_artifact_names builds one file name per round.
+    harness.check_methods(spec, methods, d_f)
     _check_artifact_names(methods)
     _cfgval(lambda: harness.report_lengths(d_f.sequences, **lens),
             "section 'report'")

@@ -10,7 +10,8 @@ reproducible bit for bit.  Four checks are provided:
                               natural-gradient reference over a fixed
                               rescaled horizon (every run of the check
                               advances in one lockstep loop on a stack
-                              of parameter vectors),
+                              of parameter vectors,
+                              optimizer.mt_ngd_deviations),
   verify_lemma                the damped momentum iteration tracks the
                               inverse-curvature-vector product within the
                               closed-form per-step error bound,
@@ -22,8 +23,8 @@ reproducible bit for bit.  Four checks are provided:
 plus `unlearn_experiment`, which runs full unlearning methods against a
 memorized target and reports memorization and collateral-damage
 metrics.  The dynamics study and the unlearning experiment hand their
-runs to optimizer.lockstep_runs, which advances the runs that draw the
-same data in lockstep.
+runs to optimizer.lockstep_runs, the package's one run entry, which
+advances the runs that draw the same data in lockstep.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -353,9 +354,10 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
     gradient-evaluation conventions, advance in one lockstep loop
     (optimizer.mt_ngd_deviations on the base config and the alpha and T
     grids, every reference with the base config's one lam_bar), bit for
-    bit the separate mt_run and ngd_run.  The check passes when, for both
-    conventions, the deviation decreases monotonically in alpha and its
-    log-log slope against alpha * log(1/alpha) is at least slope_min
+    bit each mean teacher run alone and each reference stepped alone.
+    The check passes when, for both conventions, the deviation decreases
+    monotonically in alpha and its log-log slope against alpha *
+    log(1/alpha) is at least slope_min
     (slope 1 would be exact proportionality to the predicted rate).  alphas must decrease
     strictly within (0, 1), where log(alpha log(1/alpha)) is finite, and
     the longest horizon may not exceed MAX_THEOREM_STEPS.
@@ -827,23 +829,11 @@ def _run_round(methods, k, idx, spec, theta, d_f, d_pt, stop_rule):
         for m in methods])
 
 
-def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
-                       prompt_len=None, completion_len=None, stop_rule=None):
-    """Run each unlearning method against the memorized target and report
-    before/after memorization metrics and pretrain-set damage.
-
-    Returns {"before": metrics, "rows": per-method metrics, "thetas":
-    final parameters per method, "trajectories": per-method list of
-    round trajectories}.  drift is the increase in pretrain NLL.  A
-    method whose run diverges is reported as a failed row rather than
-    aborting the experiment.  Methods need unique names, at most one
+def check_methods(spec, methods, d_f):
+    """Raise ConfigError unless the methods can run on the model spec and
+    the forget split d_f: at least one method, unique names, at most one
     round per forget sequence, and the bigram model for a bregman
-    divergence.  Every single-round method runs in one
-    optimizer.lockstep_runs call, which advances the methods that draw
-    the same data in lockstep; a multi-round method makes one call per
-    round, each on its own part of the forget sequences and from the
-    previous round's parameters.  Each method is bit for bit its run alone.
-    """
+    divergence."""
     if not methods:
         raise ConfigError("methods must list at least one method")
     names, n = [m.name for m in methods], len(d_f.sequences)
@@ -858,6 +848,26 @@ def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
                 and spec.kind != M.BIGRAM:
             raise ConfigError(f"methods[{i}] uses divergence 'bregman', which "
                               f"requires the {M.BIGRAM} model, not {spec.kind}")
+
+
+def unlearn_experiment(spec, theta_target, d_f, d_pt, methods,
+                       prompt_len=None, completion_len=None, stop_rule=None):
+    """Run each unlearning method against the memorized target and report
+    before/after memorization metrics and pretrain-set damage.
+
+    Returns {"before": metrics, "rows": per-method metrics, "thetas":
+    final parameters per method, "trajectories": per-method list of
+    round trajectories}.  drift is the increase in pretrain NLL.  A
+    method whose run diverges is reported as a failed row rather than
+    aborting the experiment.  The methods must pass check_methods.  Every
+    single-round method runs in one optimizer.lockstep_runs call, which
+    advances the methods that draw the same data in lockstep; a
+    multi-round method makes one call per round, each on its own part of
+    the forget sequences and from the previous round's parameters.  Each
+    method is bit for bit its run alone.
+    """
+    check_methods(spec, methods, d_f)
+    n = len(d_f.sequences)
     before = memorization_report(spec, theta_target, (d_f, d_pt),
                                  prompt_len, completion_len)
     # Per method: the outcomes of its rounds, up to the first TrainingError.

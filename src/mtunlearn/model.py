@@ -21,6 +21,10 @@ import numpy as np
 BIGRAM = "bigram-softmax"
 MLP = "mlp-1hidden"
 PAD = -1
+# The largest parameter count a ModelSpec takes; the shipped and tested
+# models have at most 3 136.  Every run keeps a few vectors of this size
+# per row of its stack.
+MAX_PARAMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,12 @@ class ModelSpec:
             raise ValueError("context_len must be at least 1")
         if self.kind == MLP and self.hidden_dim < 1:
             raise ValueError("mlp-1hidden requires hidden_dim >= 1")
+        n = param_count(self)
+        if n > MAX_PARAMS:
+            fields = "vocab_size" if self.kind == BIGRAM else \
+                "vocab_size, context_len or hidden_dim"
+            raise ValueError(f"the model has {n} parameters, above the cap of "
+                             f"{MAX_PARAMS}; lower {fields}")
 
 
 def param_layout(spec):

@@ -1,14 +1,15 @@
 """Mean-teacher proximal optimizer with norm clipping and momentum (full
-batch or on sampled batches), the exact damped natural-gradient reference
-trajectory, and first-order baselines.
+batch or on sampled batches), first-order baselines, and the gap of the
+mean teacher to the exact damped natural-gradient reference trajectory.
 
 Mean-teacher update, starting from v_0 := 0 and teacher theta'_0 :=
 theta_0.  Per step, form the gradient
 
     g = grad[ alpha L(theta_{t-1}) + D_lam(theta_{t-1}, theta'_{t-1}) ]
 
-on the full forget and pretrain sets (mt_run) or on a sampled forget
-batch and pretrain batch (mt_run_batched), compute the clip scale l, then
+on the full forget and pretrain sets (optimizer "mt") or on a sampled
+forget batch and pretrain batch ("mt-batched"), compute the clip scale l,
+then
 
     v       <- mu v + l g
     theta_t  = theta_{t-1} - eta v
@@ -28,17 +29,17 @@ the divergence term (cfg.divergence.lam):
 
     theta_{t+1} = theta_t - gamma (H(theta_t) + lam_bar I)^{-1} grad L
 
-where grad L is evaluated at theta_t by default and at theta_{t-1} with
-ngd_run's grad_lag.
+where grad L is evaluated at theta_t, or at theta_{t-1} with the
+gradient lag.
 
-Every run goes through one loop (_run), which advances a list of runs
-that draw the same data in lockstep on one stack of parameter vectors
-(a stack of one row for a solo run): mt_run, mt_run_batched, ngd_run
-and baseline_run give it one run, and lockstep_runs any list of runs,
-partitioned by the data they draw (the one lockstep rule), each bit for
-bit the run alone.  mt_ngd_deviations runs one unclipped full-batch
-config's mean-teacher runs and references over a grid of loss weights
-and horizons in lockstep, bit for bit mt_run and ngd_run, and returns
+Every run has a teacher and goes through one loop (_run), which advances
+a list of runs that draw the same data in lockstep on one stack of
+parameter vectors.  lockstep_runs, the one public run entry, takes any
+list of runs, one run included, and partitions it by the data the runs
+draw (the one lockstep rule), each bit for bit the run alone.
+mt_ngd_deviations runs one unclipped full-batch config's mean-teacher
+runs and references over a grid of loss weights and horizons in
+lockstep, each mean teacher bit for bit its "mt" run alone, and returns
 only the largest gap between them; every reference shares the one
 damping lam_bar.
 """
@@ -54,6 +55,12 @@ from . import linalg
 from . import losses as Lmod
 from . import model as M
 from .errors import TrainingError
+
+
+# The cap on batch_forget and batch_pretrain: each step gathers a batch
+# of that many rows for the runs of a loop.  The shipped configs use at
+# most 32.
+MAX_BATCH = 65_536
 
 
 @dataclass
@@ -89,8 +96,10 @@ class MTConfig:
             raise ValueError("T must be nonnegative")
         if not self.clip >= 0:
             raise ValueError("clip must be nonnegative (0 disables)")
-        if self.batch_forget < 1 or self.batch_pretrain < 1:
-            raise ValueError("batch sizes must be positive")
+        for name in ("batch_forget", "batch_pretrain"):
+            if not 1 <= getattr(self, name) <= MAX_BATCH:
+                raise ValueError(f"{name} must lie in [1, {MAX_BATCH}], the "
+                                 f"cap, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -120,10 +129,9 @@ class Trajectory:
     step t + 1's gradient is: on the full datasets in full-batch mode, on
     the next batch drawn in batched mode (after the last step, one extra
     draw), which is independent of the batch that produced theta_t.  gap
-    is the teacher-student distance ||theta_t - theta'_t||, None for a run
-    without a teacher.  final_theta and final_teacher are set when the run
-    ends; the iterates in between reach a caller only through the run's
-    callback.
+    is the teacher-student distance ||theta_t - theta'_t||.  final_theta
+    and final_teacher are set when the run ends; the iterates in between
+    reach a caller only through the run's callback.
     """
 
     ts: list = field(default_factory=list)
@@ -144,7 +152,7 @@ class Trajectory:
         self.loss_values.append(float(loss_value))
         self.divergence_values.append(float(div_value))
         self.clip_scales.append(float(clip_scale))
-        self.gaps.append(None if gap is None else float(gap))
+        self.gaps.append(float(gap))
 
 
 def _check_finite(theta, t):
@@ -155,17 +163,15 @@ def _check_finite(theta, t):
 def _plan(rows):
     """The kernel calls that evaluate these rows: per distinct loss kind
     the kind, its rows' indices and whether any of them needs the loss
-    gradient; per distinct divergence kind of the rows with a teacher the
-    kind and its rows' indices.  A LossKind holds its teacher's arrays and
-    cannot key a dict, so a row's loss is keyed by the first equal one."""
+    gradient; per distinct divergence kind the kind and its rows' indices.
+    A LossKind holds its teacher's arrays and cannot key a dict, so a
+    row's loss is keyed by the first equal one."""
     kinds = [r.cfg.loss for r in rows]
     by_loss, by_div = {}, {}
     for i, r in enumerate(rows):
         by_loss.setdefault(kinds.index(r.cfg.loss), []).append(i)
-        if r.teacher is not None:
-            by_div.setdefault(r.cfg.divergence, []).append(i)
-    return ([(rows[idx[0]].cfg.loss, idx,
-              any(rows[i].teacher is None or rows[i].cfg.alpha != 0.0 for i in idx))
+        by_div.setdefault(r.cfg.divergence, []).append(i)
+    return ([(rows[idx[0]].cfg.loss, idx, any(rows[i].cfg.alpha != 0.0 for i in idx))
              for idx in by_loss.values()], list(by_div.items()))
 
 
@@ -174,14 +180,14 @@ def _evaluate(spec, rows, plan, fb, pb, value, grad):
     runs `rows` at their iterates, one list entry per run; a part not
     asked for is None, and value-and-gradient takes one forward pass per
     argument.  A run's objective is alpha L(theta) + D_lam(theta,
-    teacher); without a teacher it is L alone and the divergence is NaN.
-    The kernels always get the (n, dim) stack of the rows' iterates, or
-    of a kind's subset of them: following _plan(rows), one stacked loss
-    call serves each distinct loss kind and one stacked divergence call
-    each distinct divergence kind, and a run's results are its row of
-    each, bit for bit those of a call with that run alone."""
+    teacher).  The kernels always get the (n, dim) stack of the rows'
+    iterates, or of a kind's subset of them: following _plan(rows), one
+    stacked loss call serves each distinct loss kind and one stacked
+    divergence call each distinct divergence kind, and a run's results
+    are its row of each, bit for bit those of a call with that run
+    alone."""
     n = len(rows)
-    loss, div, g = [None] * n, [float("nan")] * n, [None] * n
+    loss, div, g = [None] * n, [None] * n, [None] * n
     th = np.stack([r.theta for r in rows])
     losses, divergences = plan
     for kind, idx, loss_grad in losses:
@@ -289,7 +295,7 @@ def _warmup_lr(base_lr, t, warmup):
 # returns (new theta, teacher rate r, gradient norm to record, clip scale)
 # and keeps its own state; the loop then moves the teacher to
 # (1 - r) teacher + r theta.  `batched` makes the loop draw a batch per
-# step, and a rule without a teacher optimizes the loss alone.
+# step.
 
 
 def _velocity_step(cfg, theta, vel, lg):
@@ -303,8 +309,6 @@ class _ClippedVelocity:
     """The mean-teacher rule: v <- mu v + l g, theta - eta v, teacher rate
     l eta kappa with the clip scale l.  kappa = 0 freezes the teacher at
     theta_0, which is the momentum-SGD baseline."""
-
-    has_teacher = True
 
     def __init__(self, cfg, kappa, batched):
         self.cfg, self.kappa, self.batched, self.vel = cfg, kappa, batched, 0.0
@@ -321,7 +325,7 @@ class _AdamW:
     """Decoupled-weight-decay Adam with bias correction and the staged
     warmup schedule; the teacher stays at theta_0."""
 
-    batched, has_teacher = True, True
+    batched = True
 
     def __init__(self, cfg, ap):
         self.ap, self.lr = ap, ap.lr if ap.lr > 0 else cfg.eta
@@ -351,26 +355,6 @@ def _damped_solve(spec, theta, d_pt, lam_bar, g):
     return solve(spec, theta, d_pt, lam_bar, g)
 
 
-class _DampedNGD:
-    """theta - gamma (H(theta) + lam_bar I)^{-1} g (see _damped_solve).
-    With lag the step uses the gradient one iterate back."""
-
-    batched, has_teacher = False, False
-
-    def __init__(self, spec, d_pt, cfg, lag):
-        self.spec, self.d_pt, self.lag = spec, d_pt, lag
-        self.derived = DerivedNGDParams.from_config(cfg)
-        self.g_prev = None
-
-    def __call__(self, t, theta, g):
-        step_g = g if self.g_prev is None else self.g_prev
-        if self.lag:
-            self.g_prev = g
-        step = _damped_solve(self.spec, theta, self.d_pt, self.derived.lam_bar, step_g)
-        return (theta - self.derived.gamma * step, 0.0,
-                linalg.norm(step_g), 1.0)
-
-
 class _Row:
     """One run of the loop: its config, update rule and callback, its
     iterate, teacher and objective gradient, and its record.  outcome is
@@ -380,8 +364,7 @@ class _Row:
 
     def __init__(self, cfg, rule, callback, theta):
         self.cfg, self.rule, self.callback = cfg, rule, callback
-        self.theta = theta
-        self.teacher = theta if rule.has_teacher else None
+        self.theta = self.teacher = theta
         self.g, self.grad_norm, self.clip = None, 0.0, 1.0
         self.traj, self.outcome = Trajectory(), None
 
@@ -400,15 +383,14 @@ class _Row:
         """Append row t and keep g for step t + 1; True when the run ends
         here, at its horizon or because its callback (from t = 1) says so."""
         self.traj.append(t, self.grad_norm, loss, div, self.clip,
-                         None if self.teacher is None
-                         else linalg.norm(self.theta - self.teacher))
+                         linalg.norm(self.theta - self.teacher))
         self.g = g
         stop = t > 0 and self.callback is not None and \
             self.callback(t, self.theta, self.teacher)
         if not (stop or t == self.cfg.T):
             return False
         self.traj.final_theta = self.theta.copy()
-        self.traj.final_teacher = None if self.teacher is None else self.teacher.copy()
+        self.traj.final_teacher = self.teacher.copy()
         self.outcome = self.traj
         return True
 
@@ -425,13 +407,13 @@ def _run(spec, theta0, d_f, d_pt, runs):
     draw after the last step supplies row T's batch; row 0 holds values on
     the full datasets, and step 1's gradient is taken alone on batch 1.
     callback(t, theta, teacher), if given, is invoked after each recorded
-    step t >= 1 with the iterate and the teacher (None for a run without
-    one); the loop never writes into either array, so a callback may keep
-    them.  A truthy return stops the run early.
+    step t >= 1 with the iterate and the teacher; the loop never writes
+    into either array, so a callback may keep them.  A truthy return stops
+    the run early.
 
     The runs draw the same data (see lockstep_runs), so one draw per step
     serves all.  Each step evaluates the live runs together on the stack
-    of their iterates, one row each, a solo run included (see _evaluate),
+    of their iterates, one row each, a lone run included (see _evaluate),
     then takes each run's update rule, finiteness check, teacher update,
     record and callback on that run alone, so every run is bit for bit
     the run alone.  A run leaves when its T ends, its callback stops it
@@ -474,14 +456,6 @@ def _run(spec, theta0, d_f, d_pt, runs):
     return [r.outcome for r in rows]
 
 
-def _solo(spec, theta0, d_f, d_pt, cfg, rule, callback):
-    """One run of the loop: its Trajectory, or its TrainingError raised."""
-    out, = _run(spec, theta0, d_f, d_pt, [(cfg, rule, callback)])
-    if isinstance(out, TrainingError):
-        raise out
-    return out
-
-
 # mt_ngd_deviations takes the norms of its gaps in stacks of this many
 # steps.
 DEVIATION_CHUNK = 16
@@ -500,48 +474,14 @@ def _rule(optimizer, cfg, adam_params=None):
                             batched=optimizer != "mt")
 
 
-def mt_run(spec, theta0, d_f, d_pt, cfg, callback=None):
-    """Full-batch mean-teacher run: mt_run_batched's rule, clip included,
-    with every step on the entire forget and pretrain sets (the
-    deterministic mode the trajectory-approximation check needs).
-    callback observes each step and can stop the run early as in
-    mt_run_batched.
-    """
-    return _solo(spec, theta0, d_f, d_pt, cfg, _rule("mt", cfg), callback)
-
-
-def mt_run_batched(spec, theta0, d_f, d_pt, cfg, callback=None):
-    """Batched mean-teacher run with norm clipping and a momentum buffer.
-
-    Per step the clip scale l reduces both the gradient contribution and
-    the teacher rate (kappa <- l kappa for that step only).
-    callback(t, theta, teacher), if given, is invoked after each recorded
-    step; a truthy return stops the run early.
-    """
-    return _solo(spec, theta0, d_f, d_pt, cfg, _rule("mt-batched", cfg), callback)
-
-
-def ngd_run(spec, theta0, d_f, d_pt, cfg, callback=None, grad_lag=False):
-    """Damped natural-gradient reference trajectory (full batch).
-
-    Uses the derived constants gamma and lam_bar; the bigram model runs
-    on the block-diagonal solver, other models on the solve through the
-    curvature factor (see _damped_solve).
-    With grad_lag each step uses the gradient at the previous iterate.
-    It has no teacher: callback(t, theta, None) observes each iterate as
-    in mt_run, and the divergence column is NaN.
-    """
-    return _solo(spec, theta0, d_f, d_pt, cfg, _DampedNGD(spec, d_pt, cfg, grad_lag),
-                 callback)
-
-
 def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts):
-    """The largest gap max_t ||theta_mt(t) - theta_ngd(t)|| between mt_run
-    and ngd_run from theta0, for each loss weight alphas[i] (> 0) with
-    horizon Ts[i] and both gradient conventions of the reference: an
-    array of shape (len(alphas), 2) whose columns are grad_lag False and
-    True.  Run i is cfg with alpha alphas[i] and T Ts[i]; cfg must not
-    clip (ValueError).
+    """The largest gap max_t ||theta_mt(t) - theta_ngd(t)|| between the
+    full-batch mean teacher and the damped natural-gradient reference from
+    theta0, for each loss weight alphas[i] (> 0) with horizon Ts[i] and
+    both gradient conventions of the reference: an array of shape
+    (len(alphas), 2) whose columns are without and with the gradient lag.
+    Run i is cfg with alpha alphas[i] and T Ts[i]; cfg must not clip
+    (ValueError).
 
     Only the reference step gamma = kappa alpha eta / (1 - kappa eta)
     depends on alpha: every reference solves with the one damping lam_bar
@@ -550,9 +490,11 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts):
     leaves the active prefix when its horizon ends.  Each step takes the
     velocity step of every mean teacher, both references' damped steps in
     one solve, one forget-loss gradient over the stack and one divergence
-    gradient over the mean teachers.  Every row is bit for bit its own
-    mt_run or ngd_run; the iterates are not kept, and the Trajectory
-    records, which the gap does not need, are not computed.
+    gradient over the mean teachers.  Every mean teacher is bit for bit
+    its "mt" run alone, and every reference the plain loop theta <- theta
+    - gamma _damped_solve(theta, grad L); the iterates are not kept, and
+    the Trajectory records, which the gap does not need, are not
+    computed.
     """
     if len(alphas) != len(Ts):
         raise ValueError("alphas and Ts must have the same length")
@@ -619,30 +561,14 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts):
     return out
 
 
-def baseline_run(kind, spec, theta0, d_f, d_pt, cfg, adam_params=None,
-                 callback=None):
-    """First-order baselines on the same objective, anchored to theta_0.
-
-    kind "momentum-sgd": v <- mu v + l g; theta <- theta - eta v, with the
-    divergence reference frozen at theta_0 (a fixed teacher).
-    kind "adamw": decoupled-weight-decay Adam with bias correction and the
-    staged warmup schedule.
-    Both sample batches exactly like the batched mean-teacher run, and
-    callback(t, theta, teacher) observes and can stop either just as in
-    that run.
-    """
-    if kind not in ("momentum-sgd", "adamw"):
-        raise ValueError(f"unknown baseline kind: {kind!r}")
-    return _solo(spec, theta0, d_f, d_pt, cfg, _rule(kind, cfg, adam_params),
-                 callback)
-
-
 def lockstep_runs(spec, theta0, d_f, d_pt, runs):
     """Any number of runs from theta0, those that draw the same data
     advanced in lockstep on one stack of parameter vectors.  `runs` is a
     list of (optimizer, cfg, adam_params, callback), with optimizer one of
     OPTIMIZERS, adam_params used by "adamw" only (None for the defaults)
-    and callback as in mt_run_batched.
+    and callback None or callback(t, theta, teacher), invoked after each
+    recorded step t >= 1 and stopping the run early on a truthy return
+    (see _run).
 
     The runs are partitioned by the data they draw, which is what
     _BatchSampler and _run's npo expansion read: full batch or batched,

@@ -8,6 +8,8 @@ import numpy as np
 from mtunlearn import curvature as C
 from mtunlearn import losses as L
 from mtunlearn import model as M
+from mtunlearn import optimizer as O
+from mtunlearn.errors import TrainingError
 
 
 def central_difference_gradient(f, x, h=1e-5):
@@ -219,19 +221,46 @@ def artifact_mismatches(d1, d2):
     return bad
 
 
-def observed_run(run, spec, theta0, d_f, d_pt, cfg, **kw):
-    """Call an optimizer run with a callback that records every iterate
-    and teacher; returns (trajectory, thetas, teachers).  Row 0 of both
-    lists is theta0, or None in teachers for a run without a teacher."""
-    thetas, teachers = [theta0], []
+def observed_run(optimizer, spec, theta0, d_f, d_pt, cfg, adam_params=None,
+                 callback=None):
+    """One run of `optimizer` (one of optimizer.OPTIMIZERS) alone, as a
+    one-run lockstep_runs call whose callback records every iterate and
+    teacher, then calls `callback` (if given) and returns its answer, so
+    it can stop the run.  Returns (trajectory, thetas, teachers), row 0 of
+    both lists theta0; a run that fails raises its TrainingError."""
+    thetas, teachers = [theta0], [theta0]
 
     def record(t, theta, teacher):
         thetas.append(theta.copy())
-        teachers.append(None if teacher is None else teacher.copy())
+        teachers.append(teacher.copy())
+        return callback is not None and callback(t, theta, teacher)
 
-    traj = run(spec, theta0, d_f, d_pt, cfg, callback=record, **kw)
-    teacher0 = None if traj.final_teacher is None else theta0
-    return traj, thetas, [teacher0] + teachers
+    out, = O.lockstep_runs(spec, theta0, d_f, d_pt,
+                           [(optimizer, cfg, adam_params, record)])
+    if isinstance(out, TrainingError):
+        raise out
+    return out, thetas, teachers
+
+
+def damped_ngd_reference(spec, theta0, d_f, d_pt, cfg, lag):
+    """The damped natural-gradient reference run step by step for cfg.T
+    steps from theta0,
+
+        theta <- theta - gamma optimizer._damped_solve(theta, grad L),
+
+    with gamma and lam_bar of optimizer.DerivedNGDParams and grad L the
+    forget-loss gradient at theta, or with `lag` at the previous iterate
+    (theta0 at step 1).  Returns the cfg.T + 1 iterates: the oracle the
+    references of optimizer.mt_ngd_deviations are pinned to."""
+    d = O.DerivedNGDParams.from_config(cfg)
+    if cfg.loss.tag == "npo":
+        d_f = L.npo_pairs(spec, d_f, theta0)
+    thetas = [np.asarray(theta0, dtype=float)]
+    for t in range(cfg.T):
+        g = L.batch_grad(cfg.loss, spec, thetas[max(t - 1, 0) if lag else t], d_f)
+        thetas.append(thetas[t] - d.gamma * O._damped_solve(
+            spec, thetas[t], d_pt, d.lam_bar, g))
+    return thetas
 
 
 def bregman_oracle(spec, theta, theta_ref, batch):

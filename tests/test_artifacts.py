@@ -45,13 +45,6 @@ class TestCsv:
         assert plain.read_text() == (
             "t,grad_norm,loss,divergence,clip_scale,gap\n"
             "0,0.0,1.0,0.0,1.0,0.0\n1,2.0,0.5,0.1,0.25,0.125\n")
-        # A run without a teacher (ngd_run) leaves the gap cells empty.
-        ngd = O.Trajectory(ts=[0], grad_norms=[0.0], loss_values=[1.0],
-                           divergence_values=[float("nan")], clip_scales=[1.0],
-                           gaps=[None])
-        A.write_trajectory_csv(str(plain), ngd)
-        assert plain.read_text() == (
-            "t,grad_norm,loss,divergence,clip_scale,gap\n0,0.0,1.0,nan,1.0,\n")
 
 
 class TestParams:

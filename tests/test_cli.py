@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -180,11 +181,14 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("case", [
         "config-is-a-directory", "config-not-utf8", "repeated-key",
-        "repeated-nested-key", "out-is-a-file", "file-on-out-path"])
+        "repeated-nested-key", "out-is-a-file", "file-on-out-path",
+        "corpus-undrawable", "corpus-outside-vocabulary"])
     def test_unusable_config_or_out_exits_2_naming_it(self, tmp_path, capsys,
                                                       case):
         """Each once ended in a traceback (exit 1), or, for a key given
-        twice, ran silently with the last value."""
+        twice, ran silently with the last value.  A corpus section the
+        generator cannot draw (8 period-2 sequences over 3 tokens), or
+        whose tokens the model cannot read, is rejected before training."""
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "out"
         command, text = ["verify", "lemma"], str(cfg)
@@ -200,6 +204,12 @@ class TestConfigErrors:
             cfg.write_text(body.replace('"vocab_size": 8,',
                                         '"vocab_size": 8, "vocab_size": 9,', 1))
             command, text = ["train-target"], "'vocab_size' is given twice"
+        elif case.startswith("corpus-"):
+            body = target_cfg(vocab_size=3, n_sequences=8) \
+                if case == "corpus-undrawable" else target_cfg(vocab_size=16)
+            body["model"]["vocab_size"] = 3
+            cfg.write_text(json.dumps(body))
+            command, text = ["train-target"], "invalid section 'corpus'"
         else:
             cfg.write_text("{}")
             out = cfg if case == "out-is-a-file" else cfg / "out"
@@ -207,6 +217,34 @@ class TestConfigErrors:
         assert main(command + [str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert text in err and "Traceback" not in err
+        assert not (out / "results.json").exists()
+        assert not (out / "target.npy").exists()
+
+    @pytest.mark.parametrize("command,section,field,value", [
+        ("unlearn", "mt", "batch_forget", 2 ** 70),
+        ("unlearn", "mt", "batch_pretrain", 10 ** 12),
+        ("train-target", "model", "vocab_size", 10 ** 6),
+        ("train-target", "model", "hidden_dim", 2 ** 70),
+        ("train-target", "model", "context_len", 2 ** 70),
+    ])
+    def test_size_above_its_cap_exits_2_naming_it(self, tmp_path, capsys,
+                                                  command, section, field,
+                                                  value):
+        """A batch size above optimizer.MAX_BATCH, or a model above
+        model.MAX_PARAMS parameters, once ended in a traceback or ran out
+        of memory; each exits 2 naming the field, before any run."""
+        cfg = unlearn_cfg() if command == "unlearn" else target_cfg()
+        if section == "mt":
+            cfg["methods"][0]["mt"][field] = value
+        elif field != "vocab_size":
+            cfg["model"] = {"kind": "mlp-1hidden", "vocab_size": 8,
+                            "context_len": 2, "hidden_dim": 4, field: value}
+        else:
+            cfg["model"][field] = value
+        out = tmp_path / "out"
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "cap" in err and "Traceback" not in err
         assert not (out / "results.json").exists()
 
     @pytest.mark.parametrize("gate,code", [(0.9, 2), (0.0, 0)])
@@ -314,11 +352,22 @@ class TestConfigErrors:
     def test_rounds_above_forget_sequence_count(self, tmp_path, trained_dir,
                                                 capsys):
         # The target corpus has 2 forget sequences; 3 rounds leave one empty.
+        self._rounds_rejected(tmp_path, trained_dir, capsys, 3)
+
+    def test_huge_rounds_rejected_quickly(self, tmp_path, trained_dir, capsys):
+        """The count is checked before one file name per round is built,
+        which once took unbounded time."""
+        self._rounds_rejected(tmp_path, trained_dir, capsys, 10 ** 18)
+
+    @staticmethod
+    def _rounds_rejected(tmp_path, trained_dir, capsys, rounds):
         cfg = unlearn_cfg([{"name": "skip", "optimizer": "noop"},
-                           dict(mt_method("split", T=5), rounds=3)])
+                           dict(mt_method("split", T=5), rounds=rounds)])
         cfg["target"] = os.path.join(trained_dir, "target.npy")
         path = write_cfg(tmp_path, cfg)
+        t0 = time.perf_counter()
         assert main(["unlearn", path, "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
         assert "'rounds'" in err and "methods[1]" in err
         assert "Traceback" not in err

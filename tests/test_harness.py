@@ -15,7 +15,7 @@ from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.errors import ConfigError, PreconditionError, TrainingError
 
-from conftest import assemble_gnh, observed_run, solve_spd
+from conftest import assemble_gnh, damped_ngd_reference, observed_run, solve_spd
 
 
 @pytest.fixture(scope="module")
@@ -390,8 +390,8 @@ class TestTheoremDriver:
 
     def test_deviations_equal_the_separate_runs(self, bigram_testbed):
         """Every row's deviation, for every alpha and both gradient
-        conventions, is bit for bit the largest gap between mt_run and
-        ngd_run run separately."""
+        conventions, is bit for bit the largest gap between the mean
+        teacher run alone and the reference stepped alone."""
         alphas = (0.2, 0.1, 0.05)
         result = Hn.verify_theorem1(bigram_testbed, alphas=alphas,
                                     t_gamma=0.05)
@@ -400,9 +400,9 @@ class TestTheoremDriver:
         s = bigram_testbed
         for row in result["rows"]:
             cfg = dataclasses.replace(s.base_cfg, alpha=row["alpha"], T=row["T"])
-            mt = observed_run(O.mt_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
-            ngd = observed_run(O.ngd_run, s.spec, s.theta0, s.d_f, s.d_pt, cfg,
-                               grad_lag=row["grad_lag"])[1]
+            mt = observed_run("mt", s.spec, s.theta0, s.d_f, s.d_pt, cfg)[1]
+            ngd = damped_ngd_reference(s.spec, s.theta0, s.d_f, s.d_pt, cfg,
+                                       row["grad_lag"])
             assert len(mt) == len(ngd) == row["T"] + 1
             dev = max(linalg.norm(x - y) for x, y in zip(mt, ngd))
             assert type(row["deviation"]) is float and row["deviation"] == dev
@@ -693,15 +693,15 @@ class TestDynamicsDriver:
         kind = L.LossKind("npo", beta=0.1)
         fresh = []
         pairs = L.npo_pairs(setup.spec, setup.d_f, setup.theta0)
-        O.mt_run_batched(setup.spec, setup.theta0, setup.d_f, setup.d_pt,
-                         dataclasses.replace(setup.base_cfg, loss=kind),
-                         callback=lambda t, th, te: fresh.append(linalg.norm(
-                             L.batch_grad(kind, setup.spec, th, pairs))))
+        observed_run("mt-batched", setup.spec, setup.theta0, setup.d_f,
+                     setup.d_pt, dataclasses.replace(setup.base_cfg, loss=kind),
+                     callback=lambda t, th, te: fresh.append(linalg.norm(
+                         L.batch_grad(kind, setup.spec, th, pairs))))
         g0 = L.batch_grad(kind, setup.spec, setup.theta0, pairs)
         assert result["series"]["npo"]["loss_grad_norm"] == [linalg.norm(g0)] + fresh
 
     def test_study_is_its_runs_alone(self):
-        """The study's lockstep equals one mt_run_batched run per loss with
+        """The study's lockstep equals one "mt-batched" run per loss with
         the same observations, bit for bit, and raises a run's error."""
         setup = Hn.default_dynamics_setup(seed=5, target_epochs=300)
         setup = dataclasses.replace(
@@ -721,9 +721,9 @@ class TestDynamicsDriver:
                 seen["loss_grad_norm"].append(linalg.norm(g))
                 seen["kl_to_teacher"].append(v)
 
-            O.mt_run_batched(s.spec, s.theta0, s.d_f, s.d_pt,
-                             dataclasses.replace(s.base_cfg, loss=kind),
-                             callback=observe)
+            observed_run("mt-batched", s.spec, s.theta0, s.d_f, s.d_pt,
+                         dataclasses.replace(s.base_cfg, loss=kind),
+                         callback=observe)
             entry = result["series"][tag]
             assert entry["t"] == list(range(31))
             for name in ("nll_forget", "loss_grad_norm") + (

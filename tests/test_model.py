@@ -83,6 +83,16 @@ class TestLayout:
             M.ModelSpec("unknown-kind", 5)
         with pytest.raises(ValueError):
             M.ModelSpec(M.MLP, 5, context_len=2, hidden_dim=0)
+        # The parameter count is capped; the bigram cap sits between
+        # V = 1000 (10**6 parameters) and V = 1001.
+        M.ModelSpec(M.BIGRAM, 1000)
+        mlp = "vocab_size, context_len or hidden_dim"
+        for spec, fields in (((M.BIGRAM, 1001), "vocab_size"),
+                             ((M.MLP, 8, 10 ** 6, 4), mlp),
+                             ((M.MLP, 8, 2, 2 ** 70), mlp)):
+            with pytest.raises(ValueError, match=f"above the cap of "
+                               f"{M.MAX_PARAMS}; lower {fields}$"):
+                M.ModelSpec(*spec)
 
 
 class TestForward:

@@ -1,7 +1,6 @@
 """Mean-teacher updates, the damped reference trajectory, and baselines."""
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.errors import TrainingError
 
-from conftest import (assemble_gnh, observed_run, relative_error, same_bits,
-                      solve_spd, use_raw_forward)
+from conftest import (assemble_gnh, damped_ngd_reference, observed_run,
+                      relative_error, same_bits, solve_spd, use_raw_forward)
 
 
 def make_data(rng, V=6, n=8, context_len=1):
@@ -61,12 +60,15 @@ class TestConfig:
             (dict(T=-1), "T"),
             (dict(clip=-1.0), "clip"),
             (dict(batch_forget=0), "batch"),
+            (dict(batch_forget=O.MAX_BATCH + 1), "batch_forget"),
+            (dict(batch_pretrain=2 ** 70), "batch_pretrain"),
             (dict(kappa=float("nan")), "kappa"),
             (dict(clip=float("nan")), "clip"),
         ]
         for kw, match in cases:
             with pytest.raises(ValueError, match=match):
                 base_config(**kw)
+        base_config(batch_forget=O.MAX_BATCH, batch_pretrain=O.MAX_BATCH)
 
     def test_replace_revalidates(self):
         cfg = base_config()
@@ -104,7 +106,7 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 3)
         cfg = base_config(T=2)
-        traj, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f,
+        traj, thetas, teachers = observed_run("mt", spec, theta0, d_f,
                                               d_pt, cfg)
 
         kind = cfg.divergence
@@ -130,7 +132,7 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 7)
         cfg = base_config(T=8, loss=L.LossKind("nlul"))
-        _, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+        _, thetas, teachers = observed_run("mt", spec, theta0, d_f, d_pt,
                                            cfg)
 
         kind = cfg.divergence
@@ -155,7 +157,7 @@ class TestFullBatchRun:
         theta0 = M.init_params(spec, 4)
         cfg = base_config(T=5, loss=L.LossKind("nlul"),
                           divergence=Dv.DivergenceKind(tag, 0.3))
-        traj, thetas, _ = observed_run(O.mt_run, spec, theta0, d_f, d_pt, cfg)
+        traj, thetas, _ = observed_run("mt", spec, theta0, d_f, d_pt, cfg)
 
         kind = cfg.divergence
         theta, teacher, vel = theta0, theta0, np.zeros_like(theta0)
@@ -178,7 +180,7 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 4)
         cfg = base_config(T=6)
-        _, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+        _, thetas, teachers = observed_run("mt", spec, theta0, d_f, d_pt,
                                            cfg)
         rho = 1.0 - cfg.eta * cfg.kappa
         for t in (1, 3, 6):
@@ -197,7 +199,7 @@ class TestFullBatchRun:
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 5)
         cfg = base_config(T=5)
-        _, thetas, teachers = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+        _, thetas, teachers = observed_run("mt", spec, theta0, d_f, d_pt,
                                            cfg)
         kb = cfg.kappa / (1.0 - cfg.eta * cfg.kappa)
         us = [th - te for th, te in zip(thetas, teachers)]
@@ -217,7 +219,7 @@ class TestFullBatchRun:
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 6)
-        traj, thetas, _ = observed_run(O.mt_run, spec, theta0, d_f, d_pt,
+        traj, thetas, _ = observed_run("mt", spec, theta0, d_f, d_pt,
                                        base_config(alpha=0.0, T=5))
         for th in thetas:
             np.testing.assert_array_equal(th, theta0)
@@ -234,7 +236,7 @@ class TestFullBatchRun:
         cfg = base_config(eta=1e160, kappa=0.0, alpha=1.0, mu=0.0, T=5)
         with np.errstate(over="ignore"), pytest.raises(TrainingError,
                                                        match="non-finite"):
-            O.mt_run(spec, theta0, d_f, d_pt, cfg)
+            observed_run("mt", spec, theta0, d_f, d_pt, cfg)
 
 
 class TestBatchedRun:
@@ -275,7 +277,7 @@ class TestBatchedRun:
         cfg = base_config(T=6, clip=0.5, batch_forget=3, batch_pretrain=4,
                           seed=33)
         traj, thetas, teachers = observed_run(
-            O.mt_run_batched, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+            "mt-batched", self.spec, self.theta0, self.d_f, self.d_pt, cfg)
         assert traj.ts == list(range(7))
         for t, theta, teacher, gn, l, fb, pb in self.replay(cfg, 6):
             np.testing.assert_array_equal(thetas[t], theta)
@@ -289,8 +291,9 @@ class TestBatchedRun:
         full datasets."""
         cfg = base_config(T=50, clip=0.5, batch_forget=3, batch_pretrain=4,
                           seed=34)
-        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                                cfg, callback=lambda t, theta, teacher: t == 3)
+        traj = observed_run("mt-batched", self.spec, self.theta0, self.d_f,
+                            self.d_pt, cfg,
+                            callback=lambda t, theta, teacher: t == 3)[0]
         assert traj.ts == [0, 1, 2, 3]
         for t, theta, teacher, gn, l, fb, pb in self.replay(cfg, 3):
             assert traj.clip_scales[t] == l and traj.grad_norms[t] == gn
@@ -298,7 +301,8 @@ class TestBatchedRun:
         np.testing.assert_array_equal(traj.final_theta, theta)
 
         cfg = dataclasses.replace(cfg, T=0)
-        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+        traj = observed_run("mt-batched", self.spec, self.theta0, self.d_f,
+                            self.d_pt, cfg)[0]
         assert traj.ts == [0] and traj.gaps == [0.0]
         assert_row(traj, 0, cfg, self.spec, self.theta0, self.theta0,
                    self.d_f, self.d_pt)
@@ -309,8 +313,24 @@ class TestBatchedRun:
     def test_one_evaluation_per_step(self, monkeypatch, rule, T):
         """Each step's record and the next step's gradient share one
         evaluation; only a batched run's step 1 takes its gradient alone,
-        and no gradient is taken after the last step."""
+        and no gradient is taken after the last step.  The reference
+        ("ngd") runs in mt_ngd_deviations, which takes one loss gradient
+        per step over the stack of the mean teacher and both references,
+        the first before step 1, and records nothing."""
+        cfg = base_config(T=T, batch_forget=3, batch_pretrain=4, seed=35)
         calls = []
+        if rule == "ngd":
+            grad = L.batch_grad
+
+            def counting_grads(kind, spec, theta, batch):
+                calls.append(theta.shape)
+                return grad(kind, spec, theta, batch)
+
+            monkeypatch.setattr(L, "batch_grad", counting_grads)
+            O.mt_ngd_deviations(self.spec, self.theta0, self.d_f, self.d_pt,
+                                cfg, [cfg.alpha], [T])
+            assert calls == [(3, len(self.theta0))] * max(T, 1)
+            return
         evaluate = O._evaluate
 
         def counting(*args):
@@ -318,8 +338,7 @@ class TestBatchedRun:
             return evaluate(*args)
 
         monkeypatch.setattr(O, "_evaluate", counting)
-        RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt,
-                   base_config(T=T, batch_forget=3, batch_pretrain=4, seed=35))
+        observed_run(rule, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
         if rule == "mt-batched":
             want = [(True, False)] + [(False, True)] * (T > 0)
         else:
@@ -334,7 +353,7 @@ class TestBatchedRun:
         cfg = base_config(T=8, clip=0.1, batch_forget=2, batch_pretrain=2,
                           seed=44)
         traj, thetas, teachers = observed_run(
-            RUNS[rule], self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+            rule, self.spec, self.theta0, self.d_f, self.d_pt, cfg)
         assert any(s < 1.0 for s in traj.clip_scales[1:])
         for t in range(1, 9):
             lek = traj.clip_scales[t] * cfg.eta * cfg.kappa
@@ -348,7 +367,8 @@ class TestBatchedRun:
         """l = min(1, c / ||g||): scales below-threshold steps to 1."""
         cfg = base_config(T=8, clip=0.1, batch_forget=2, batch_pretrain=2,
                           seed=55)
-        traj = RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+        traj = observed_run(rule, self.spec, self.theta0, self.d_f, self.d_pt,
+                            cfg)[0]
         for t in range(1, 9):
             gn = traj.grad_norms[t]
             assert traj.clip_scales[t] == min(1.0, cfg.clip / gn)
@@ -356,10 +376,10 @@ class TestBatchedRun:
 
     def test_zero_clip_disables_scaling(self):
         kw = dict(T=6, batch_forget=3, batch_pretrain=3, seed=77)
-        a = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                             base_config(clip=0.0, **kw))
-        b = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                             base_config(clip=1e12, **kw))
+        a = observed_run("mt-batched", self.spec, self.theta0, self.d_f,
+                         self.d_pt, base_config(clip=0.0, **kw))[0]
+        b = observed_run("mt-batched", self.spec, self.theta0, self.d_f,
+                         self.d_pt, base_config(clip=1e12, **kw))[0]
         np.testing.assert_array_equal(a.final_theta, b.final_theta)
         assert a.clip_scales[1:] == [1.0] * 6
 
@@ -371,15 +391,16 @@ class TestBatchedRun:
             seen.append(t)
             return t == 3
 
-        traj = O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt,
-                                cfg, callback=stop_at_three)
+        traj = observed_run("mt-batched", self.spec, self.theta0, self.d_f,
+                            self.d_pt, cfg, callback=stop_at_three)[0]
         assert seen == [1, 2, 3]
         assert traj.ts == [0, 1, 2, 3]
 
     def test_npo_requires_sequence_data(self):
         cfg = base_config(T=2, loss=L.LossKind("npo", beta=0.5))
         with pytest.raises(ValueError, match="sequences"):
-            O.mt_run_batched(self.spec, self.theta0, self.d_f, self.d_pt, cfg)
+            observed_run("mt-batched", self.spec, self.theta0, self.d_f,
+                         self.d_pt, cfg)
 
     @pytest.mark.parametrize("spec", [M.ModelSpec(M.BIGRAM, 6),
                                       M.ModelSpec(M.MLP, 6, context_len=2,
@@ -409,26 +430,43 @@ class TestBatchedRun:
             np.testing.assert_array_equal(pb.nexts, self.d_pt.nexts[pi])
 
 
+def deviation_stacks(monkeypatch, spec, theta0, d_f, d_pt, cfg, alphas, Ts):
+    """mt_ngd_deviations and the stack of iterates it checks at each step,
+    of shape (alphas still running, 3, dim): per alpha the mean teacher,
+    the reference and the lagged reference."""
+    stacks, check = [], O._check_finite
+
+    def record(theta, t):
+        stacks.append(theta.copy())
+        check(theta, t)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(O, "_check_finite", record)
+        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts)
+    return devs, stacks
+
+
 class TestReferenceRun:
-    def test_one_step_matches_damped_solve(self):
+    """The damped natural-gradient reference, which mt_ngd_deviations
+    steps next to the mean teachers."""
+
+    def test_one_step_matches_damped_solve(self, monkeypatch):
         rng = np.random.default_rng(97)
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 10)
         cfg = base_config(T=1)
-        traj, thetas, teachers = observed_run(O.ngd_run, spec, theta0, d_f,
-                                              d_pt, cfg)
+        _, (stack,) = deviation_stacks(monkeypatch, spec, theta0, d_f, d_pt,
+                                       cfg, [cfg.alpha], [cfg.T])
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
         H = assemble_gnh(spec, theta0, d_pt)
         step = solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
-        np.testing.assert_allclose(thetas[1], theta0 - d.gamma * step,
-                                   rtol=1e-9, atol=1e-13)
-        assert traj.final_teacher is None and teachers == [None, None]
-        assert all(np.isnan(v) for v in traj.divergence_values)
-        assert traj.gaps == [None, None]
+        for reference in stack[0, 1:]:
+            np.testing.assert_allclose(reference, theta0 - d.gamma * step,
+                                       rtol=1e-9, atol=1e-13)
 
-    def test_mlp_route_matches_dense_solve(self):
+    def test_mlp_route_matches_dense_solve(self, monkeypatch):
         """The MLP reference steps through the curvature factor's solve,
         bit for bit, and that step is the dense oracle's within 1e-12."""
         rng = np.random.default_rng(98)
@@ -436,11 +474,12 @@ class TestReferenceRun:
         d_f, d_pt = make_data(rng, V=5, context_len=2)
         theta0 = M.init_params(spec, 11)
         cfg = base_config(T=1)
-        _, thetas, _ = observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg)
+        _, (stack,) = deviation_stacks(monkeypatch, spec, theta0, d_f, d_pt,
+                                       cfg, [cfg.alpha], [cfg.T])
         d = O.DerivedNGDParams.from_config(cfg)
         g = L.batch_grad(cfg.loss, spec, theta0, d_f)
         step = curvature.gnh_damped_solve(spec, theta0, d_pt, d.lam_bar, g)
-        np.testing.assert_array_equal(thetas[1], theta0 - d.gamma * step)
+        assert same_bits(stack[0, 1], theta0 - d.gamma * step)
         H = assemble_gnh(spec, theta0, d_pt)
         dense = solve_spd(H + d.lam_bar * np.eye(len(theta0)), g)
         assert relative_error(step, dense) <= 1e-12
@@ -465,40 +504,15 @@ class TestReferenceRun:
         assert shapes["cholesky"] == [(2, 3, 20, 20)]
         assert shapes["solve"] == [(2, 3, 20, 20)] * 2
 
-    def test_gradient_lag_matters_only_after_first_step(self):
+    def test_gradient_lag_matters_only_after_first_step(self, monkeypatch):
         rng = np.random.default_rng(99)
         spec = M.ModelSpec(M.BIGRAM, 6)
         d_f, d_pt = make_data(rng)
         theta0 = M.init_params(spec, 12)
-        lead = observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
-                            base_config(T=3))[1]
-        lag = observed_run(O.ngd_run, spec, theta0, d_f, d_pt,
-                           base_config(T=3), grad_lag=True)[1]
-        np.testing.assert_array_equal(lead[1], lag[1])
-        assert not np.array_equal(lead[2], lag[2])
-
-
-    @pytest.mark.parametrize("lag", [False, True])
-    def test_replays_recomputed_gradients_bitwise(self, lag):
-        """The run reuses each gradient (the lagged one a step later); a
-        replay recomputing it at theta_t, or theta_{t-1} with the lag,
-        gives the same iterates and records."""
-        rng = np.random.default_rng(100)
-        spec = M.ModelSpec(M.BIGRAM, 6)
-        d_f, d_pt = make_data(rng)
-        theta0 = M.init_params(spec, 13)
-        cfg = base_config(T=4)
-        traj, thetas, _ = observed_run(O.ngd_run, spec, theta0, d_f, d_pt, cfg,
-                                       grad_lag=lag)
-        d = O.DerivedNGDParams.from_config(cfg)
-        theta_prev, theta = theta0, theta0
-        for t in range(1, 5):
-            g = L.batch_grad(cfg.loss, spec, theta_prev if lag else theta, d_f)
-            step = curvature.bigram_damped_solve(spec, theta, d_pt, d.lam_bar, g)
-            theta_prev, theta = theta, theta - d.gamma * step
-            np.testing.assert_array_equal(thetas[t], theta)
-            assert traj.grad_norms[t] == float(np.linalg.norm(g))
-            assert traj.loss_values[t] == L.batch_loss(cfg.loss, spec, theta, d_f)
+        _, stacks = deviation_stacks(monkeypatch, spec, theta0, d_f, d_pt,
+                                     base_config(), [0.5], [3])
+        assert same_bits(stacks[0][0, 1], stacks[0][0, 2])
+        assert not np.array_equal(stacks[1][0, 1], stacks[1][0, 2])
 
 
 class TestBaselines:
@@ -511,9 +525,8 @@ class TestBaselines:
     def test_momentum_sgd_keeps_anchor_and_matches_replay(self):
         cfg = base_config(T=4, clip=0.5, batch_forget=3, batch_pretrain=3,
                           seed=111)
-        traj, seen, _ = observed_run(
-            functools.partial(O.baseline_run, "momentum-sgd"), self.spec,
-            self.theta0, self.d_f, self.d_pt, cfg)
+        traj, seen, _ = observed_run("momentum-sgd", self.spec, self.theta0,
+                                     self.d_f, self.d_pt, cfg)
         kind = cfg.divergence
         batches = batch_draws(cfg, self.d_f, self.d_pt)
         theta = self.theta0
@@ -535,8 +548,8 @@ class TestBaselines:
         """An adamw run equals its replay at every step: bias-corrected
         moments, decoupled weight decay, learning rate lr_at(t)."""
         cfg = base_config(T=T, batch_forget=2, batch_pretrain=2, seed=222)
-        traj = O.baseline_run("adamw", self.spec, self.theta0, self.d_f,
-                              self.d_pt, cfg, adam_params=ap)
+        traj = observed_run("adamw", self.spec, self.theta0, self.d_f,
+                            self.d_pt, cfg, adam_params=ap)[0]
         kind = cfg.divergence
         batches = batch_draws(cfg, self.d_f, self.d_pt)
         theta = self.theta0
@@ -581,10 +594,10 @@ class TestBaselines:
 
     def test_adamw_lr_falls_back_to_config_eta(self):
         cfg = base_config(T=3, seed=333)
-        a = O.baseline_run("adamw", self.spec, self.theta0, self.d_f,
-                           self.d_pt, cfg, adam_params=O.AdamParams())
-        b = O.baseline_run("adamw", self.spec, self.theta0, self.d_f,
-                           self.d_pt, cfg, adam_params=O.AdamParams(lr=cfg.eta))
+        a = observed_run("adamw", self.spec, self.theta0, self.d_f,
+                         self.d_pt, cfg, adam_params=O.AdamParams())[0]
+        b = observed_run("adamw", self.spec, self.theta0, self.d_f,
+                         self.d_pt, cfg, adam_params=O.AdamParams(lr=cfg.eta))[0]
         np.testing.assert_array_equal(a.final_theta, b.final_theta)
 
     def test_adam_params_validation(self):
@@ -602,19 +615,9 @@ class TestBaselines:
                 O.AdamParams(**kw)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="baseline kind"):
-            O.baseline_run("nesterov", self.spec, self.theta0, self.d_f,
-                           self.d_pt, base_config())
-
-
-# The five update rules, each called as run(spec, theta0, d_f, d_pt, cfg, **kw).
-RUNS = {
-    "mt": O.mt_run,
-    "mt-batched": O.mt_run_batched,
-    "momentum-sgd": functools.partial(O.baseline_run, "momentum-sgd"),
-    "adamw": functools.partial(O.baseline_run, "adamw"),
-    "ngd": O.ngd_run,
-}
+        with pytest.raises(ValueError, match="unknown optimizer: 'nesterov'"):
+            O.lockstep_runs(self.spec, self.theta0, self.d_f, self.d_pt,
+                            [("nesterov", base_config(), None, None)])
 
 
 class TestKeepIterates:
@@ -627,12 +630,10 @@ class TestKeepIterates:
                                seed=12)
 
     def run(self, rule, cfg=None, **kw):
-        if rule == "ngd":
-            kw["grad_lag"] = True
-        return RUNS[rule](self.spec, self.theta0, self.d_f, self.d_pt,
-                          cfg or self.cfg, **kw)
+        return observed_run(rule, self.spec, self.theta0, self.d_f, self.d_pt,
+                            cfg or self.cfg, **kw)[0]
 
-    @pytest.mark.parametrize("rule", list(RUNS))
+    @pytest.mark.parametrize("rule", O.OPTIMIZERS)
     def test_final_point_after_callback_stop_is_the_last_seen(self, rule):
         seen = []
 
@@ -645,12 +646,8 @@ class TestKeepIterates:
         assert traj.final_theta.tobytes() == seen[-1][0].tobytes()
         short = self.run(rule, dataclasses.replace(self.cfg, T=3))
         assert traj.final_theta.tobytes() == short.final_theta.tobytes()
-        if rule == "ngd":
-            assert traj.final_teacher is short.final_teacher is None
-            assert all(teacher is None for _, teacher in seen)
-        else:
-            assert traj.final_teacher.tobytes() == seen[-1][1].tobytes()
-            assert traj.final_teacher.tobytes() == short.final_teacher.tobytes()
+        assert traj.final_teacher.tobytes() == seen[-1][1].tobytes()
+        assert traj.final_teacher.tobytes() == short.final_teacher.tobytes()
 
 
 SPECS = {"bigram": M.ModelSpec(M.BIGRAM, 6),
@@ -682,10 +679,12 @@ PREPARED_CASES = {
 
 class TestPreparedRuns:
     """Runs on the datasets' kept encodings against the same runs with
-    every evaluation re-checking and re-encoding raw ids, bit for bit."""
+    every evaluation re-checking and re-encoding raw ids, bit for bit.
+    The reference ("ngd") is compared as mt_ngd_deviations runs it, at
+    every step and with the clip off; it takes no batches."""
 
     @pytest.mark.parametrize("case", list(PREPARED_CASES))
-    @pytest.mark.parametrize("rule", list(RUNS))
+    @pytest.mark.parametrize("rule", O.OPTIMIZERS + ("ngd",))
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_runs_match_the_per_call_encoding(self, monkeypatch, kind, rule, case):
         spec = SPECS[kind]
@@ -693,16 +692,27 @@ class TestPreparedRuns:
                                       batch_pretrain=4, seed=7),
                                  **PREPARED_CASES[case]))
         theta0 = M.init_params(spec, 3)
-        prepared = RUNS[rule](spec, theta0, *sequence_data(spec, 5), cfg)
+
+        def run():
+            """The arrays to compare: the deviations and every step's
+            stack, or a run's final points and records."""
+            data = sequence_data(spec, 5)
+            if rule == "ngd":
+                devs, stacks = deviation_stacks(
+                    monkeypatch, spec, theta0, *data,
+                    dataclasses.replace(cfg, clip=0.0), [0.5, 0.2], [5, 3])
+                return [devs] + stacks
+            traj = observed_run(rule, spec, theta0, *data, cfg)[0]
+            return [traj.final_theta, traj.final_teacher] + [
+                getattr(traj, name) for name in ("grad_norms", "loss_values",
+                                                 "divergence_values", "clip_scales")]
+
+        prepared = run()
         with monkeypatch.context() as mp:
             use_raw_forward(mp)
-            raw = RUNS[rule](spec, theta0, *sequence_data(spec, 5), cfg)
-        assert same_bits(prepared.final_theta, raw.final_theta)
-        if raw.final_teacher is not None:
-            assert same_bits(prepared.final_teacher, raw.final_teacher)
-        for name in ("grad_norms", "loss_values", "divergence_values",
-                     "clip_scales"):
-            assert same_bits(getattr(prepared, name), getattr(raw, name))
+            raw = run()
+        assert len(prepared) == len(raw) == 6
+        assert all(same_bits(a, b) for a, b in zip(prepared, raw))
 
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_oversized_draws_gather_their_rows(self, kind):
@@ -743,7 +753,7 @@ class TestPreparedRuns:
         theta0 = M.init_params(spec, 3)
         cfg = base_config(T=6, loss=L.LossKind("npo", beta=0.5), batch_forget=2,
                           batch_pretrain=3)
-        RUNS[rule](spec, theta0, *sequence_data(spec, 8), cfg)
+        observed_run(rule, spec, theta0, *sequence_data(spec, 8), cfg)
         assert len(calls) == 1 and calls[0] is not theta0
         assert same_bits(calls[0], theta0)
 
@@ -766,29 +776,21 @@ class TestLockstep:
     def test_rows_are_the_separate_runs_at_every_step(self, monkeypatch, kind,
                                                       case):
         """Horizons 3, 7 and 5 (so rows leave the stack at unequal steps):
-        at every step every row is bit for bit its own mt_run or ngd_run
-        iterate, and each deviation is the largest gap of those runs."""
+        at every step every row is bit for bit the iterate of its own run,
+        a one-run lockstep_runs("mt") call or the step-by-step reference
+        without and with the gradient lag, and each deviation is the
+        largest gap of those runs."""
         spec = SPECS[kind]
         d_f, d_pt = sequence_data(spec, 5)
         theta0 = M.init_params(spec, 3)
         cfg = base_config(**LOCKSTEP_CASES[case])
         alphas, Ts = (0.5, 0.2, 0.3), (3, 7, 5)
         cfgs = [dataclasses.replace(cfg, alpha=a, T=T) for a, T in zip(alphas, Ts)]
-        runs = []
-        for c in cfgs:
-            runs.append([observed_run(O.mt_run, spec, theta0, d_f, d_pt, c)[1]]
-                        + [observed_run(O.ngd_run, spec, theta0, d_f, d_pt, c,
-                                        grad_lag=lag)[1]
-                           for lag in (False, True)])
-        stacks = []
-        check = O._check_finite
-
-        def record(theta, t):
-            stacks.append(theta.copy())
-            check(theta, t)
-
-        monkeypatch.setattr(O, "_check_finite", record)
-        devs = O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts)
+        runs = [[observed_run("mt", spec, theta0, d_f, d_pt, c)[1]]
+                + [damped_ngd_reference(spec, theta0, d_f, d_pt, c, lag)
+                   for lag in (False, True)] for c in cfgs]
+        devs, stacks = deviation_stacks(monkeypatch, spec, theta0, d_f, d_pt,
+                                        cfg, alphas, Ts)
         assert len(stacks) == 7
         for t, stack in enumerate(stacks, start=1):
             active = [i for i in (1, 2, 0) if cfgs[i].T >= t]
@@ -814,7 +816,7 @@ class TestLockstep:
                                   ([0.5, 0.2], [4], "same length")):
             with pytest.raises(ValueError, match=match):
                 O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts)
-        # A clipped mt_run is not what the lockstep computes.
+        # A clipped "mt" run is not what the lockstep computes.
         with pytest.raises(ValueError, match="clip"):
             O.mt_ngd_deviations(spec, theta0, d_f, d_pt, base_config(clip=0.5),
                                 [0.5], [4])
@@ -827,7 +829,7 @@ class TestLockstep:
         cfg = base_config(eta=1e160, kappa=0.0, alpha=1.0, mu=0.0, T=5)
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingError, match="non-finite") as run:
-                O.mt_run(spec, theta0, d_f, d_pt, cfg)
+                observed_run("mt", spec, theta0, d_f, d_pt, cfg)
             with pytest.raises(TrainingError) as lockstep:
                 O.mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, [cfg.alpha],
                                     [cfg.T])
@@ -853,9 +855,9 @@ def group_configs(loss, **shared):
 
 
 def solo_run(opt, spec, theta0, d_f, d_pt, cfg, **kw):
-    if opt == "adamw":
-        kw["adam_params"] = GROUP_ADAM
-    return RUNS[opt](spec, theta0, d_f, d_pt, cfg, **kw)
+    """observed_run of one run, with GROUP_ADAM for adamw."""
+    return observed_run(opt, spec, theta0, d_f, d_pt, cfg,
+                        GROUP_ADAM if opt == "adamw" else None, **kw)
 
 
 def lockstep_group(spec, theta0, d_f, d_pt, cfgs, callbacks=None):
@@ -892,8 +894,8 @@ class TestLockstepRuns:
         d_f, d_pt = sequence_data(spec, 5)
         theta0 = M.init_params(spec, 3)
         cfgs = group_configs(loss)
-        solos = [observed_run(functools.partial(solo_run, opt), spec, theta0,
-                              d_f, d_pt, cfg) for (opt, _), cfg in zip(GROUP, cfgs)]
+        solos = [solo_run(opt, spec, theta0, d_f, d_pt, cfg)
+                 for (opt, _), cfg in zip(GROUP, cfgs)]
         recorders = [recorder() for _ in GROUP]
         trajs = lockstep_group(spec, theta0, d_f, d_pt, cfgs,
                                [cb for cb, _, _ in recorders])
@@ -926,7 +928,7 @@ class TestLockstepRuns:
         assert isinstance(outs[1], TrainingError)
         assert str(outs[1]) == str(solo.value)
         for i in (0, 2, 3):
-            alone = solo_run(GROUP[i][0], spec, theta0, d_f, d_pt, cfgs[i])
+            alone = solo_run(GROUP[i][0], spec, theta0, d_f, d_pt, cfgs[i])[0]
             assert same_bits(outs[i].final_theta, alone.final_theta)
             assert same_bits(outs[i].loss_values, alone.loss_values)
 
@@ -944,7 +946,7 @@ class TestLockstepRuns:
                                [stop_at(n) for n in stops])
         for (opt, _), cfg, n, traj in zip(GROUP, cfgs, stops, trajs):
             alone = solo_run(opt, spec, theta0, d_f, d_pt, cfg,
-                             callback=stop_at(n))
+                             callback=stop_at(n))[0]
             assert traj.ts == list(range(n + 1))
             for name in TRAJECTORY_COLUMNS:
                 assert same_bits(getattr(traj, name), getattr(alone, name))
@@ -994,7 +996,7 @@ class TestLockstepRuns:
                          ["npo", "npo2"], ["full-npo"]]
         monkeypatch.setattr(O, "_run", run)
         for (opt, c), out in zip(runs.values(), outs):
-            alone = RUNS[opt](spec, theta0, d_f, d_pt, c)
+            alone = observed_run(opt, spec, theta0, d_f, d_pt, c)[0]
             assert same_bits(out.final_theta, alone.final_theta)
             assert same_bits(out.loss_values, alone.loss_values)
 
@@ -1030,9 +1032,8 @@ class TestLockstepRuns:
                 for (opt, c), (cb, _, _) in zip(runs, recorders)])
             for (opt, c), out, (_, _, copies) in zip(runs, outs, recorders):
                 try:
-                    solo, thetas, teachers = observed_run(
-                        functools.partial(solo_run, opt), spec, theta0, d_f,
-                        d_pt, c)
+                    solo, thetas, teachers = solo_run(opt, spec, theta0, d_f,
+                                                      d_pt, c)
                 except TrainingError as exc:
                     assert isinstance(out, TrainingError)
                     assert str(out) == str(exc)

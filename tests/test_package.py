@@ -9,7 +9,8 @@ import re
 import types
 
 import mtunlearn
-from mtunlearn import artifacts, cli, curvature, harness, linalg, losses, model
+from mtunlearn import (artifacts, cli, curvature, harness, linalg, losses, model,
+                       optimizer)
 
 
 def test_all_lists_every_public_name_once_and_each_resolves():
@@ -74,16 +75,41 @@ def test_the_dense_curvature_pair_lives_in_the_tests():
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name) and name not in mtunlearn.__all__
+    for fname, named in _source_names().items():
+        assert not named & {"solve_spd", "check_symmetric", "assemble_gnh"}, fname
+
+
+def test_lockstep_runs_is_the_one_run_entry():
+    """Every run has a teacher and starts through optimizer.lockstep_runs,
+    the package's one public run function.  The one-run wrappers, which
+    only tests called, and the teacher-less reference rule they alone
+    reached are gone: the tests' one-run oracle is a one-run lockstep_runs
+    call (conftest.observed_run), and the step-by-step reference
+    (conftest.damped_ngd_reference) is the oracle mt_ngd_deviations is
+    pinned to."""
+    gone = {"mt_run", "mt_run_batched", "ngd_run", "baseline_run", "_solo",
+            "_DampedNGD", "has_teacher"}
+    assert not gone & set(mtunlearn.__all__)
+    for fname, named in _source_names().items():
+        assert not named & gone, fname
+    assert mtunlearn.lockstep_runs is optimizer.lockstep_runs
+    runs = [name for name in mtunlearn.__all__ if name.endswith(("_run", "_runs"))]
+    assert runs == ["lockstep_runs"]
+
+
+def _source_names():
+    """Per file under src/mtunlearn, the names, attributes, imported and
+    defined names its source mentions."""
     src = os.path.dirname(mtunlearn.__file__)
+    out = {}
     for fname in sorted(os.listdir(src)):
         if fname.endswith(".py"):
             with open(os.path.join(src, fname), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
-            # Names, attributes, imported and defined names.
-            named = {getattr(n, key) for n in ast.walk(tree)
-                     for key in ("id", "attr", "name", "asname")
-                     if isinstance(getattr(n, key, None), str)}
-            assert not named & {"solve_spd", "check_symmetric", "assemble_gnh"}, fname
+            out[fname] = {getattr(n, key) for n in ast.walk(tree)
+                          for key in ("id", "attr", "name", "asname")
+                          if isinstance(getattr(n, key, None), str)}
+    return out
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -110,13 +136,12 @@ def _perfbench_constants(filename):
 def test_the_traced_benchmark_finds_the_layers_it_depends_on():
     """The tracer skips a function the package no longer has and reports 0
     calls for it, so a removed or renamed layer would silently break the
-    traced benchmark: its step count (the optimizer drivers of
-    STEP_FUNCTIONS) and the workloads' reach checks (per-layer counts that
-    must be above 0) must find every function they name."""
-    tracer = _perfbench_constants("tracer.py")
-    (layers,), (step_functions,) = tracer["LAYERS"], tracer["STEP_FUNCTIONS"]
-    module_of = {fname: mod for mod, fname in layers}
-    needed = {(module_of[f], f) for f in step_functions}
+    traced benchmark: the workloads' reach checks (per-layer counts that
+    must be above 0) must find every function they name.  The tracer's
+    step count (STEP_FUNCTIONS) names the one-run wrappers the package no
+    longer has, so optimizer.steps reads 0 until the benchmark counts the
+    steps of lockstep_runs and mt_ngd_deviations instead."""
+    needed = set()
     for reaches in _perfbench_constants("workloads.py")["reaches"]:
         needed.update(tuple(r.split(".")[:2]) for r in reaches)
     assert {("model", "sequence_logprob"), ("curvature", "bigram_damped_solve"),
