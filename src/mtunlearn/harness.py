@@ -40,6 +40,10 @@ from . import optimizer as O
 from .errors import ConfigError, PreconditionError, TrainingError
 
 CORPUS_GENERATORS = ("patterned", "random")
+# The most tokens (n_sequences * seq_len) a CorpusSpec may draw; the
+# default testbeds draw at most 192.  Both generators build Python lists
+# of every token.
+MAX_CORPUS_TOKENS = 1_000_000
 
 # Frozen instance family for the momentum-iteration bound check.  The
 # bound is a worst-case envelope with a non-normal transient: on freely
@@ -92,6 +96,11 @@ class CorpusSpec:
                 raise ValueError("period must lie in [1, vocab_size]")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        n = self.n_sequences * self.seq_len
+        if n > MAX_CORPUS_TOKENS:
+            raise ValueError(f"the corpus has n_sequences * seq_len = {n} "
+                             f"tokens, above the cap of {MAX_CORPUS_TOKENS}; "
+                             f"lower n_sequences or seq_len")
 
     @property
     def n_forget(self):
@@ -260,14 +269,16 @@ def build_target(spec, datasets, epochs: int, seed: int, lr=0.5, momentum=0.9,
     `datasets` with full-batch momentum SGD on the mean NLL and return the
     trained parameter vector.
 
-    epochs counts raw full-batch steps.  After training, one batched greedy
-    decode of all sequences must reach an exact match of require_exact_match
-    (0 skips the gate); failure raises TrainingError since an unmemorized
-    target makes the downstream checks meaningless.  Every argument, the
+    epochs counts raw full-batch steps, at most optimizer.MAX_STEPS.
+    After training, one batched greedy decode of all sequences must reach
+    an exact match of require_exact_match (0 skips the gate); failure
+    raises TrainingError since an unmemorized target makes the downstream
+    checks meaningless.  Every argument, the
     gate's report_lengths over all sequences too, is checked up front.
     """
-    if epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if not 1 <= epochs <= O.MAX_STEPS:
+        raise ConfigError(f"epochs must be at least 1 and at most the step "
+                          f"cap {O.MAX_STEPS}, got {epochs}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if not 0 < lr < np.inf:
@@ -337,11 +348,6 @@ def default_theorem_setup(seed=11, eta=5e-4, kappa=10.0, lam=0.5, mu=0.9):
                       base_cfg=base_cfg)
 
 
-# Longest horizon verify_theorem1 runs, about 200 times the default's
-# 4 776 steps.
-MAX_THEOREM_STEPS = 1_000_000
-
-
 def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
                     t_gamma=0.3, slope_min=0.8):
     """Compare the full-batch mean-teacher run against the damped
@@ -360,7 +366,7 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
     log(1/alpha) is at least slope_min
     (slope 1 would be exact proportionality to the predicted rate).  alphas must decrease
     strictly within (0, 1), where log(alpha log(1/alpha)) is finite, and
-    the longest horizon may not exceed MAX_THEOREM_STEPS.
+    the longest horizon may not exceed the step cap optimizer.MAX_STEPS.
     """
     alphas = list(alphas)
     if len(alphas) < 2 or any(not (0 < a < 1) for a in alphas) \
@@ -383,10 +389,10 @@ def verify_theorem1(setup=None, alphas=(0.1, 0.05, 0.025, 0.0125),
     steps = [t_gamma / d.gamma for d in derived]
     # The last alpha has the longest horizon.
     T_max = round(steps[-1]) if np.isfinite(steps[-1]) else np.inf
-    if T_max > MAX_THEOREM_STEPS:
+    if T_max > O.MAX_STEPS:
         raise ConfigError(f"horizon t_gamma={t_gamma} gives T={T_max:.7g} "
                           f"steps at alpha={alphas[-1]}, above the cap of "
-                          f"{MAX_THEOREM_STEPS}")
+                          f"{O.MAX_STEPS}")
     Ts = [int(round(n)) for n in steps]
     if Ts[0] < 1:
         # The first alpha has the shortest horizon.
@@ -479,9 +485,10 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     their ratio says nothing.  floor_step is the first step where the
     bound is at or below the slack (None if it never gets there).
     """
-    if not T >= 1:
+    if not 1 <= T <= O.MAX_STEPS:
         raise ConfigError(f"T must be at least 1 (a check of no step measures "
-                          f"nothing), got {T}")
+                          f"nothing) and at most the step cap {O.MAX_STEPS}, "
+                          f"got {T}")
     if min(len(mus), len(lams), len(modes)) < 1:
         raise ConfigError("mus, lams and modes must each list at least one value")
     if any(mode not in ("zero", "const") for mode in modes):
@@ -608,8 +615,9 @@ def verify_divergence_quadratic(t_values=(1e-2, 1e-3, 1e-4), decay_factor=0.1):
 def default_dynamics_setup(seed=5, target_epochs=3000):
     """Bigram testbed: 8 token-disjoint periodic sequences over 16 tokens
     memorized to saturation, unlearned with batched mean-teacher runs."""
-    if target_epochs < 1:
-        raise ConfigError(f"target_epochs must be at least 1, got {target_epochs}")
+    if not 1 <= target_epochs <= O.MAX_STEPS:
+        raise ConfigError(f"target_epochs must be at least 1 and at most the "
+                          f"step cap {O.MAX_STEPS}, got {target_epochs}")
     corpus = CorpusSpec(vocab_size=16, n_sequences=8, seq_len=12,
                         forget_fraction=0.5, generator="patterned",
                         period=2, seed=seed)
@@ -637,6 +645,9 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
     the comparison is about); below that the study raises a
     precondition error rather than reporting numbers it cannot support.
     The imitation loss additionally reports its KL-to-teacher series.
+    Every series row, row 0 at theta0 included, comes from the one
+    observer of the runs' lockstep_runs call, which evaluates each
+    partition's iterates in stacks of OBSERVE_CHUNK rows.
 
     When both the complement and plain log-likelihood losses are in
     loss_tags the study is also a check: it passes when the complement
@@ -673,50 +684,52 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
             f"target is not saturated on the forget set: min p_y = "
             f"{min_p:.4f} < {saturation_min}; train the target longer")
 
-    def observer(tag):
-        """Start tag's series with its row 0 at theta0 and return the run
-        callback, which keeps each step's (t, theta).  Every
-        OBSERVE_CHUNK steps, and once more when the runs are over (see
-        flushes), the kept iterates are stacked and evaluated with one
-        call per quantity, each row bit for bit its own call.  The loss
-        gradient is taken on the forget set, npo's carrying base
-        log-probabilities computed once (theta0 is fixed); for it one
-        value-and-gradient call also gives the KL to the teacher."""
-        kind = kinds[tag]
-        forget = Lmod.npo_pairs(spec, d_f, theta0) if tag == "npo" else d_f
-        entry = series[tag] = {"t": [], "nll_forget": [], "loss_grad_norm": []}
-        if tag == "it":
-            entry["kl_to_teacher"] = []
-        kept = []
+    forget = {tag: Lmod.npo_pairs(spec, d_f, theta0) if tag == "npo" else d_f
+              for tag in loss_tags}
+    series = {tag: {"t": [], "nll_forget": [], "loss_grad_norm": []}
+              | ({"kl_to_teacher": []} if tag == "it" else {}) for tag in loss_tags}
+    kept = []
 
-        def append(ts, th):
+    def flush():
+        """Evaluate the kept rows of one partition: one NLL call over
+        their stack, then per loss one call over its run's rows, each row
+        bit for bit its own call.  The loss gradient is taken on the
+        forget set, npo's carrying base log-probabilities computed once
+        (theta0 is fixed); for it one value-and-gradient call also gives
+        the KL to the teacher."""
+        ts, idx, ths = zip(*kept)
+        kept.clear()
+        th = np.stack(ths, axis=1)    # per run, its kept rows
+        nll = Lmod.batch_loss(_NLL, spec, th.reshape(-1, th.shape[-1]), d_f)
+        for tag, th_i, nll_i in zip([loss_tags[i] for i in idx[0]], th,
+                                    nll.reshape(len(th), -1)):
+            entry = series[tag]
             entry["t"].extend(ts)
-            entry["nll_forget"].extend(np.atleast_1d(
-                Lmod.batch_loss(_NLL, spec, th, d_f)).tolist())
+            entry["nll_forget"].extend(nll_i.tolist())
             if tag == "it":
-                kl, g = Lmod.batch_value_and_grad(kind, spec, th, forget)
-                entry["kl_to_teacher"].extend(np.atleast_1d(kl).tolist())
+                kl, g = Lmod.batch_value_and_grad(kinds[tag], spec, th_i, forget[tag])
+                entry["kl_to_teacher"].extend(kl.tolist())
             else:
-                g = Lmod.batch_grad(kind, spec, th, forget)
-            entry["loss_grad_norm"].extend(np.atleast_1d(linalg.norm(g)).tolist())
+                g = Lmod.batch_grad(kinds[tag], spec, th_i, forget[tag])
+            entry["loss_grad_norm"].extend(linalg.norm(g).tolist())
 
-        def flush():
-            if kept:
-                ts, ths = zip(*kept)
-                append(ts, np.stack(ths))
-                kept.clear()
+    def observe(t, idx, th, teacher):
+        """Keep each row of a partition, t = 0 included, and evaluate them
+        every OBSERVE_CHUNK rows, at the partition's last row and before
+        its set of live runs changes."""
+        if kept and kept[-1][1] != idx:
+            flush()
+        kept.append((t, idx, th))
+        if len(kept) == OBSERVE_CHUNK or t == setup.base_cfg.T:
+            flush()
 
-        def observe(t, th, teacher):
-            kept.append((t, th))
-            if len(kept) == OBSERVE_CHUNK:
-                flush()
-        append([0], theta0)
-        flushes.append(flush)
-        return observe
-
-    series, flushes = {}, []
-    runs = [("mt-batched", replace(setup.base_cfg, loss=kinds[tag]), None,
-             observer(tag)) for tag in loss_tags]
+    # The runs draw one batch stream (npo its own, of whole sequences), so
+    # they advance in lockstep; the first run that diverged is raised.
+    for out in O.lockstep_runs(spec, theta0, d_f, d_pt, [
+            ("mt-batched", replace(setup.base_cfg, loss=kinds[tag]), None)
+            for tag in loss_tags], observe):
+        if isinstance(out, TrainingError):
+            raise out
     nll0 = series[loss_tags[0]]["nll_forget"][0]
     grad_norm0 = {tag: series[tag]["loss_grad_norm"][0] for tag in loss_tags}
     ratios = {}
@@ -724,13 +737,6 @@ def gradient_dynamics_study(setup=None, loss_tags=("ll", "npo", "nlul", "it"),
         for other in ("ll", "npo", "it"):
             if other in grad_norm0 and grad_norm0[other] > 0:
                 ratios[f"nlul_over_{other}"] = grad_norm0["nlul"] / grad_norm0[other]
-    # The runs draw one batch stream (npo its own, of whole sequences), so
-    # they advance in lockstep; the first run that diverged is raised.
-    for out in O.lockstep_runs(spec, theta0, d_f, d_pt, runs):
-        if isinstance(out, TrainingError):
-            raise out
-    for flush in flushes:
-        flush()
     delta_nll = {tag: series[tag]["nll_forget"][-1] - nll0 for tag in loss_tags}
 
     passed = None
@@ -804,29 +810,21 @@ class MethodSpec:
                              f"only, not {self.optimizer!r}")
 
 
-def _stop_callback(stop_rule, spec, d_f, d_pt):
-    """The run callback of a stop rule on forget split d_f (None without a
-    rule)."""
-    if stop_rule is None:
-        return None
-    ds = d_f if stop_rule.metric == "nll_forget" else d_pt
-
-    def callback(t, th, teacher):
-        return t % stop_rule.check_every == 0 and \
-            stop_rule.triggered(Lmod.batch_loss(_NLL, spec, th, ds))
-    return callback
-
-
 def _run_round(methods, k, idx, spec, theta, d_f, d_pt, stop_rule):
     """Round k of the methods, on the forget sequences idx and from theta,
     in one lockstep_runs call: per method its Trajectory or the
-    TrainingError that ended it."""
+    TrainingError that ended it.  A stop rule checks every live run of a
+    partition with one stacked NLL call every check_every steps."""
     d_fk = M.dataset_from_sequences([d_f.sequences[i] for i in idx],
                                     spec.context_len)
-    callback = _stop_callback(stop_rule, spec, d_fk, d_pt)
+
+    def stop(t, live, th, teachers):
+        if t and t % stop_rule.check_every == 0:
+            ds = d_fk if stop_rule.metric == "nll_forget" else d_pt
+            return stop_rule.triggered(Lmod.batch_loss(_NLL, spec, th, ds))
     return O.lockstep_runs(spec, theta, d_fk, d_pt, [
-        (m.optimizer, replace(m.config, seed=m.config.seed + k), m.adam, callback)
-        for m in methods])
+        (m.optimizer, replace(m.config, seed=m.config.seed + k), m.adam)
+        for m in methods], stop if stop_rule else None)
 
 
 def check_methods(spec, methods, d_f):

@@ -36,7 +36,9 @@ Every run has a teacher and goes through one loop (_run), which advances
 a list of runs that draw the same data in lockstep on one stack of
 parameter vectors.  lockstep_runs, the one public run entry, takes any
 list of runs, one run included, and partitions it by the data the runs
-draw (the one lockstep rule), each bit for bit the run alone.
+draw (the one lockstep rule), each bit for bit the run alone.  One
+observer per call sees each partition's stacks of iterates and teachers
+at every recorded step, and may end any of its runs there.
 mt_ngd_deviations runs one unclipped full-batch config's mean-teacher
 runs and references over a grid of loss weights and horizons in
 lockstep, each mean teacher bit for bit its "mt" run alone, and returns
@@ -61,6 +63,11 @@ from .errors import TrainingError
 # of that many rows for the runs of a loop.  The shipped configs use at
 # most 32.
 MAX_BATCH = 65_536
+
+# The step cap: the most steps a run (T), a target's training (epochs) or
+# a check's iteration takes, about 200 times the 4 776 steps of the
+# longest default theorem1 horizon.
+MAX_STEPS = 1_000_000
 
 
 @dataclass
@@ -92,8 +99,9 @@ class MTConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError("mu must lie in [0, 1)")
-        if self.T < 0:
-            raise ValueError("T must be nonnegative")
+        if not 0 <= self.T <= MAX_STEPS:
+            raise ValueError(f"T must be nonnegative and at most the step cap "
+                             f"{MAX_STEPS}, got {self.T}")
         if not self.clip >= 0:
             raise ValueError("clip must be nonnegative (0 disables)")
         for name in ("batch_forget", "batch_pretrain"):
@@ -131,7 +139,7 @@ class Trajectory:
     draw), which is independent of the batch that produced theta_t.  gap
     is the teacher-student distance ||theta_t - theta'_t||.  final_theta
     and final_teacher are set when the run ends; the iterates in between
-    reach a caller only through the run's callback.
+    reach a caller only through lockstep_runs' observer.
     """
 
     ts: list = field(default_factory=list)
@@ -185,7 +193,7 @@ def _evaluate(spec, rows, plan, fb, pb, value, grad):
     stacked loss call serves each distinct loss kind and one stacked
     divergence call each distinct divergence kind, and a run's results
     are its row of each, bit for bit those of a call with that run
-    alone."""
+    alone.  The stack of the iterates comes first in the result."""
     n = len(rows)
     loss, div, g = [None] * n, [None] * n, [None] * n
     th = np.stack([r.theta for r in rows])
@@ -218,7 +226,7 @@ def _evaluate(spec, rows, plan, fb, pb, value, grad):
             if grad:
                 a = rows[i].cfg.alpha
                 g[i] = gd[j] if a == 0.0 else gd[j] + a * g[i]
-    return loss, div, g
+    return th, loss, div, g
 
 
 def _clip_scale(cfg, grad_norm):
@@ -356,14 +364,13 @@ def _damped_solve(spec, theta, d_pt, lam_bar, g):
 
 
 class _Row:
-    """One run of the loop: its config, update rule and callback, its
-    iterate, teacher and objective gradient, and its record.  outcome is
-    None while the run is live, then its Trajectory or the TrainingError
-    that ended it.  Each step makes new iterate and teacher arrays, so a
-    callback may keep the ones it is given."""
+    """One run of the loop: its index in lockstep_runs' list, config and
+    update rule, its iterate, teacher and objective gradient, and its
+    record.  outcome is None while the run is live, then its Trajectory
+    or the TrainingError that ended it."""
 
-    def __init__(self, cfg, rule, callback, theta):
-        self.cfg, self.rule, self.callback = cfg, rule, callback
+    def __init__(self, index, cfg, rule, theta):
+        self.index, self.cfg, self.rule = index, cfg, rule
         self.theta = self.teacher = theta
         self.g, self.grad_norm, self.clip = None, 0.0, 1.0
         self.traj, self.outcome = Trajectory(), None
@@ -379,14 +386,12 @@ class _Row:
         if rate:
             self.teacher = (1.0 - rate) * self.teacher + rate * theta
 
-    def record(self, t, loss, div, g):
+    def record(self, t, loss, div, g, stop):
         """Append row t and keep g for step t + 1; True when the run ends
-        here, at its horizon or because its callback (from t = 1) says so."""
+        here, at its horizon or because the observer says so."""
         self.traj.append(t, self.grad_norm, loss, div, self.clip,
                          linalg.norm(self.theta - self.teacher))
         self.g = g
-        stop = t > 0 and self.callback is not None and \
-            self.callback(t, self.theta, self.teacher)
         if not (stop or t == self.cfg.T):
             return False
         self.traj.final_theta = self.theta.copy()
@@ -395,9 +400,9 @@ class _Row:
         return True
 
 
-def _run(spec, theta0, d_f, d_pt, runs):
-    """The optimizer loop every run shares.  `runs` is a list of (cfg,
-    rule, callback); they advance in lockstep from theta0, and the loop
+def _run(spec, theta0, d_f, d_pt, runs, observe=None):
+    """The optimizer loop every run shares.  `runs` is a list of (index,
+    cfg, rule); they advance in lockstep from theta0, and the loop
     returns per run its Trajectory or the TrainingError that ended it.
 
     Row t records the state after step t where step t + 1's gradient is
@@ -406,26 +411,27 @@ def _run(spec, theta0, d_f, d_pt, runs):
     Batched: step t + 1's batch is drawn right after step t, and one more
     draw after the last step supplies row T's batch; row 0 holds values on
     the full datasets, and step 1's gradient is taken alone on batch 1.
-    callback(t, theta, teacher), if given, is invoked after each recorded
-    step t >= 1 with the iterate and the teacher; the loop never writes
-    into either array, so a callback may keep them.  A truthy return stops
-    the run early.
+    observe(t, indices, thetas, teachers), if given, is called once per
+    recorded row t, t = 0 included, with the indices of the live runs
+    and the (n, dim) stacks of their iterates and teachers, fresh arrays
+    the loop never writes into; a true entry of its return (None stops
+    nothing) ends that run at row t.
 
     The runs draw the same data (see lockstep_runs), so one draw per step
     serves all.  Each step evaluates the live runs together on the stack
     of their iterates, one row each, a lone run included (see _evaluate),
-    then takes each run's update rule, finiteness check, teacher update,
-    record and callback on that run alone, so every run is bit for bit
-    the run alone.  A run leaves when its T ends, its callback stops it
-    or its iterate turns non-finite; the others go on.
+    then takes each run's update rule, finiteness check, teacher update
+    and record on that run alone, so every run is bit for bit the run
+    alone.  A run leaves when its T ends, the observer stops it or its
+    iterate turns non-finite; the others go on.
     """
-    cfg, rule, _ = runs[0]
+    _, cfg, rule = runs[0]
     batched = rule.batched
     theta = np.asarray(theta0, dtype=float).copy()
     if cfg.loss.tag == "npo":
         d_f = Lmod.npo_pairs(spec, d_f, theta)
     sampler = _BatchSampler(spec, cfg, d_f, d_pt) if batched else None
-    rows = [_Row(c, r, cb, theta) for c, r, cb in runs]
+    rows = [_Row(i, c, r, theta) for i, c, r in runs]
     live, fb, pb, plans = rows, d_f, d_pt, {}
 
     def evaluate(value, grad):
@@ -444,14 +450,18 @@ def _run(spec, theta0, d_f, d_pt, runs):
                 break
             if batched:
                 fb, pb = sampler.draw()
-        loss, div, g = evaluate(True, (t > 0 or not batched)
-                                and any(t < r.cfg.T for r in live))
-        live = [r for r, *e in zip(live, loss, div, g) if not r.record(t, *e)]
+        th, loss, div, g = evaluate(True, (t > 0 or not batched)
+                                    and any(t < r.cfg.T for r in live))
+        stop = observe and observe(t, [r.index for r in live], th,
+                                   np.stack([r.teacher for r in live]))
+        if stop is None:
+            stop = [False] * len(live)
+        live = [r for r, *e in zip(live, loss, div, g, stop) if not r.record(t, *e)]
         if not live:
             break
         if t == 0 and batched:
             fb, pb = sampler.draw()
-            for r, g in zip(live, evaluate(False, True)[2]):
+            for r, g in zip(live, evaluate(False, True)[3]):
                 r.g = g
     return [r.outcome for r in rows]
 
@@ -525,8 +535,12 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts):
     th = np.tile(theta0, (len(T), 3, 1))
     teacher = th[:, 0]
     vel = np.zeros_like(teacher)
-    g, g_mt = gradients(th, teacher)
-    g_lag = g[:, 2]
+    # The first step's gradients; a call whose horizons are all 0 takes
+    # none.
+    j = sum(n > 0 for n in T)
+    if j:
+        g, g_mt = gradients(th, teacher)
+        g_lag = g[:, 2]
     rate = cfg.eta * cfg.kappa
     dev = np.zeros((len(T), 2))
     # The references' step gradients, and the gaps of the steps not yet
@@ -535,7 +549,6 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts):
     step_g = np.empty((len(T), 2, len(theta0)))
     gaps = np.empty((DEVIATION_CHUNK,) + step_g.shape)
     k = 0
-    j = sum(n > 0 for n in T)
     for t in range(1, T[0] + 1):
         new = np.empty((j,) + th.shape[1:])
         # With the clip off l = 1, and 1.0 * g is g.
@@ -561,31 +574,34 @@ def mt_ngd_deviations(spec, theta0, d_f, d_pt, cfg, alphas, Ts):
     return out
 
 
-def lockstep_runs(spec, theta0, d_f, d_pt, runs):
+def lockstep_runs(spec, theta0, d_f, d_pt, runs, observe=None):
     """Any number of runs from theta0, those that draw the same data
     advanced in lockstep on one stack of parameter vectors.  `runs` is a
-    list of (optimizer, cfg, adam_params, callback), with optimizer one of
-    OPTIMIZERS, adam_params used by "adamw" only (None for the defaults)
-    and callback None or callback(t, theta, teacher), invoked after each
-    recorded step t >= 1 and stopping the run early on a truthy return
-    (see _run).
+    list of (optimizer, cfg, adam_params), with optimizer one of
+    OPTIMIZERS and adam_params used by "adamw" only (None for the
+    defaults).  observe(t, indices, thetas, teachers), if given, watches
+    every partition: it is called once per recorded row t of each, t = 0
+    included, with the indices into `runs` of its live runs and the
+    (n, dim) stacks of their iterates and teachers, and a true entry of
+    its return ends that run at row t (see _run).
 
     The runs are partitioned by the data they draw, which is what
     _BatchSampler and _run's npo expansion read: full batch or batched,
     npo's sequence set or the plain forget set, and for batched runs the
-    seed and both batch sizes.  Each partition is one loop (_run);
-    within it losses, divergences, update rules and every other setting
-    may differ.  Returns per run, in input order, its Trajectory or the
-    TrainingError that ended it (the other runs go on); each is bit for
-    bit the run alone.
+    seed and both batch sizes.  Each partition is one loop (_run), run
+    one after another; within it losses, divergences, update rules and
+    every other setting may differ.  Returns per run, in input order, its
+    Trajectory or the TrainingError that ended it (the other runs go on);
+    each is bit for bit the run alone.
     """
-    rows = [(cfg, _rule(opt, cfg, ap), cb) for opt, cfg, ap, cb in runs]
+    rows = [(cfg, _rule(opt, cfg, ap)) for opt, cfg, ap in runs]
     parts = {}
-    for i, (c, rule, _) in enumerate(rows):
+    for i, (c, rule) in enumerate(rows):
         draws = (c.seed, c.batch_forget, c.batch_pretrain) if rule.batched else ()
         parts.setdefault((rule.batched, c.loss.tag == "npo") + draws, []).append(i)
     out = [None] * len(rows)
     for idx in parts.values():
-        for i, o in zip(idx, _run(spec, theta0, d_f, d_pt, [rows[i] for i in idx])):
+        for i, o in zip(idx, _run(spec, theta0, d_f, d_pt,
+                                  [(i, *rows[i]) for i in idx], observe)):
             out[i] = o
     return out

@@ -222,21 +222,23 @@ def artifact_mismatches(d1, d2):
 
 
 def observed_run(optimizer, spec, theta0, d_f, d_pt, cfg, adam_params=None,
-                 callback=None):
+                 stop=None):
     """One run of `optimizer` (one of optimizer.OPTIMIZERS) alone, as a
-    one-run lockstep_runs call whose callback records every iterate and
-    teacher, then calls `callback` (if given) and returns its answer, so
-    it can stop the run.  Returns (trajectory, thetas, teachers), row 0 of
-    both lists theta0; a run that fails raises its TrainingError."""
-    thetas, teachers = [theta0], [theta0]
+    one-run lockstep_runs call whose observer records every iterate and
+    teacher, row 0 included, then asks `stop(t, theta, teacher)` (if
+    given) whether the run ends at row t.  Returns (trajectory, thetas,
+    teachers), one entry per row; a run that fails raises its
+    TrainingError."""
+    thetas, teachers = [], []
 
-    def record(t, theta, teacher):
-        thetas.append(theta.copy())
-        teachers.append(teacher.copy())
-        return callback is not None and callback(t, theta, teacher)
+    def observe(t, idx, th, te):
+        assert idx == [0] and th.shape == te.shape == (1, len(theta0))
+        thetas.append(th[0].copy())
+        teachers.append(te[0].copy())
+        return [stop is not None and stop(t, th[0], te[0])]
 
     out, = O.lockstep_runs(spec, theta0, d_f, d_pt,
-                           [(optimizer, cfg, adam_params, record)])
+                           [(optimizer, cfg, adam_params)], observe)
     if isinstance(out, TrainingError):
         raise out
     return out, thetas, teachers

@@ -1,6 +1,7 @@
 """End-to-end command-line flows, exit codes, and artifact reproducibility."""
 
 import functools
+import importlib.util
 import inspect
 import json
 import os
@@ -11,12 +12,17 @@ import pytest
 
 from mtunlearn import artifacts as A
 from mtunlearn import cli
+from mtunlearn import losses as L
 from mtunlearn import model as M
 from mtunlearn import optimizer as O
 from mtunlearn.cli import main
 from mtunlearn.errors import TrainingError
 
 from conftest import artifact_mismatches
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench")
 
 
 @pytest.fixture(autouse=True)
@@ -226,23 +232,39 @@ class TestConfigErrors:
         ("train-target", "model", "vocab_size", 10 ** 6),
         ("train-target", "model", "hidden_dim", 2 ** 70),
         ("train-target", "model", "context_len", 2 ** 70),
+        ("unlearn", "mt", "T", 10 ** 12),
+        ("train-target", "train", "epochs", 10 ** 12),
+        ("verify", "lemma", "T", 10 ** 12),
+        ("verify", "dynamics", "target_epochs", 10 ** 12),
+        ("train-target", "corpus", "seq_len", 10 ** 9),
+        ("train-target", "corpus", "n_sequences", 10 ** 7),
     ])
     def test_size_above_its_cap_exits_2_naming_it(self, tmp_path, capsys,
                                                   command, section, field,
                                                   value):
-        """A batch size above optimizer.MAX_BATCH, or a model above
-        model.MAX_PARAMS parameters, once ended in a traceback or ran out
-        of memory; each exits 2 naming the field, before any run."""
+        """A batch size above optimizer.MAX_BATCH, a model above
+        model.MAX_PARAMS parameters, a step count above optimizer.MAX_STEPS
+        or a corpus above harness.MAX_CORPUS_TOKENS once ended in a
+        traceback, ran out of memory or ran without bound; each exits 2
+        naming the field, before any run."""
         cfg = unlearn_cfg() if command == "unlearn" else target_cfg()
-        if section == "mt":
+        if command == "verify":
+            command, cfg = f"verify {section}", {field: value}
+        elif section == "mt":
             cfg["methods"][0]["mt"][field] = value
+        elif section == "train":
+            cfg["train"][field] = value
+        elif section == "corpus":
+            # n_sequences this large draws with the random generator only.
+            cfg["corpus"].update({field: value, "generator": "random"})
         elif field != "vocab_size":
             cfg["model"] = {"kind": "mlp-1hidden", "vocab_size": 8,
                             "context_len": 2, "hidden_dim": 4, field: value}
         else:
             cfg["model"][field] = value
         out = tmp_path / "out"
-        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert main(command.split() + [write_cfg(tmp_path, cfg),
+                                       "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert field in err and "cap" in err and "Traceback" not in err
         assert not (out / "results.json").exists()
@@ -919,10 +941,11 @@ class TestUnlearn:
         run, lockstep, sizes = O._run, O.lockstep_runs, []
 
         def counted(*args):
-            sizes.append(len(args[-1]))
+            sizes.append(len(args[4]))
             return run(*args)
 
-        def each_alone(spec, theta0, d_f, d_pt, runs):
+        def each_alone(spec, theta0, d_f, d_pt, runs, observe):
+            assert observe is None
             return [lockstep(spec, theta0, d_f, d_pt, [r])[0] for r in runs]
 
         with np.errstate(all="ignore"):
@@ -963,6 +986,52 @@ class TestUnlearn:
         assert main(["unlearn", path, "--out", out]) == 0
         row = A.read_results_json(out)["rows"][0]
         assert 0 < row["steps"] < 400
+
+
+    def test_stop_rule_makes_one_call_per_partition_per_check(
+            self, tmp_path, monkeypatch):
+        """perfbench's seed-0 unlearn-mlp config with a stop rule: every
+        check step of a partition makes one NLL call over the stack of its
+        live runs, where it made one per run.  The four single-round
+        methods share a partition; mt-nlul stops at 30 steps, mt-nlul-qkl
+        at 120, and the sequential method's four rounds, each a partition
+        of its own, take 250 steps in all."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        work = str(tmp_path)
+        (command, _, _, target), = workloads.UnlearnMLP().setup_commands(work, 0)
+        assert main([command, os.path.join(target, "train.json"),
+                     "--out", target]) == 0
+        with open(os.path.join(work, "unlearn.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["stop_rule"] = {"threshold": 3.0, "check_every": 10}
+        loss, inside, calls = L.batch_loss, [], []
+
+        def spy_loss(kind, spec, theta, batch, **kw):
+            if inside and kind.tag == "nll":
+                calls.append(np.shape(theta)[:-1])
+            return loss(kind, spec, theta, batch, **kw)
+
+        run = O._run
+
+        def spy_run(*args):
+            inside.append(1)
+            try:
+                return run(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(L, "batch_loss", spy_loss)
+        monkeypatch.setattr(O, "_run", spy_run)
+        out = os.path.join(work, "out")
+        assert main(["unlearn", write_cfg(tmp_path, cfg), "--out", out]) == 0
+        rows = A.read_results_json(out)["rows"]
+        assert [r["steps"] for r in rows] == [30, 120, 250, 600, 600, 0]
+        # Checks at t = 10, ..., 600 of the shared partition, 4, 3 and
+        # then 2 runs live; then 25 checks of the one-run rounds.
+        assert calls == [(4,)] * 3 + [(3,)] * 9 + [(2,)] * 48 + [(1,)] * 25
 
 
 # A small config of each verify check.

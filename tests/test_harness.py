@@ -84,10 +84,15 @@ class TestCorpusSpec:
             (dict(good, generator="markov"), "generator"),
             (dict(good, period=0), "period"),
             (dict(good, period=9), "period"),
+            (dict(good, n_sequences=2, seq_len=Hn.MAX_CORPUS_TOKENS // 2 + 1),
+             r"n_sequences \* seq_len = 1000002 tokens, above the cap"),
+            (dict(good, generator="random", n_sequences=10 ** 7),
+             "lower n_sequences or seq_len"),
         ]
         for kw, match in cases:
             with pytest.raises(ValueError, match=match):
                 Hn.CorpusSpec(**kw)
+        Hn.CorpusSpec(8, 2, Hn.MAX_CORPUS_TOKENS // 2)
 
     def test_forget_count_is_clamped_to_leave_both_splits(self):
         assert Hn.CorpusSpec(8, 5, 12, forget_fraction=0.9).n_forget == 4
@@ -237,6 +242,8 @@ class TestBuildTarget:
         (dict(lr=float("nan")), "lr"),
         (dict(momentum=1.5), "momentum"),
         (dict(momentum=-1.0), "momentum"),
+        (dict(epochs=O.MAX_STEPS + 1), "epochs must be at least 1 and at most "
+                                       "the step cap 1000000, got 1000001"),
     ])
     def test_arguments_rejected_before_training(self, monkeypatch, kw, field):
         forbid(monkeypatch, L, "batch_grad")
@@ -348,14 +355,14 @@ class TestTheoremDriver:
 
     def test_the_step_cap_bounds_the_longest_horizon(self, bigram_testbed,
                                                      monkeypatch):
-        """A grid runs when its longest T equals MAX_THEOREM_STEPS and is
+        """A grid runs when its longest T equals optimizer.MAX_STEPS and is
         rejected, naming t_gamma and the smallest alpha, one step above."""
         alphas = (0.2, 0.1)
         T = Hn.verify_theorem1(bigram_testbed, alphas=alphas,
                                t_gamma=0.05)["rows"][1]["T"]
-        monkeypatch.setattr(Hn, "MAX_THEOREM_STEPS", T)
+        monkeypatch.setattr(O, "MAX_STEPS", T)
         Hn.verify_theorem1(bigram_testbed, alphas=alphas, t_gamma=0.05)
-        monkeypatch.setattr(Hn, "MAX_THEOREM_STEPS", T - 1)
+        monkeypatch.setattr(O, "MAX_STEPS", T - 1)
         forbid(monkeypatch, O, "mt_ngd_deviations")
         with pytest.raises(ConfigError, match=f"t_gamma=0.05 gives T={T} steps "
                                               f"at alpha=0.1, above the cap"):
@@ -574,6 +581,7 @@ class TestLemmaDriver:
         (dict(lams=(float("inf"),)), "lams"),
         # T = 0 once reported a pass with no step measured.
         (dict(T=0), "T must be at least"),
+        (dict(T=O.MAX_STEPS + 1), "at most the step cap 1000000, got 1000001"),
     ])
     def test_grid_rejected_before_the_first_cell(self, monkeypatch, kw, field):
         forbid(monkeypatch, Hn.curvature, "momentum_error_traces")
@@ -695,10 +703,11 @@ class TestDynamicsDriver:
         pairs = L.npo_pairs(setup.spec, setup.d_f, setup.theta0)
         observed_run("mt-batched", setup.spec, setup.theta0, setup.d_f,
                      setup.d_pt, dataclasses.replace(setup.base_cfg, loss=kind),
-                     callback=lambda t, th, te: fresh.append(linalg.norm(
+                     stop=lambda t, th, te: fresh.append(linalg.norm(
                          L.batch_grad(kind, setup.spec, th, pairs))))
         g0 = L.batch_grad(kind, setup.spec, setup.theta0, pairs)
-        assert result["series"]["npo"]["loss_grad_norm"] == [linalg.norm(g0)] + fresh
+        assert fresh[0] == linalg.norm(g0)
+        assert result["series"]["npo"]["loss_grad_norm"] == fresh
 
     def test_study_is_its_runs_alone(self):
         """The study's lockstep equals one "mt-batched" run per loss with
@@ -723,12 +732,12 @@ class TestDynamicsDriver:
 
             observed_run("mt-batched", s.spec, s.theta0, s.d_f, s.d_pt,
                          dataclasses.replace(s.base_cfg, loss=kind),
-                         callback=observe)
+                         stop=observe)
             entry = result["series"][tag]
             assert entry["t"] == list(range(31))
             for name in ("nll_forget", "loss_grad_norm") + (
                     ("kl_to_teacher",) if tag == "it" else ()):
-                assert entry[name][1:] == seen[name], (tag, name)
+                assert entry[name] == seen[name], (tag, name)
             assert result["delta_nll"][tag] == \
                 seen["nll_forget"][-1] - result["nll_forget_initial"]
         diverge = dataclasses.replace(setup, base_cfg=dataclasses.replace(
@@ -737,10 +746,31 @@ class TestDynamicsDriver:
             with pytest.raises(TrainingError, match="non-finite"):
                 Hn.gradient_dynamics_study(diverge, loss_tags=tags)
 
+    def test_a_run_leaving_its_partition_early_raises_its_error(self, monkeypatch):
+        """When one run of a partition leaves before the others, the rows
+        the observer kept while it was live are evaluated apart from the
+        later ones, and the study raises the run's error."""
+        setup = Hn.default_dynamics_setup(seed=5, target_epochs=300)
+        setup = dataclasses.replace(
+            setup, base_cfg=dataclasses.replace(setup.base_cfg, T=30))
+        real, error = O.lockstep_runs, TrainingError("non-finite parameters at step 21")
+
+        def first_leaves_at_21(spec, theta0, d_f, d_pt, runs, observe):
+            def dropping(t, idx, th, te):
+                keep = [j for j, i in enumerate(idx) if t < 21 or i != 0]
+                return observe(t, [idx[j] for j in keep], th[keep], te[keep])
+            return [error] + real(spec, theta0, d_f, d_pt, runs, dropping)[1:]
+
+        monkeypatch.setattr(O, "lockstep_runs", first_leaves_at_21)
+        with pytest.raises(TrainingError) as exc:
+            Hn.gradient_dynamics_study(setup, loss_tags=("ll", "nlul"))
+        assert exc.value is error
+
     def test_target_epochs_rejected_before_training(self, monkeypatch):
         forbid(monkeypatch, Hn, "build_target")
-        with pytest.raises(ConfigError, match="target_epochs"):
-            Hn.default_dynamics_setup(target_epochs=0)
+        for epochs in (0, O.MAX_STEPS + 1):
+            with pytest.raises(ConfigError, match="target_epochs"):
+                Hn.default_dynamics_setup(target_epochs=epochs)
 
 
 class TestStopRule:
@@ -882,9 +912,11 @@ def run_alone(monkeypatch):
     the list of the runs each real call was given."""
     real, calls = O.lockstep_runs, []
 
-    def alone(spec, theta0, d_f, d_pt, runs):
+    def alone(spec, theta0, d_f, d_pt, runs, observe=None):
         calls.append(runs)
-        return [real(spec, theta0, d_f, d_pt, [r])[0] for r in runs]
+        return [real(spec, theta0, d_f, d_pt, [r], observe and (
+            lambda t, idx, th, te, i=i: observe(t, [i], th, te)))[0]
+            for i, r in enumerate(runs)]
 
     monkeypatch.setattr(O, "lockstep_runs", alone)
     return calls
@@ -919,9 +951,9 @@ class TestLockstepGroups:
         name_of = {m.config.T: m.name for m in methods if m.config is not None}
         loops, run = [], O._run
 
-        def spy(spec, theta0, d_f, d_pt, rows):
-            loops.append([name_of[c.T] for c, _, _ in rows])
-            return run(spec, theta0, d_f, d_pt, rows)
+        def spy(spec, theta0, d_f, d_pt, rows, observe):
+            loops.append([name_of[c.T] for _, c, _ in rows])
+            return run(spec, theta0, d_f, d_pt, rows, observe)
 
         monkeypatch.setattr(O, "_run", spy)
         Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt, methods)
@@ -944,7 +976,7 @@ class TestLockstepGroups:
         loops, run = [], O._run
 
         def spy(*args):
-            loops.append(len(args[-1]))
+            loops.append(len(args[4]))
             return run(*args)
 
         with monkeypatch.context() as mp:
@@ -979,9 +1011,9 @@ class TestLockstepGroups:
         ]
         calls = run_alone(monkeypatch)
         Hn.unlearn_experiment(s.spec, s.theta0, s.d_f, s.d_pt, methods)
-        assert [[c.seed for _, c, _, _ in runs] for runs in calls] == [
+        assert [[c.seed for _, c, _ in runs] for runs in calls] == [
             [42, 42, 42], [42], [43]]
-        assert [[opt for opt, _, _, _ in runs] for runs in calls] == [
+        assert [[opt for opt, _, _ in runs] for runs in calls] == [
             ["mt-batched", "mt", "adamw"], ["mt-batched"], ["mt-batched"]]
 
 

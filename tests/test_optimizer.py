@@ -64,11 +64,14 @@ class TestConfig:
             (dict(batch_pretrain=2 ** 70), "batch_pretrain"),
             (dict(kappa=float("nan")), "kappa"),
             (dict(clip=float("nan")), "clip"),
+            (dict(T=O.MAX_STEPS + 1), "T must be nonnegative and at most the "
+                                      "step cap 1000000, got 1000001"),
         ]
         for kw, match in cases:
             with pytest.raises(ValueError, match=match):
                 base_config(**kw)
-        base_config(batch_forget=O.MAX_BATCH, batch_pretrain=O.MAX_BATCH)
+        base_config(batch_forget=O.MAX_BATCH, batch_pretrain=O.MAX_BATCH,
+                    T=O.MAX_STEPS)
 
     def test_replace_revalidates(self):
         cfg = base_config()
@@ -286,14 +289,14 @@ class TestBatchedRun:
             assert_row(traj, t, cfg, self.spec, theta, teacher, fb, pb)
 
     def test_callback_stop_records_the_next_draw(self):
-        """A run stopped by its callback after step 3 records row 3 on the
+        """A run stopped by its observer after step 3 records row 3 on the
         batch step 4 would have used; T = 0 records row 0 alone, on the
         full datasets."""
         cfg = base_config(T=50, clip=0.5, batch_forget=3, batch_pretrain=4,
                           seed=34)
         traj = observed_run("mt-batched", self.spec, self.theta0, self.d_f,
                             self.d_pt, cfg,
-                            callback=lambda t, theta, teacher: t == 3)[0]
+                            stop=lambda t, theta, teacher: t == 3)[0]
         assert traj.ts == [0, 1, 2, 3]
         for t, theta, teacher, gn, l, fb, pb in self.replay(cfg, 3):
             assert traj.clip_scales[t] == l and traj.grad_norms[t] == gn
@@ -316,7 +319,8 @@ class TestBatchedRun:
         and no gradient is taken after the last step.  The reference
         ("ngd") runs in mt_ngd_deviations, which takes one loss gradient
         per step over the stack of the mean teacher and both references,
-        the first before step 1, and records nothing."""
+        the first before step 1 (none when no step is taken), and records
+        nothing."""
         cfg = base_config(T=T, batch_forget=3, batch_pretrain=4, seed=35)
         calls = []
         if rule == "ngd":
@@ -329,7 +333,7 @@ class TestBatchedRun:
             monkeypatch.setattr(L, "batch_grad", counting_grads)
             O.mt_ngd_deviations(self.spec, self.theta0, self.d_f, self.d_pt,
                                 cfg, [cfg.alpha], [T])
-            assert calls == [(3, len(self.theta0))] * max(T, 1)
+            assert calls == [(3, len(self.theta0))] * T
             return
         evaluate = O._evaluate
 
@@ -392,8 +396,8 @@ class TestBatchedRun:
             return t == 3
 
         traj = observed_run("mt-batched", self.spec, self.theta0, self.d_f,
-                            self.d_pt, cfg, callback=stop_at_three)[0]
-        assert seen == [1, 2, 3]
+                            self.d_pt, cfg, stop=stop_at_three)[0]
+        assert seen == [0, 1, 2, 3]
         assert traj.ts == [0, 1, 2, 3]
 
     def test_npo_requires_sequence_data(self):
@@ -617,7 +621,7 @@ class TestBaselines:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown optimizer: 'nesterov'"):
             O.lockstep_runs(self.spec, self.theta0, self.d_f, self.d_pt,
-                            [("nesterov", base_config(), None, None)])
+                            [("nesterov", base_config(), None)])
 
 
 class TestKeepIterates:
@@ -641,8 +645,8 @@ class TestKeepIterates:
             seen.append((theta.copy(), teacher))
             return t == 3
 
-        traj = self.run(rule, callback=stop_at_three)
-        assert traj.ts == [0, 1, 2, 3] and len(seen) == 3
+        traj = self.run(rule, stop=stop_at_three)
+        assert traj.ts == [0, 1, 2, 3] and len(seen) == 4
         assert traj.final_theta.tobytes() == seen[-1][0].tobytes()
         short = self.run(rule, dataclasses.replace(self.cfg, T=3))
         assert traj.final_theta.tobytes() == short.final_theta.tobytes()
@@ -860,22 +864,23 @@ def solo_run(opt, spec, theta0, d_f, d_pt, cfg, **kw):
                         GROUP_ADAM if opt == "adamw" else None, **kw)
 
 
-def lockstep_group(spec, theta0, d_f, d_pt, cfgs, callbacks=None):
-    callbacks = callbacks or [None] * len(cfgs)
+def lockstep_group(spec, theta0, d_f, d_pt, cfgs, observe=None):
     return O.lockstep_runs(spec, theta0, d_f, d_pt, [
-        (opt, cfg, GROUP_ADAM if opt == "adamw" else None, cb)
-        for (opt, _), cfg, cb in zip(GROUP, cfgs, callbacks)])
+        (opt, cfg, GROUP_ADAM if opt == "adamw" else None)
+        for (opt, _), cfg in zip(GROUP, cfgs)], observe)
 
 
-def recorder():
-    """A callback keeping every (theta, teacher) it is given, as given and
-    as copied at the call."""
-    kept, copies = [], []
+def recorder(n):
+    """An observer of n runs keeping, per run, every (theta, teacher) row
+    it is given, as given and as copied at the call."""
+    kept, copies = [[] for _ in range(n)], [[] for _ in range(n)]
 
-    def callback(t, theta, teacher):
-        kept.append((theta, teacher))
-        copies.append((theta.copy(), teacher.copy()))
-    return callback, kept, copies
+    def observe(t, idx, thetas, teachers):
+        assert thetas.shape == teachers.shape and len(thetas) == len(idx)
+        for i, theta, teacher in zip(idx, thetas, teachers):
+            kept[i].append((theta, teacher))
+            copies[i].append((theta.copy(), teacher.copy()))
+    return observe, kept, copies
 
 
 TRAJECTORY_COLUMNS = ("ts", "grad_norms", "loss_values", "divergence_values",
@@ -896,19 +901,18 @@ class TestLockstepRuns:
         cfgs = group_configs(loss)
         solos = [solo_run(opt, spec, theta0, d_f, d_pt, cfg)
                  for (opt, _), cfg in zip(GROUP, cfgs)]
-        recorders = [recorder() for _ in GROUP]
-        trajs = lockstep_group(spec, theta0, d_f, d_pt, cfgs,
-                               [cb for cb, _, _ in recorders])
-        for traj, (solo, thetas, teachers), (_, kept, copies), cfg in zip(
-                trajs, solos, recorders, cfgs):
-            assert len(traj) == cfg.T + 1
+        observe, kept_rows, copied_rows = recorder(len(GROUP))
+        trajs = lockstep_group(spec, theta0, d_f, d_pt, cfgs, observe)
+        for traj, (solo, thetas, teachers), kept, copies, cfg in zip(
+                trajs, solos, kept_rows, copied_rows, cfgs):
+            assert len(traj) == len(copies) == cfg.T + 1
             for name in TRAJECTORY_COLUMNS:
                 assert same_bits(getattr(traj, name), getattr(solo, name)), name
             assert same_bits(traj.final_theta, solo.final_theta)
             assert same_bits(traj.final_teacher, solo.final_teacher)
             assert all(same_bits(a, b) and same_bits(c, d) for (a, c), b, d in
-                       zip(copies, thetas[1:], teachers[1:]))
-            # The loop never writes into an array it gave a callback.
+                       zip(copies, thetas, teachers))
+            # The loop never writes into an array it gave the observer.
             assert all(same_bits(a, b) and same_bits(c, d)
                        for (a, c), (b, d) in zip(kept, copies))
 
@@ -939,18 +943,43 @@ class TestLockstepRuns:
         cfgs = group_configs(L.LossKind("nlul"), T=7)
         stops = (2, 6, 1, 4)
 
-        def stop_at(n):
-            return lambda t, theta, teacher: t == n
-
         trajs = lockstep_group(spec, theta0, d_f, d_pt, cfgs,
-                               [stop_at(n) for n in stops])
+                               lambda t, idx, th, te: [t == stops[i] for i in idx])
         for (opt, _), cfg, n, traj in zip(GROUP, cfgs, stops, trajs):
             alone = solo_run(opt, spec, theta0, d_f, d_pt, cfg,
-                             callback=stop_at(n))[0]
+                             stop=lambda t, theta, teacher: t == n)[0]
             assert traj.ts == list(range(n + 1))
             for name in TRAJECTORY_COLUMNS:
                 assert same_bits(getattr(traj, name), getattr(alone, name))
             assert same_bits(traj.final_theta, alone.final_theta)
+
+    def test_one_observer_call_per_row_of_each_partition(self):
+        """The observer sees the live runs of each partition once per
+        recorded row, row 0 included, one partition after another, by
+        their indices into the call's list; a true entry at row 0 ends
+        that run there."""
+        spec = SPECS["bigram"]
+        d_f, d_pt = sequence_data(spec, 5)
+        theta0 = M.init_params(spec, 3)
+        shared = dict(batch_forget=3, batch_pretrain=4, seed=21)
+        runs = [("mt-batched", base_config(T=3, **shared)),
+                ("mt", base_config(T=2)),
+                ("adamw", base_config(T=1, **shared)),
+                ("mt-batched", base_config(T=4, **shared))]
+        calls = []
+
+        def observe(t, idx, th, te):
+            calls.append((t, idx, th.shape, te.shape))
+            return [t == 0 and i == 3 for i in idx]
+
+        outs = O.lockstep_runs(spec, theta0, d_f, d_pt,
+                               [(opt, c, None) for opt, c in runs], observe)
+        dim = len(theta0)
+        assert calls == [(t, idx, (len(idx), dim), (len(idx), dim)) for t, idx in [
+            (0, [0, 2, 3]), (1, [0, 2]), (2, [0]), (3, [0]),
+            (0, [1]), (1, [1]), (2, [1])]]
+        assert [out.ts for out in outs] == [[0, 1, 2, 3], [0, 1, 2], [0, 1], [0]]
+        assert same_bits(outs[3].final_theta, theta0)
 
     def test_runs_must_share_their_data(self, monkeypatch):
         """Runs share a loop when they draw the same data: full batch or
@@ -984,13 +1013,13 @@ class TestLockstepRuns:
         names = {id(c): name for name, (_, c) in runs.items()}
         loops, run = [], O._run
 
-        def spy(spec, theta0, d_f, d_pt, rows):
-            loops.append([names[id(c)] for c, _, _ in rows])
-            return run(spec, theta0, d_f, d_pt, rows)
+        def spy(spec, theta0, d_f, d_pt, rows, observe):
+            loops.append([names[id(c)] for _, c, _ in rows])
+            return run(spec, theta0, d_f, d_pt, rows, observe)
 
         monkeypatch.setattr(O, "_run", spy)
         outs = O.lockstep_runs(spec, theta0, d_f, d_pt,
-                               [(opt, c, None, None) for opt, c in runs.values()])
+                               [(opt, c, None) for opt, c in runs.values()])
         assert loops == [["a", "b", "c", "ll"], ["seed", "seed2"],
                          ["full", "full-seed"], ["batch"], ["pretrain"],
                          ["npo", "npo2"], ["full-npo"]]
@@ -1025,12 +1054,12 @@ class TestLockstepRuns:
             ("adamw", base_config(T=5, **shared)),
             ("mt", base_config(T=4, loss=L.LossKind("nlul"), eta=0.02)),
         ]
-        recorders = [recorder() for _ in runs]
+        observe, _, copied_rows = recorder(len(runs))
         with np.errstate(all="ignore"):
             outs = O.lockstep_runs(spec, theta0, d_f, d_pt, [
-                (opt, c, GROUP_ADAM if opt == "adamw" else None, cb)
-                for (opt, c), (cb, _, _) in zip(runs, recorders)])
-            for (opt, c), out, (_, _, copies) in zip(runs, outs, recorders):
+                (opt, c, GROUP_ADAM if opt == "adamw" else None)
+                for opt, c in runs], observe)
+            for (opt, c), out, copies in zip(runs, outs, copied_rows):
                 try:
                     solo, thetas, teachers = solo_run(opt, spec, theta0, d_f,
                                                       d_pt, c)
@@ -1042,7 +1071,8 @@ class TestLockstepRuns:
                     assert same_bits(getattr(out, name), getattr(solo, name)), name
                 assert same_bits(out.final_theta, solo.final_theta)
                 assert same_bits(out.final_teacher, solo.final_teacher)
+                assert len(copies) == len(thetas)
                 assert all(same_bits(a, b) and same_bits(e, f) for (a, e), b, f in
-                           zip(copies, thetas[1:], teachers[1:]))
+                           zip(copies, thetas, teachers))
         assert [isinstance(o, TrainingError) for o in outs] == \
             [i == 5 for i in range(len(runs))]

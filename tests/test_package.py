@@ -97,9 +97,27 @@ def test_lockstep_runs_is_the_one_run_entry():
     assert runs == ["lockstep_runs"]
 
 
+def test_lockstep_runs_takes_one_observer():
+    """One observer watches every run of a lockstep_runs call, so no
+    per-run callback is left: lockstep_runs takes `observe`, no name,
+    attribute or argument in the optimizer or the harness mentions a
+    callback, and the stop rule's callback factory is gone."""
+    names = _source_names()
+    for fname in ("optimizer.py", "harness.py"):
+        assert not [n for n in names[fname] if "callback" in n.lower()], fname
+    assert not any("_stop_callback" in named for named in names.values())
+    assert not hasattr(harness, "_stop_callback")
+    with open(optimizer.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    fn, = [n for n in tree.body
+           if isinstance(n, ast.FunctionDef) and n.name == "lockstep_runs"]
+    assert [a.arg for a in fn.args.args] == ["spec", "theta0", "d_f", "d_pt",
+                                             "runs", "observe"]
+
+
 def _source_names():
-    """Per file under src/mtunlearn, the names, attributes, imported and
-    defined names its source mentions."""
+    """Per file under src/mtunlearn, the names, attributes, arguments,
+    imported and defined names its source mentions."""
     src = os.path.dirname(mtunlearn.__file__)
     out = {}
     for fname in sorted(os.listdir(src)):
@@ -107,7 +125,7 @@ def _source_names():
             with open(os.path.join(src, fname), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             out[fname] = {getattr(n, key) for n in ast.walk(tree)
-                          for key in ("id", "attr", "name", "asname")
+                          for key in ("id", "attr", "name", "asname", "arg")
                           if isinstance(getattr(n, key, None), str)}
     return out
 
