@@ -53,6 +53,11 @@ MAX_CORPUS_TOKENS = 1_000_000
 LEMMA_FAMILY_SEED = 14
 LEMMA_NOISE_SEED_OFFSET = 7000
 LEMMA_BOUND_RTOL = 1e-12
+# The most entries of each array the check holds: the (dim, dim)
+# instance, the (T, dim) injected errors and the (cells, T + 1) error
+# traces, 256 MiB of floats each.  It admits the shipped 18-cell grid at
+# the step cap and dim up to 5 792.
+LEMMA_MAX_ENTRIES = 2 ** 25
 
 # The dynamics study evaluates its runs' iterates in stacks of this many
 # steps.  One stack of a whole 500-step run is slower, and holds about
@@ -439,6 +444,9 @@ class LemmaFamily:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
+        if self.dim ** 2 > LEMMA_MAX_ENTRIES:
+            raise ValueError(f"dim={self.dim} gives a (dim, dim) instance above "
+                             f"the cap of {LEMMA_MAX_ENTRIES} entries")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("eig_low", "eig_high"):
@@ -484,6 +492,9 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     the bound exceeds that slack: below it both sides are roundoff, and
     their ratio says nothing.  floor_step is the first step where the
     bound is at or below the slack (None if it never gets there).
+
+    The instance, the injected errors and the error traces each hold at
+    most LEMMA_MAX_ENTRIES entries, checked before any is allocated.
     """
     if not 1 <= T <= O.MAX_STEPS:
         raise ConfigError(f"T must be at least 1 (a check of no step measures "
@@ -501,6 +512,14 @@ def verify_lemma(family=None, mus=(0.0, 0.5, 0.9), lams=(0.1, 1.0, 10.0),
     if not step_scale > 0:
         raise ConfigError(f"step_scale must be positive, got {step_scale}")
     family = family or LemmaFamily()
+    n_cells = len(mus) * len(lams) * len(modes)
+    if T * family.dim > LEMMA_MAX_ENTRIES:
+        raise ConfigError(f"T={T} and dim={family.dim} give (T, dim) injected "
+                          f"errors above the cap of {LEMMA_MAX_ENTRIES} entries")
+    if n_cells * (T + 1) > LEMMA_MAX_ENTRIES:
+        raise ConfigError(f"{n_cells} cells of mus, lams and modes at T={T} give "
+                          f"(cells, T + 1) error traces above the cap of "
+                          f"{LEMMA_MAX_ENTRIES} entries")
     H, g = lemma_instance(family)
     lam_max = float(np.linalg.eigvalsh(H)[-1])
     # The iteration's precondition eta < 1/(lam_max + lam), in the

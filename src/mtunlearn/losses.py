@@ -11,7 +11,8 @@ p = softmax(h):
   npo    -(2/beta) log sigmoid(-beta (log pi_theta(s) - log pi_base(s))),
          a sequence-level loss whose gradient is the summed per-token ll
          gradient damped by 2 w(s), w = pi_theta^beta/(pi_theta^beta +
-         pi_base^beta).
+         pi_base^beta).  Its batches are datasets of whole sequences
+         (model.sequence_starts) carrying the base values (npo_pairs).
 
 The saturated regime p_y -> 1 is handled exactly: the complementary mass
 1 - p_y is a sum of positive terms, never the difference 1 - p_y.  The
@@ -53,19 +54,13 @@ class TeacherLogits:
     def is_uniform(self):
         return self.spec is None
 
-    def batch(self, data, vocab_size):
-        """Teacher logits of a TokenDataset or an array of contexts."""
-        if self.is_uniform:
-            return np.zeros((len(data), vocab_size))
-        return M.batch_logits(self.spec, self.theta, data)
-
     def log_probs(self, data, vocab_size):
-        """Teacher log-probabilities of the contexts; the uniform teacher's
-        are the constant -log V, equal bit for bit to the log-softmax of
-        its zero logits."""
+        """Teacher log-probabilities of the contexts of a TokenDataset or
+        an array of contexts; the uniform teacher's are the constant
+        -log V, equal bit for bit to the log-softmax of its zero logits."""
         if self.is_uniform:
             return -np.log(vocab_size)
-        return M.log_softmax_rows(self.batch(data, vocab_size))
+        return M.log_softmax_rows(M.batch_logits(self.spec, self.theta, data))
 
 
 @dataclass
@@ -154,13 +149,12 @@ def _kl_rows(P, log_p, log_q, grad):
 
 
 def npo_pairs(spec, data, base):
-    """The npo forget set of a run: data's sequences expanded into pairs
-    once (model.sequence_pairs), carrying each sequence's log-probability
+    """The npo forget set of a run: data, a dataset of whole sequences
+    (see model.sequence_starts), carrying each sequence's log-probability
     under the fixed base model, whose parameters are `base`, so that its
     batches gather those values instead of recomputing them."""
-    ds, _ = M.sequence_pairs(spec, data)
-    return M.TokenDataset(ds.contexts, ds.nexts, ds.sequences,
-                          M.sequence_logprob(spec, base, ds))
+    lb = M.sequence_logprob(spec, base, data)
+    return M.TokenDataset(data.contexts, data.nexts, data.sequences, lb)
 
 
 def _npo_terms(kind, spec, theta, batch, value, grad):
@@ -179,13 +173,13 @@ def _npo_terms(kind, spec, theta, batch, value, grad):
     if lb is None:
         raise ValueError("npo needs a batch carrying the base model's "
                          "log-probabilities; build the forget set with npo_pairs")
-    ds, starts = M.sequence_pairs(spec, batch)
+    starts = M.sequence_starts(spec, batch)
     if np.shape(lb) != starts.shape:
         raise ValueError(f"base_logprob has shape {np.shape(lb)} for "
                          f"{len(starts)} sequences; build the forget set "
                          f"with npo_pairs")
-    H, aux = M._forward(spec, theta, ds.inputs(spec))
-    lt = M.segment_logprob(H, ds, starts)
+    H, aux = M._forward(spec, theta, batch.inputs(spec))
+    lt = M.segment_logprob(H, batch, starts)
     v = g = None
     if value:
         vals = (2.0 / kind.beta) * np.logaddexp(0.0, kind.beta * (lt - lb))
@@ -193,9 +187,9 @@ def _npo_terms(kind, spec, theta, batch, value, grad):
     if grad:
         w = _sigmoid(kind.beta * (lt - lb))
         G = -M.softmax_rows(H)
-        G[..., np.arange(len(ds)), ds.nexts] += 1.0
+        G[..., np.arange(len(batch)), batch.nexts] += 1.0
         per_pair = np.repeat(2.0 * w / w.shape[-1],
-                             np.diff(np.append(starts, len(ds))), axis=-1)
+                             np.diff(np.append(starts, len(batch))), axis=-1)
         g = M.grad_from_logit_grads(spec, theta, G * per_pair[..., None], aux)
     return v, g
 

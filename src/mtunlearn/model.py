@@ -112,10 +112,12 @@ class TokenDataset:
     contexts is an (n, context_len) int array, left-padded with -1 where a
     sequence prefix is shorter than context_len; nexts is the (n,) array of
     target tokens.  sequences retains the source sequences when the
-    dataset was built from them (needed for sequence-level losses and for
-    greedy decoding metrics).  base_logprob, when set, holds the npo base
-    model's log-probability of each sequence (losses.npo_pairs computes it
-    once and the batches drawn from that dataset gather it).
+    dataset was built from them (needed for greedy decoding metrics, and
+    for sequence-level losses, which take only a dataset whose pairs are
+    its sequences' expansion: see sequence_starts).  base_logprob, when
+    set, holds the npo base model's log-probability of each sequence
+    (losses.npo_pairs computes it once and the batches drawn from that
+    dataset gather it).
 
     The model inputs are a property of the dataset: the first use with a
     ModelSpec checks every token id and encodes the pairs (`inputs`), and
@@ -391,51 +393,35 @@ def softmax_rows(H):
     return E / S
 
 
-def sequence_pairs(spec, sequences):
-    """(context, next) pairs of whole sequences for this model, plus the
-    start index of each sequence's pairs.
-
-    sequences is a TokenDataset expanded from whole sequences at the
-    model's context_len (used as is) or a list of token sequences
-    (expanded once here).
-    """
-    ds = sequences
-    if not (isinstance(ds, TokenDataset) and ds.sequences
-            and ds.contexts.shape[1] == spec.context_len
-            and len(ds) == sum(len(s) - 1 for s in ds.sequences)):
-        seqs = ds.sequences if isinstance(ds, TokenDataset) else list(ds)
-        if not seqs:
-            raise ValueError("need a batch carrying whole sequences")
-        ds = dataset_from_sequences(seqs, spec.context_len)
-    lens = [len(s) - 1 for s in ds.sequences]
-    return ds, np.cumsum([0] + lens[:-1])
+def sequence_starts(spec, ds):
+    """Index of each sequence's first pair in ds, which must be a
+    TokenDataset expanded from whole sequences at the model's context_len:
+    the output of dataset_from_sequences, or a subset that keeps its
+    rows' sequences.  Raises ValueError for anything else."""
+    if isinstance(ds, TokenDataset) and ds.sequences \
+            and ds.contexts.shape[1] == spec.context_len:
+        lens = [len(s) - 1 for s in ds.sequences]
+        if len(ds) == sum(lens):
+            return np.cumsum([0] + lens[:-1])
+    raise ValueError("need a TokenDataset of whole sequences at the model's "
+                     "context_len; build it with dataset_from_sequences")
 
 
 def segment_logprob(H, ds, starts):
-    """Per-sequence sums of log softmax(H)_next over the pairs of
-    `sequence_pairs` (logits H of all pairs, in order; a stack of logit
-    matrices gives one row of sums per matrix)."""
+    """Per-sequence sums of log softmax(H)_next over the pairs of ds, each
+    sequence's from its entry of starts on (logits H of all pairs, in
+    order; a stack of logit matrices gives one row of sums per matrix)."""
     L = log_softmax_rows(H)
     return np.add.reduceat(L[..., np.arange(len(ds.nexts)), ds.nexts], starts,
                            axis=-1)
 
 
-def sequence_logprob(spec, theta, s):
-    """Sum over positions t >= 1 of log softmax(h(s_{<t}))_{s_t}.
-
-    s is one token sequence (returns a float) or a TokenDataset expanded
-    from whole sequences (returns one sum per sequence, from one forward
-    pass over all their pairs).
-    """
-    if isinstance(s, TokenDataset):
-        ds, starts = sequence_pairs(spec, s)
-        return segment_logprob(batch_logits(spec, theta, ds), ds, starts)
-    s = np.asarray(s, dtype=int)
-    if len(s) < 2:
-        raise ValueError("sequence must have length >= 2")
-    ds = dataset_from_sequences([s], spec.context_len)
-    L = log_softmax_rows(batch_logits(spec, theta, ds))
-    return float(L[np.arange(len(ds.nexts)), ds.nexts].sum())
+def sequence_logprob(spec, theta, ds):
+    """Per sequence of ds, the sum over positions t >= 1 of
+    log softmax(h(s_{<t}))_{s_t}, from one forward pass over all their
+    pairs.  ds is a dataset of whole sequences (see sequence_starts)."""
+    starts = sequence_starts(spec, ds)
+    return segment_logprob(batch_logits(spec, theta, ds), ds, starts)
 
 
 def greedy_continuation(spec, theta, prompts, n_steps):

@@ -239,8 +239,8 @@ class _BatchSampler:
     """Seeded with-replacement sampler; one forget draw then one pretrain
     draw per step so runs are reproducible from the seed alone.  A batch
     gathers its rows of the datasets' encoded inputs.  An npo forget batch
-    holds whole sequences: the forget set is expanded into pairs once, and
-    each draw gathers its sequences' pair rows and base log-probabilities."""
+    holds whole sequences: each draw gathers the pair rows and base
+    log-probabilities of its sequences from the forget set."""
 
     def __init__(self, spec, cfg, d_f, d_pt):
         self.rng = np.random.default_rng(cfg.seed)
@@ -249,9 +249,8 @@ class _BatchSampler:
         self.d_pt = d_pt
         self.npo = cfg.loss.tag == "npo"
         if self.npo:
-            self.d_f, starts = M.sequence_pairs(spec, d_f)
-            self.seq_rows = [np.arange(a, a + len(s) - 1)
-                             for a, s in zip(starts, self.d_f.sequences)]
+            self.seq_rows = [np.arange(a, a + len(s) - 1) for a, s in
+                             zip(M.sequence_starts(spec, d_f), d_f.sequences)]
         for ds in (self.d_f, d_pt):
             ds.inputs(spec)
 

@@ -285,9 +285,18 @@ def bregman_oracle(spec, theta, theta_ref, batch):
 # - L_base(s))), its weight w(s) = sigmoid(beta (L_theta - L_base)) and
 # its gradient 2 w(s) grad L_theta(s).
 
+def sequence_logprob(spec, theta, s):
+    """Log-probability of one token sequence s, a float: the sum over
+    t >= 1 of log softmax(h(s_{<t}))_{s_t}, from the pairs of s alone
+    (model.sequence_logprob takes a dataset of whole sequences)."""
+    ds = M.dataset_from_sequences([np.asarray(s, dtype=int)], spec.context_len)
+    L = M.log_softmax_rows(M.batch_logits(spec, theta, ds))
+    return float(L[np.arange(len(ds.nexts)), ds.nexts].sum())
+
+
 def grad_sequence_logprob(spec, theta, s):
-    """Gradient w.r.t. theta of model.sequence_logprob of one sequence:
-    the summed e_y - softmax rows of its pairs, backpropagated."""
+    """Gradient w.r.t. theta of sequence_logprob of one sequence: the
+    summed e_y - softmax rows of its pairs, backpropagated."""
     ds = M.dataset_from_sequences([np.asarray(s, dtype=int)], spec.context_len)
     H, aux = M._forward(spec, theta, ds.inputs(spec))
     G = -M.softmax_rows(H)
@@ -296,14 +305,14 @@ def grad_sequence_logprob(spec, theta, s):
 
 
 def npo_value(spec, s, theta, base_theta, beta):
-    lt = M.sequence_logprob(spec, theta, s)
-    lb = M.sequence_logprob(spec, base_theta, s)
+    lt = sequence_logprob(spec, theta, s)
+    lb = sequence_logprob(spec, base_theta, s)
     return float((2.0 / beta) * np.logaddexp(0.0, beta * (lt - lb)))
 
 
 def npo_weight(spec, s, theta, base_theta, beta):
-    lt = M.sequence_logprob(spec, theta, s)
-    lb = M.sequence_logprob(spec, base_theta, s)
+    lt = sequence_logprob(spec, theta, s)
+    lb = sequence_logprob(spec, base_theta, s)
     return float(1.0 / (1.0 + np.exp(-beta * (lt - lb))))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from conftest import (artifact_mismatches, assemble_gnh,
                       central_difference_gradient, grad_sequence_logprob,
-                      relative_error)
+                      relative_error, sequence_logprob)
 from mtunlearn import harness
 from mtunlearn import divergence as Dv
 from mtunlearn import losses as L
@@ -72,8 +72,8 @@ def test_criterion_1_gradient_identities():
             seq = list(rng.integers(0, V, 6))
             ds = M.dataset_from_sequences([seq], spec.context_len)
             base = rng.standard_normal(M.param_count(spec))
-            lt = M.sequence_logprob(spec, theta, seq)
-            lb = M.sequence_logprob(spec, base, seq)
+            lt = sequence_logprob(spec, theta, seq)
+            lb = sequence_logprob(spec, base, seq)
             sig = np.exp(-np.logaddexp(0.0, -npo.beta * (lt - lb)))
             g_ref = 2.0 * sig * grad_sequence_logprob(spec, theta, seq)
             g_npo = L.batch_grad(npo, spec, theta, L.npo_pairs(spec, ds, base))

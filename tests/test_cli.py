@@ -176,6 +176,10 @@ class TestConfigErrors:
         # Finite horizons past the step cap once ran without bound.
         ("theorem1", {"t_gamma": 1e18}, "t_gamma=1e+18"),
         ("theorem1", {"alphas": [1e-200, 1e-300]}, "alpha=1e-300"),
+        # Lemma arrays past the entry cap once ran out of memory.
+        ("lemma", {"dim": 5792, "T": 5794}, "T=5794 and dim=5792 give (T, dim)"),
+        ("lemma", {"mus": [0.0] * 10_000, "T": 10 ** 6},
+         "60000 cells of mus, lams and modes at T=1000000"),
     ])
     def test_verify_range_error_names_the_field(self, tmp_path, capsys, check,
                                                 fields, text):
@@ -235,6 +239,8 @@ class TestConfigErrors:
         ("unlearn", "mt", "T", 10 ** 12),
         ("train-target", "train", "epochs", 10 ** 12),
         ("verify", "lemma", "T", 10 ** 12),
+        ("verify", "lemma", "dim", 10 ** 12),
+        ("verify", "lemma", "dim", 30_000),
         ("verify", "dynamics", "target_epochs", 10 ** 12),
         ("train-target", "corpus", "seq_len", 10 ** 9),
         ("train-target", "corpus", "n_sequences", 10 ** 7),
@@ -243,10 +249,11 @@ class TestConfigErrors:
                                                   command, section, field,
                                                   value):
         """A batch size above optimizer.MAX_BATCH, a model above
-        model.MAX_PARAMS parameters, a step count above optimizer.MAX_STEPS
-        or a corpus above harness.MAX_CORPUS_TOKENS once ended in a
-        traceback, ran out of memory or ran without bound; each exits 2
-        naming the field, before any run."""
+        model.MAX_PARAMS parameters, a step count above optimizer.MAX_STEPS,
+        a corpus above harness.MAX_CORPUS_TOKENS or a lemma instance above
+        harness.LEMMA_MAX_ENTRIES once ended in a traceback, ran out of
+        memory or ran without bound; each exits 2 naming the field, before
+        any run."""
         cfg = unlearn_cfg() if command == "unlearn" else target_cfg()
         if command == "verify":
             command, cfg = f"verify {section}", {field: value}

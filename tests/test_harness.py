@@ -529,6 +529,50 @@ class TestLemmaDriver:
         with pytest.raises(ValueError, match="dim"):
             Hn.LemmaFamily(dim=0)
 
+    def test_family_dimension_is_capped(self):
+        """The (dim, dim) instance holds at most LEMMA_MAX_ENTRIES; dim
+        10**12 once died in numpy and 30 000 ran out of memory."""
+        assert Hn.LEMMA_MAX_ENTRIES == 2 ** 25
+        Hn.LemmaFamily(dim=5792)
+        for dim in (5793, 30_000, 10 ** 12):
+            with pytest.raises(ValueError, match=f"dim={dim} .* cap of 33554432"):
+                Hn.LemmaFamily(dim=dim)
+
+    @pytest.mark.parametrize("kw", [
+        dict(T=O.MAX_STEPS),
+        dict(mus=(0.0,) * 33, lams=(1.0,), modes=("zero",), T=O.MAX_STEPS),
+        dict(family=Hn.LemmaFamily(dim=5792)),
+        dict(family=Hn.LemmaFamily(dim=5792), T=5793),
+    ])
+    def test_sizes_within_the_cap_reach_the_instance(self, monkeypatch, kw):
+        """The shipped 18-cell grid and 33 cells at the step cap, and dim
+        5 792 at the default T and at the largest T its injected errors
+        fit, pass the size checks; the instance draw (stubbed) comes
+        next."""
+        class Reached(Exception):
+            pass
+
+        def reached(family):
+            raise Reached
+
+        monkeypatch.setattr(Hn, "lemma_instance", reached)
+        with pytest.raises(Reached):
+            Hn.verify_lemma(**kw)
+
+    @pytest.mark.parametrize("kw,text", [
+        (dict(family=Hn.LemmaFamily(dim=5792), T=5794),
+         r"T=5794 and dim=5792 give \(T, dim\)"),
+        # 33 cells at the step cap fit; 34 do not.
+        (dict(mus=(0.0,) * 34, lams=(1.0,), modes=("zero",), T=O.MAX_STEPS),
+         r"34 cells of mus, lams and modes at T=1000000 give \(cells, T \+ 1\)"),
+        (dict(mus=(0.0,) * 10_000, T=O.MAX_STEPS), "60000 cells"),
+    ])
+    def test_oversized_arrays_rejected_before_any_allocation(
+            self, monkeypatch, kw, text):
+        forbid(monkeypatch, Hn, "lemma_instance")
+        with pytest.raises(ConfigError, match=text + ".*cap of 33554432"):
+            Hn.verify_lemma(**kw)
+
     @pytest.mark.parametrize("kw,field", [
         (dict(eig_low=float("nan")), "eig_low"),
         (dict(eig_high=float("inf")), "eig_high"),

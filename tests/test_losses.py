@@ -16,7 +16,8 @@ from scipy.special import expit, logsumexp
 from conftest import (central_difference_gradient, grad_sequence_logprob,
                       ll_grad_rows, ll_value_rows, nll_grad_rows,
                       nll_value_rows, nlul_grad_rows, nlul_value_rows, npo_grad,
-                      npo_value, npo_weight, relative_error, same_bits)
+                      npo_value, npo_weight, relative_error, same_bits,
+                      sequence_logprob)
 from mtunlearn import losses as L
 from mtunlearn import model as M
 
@@ -126,8 +127,8 @@ class TestNpo:
             theta = rng.standard_normal(16)
             base = rng.standard_normal(16)
             s = list(rng.integers(0, 4, 5))
-            w = expit(beta * (M.sequence_logprob(spec, theta, s)
-                              - M.sequence_logprob(spec, base, s)))
+            w = expit(beta * (sequence_logprob(spec, theta, s)
+                              - sequence_logprob(spec, base, s)))
             identity = 2.0 * w * grad_sequence_logprob(spec, theta, s)
             np.testing.assert_allclose(npo_grad(spec, s, theta, base, beta),
                                        identity, rtol=1e-12)
@@ -155,7 +156,8 @@ class TestBatchInterface:
         kind = L.LossKind("npo", beta=0.3)
         theta = rng.standard_normal(16) * 0.5
         base = rng.standard_normal(16) * 0.5
-        batch = L.npo_pairs(spec, [[0, 1, 2, 3], [3, 2, 1]], base)
+        batch = L.npo_pairs(spec, M.dataset_from_sequences(
+            [[0, 1, 2, 3], [3, 2, 1]], 1), base)
         g = L.batch_grad(kind, spec, theta, batch)
         fd = central_difference_gradient(
             lambda th: L.batch_loss(kind, spec, th, batch), theta)
@@ -190,7 +192,8 @@ class TestBatchInterface:
         """One base value per sequence: a one-entry array would broadcast
         over a 3-sequence batch, and a two-entry one would not broadcast."""
         spec = bigram_spec()
-        pairs = L.npo_pairs(spec, [[0, 1, 2], [3, 4], [1, 3, 0, 2]], np.zeros(25))
+        pairs = L.npo_pairs(spec, M.dataset_from_sequences(
+            [[0, 1, 2], [3, 4], [1, 3, 0, 2]], 1), np.zeros(25))
         bad = M.TokenDataset(pairs.contexts, pairs.nexts, pairs.sequences,
                              pairs.base_logprob[:n])
         for fn in (L.batch_loss, L.batch_grad, L.batch_value_and_grad):
@@ -423,8 +426,8 @@ class TestBatchedNpo:
 
     @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
     def test_matches_mean_of_per_sequence_terms(self, make_spec):
-        """Sequences of unequal length (one repeated), given as pairs or as
-        a plain list, against the per-sequence npo_value / npo_grad."""
+        """Sequences of unequal length (one repeated) against the
+        per-sequence npo_value / npo_grad."""
         rng = np.random.default_rng(57)
         spec = make_spec()
         beta = 0.6
@@ -436,19 +439,18 @@ class TestBatchedNpo:
                              for s in self.SEQS])
             grad = np.mean([npo_grad(spec, s, theta, base, beta)
                             for s in self.SEQS], axis=0)
-            for seqs in (M.dataset_from_sequences(self.SEQS, spec.context_len),
-                         self.SEQS):
-                v, g = L.batch_value_and_grad(kind, spec, theta,
-                                              L.npo_pairs(spec, seqs, base))
-                assert v == pytest.approx(value, rel=1e-12)
-                assert relative_error(g, grad) <= 1e-12
+            seqs = M.dataset_from_sequences(self.SEQS, spec.context_len)
+            v, g = L.batch_value_and_grad(kind, spec, theta,
+                                          L.npo_pairs(spec, seqs, base))
+            assert v == pytest.approx(value, rel=1e-12)
+            assert relative_error(g, grad) <= 1e-12
 
 
 class TestTeacher:
     def test_default_teacher_is_uniform(self):
         t = L.TeacherLogits()
-        H = t.batch(np.array([[0], [1]]), 5)
-        np.testing.assert_array_equal(H, np.zeros((2, 5)))
+        assert t.is_uniform
+        assert t.log_probs(np.array([[0], [1]]), 5) == -np.log(5)
 
     def test_uniform_log_probs_are_the_zero_logit_log_softmax(self):
         """-log V in place of the log-softmax of zero logits leaves the
@@ -479,13 +481,17 @@ class TestTeacher:
             assert np.array_equal(L.batch_grad(uniform, spec, theta, batch), g_ref)
 
     def test_model_teacher_serves_its_logits(self):
+        """As log-probabilities: the log-softmax of its logits, for an
+        array of contexts and for a dataset."""
         rng = np.random.default_rng(52)
         spec = bigram_spec(4)
         theta_t = rng.standard_normal(16)
         teacher = L.TeacherLogits(spec, theta_t)
         ctx = np.array([[0], [2], [3]])
-        np.testing.assert_allclose(teacher.batch(ctx, 4),
-                                   M.batch_logits(spec, theta_t, ctx))
+        want = M.log_softmax_rows(M.batch_logits(spec, theta_t, ctx))
+        assert same_bits(teacher.log_probs(ctx, 4), want)
+        ds = M.TokenDataset(ctx, np.array([1, 0, 2]))
+        assert same_bits(teacher.log_probs(ds, 4), want)
 
     def test_it_loss_against_model_teacher_is_kl(self):
         rng = np.random.default_rng(53)

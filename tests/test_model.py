@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (central_difference_gradient, grad_sequence_logprob,
                       greedy_oracle, raw_backprop, raw_forward, relative_error,
-                      same_bits)
+                      same_bits, sequence_logprob)
 from mtunlearn import losses as L
 from mtunlearn import model as M
 
@@ -281,18 +281,21 @@ class TestDerivatives:
 
 class TestSequences:
     def test_sequence_logprob_matches_manual_sum(self):
+        """The one-sequence oracle and a one-sequence dataset."""
         rng = np.random.default_rng(30)
         spec = mlp_spec(V=5, ctx=2, hid=3)
         theta = rng.standard_normal(M.param_count(spec))
         s = [2, 4, 1, 0, 3]
-        lp = M.sequence_logprob(spec, theta, s)
+        lp = M.sequence_logprob(spec, theta, M.dataset_from_sequences([s], 2))
         manual = 0.0
         for t in range(1, len(s)):
             c = s[max(0, t - 2):t]
             c = [M.PAD] * (2 - len(c)) + list(c)
             h = M.batch_logits(spec, theta, np.array([c]))[0]
             manual += h[s[t]] - np.log(np.sum(np.exp(h)))
-        assert lp == pytest.approx(manual, rel=1e-10)
+        assert lp.shape == (1,)
+        assert lp[0] == pytest.approx(manual, rel=1e-10)
+        assert sequence_logprob(spec, theta, s) == pytest.approx(manual, rel=1e-10)
 
     def test_grad_sequence_logprob_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -301,7 +304,7 @@ class TestSequences:
         s = [0, 2, 1, 1, 3]
         g = grad_sequence_logprob(spec, theta, s)
         fd = central_difference_gradient(
-            lambda th: M.sequence_logprob(spec, th, s), theta)
+            lambda th: sequence_logprob(spec, th, s), theta)
         assert relative_error(g, fd) < 1e-7
 
     @pytest.mark.parametrize("make_spec", [bigram_spec, mlp_spec])
@@ -312,19 +315,27 @@ class TestSequences:
         seqs = [[0, 1, 2, 3, 4], [3, 2], [1, 4, 1], [3, 2]]
         ds = M.dataset_from_sequences(seqs, spec.context_len)
         sums = M.sequence_logprob(spec, theta, ds)
-        each = [M.sequence_logprob(spec, theta, s) for s in seqs]
+        each = [sequence_logprob(spec, theta, s) for s in seqs]
         np.testing.assert_allclose(sums, each, rtol=1e-13, atol=0)
-        pairs, starts = M.sequence_pairs(spec, seqs)
-        np.testing.assert_array_equal(starts, [0, 4, 5, 7])
-        np.testing.assert_array_equal(pairs.contexts, ds.contexts)
+        np.testing.assert_array_equal(M.sequence_starts(spec, ds), [0, 4, 5, 7])
 
-    def test_pair_subset_is_reexpanded_or_rejected(self):
-        spec = bigram_spec()
-        ds = M.dataset_from_sequences([[0, 1, 2], [3, 4]], 2)
-        pairs, _ = M.sequence_pairs(spec, ds)
-        assert pairs.contexts.shape[1] == spec.context_len
-        with pytest.raises(ValueError, match="whole sequence"):
-            M.sequence_pairs(spec, ds.subset(np.array([0, 1])))
+    def test_only_whole_sequence_datasets_are_taken(self):
+        """A list of sequences, a pair subset without its sequences and a
+        dataset at another context_len are each rejected by
+        sequence_logprob and by npo_pairs; a subset that keeps its rows'
+        sequences is taken."""
+        spec = mlp_spec()
+        theta = np.zeros(M.param_count(spec))
+        seqs = [[0, 1, 2], [3, 4]]
+        ds = M.dataset_from_sequences(seqs, spec.context_len)
+        for bad in (seqs, ds.subset(np.array([0, 1])),
+                    M.dataset_from_sequences(seqs, 1)):
+            with pytest.raises(ValueError, match="dataset_from_sequences"):
+                M.sequence_logprob(spec, theta, bad)
+            with pytest.raises(ValueError, match="dataset_from_sequences"):
+                L.npo_pairs(spec, bad, theta)
+        kept = ds.subset(np.array([2, 0, 1]), np.array([1, 0]))
+        np.testing.assert_array_equal(M.sequence_starts(spec, kept), [0, 1])
 
 
 class TestDatasets:

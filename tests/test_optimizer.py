@@ -413,7 +413,7 @@ class TestBatchedRun:
     def test_npo_batches_gather_the_expansion_of_their_draw(self, spec):
         """An npo forget batch gathered from the once-expanded forget set
         equals dataset_from_sequences of the same seeded draw, padded
-        starts included, and sequence_pairs takes it as it is."""
+        starts included, and sequence_starts reads the same starts."""
         rng = np.random.default_rng(99)
         seqs = [rng.integers(0, 6, n) for n in (2, 3, 5, 4, 7)]
         d_f = M.dataset_from_sequences(seqs, spec.context_len)
@@ -429,7 +429,8 @@ class TestBatchedRun:
             np.testing.assert_array_equal(fb.contexts, want.contexts)
             np.testing.assert_array_equal(fb.nexts, want.nexts)
             assert [list(s) for s in fb.sequences] == [list(s) for s in want.sequences]
-            assert M.sequence_pairs(spec, fb)[0] is fb
+            np.testing.assert_array_equal(M.sequence_starts(spec, fb),
+                                          M.sequence_starts(spec, want))
             pi = replay.integers(0, len(self.d_pt), cfg.batch_pretrain)
             np.testing.assert_array_equal(pb.nexts, self.d_pt.nexts[pi])
 

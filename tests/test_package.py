@@ -25,6 +25,48 @@ def test_all_lists_every_public_name_once_and_each_resolves():
         assert getattr(mtunlearn, name) is not None
 
 
+# Exports no source under src/mtunlearn uses, each with its reason.
+UNUSED_EXPORTS = {
+    "__version__": "the distribution's version, read by its users",
+    "default_unlearn_setup": "the unlearn-mlp testbed, named by the "
+                             "benchmark (BENCHMARK.json, perfbench/workloads.py)",
+}
+
+
+def _used_names(tree):
+    """The loaded names and attributes of a source tree, each skipped
+    inside the body of a function or class of the same name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and \
+                isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_export_is_used_by_the_package():
+    """No public API that only its own tests call: each name in __all__ is
+    used in src/mtunlearn outside its definition and __init__, apart from
+    the listed exceptions."""
+    src = os.path.dirname(mtunlearn.__file__)
+    used = set()
+    for fname in sorted(os.listdir(src)):
+        if fname.endswith(".py") and fname != "__init__.py":
+            with open(os.path.join(src, fname), encoding="utf-8") as fh:
+                used |= _used_names(ast.parse(fh.read()))
+    unused = {name for name in mtunlearn.__all__ if name not in used}
+    assert unused == set(UNUSED_EXPORTS)
+
+
 def test_per_sequence_npo_helpers_live_in_the_tests():
     """Only tests called the per-sequence npo functions, the log-space row
     losses and the bigram curvature blocks; the first two are the tests'
@@ -40,7 +82,11 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
     document's tables and summary are built in one place
     (cli.result_outputs).  Greedy decoding takes a matrix of prompts, so
     the single-context logits went with the per-prompt decode, which is
-    the tests' oracle (conftest.greedy_oracle)."""
+    the tests' oracle (conftest.greedy_oracle).  The sequence-level
+    functions take only datasets of whole sequences, so the re-expanding
+    sequence_pairs went, and the one-sequence log-probability is the
+    tests' oracle (conftest.sequence_logprob); the it teacher serves only
+    log-probabilities."""
     for name in ("npo_value", "npo_weight", "npo_grad", "ll_value_rows",
                  "ll_grad_rows", "nll_value_rows", "nll_grad_rows",
                  "nlul_value_rows", "nlul_grad_rows", "_ll_grad"):
@@ -53,9 +99,10 @@ def test_per_sequence_npo_helpers_live_in_the_tests():
                          (model, "logit_jacobian"), (curvature, "_sqrt_factor"),
                          (harness, "render_result_tables"),
                          (harness, "result_tables"), (cli, "print_result_summary"),
-                         (model, "logits")):
+                         (model, "logits"), (model, "sequence_pairs")):
         assert not hasattr(module, name) and name not in mtunlearn.__all__
     assert not hasattr(model.TokenDataset, "_take")
+    assert not hasattr(losses.TeacherLogits, "batch")
     for fn in (losses.batch_loss, losses.batch_grad, losses.batch_value_and_grad):
         assert "base_theta" not in inspect.signature(fn).parameters
     params = inspect.signature(model.grad_from_logit_grads).parameters
